@@ -7,10 +7,10 @@ log-derivative, then verifies H psi0 = -l1 psi0 through the Riccati form
 
 import numpy as np
 
-from pdmsusy import MassFn, ModelSpec, parse, pt_image
+from pdmsusy import MassFn, ModelSpec, parse, pt_image, riccati_residual
 from pdmsusy.expr import ParamEnv, evaluate
-from pdmsusy.susy1 import (build_first_order, charge_coefficients_first,
-                           riccati_check_first)
+from pdmsusy.susy1 import build_first_order
+from pdmsusy.susyn import first_order_coefficients
 
 spec = ModelSpec(order=1,
                  mass=MassFn(parse("1/4*sec(x)^2"), 0.05, 1.5),
@@ -24,14 +24,16 @@ print("Vtilde(0.5) =", evaluate(system.vtilde, 0.5, spec.params))
 print("phi0(0.5)   =", evaluate(system.phi0, 0.5, spec.params))
 print("lowest eigenvalue -l1 =", system.e0)
 
-lead, zeroth = charge_coefficients_first(spec)
+coeffs = first_order_coefficients(spec)
 print("\ncharge operator: C = lead * d/dx + zeroth")
-print("  lead(0.5)   =", evaluate(lead, 0.5, spec.params),
+print("  lead(0.5)   =", evaluate(coeffs.lead, 0.5, spec.params),
       " (this is 2 cos x)")
-print("  zeroth(0.5) =", evaluate(zeroth, 0.5, spec.params))
+print("  zeroth(0.5) =", evaluate(coeffs.sub, 0.5, spec.params))
 
 xs = np.linspace(0.05, 1.5, 100)
-print("\nRiccati residual of (phi0, -l1):", riccati_check_first(system, xs))
+residual = riccati_residual(spec.mass, system.vtilde, system.phi0, system.e0,
+                            xs, spec.params)
+print("\nRiccati residual of (phi0, -l1):", residual)
 
 # The PT defect of the potential has the closed form 2 W_m'/sqrt(m)
 defect = system.vtilde - pt_image(system.vtilde)

@@ -15,8 +15,7 @@ from .model import (
     mass_deformed_superpotential, constant_mass_superpotential, rho,
     ordered_potential, pt_image, symmetry_report, chebyshev_points,
 )
-from .susy1 import FirstOrderSystem, build_first_order, \
-    charge_coefficients_first, riccati_check_first
+from .susy1 import FirstOrderSystem, build_first_order
 from .susy2 import (
     SecondOrderSystem, SingularPointError, f_aux, u0_closed, u0_integrated,
     potential_second_order, zero_mode_logderivs, lowest_eigenvalues,
@@ -31,9 +30,8 @@ from .discrete import (
     Grid, OperatorMatrix, Spectrum, DiscreteError, GridError, AssemblyError,
     EigensolverError, UnsupportedOrderError,
     assemble_hamiltonian, assemble_charge, parity_matrix,
-    constraint_residuals, dense_eigenvalues, eigenvalues,
-    hamiltonian_spectrum, susy_algebra_spectrum, conjugate_closure,
-    conjugate_pairing_distance,
+    constraint_residuals, dense_eigenvalues,
+    hamiltonian_spectrum, susy_algebra_spectrum, conjugate_pairing_distance,
     riccati_residual, convergence_study, wavefunction_from_log_derivative,
     l2_normalizable,
 )

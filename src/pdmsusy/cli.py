@@ -13,14 +13,16 @@ import dataclasses
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import discrete, susy1, susy2, susyn
-from .expr import (EvaluationError, Expr, ParamEnv, ParseError,
-                   differentiate, evaluate_many, parse)
+from .expr import (Const, EvaluationError, Expr, ParamEnv, ParseError,
+                   evaluate_many, parse)
 from .model import (DomainError, MassError, MassFn, ModelError, ModelSpec,
                     mass_deformed_superpotential, pt_image, symmetry_report)
 from .susy2 import SingularPointError
@@ -29,9 +31,6 @@ __all__ = ["ConfigError", "RunConfig", "CheckOutcome", "VerificationReport",
            "load_config", "build_model", "run", "paper_examples",
            "emit_curves", "main",
            "KNOWN_CHECKS", "DEFAULT_TOLERANCES"]
-
-KNOWN_CHECKS = ("symmetry", "delta_v", "u0_routes", "riccati", "eigenvalues",
-                "pseudo", "cpt", "susy", "conjugate_closure", "convergence")
 
 DEFAULT_TOLERANCES = {
     "identity": 1e-9,            # pointwise closed-form identities
@@ -55,16 +54,12 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class RunConfig:
     order: int
-    mass_source: str
     mass_expr: Expr
     superpotential_kind: str            # "constant_mass" | "deformed"
-    superpotential_source: str
     superpotential_expr: Expr
     params: dict
     susy_constants: tuple
-    ambiguity: tuple
     grid: discrete.Grid
-    boundary: str
     checks: tuple
     tolerances: dict
     output: dict
@@ -109,16 +104,10 @@ class VerificationReport:
     def as_dict(self) -> dict:
         out = {"model": self.model, "passed": self.passed,
                "checks": [c.as_dict() for c in self.checks]}
-        if self.symmetry is not None:
-            out["symmetry"] = self.symmetry
-        if self.closed_form_eigenvalues is not None:
-            out["closed_form_eigenvalues"] = self.closed_form_eigenvalues
-        if self.reality_condition is not None:
-            out["reality_condition"] = self.reality_condition
-        if self.susy_constants_real is not None:
-            out["susy_constants_real"] = self.susy_constants_real
-        if self.spectrum is not None:
-            out["spectrum"] = self.spectrum
+        for key in ("symmetry", "closed_form_eigenvalues", "reality_condition",
+                    "susy_constants_real", "spectrum"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
         if self.notes:
             out["notes"] = self.notes
         out["wall_clock_seconds"] = self.wall_clock_seconds
@@ -187,15 +176,14 @@ def parse_config_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     allowed = ("order", "mass", "superpotential", "params", "susy_constants",
-               "ambiguity", "grid", "boundary", "checks", "tolerances", "output")
+               "grid", "boundary", "checks", "tolerances", "output")
     _check_unknown(raw, allowed, "")
 
     order = _want(raw, "order", int, "")
     if isinstance(order, bool) or order < 1:
         raise ConfigError("field 'order' must be a positive integer")
 
-    mass_source = _want(raw, "mass", str, "")
-    mass_expr = _parse_expression(mass_source, "mass")
+    mass_expr = _parse_expression(_want(raw, "mass", str, ""), "mass")
 
     sp = _want(raw, "superpotential", dict, "")
     _check_unknown(sp, ("kind", "expr"), "superpotential.")
@@ -203,8 +191,8 @@ def parse_config_dict(raw: dict) -> RunConfig:
     if kind not in ("constant_mass", "deformed"):
         raise ConfigError("field 'superpotential.kind' must be "
                           "'constant_mass' or 'deformed'")
-    sp_source = _want(sp, "expr", str, "superpotential.")
-    sp_expr = _parse_expression(sp_source, "superpotential.expr")
+    sp_expr = _parse_expression(_want(sp, "expr", str, "superpotential."),
+                                "superpotential.expr")
 
     params_raw = _want(raw, "params", dict, "", optional=True, default={})
     params = {}
@@ -219,12 +207,6 @@ def parse_config_dict(raw: dict) -> RunConfig:
             f"field 'susy_constants' must have length {order} (the order), "
             f"got {len(constants)}")
 
-    amb_raw = _want(raw, "ambiguity", dict, "", optional=True,
-                    default={"a": 0.0, "b": -1.0})
-    _check_unknown(amb_raw, ("a", "b"), "ambiguity.")
-    ambiguity = (float(_want(amb_raw, "a", (int, float), "ambiguity.")),
-                 float(_want(amb_raw, "b", (int, float), "ambiguity.")))
-
     grid_raw = _want(raw, "grid", dict, "")
     _check_unknown(grid_raw, ("xmin", "xmax", "points"), "grid.")
     points = _want(grid_raw, "points", int, "grid.")
@@ -237,8 +219,8 @@ def parse_config_dict(raw: dict) -> RunConfig:
     except discrete.GridError as exc:
         raise ConfigError(f"field 'grid': {exc}") from exc
 
-    boundary = _want(raw, "boundary", str, "", optional=True, default="dirichlet")
-    if boundary != "dirichlet":
+    if _want(raw, "boundary", str, "", optional=True,
+             default="dirichlet") != "dirichlet":
         raise ConfigError("field 'boundary': only 'dirichlet' is supported")
 
     checks_raw = _want(raw, "checks", list, "")
@@ -261,22 +243,29 @@ def parse_config_dict(raw: dict) -> RunConfig:
     tol_raw = _want(raw, "tolerances", dict, "", optional=True, default={})
     tolerances = dict(DEFAULT_TOLERANCES)
     for name, value in tol_raw.items():
-        if name not in DEFAULT_TOLERANCES:
-            raise ConfigError(
-                f"unknown tolerance '{name}'; valid names: "
-                f"{', '.join(sorted(DEFAULT_TOLERANCES))}")
-        tolerances[name] = float(value)
+        _set_tolerance(tolerances, name, value, f"field 'tolerances.{name}'")
 
     output_raw = _want(raw, "output", dict, "", optional=True, default={})
     _check_unknown(output_raw, ("report", "curves"), "output.")
     output = {k: str(v) for k, v in output_raw.items()}
 
-    return RunConfig(order=order, mass_source=mass_source, mass_expr=mass_expr,
-                     superpotential_kind=kind, superpotential_source=sp_source,
-                     superpotential_expr=sp_expr, params=params,
-                     susy_constants=constants, ambiguity=ambiguity, grid=grid,
-                     boundary=boundary, checks=tuple(checks),
-                     tolerances=tolerances, output=output, echo=raw)
+    return RunConfig(order=order, mass_expr=mass_expr,
+                     superpotential_kind=kind, superpotential_expr=sp_expr,
+                     params=params, susy_constants=constants, grid=grid,
+                     checks=tuple(checks), tolerances=tolerances,
+                     output=output, echo=raw)
+
+
+def _set_tolerance(tolerances: dict, name: str, value, source: str) -> None:
+    """Set one named tolerance from a config value or a --tol override."""
+    if name not in DEFAULT_TOLERANCES:
+        raise ConfigError(
+            f"unknown tolerance '{name}'; valid names: "
+            f"{', '.join(sorted(DEFAULT_TOLERANCES))}")
+    try:
+        tolerances[name] = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{source}: '{value}' is not a number") from None
 
 
 def load_config(path: str) -> RunConfig:
@@ -297,7 +286,6 @@ def build_model(config: RunConfig) -> ModelSpec:
         else {"deformed": config.superpotential_expr}
     return ModelSpec(order=config.order, mass=mass,
                      susy_constants=config.susy_constants,
-                     ambiguity=config.ambiguity,
                      params=ParamEnv(config.params), **kwargs)
 
 
@@ -305,10 +293,24 @@ def build_model(config: RunConfig) -> ModelSpec:
 # Check implementations
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _timed(wall: dict, key: str):
+    """Record the wall-clock time of the enclosed block as wall[key]."""
+    t0 = time.perf_counter()
+    yield
+    wall[key] = time.perf_counter() - t0
+
+
 def _sup_diff(a: Expr, b: Expr, xs, env) -> float:
     va = evaluate_many(a, xs, env)
     vb = evaluate_many(b, xs, env)
     return float(np.max(np.abs(va - vb)))
+
+
+def _bounded(name: str, values: dict, tol: float) -> CheckOutcome:
+    """Outcome that passes when every value is within tol."""
+    ok = max(values.values()) <= tol
+    return CheckOutcome(name, "pass" if ok else "fail", tol, values)
 
 
 def _build_system(spec: ModelSpec):
@@ -319,74 +321,93 @@ def _build_system(spec: ModelSpec):
     return None
 
 
-def _charge_coefficients(spec: ModelSpec, system):
-    if spec.order == 1:
-        return susyn.first_order_coefficients(spec)
-    return susyn.second_order_coefficients(spec, system.u0)
+@dataclass
+class _CheckContext:
+    """Everything a check reads.  The base-grid operators and their
+    constraint residuals are computed on first use, once per run."""
+
+    config: RunConfig
+    spec: ModelSpec
+    system: object
+    refinements: int
+
+    def assemble(self, grid: discrete.Grid):
+        spec = self.spec
+        if spec.order == 1:
+            coeffs = susyn.first_order_coefficients(spec)
+        else:
+            coeffs = susyn.second_order_coefficients(spec, self.system.u0)
+        H = discrete.assemble_hamiltonian(spec.mass, self.system.vtilde, grid,
+                                          spec.params)
+        C = discrete.assemble_charge(coeffs, grid, spec.params)
+        P = discrete.parity_matrix(grid)
+        return H, C, P
+
+    @cached_property
+    def operators(self):
+        return self.assemble(self.config.grid)
+
+    @cached_property
+    def residuals(self) -> dict:
+        return discrete.constraint_residuals(*self.operators,
+                                             self.spec.susy_constants)
 
 
-def _check_symmetry(spec, system, config) -> CheckOutcome:
-    tol = config.tolerances["symmetry"]
-    if not spec.mass.symmetric_domain:
-        return CheckOutcome("symmetry", "skip",
-                            reason="domain not symmetric about 0")
-    functions = {"delta_vtilde": system.vtilde}
-    if spec.order == 2:
-        functions["delta_u0"] = system.u0
-    rep = symmetry_report(spec, functions=functions)
-    values = dict(rep.entries())
+def _check_symmetry(ctx: _CheckContext) -> CheckOutcome:
+    tol = ctx.config.tolerances["symmetry"]
+    functions = {"delta_vtilde": ctx.system.vtilde}
+    if ctx.spec.order == 2:
+        functions["delta_u0"] = ctx.system.u0
+    rep = symmetry_report(ctx.spec, functions=functions)
     # the delta_* norms are informational (those functions are
     # non-PT-symmetric by construction); only m and W_m must be symmetric
     ok = max(rep.mass_parity_defect, rep.wm_pt_defect) <= tol
-    return CheckOutcome("symmetry", "pass" if ok else "fail", tol, values)
+    return CheckOutcome("symmetry", "pass" if ok else "fail", tol,
+                        dict(rep.entries()))
 
 
-def _check_delta_v(spec, system, config) -> CheckOutcome:
-    tol = config.tolerances["identity"]
+def _check_delta_v(ctx: _CheckContext) -> CheckOutcome:
+    spec, system = ctx.spec, ctx.system
     xs = spec.mass.interior_points(IDENTITY_SAMPLES)
-    env = spec.params
-    wm = system.wm
     defect = system.vtilde - pt_image(system.vtilde)
-    if spec.order == 1:
-        closed = system.delta_v
-    else:
-        mx = spec.mass.expr
-        closed = 2 * differentiate(wm) + (differentiate(mx) / mx) * wm
-    values = {
-        "identity": _sup_diff(defect, closed, xs, env),
-        "general_reduction": _sup_diff(
-            susyn.delta_v_general(wm, spec.mass, spec.order), closed, xs, env),
-    }
-    ok = max(values.values()) <= tol
-    return CheckOutcome("delta_v", "pass" if ok else "fail", tol, values)
+    general = susyn.delta_v_general(system.wm, spec.mass, spec.order)
+    return _bounded("delta_v", {
+        "identity": _sup_diff(defect, system.delta_v, xs, spec.params),
+        "general_reduction": _sup_diff(general, system.delta_v, xs,
+                                       spec.params),
+    }, ctx.config.tolerances["identity"])
 
 
-def _check_u0_routes(spec, system, config) -> CheckOutcome:
-    tol = config.tolerances["identity"]
+def _check_u0_routes(ctx: _CheckContext) -> CheckOutcome:
+    spec, system = ctx.spec, ctx.system
     xs = spec.mass.interior_points(IDENTITY_SAMPLES)
     theta = system.l2 - system.l1 * system.l1 / 4.0
     integrated = susy2.u0_integrated(system.f, system.wm, spec.mass, theta)
-    values = {"closed_vs_integrated": _sup_diff(system.u0, integrated, xs,
-                                                spec.params)}
-    ok = values["closed_vs_integrated"] <= tol
-    return CheckOutcome("u0_routes", "pass" if ok else "fail", tol, values)
+    return _bounded("u0_routes", {
+        "closed_vs_integrated": _sup_diff(system.u0, integrated, xs,
+                                          spec.params),
+    }, ctx.config.tolerances["identity"])
 
 
-def _check_riccati(spec, system, config) -> CheckOutcome:
-    tol = config.tolerances["identity"]
-    xs = spec.mass.interior_points(IDENTITY_SAMPLES)
-    if spec.order == 1:
-        values = {"phi0": discrete.riccati_residual(
-            spec.mass, system.vtilde, system.phi0, system.e0, xs, spec.params)}
-    else:
-        values = {
-            "phi2_e0": discrete.riccati_residual(
-                spec.mass, system.vtilde, system.phi2, system.e0, xs, spec.params),
-            "phi1_e1": discrete.riccati_residual(
-                spec.mass, system.vtilde, system.phi1, system.e1, xs, spec.params),
-        }
-    ok = max(values.values()) <= tol
-    return CheckOutcome("riccati", "pass" if ok else "fail", tol, values)
+def _zero_modes(system) -> list:
+    """(Riccati key, energy label, log-derivative, energy) of each
+    closed-form zero mode."""
+    if isinstance(system, susy1.FirstOrderSystem):
+        return [("phi0", "e0", system.phi0, system.e0)]
+    return [("phi2_e0", "e0", system.phi2, system.e0),
+            ("phi1_e1", "e1", system.phi1, system.e1)]
+
+
+def _riccati_values(system, xs) -> dict:
+    return {key: discrete.riccati_residual(system.m, system.vtilde, phi,
+                                           energy, xs, system.params)
+            for key, _, phi, energy in _zero_modes(system)}
+
+
+def _check_riccati(ctx: _CheckContext) -> CheckOutcome:
+    xs = ctx.spec.mass.interior_points(IDENTITY_SAMPLES)
+    return _bounded("riccati", _riccati_values(ctx.system, xs),
+                    ctx.config.tolerances["identity"])
 
 
 def _closed_form_eigenvalues(spec):
@@ -399,94 +420,47 @@ def _closed_form_eigenvalues(spec):
     return list(poly.roots), None
 
 
-def _check_eigenvalues(spec, system, config) -> CheckOutcome:
-    tol = config.tolerances["quadratic_residual"]
-    roots, real_spec = _closed_form_eigenvalues(spec)
-    coeffs = tuple(spec.susy_constants)
+def _check_eigenvalues(ctx: _CheckContext) -> CheckOutcome:
+    tol = ctx.config.tolerances["quadratic_residual"]
+    roots, real_spec = _closed_form_eigenvalues(ctx.spec)
+    coeffs = ctx.spec.susy_constants
     worst = 0.0
     for r in roots:
-        acc = complex(1.0)
-        for c in coeffs:
-            acc = acc * r + c
-        worst = max(worst, abs(acc) / max(1.0, abs(r) ** len(coeffs)))
+        residual = abs(susyn.monic_value(coeffs, r))
+        worst = max(worst, residual / max(1.0, abs(r) ** len(coeffs)))
     values = {"polynomial_residual": worst,
               "roots": [complex(r) for r in roots]}
     if real_spec is not None:
         values["real_spectrum"] = real_spec
-    ok = worst <= tol
-    return CheckOutcome("eigenvalues", "pass" if ok else "fail", tol, values)
+    return CheckOutcome("eigenvalues", "pass" if worst <= tol else "fail",
+                        tol, values)
 
 
-class _DiscreteCache:
-    """Assembled operators and residuals computed once per run."""
-
-    def __init__(self, spec, system, grid):
-        self.spec = spec
-        self.system = system
-        self.grid = grid
-        self._ops = None
-        self._residuals = None
-
-    def operators(self, grid=None):
-        if grid is not None and grid != self.grid:
-            return self._assemble(grid)
-        if self._ops is None:
-            self._ops = self._assemble(self.grid)
-        return self._ops
-
-    def _assemble(self, grid):
-        H = discrete.assemble_hamiltonian(self.spec.mass, self.system.vtilde,
-                                          grid, self.spec.params)
-        C = discrete.assemble_charge(_charge_coefficients(self.spec, self.system),
-                                     grid, self.spec.params)
-        P = discrete.parity_matrix(grid)
-        return H, C, P
-
-    def residuals(self):
-        if self._residuals is None:
-            H, C, P = self.operators()
-            self._residuals = discrete.constraint_residuals(
-                H, C, P, self.spec.susy_constants)
-        return self._residuals
+def _check_constraint(name: str, ctx: _CheckContext) -> CheckOutcome:
+    return _bounded(name, {name: ctx.residuals[name]},
+                    ctx.config.tolerances["discrete_residual"])
 
 
-def _check_constraint(name, cache, config) -> CheckOutcome:
-    tol = config.tolerances["discrete_residual"]
-    if not config.grid.symmetric:
-        return CheckOutcome(name, "skip", reason="grid not symmetric about 0")
-    residuals = cache.residuals()
-    values = {name: residuals[name]}
-    ok = residuals[name] <= tol
-    return CheckOutcome(name, "pass" if ok else "fail", tol, values)
-
-
-def _check_conjugate_closure(cache, config) -> CheckOutcome:
-    tol = config.tolerances["closure"]
-    if not config.grid.symmetric:
-        return CheckOutcome("conjugate_closure", "skip",
-                            reason="grid not symmetric about 0")
-    H, C, P = cache.operators()
-    algebra = discrete.susy_algebra_spectrum(C, P)
-    distance = discrete.conjugate_closure(algebra, tol)
+def _check_conjugate_closure(ctx: _CheckContext) -> CheckOutcome:
+    tol = ctx.config.tolerances["closure"]
+    H, C, P = ctx.operators
+    distance = discrete.susy_algebra_spectrum(C, P).conjugate_pairing_distance
     h_spec = discrete.hamiltonian_spectrum(H)
     values = {"susy_algebra_distance": distance,
               "h_spectrum_distance": h_spec.conjugate_pairing_distance}
-    ok = distance <= tol
-    return CheckOutcome("conjugate_closure", "pass" if ok else "fail", tol, values)
+    return CheckOutcome("conjugate_closure",
+                        "pass" if distance <= tol else "fail", tol, values)
 
 
-def _check_convergence(cache, config, refinements: int = 3) -> CheckOutcome:
-    lo, hi = config.tolerances["slope_min"], config.tolerances["slope_max"]
-    if not config.grid.symmetric:
-        return CheckOutcome("convergence", "skip",
-                            reason="grid not symmetric about 0")
-    grids = [config.grid]
-    for _ in range(refinements - 1):
+def _check_convergence(ctx: _CheckContext) -> CheckOutcome:
+    lo, hi = ctx.config.tolerances["slope_min"], ctx.config.tolerances["slope_max"]
+    grids = [ctx.config.grid]
+    for _ in range(ctx.refinements - 1):
         grids.append(grids[-1].refined())
 
     def residual_fn(grid):
-        H, C, P = cache.operators(grid)
-        return discrete.constraint_residuals(H, C, P, cache.spec.susy_constants)
+        ops = ctx.operators if grid == ctx.config.grid else ctx.assemble(grid)
+        return discrete.constraint_residuals(*ops, ctx.spec.susy_constants)
 
     study = discrete.convergence_study(residual_fn, grids)
     values = {}
@@ -499,49 +473,66 @@ def _check_convergence(cache, config, refinements: int = 3) -> CheckOutcome:
             reasons.append(f"{name} converged to floor")
         elif not lo <= result.order <= hi:
             ok = False
-    outcome = CheckOutcome("convergence", "pass" if ok else "fail",
-                           values=values, reason="; ".join(reasons) or None)
-    outcome.tolerance = lo
-    return outcome
+    return CheckOutcome("convergence", "pass" if ok else "fail", lo, values,
+                        "; ".join(reasons) or None)
 
 
-_CHECK_TABLE = {
-    "symmetry": _check_symmetry,
-    "delta_v": _check_delta_v,
-    "u0_routes": _check_u0_routes,
-    "riccati": _check_riccati,
-    "eigenvalues": _check_eigenvalues,
+_ASYMMETRIC_GRID = "grid not symmetric about 0"
+
+# name -> (check, reason it is skipped on a grid not symmetric about 0, or
+# None when it runs on any grid); the order is the documented check order
+_CHECKS = {
+    "symmetry": (_check_symmetry, "domain not symmetric about 0"),
+    "delta_v": (_check_delta_v, None),
+    "u0_routes": (_check_u0_routes, None),
+    "riccati": (_check_riccati, None),
+    "eigenvalues": (_check_eigenvalues, None),
+    "pseudo": (partial(_check_constraint, "pseudo"), _ASYMMETRIC_GRID),
+    "cpt": (partial(_check_constraint, "cpt"), _ASYMMETRIC_GRID),
+    "susy": (partial(_check_constraint, "susy"), _ASYMMETRIC_GRID),
+    "conjugate_closure": (_check_conjugate_closure, _ASYMMETRIC_GRID),
+    "convergence": (_check_convergence, _ASYMMETRIC_GRID),
 }
+
+KNOWN_CHECKS = tuple(_CHECKS)
+
+
+def _model_report(config: RunConfig, spec: ModelSpec, checks: list,
+                  wall: dict, **extra) -> VerificationReport:
+    roots, real_spec = _closed_form_eigenvalues(spec)
+    return VerificationReport(
+        model=dict(config.echo),
+        checks=checks,
+        closed_form_eigenvalues=[complex(r) for r in roots],
+        reality_condition=real_spec,
+        susy_constants_real=spec.real_susy_constants,
+        wall_clock_seconds=wall,
+        **extra,
+    )
 
 
 def run(config: RunConfig, refinements: int = 3) -> VerificationReport:
     """Execute every requested check; deterministic apart from wall-clock."""
     wall = {}
-    t0 = time.perf_counter()
-    spec = build_model(config)
-    wall["model"] = time.perf_counter() - t0
+    with _timed(wall, "model"):
+        spec = build_model(config)
+    with _timed(wall, "system"):
+        system = _build_system(spec)
 
-    t0 = time.perf_counter()
-    system = _build_system(spec)
-    wall["system"] = time.perf_counter() - t0
-
-    cache = _DiscreteCache(spec, system, config.grid)
+    ctx = _CheckContext(config, spec, system, refinements)
     checks = []
     for name in config.checks:
-        t0 = time.perf_counter()
-        try:
-            if name in ("pseudo", "cpt", "susy"):
-                outcome = _check_constraint(name, cache, config)
-            elif name == "conjugate_closure":
-                outcome = _check_conjugate_closure(cache, config)
-            elif name == "convergence":
-                outcome = _check_convergence(cache, config, refinements)
+        check, skip_reason = _CHECKS[name]
+        with _timed(wall, name):
+            if skip_reason and not config.grid.symmetric:
+                outcome = CheckOutcome(name, "skip", reason=skip_reason)
             else:
-                outcome = _CHECK_TABLE[name](spec, system, config)
-        except (EvaluationError, ModelError, discrete.DiscreteError) as exc:
-            exc.stage = name
-            raise
-        wall[name] = time.perf_counter() - t0
+                try:
+                    outcome = check(ctx)
+                except (EvaluationError, ModelError,
+                        discrete.DiscreteError) as exc:
+                    exc.stage = name
+                    raise
         checks.append(outcome)
 
     symmetry = None
@@ -550,16 +541,7 @@ def run(config: RunConfig, refinements: int = 3) -> VerificationReport:
             symmetry = dict(outcome.values) if outcome.values else \
                 {"skipped": outcome.reason}
 
-    roots, real_spec = _closed_form_eigenvalues(spec)
-    report = VerificationReport(
-        model=dict(config.echo),
-        checks=checks,
-        symmetry=symmetry,
-        closed_form_eigenvalues=[complex(r) for r in roots],
-        reality_condition=real_spec,
-        susy_constants_real=spec.real_susy_constants,
-        wall_clock_seconds=wall,
-    )
+    report = _model_report(config, spec, checks, wall, symmetry=symmetry)
     if not spec.real_susy_constants:
         report.notes.append("susy_constants are not all real; reality analysis "
                             "of the lowest eigenvalues does not apply")
@@ -576,26 +558,18 @@ def spectrum_report(config: RunConfig) -> VerificationReport:
     spec = build_model(config)
     system = _build_system(spec)
     wall = {}
-    t0 = time.perf_counter()
-    H = discrete.assemble_hamiltonian(spec.mass, system.vtilde, config.grid,
-                                      spec.params)
-    s = discrete.hamiltonian_spectrum(H)
-    wall["spectrum"] = time.perf_counter() - t0
+    with _timed(wall, "spectrum"):
+        H = discrete.assemble_hamiltonian(spec.mass, system.vtilde,
+                                          config.grid, spec.params)
+        s = discrete.hamiltonian_spectrum(H)
 
     xs = config.grid.nodes()
-    targets = []   # (label, energy, phi)
-    if spec.order == 1:
-        targets.append(("e0", system.e0, system.phi0))
-    else:
-        targets.append(("e0", system.e0, system.phi2))
-        targets.append(("e1", system.e1, system.phi1))
-
     tol = config.tolerances["eigen_match"]
     values = {}
     confined = {}
     notes = []
     ok = True
-    for label, energy, phi in targets:
+    for _, label, phi, energy in _zero_modes(system):
         psi = discrete.wavefunction_from_log_derivative(phi, xs, spec.params)
         confined[label] = discrete.l2_normalizable(psi)
         if label == "e0" and config.grid.symmetric:
@@ -617,18 +591,8 @@ def spectrum_report(config: RunConfig) -> VerificationReport:
                                       "closed-form comparison not meaningful")
         outcome.values.update(values)
     outcome.values.update({f"{k}_confined": v for k, v in confined.items()})
-
-    roots, real_spec = _closed_form_eigenvalues(spec)
-    return VerificationReport(
-        model=dict(config.echo),
-        checks=[outcome],
-        closed_form_eigenvalues=[complex(r) for r in roots],
-        reality_condition=real_spec,
-        susy_constants_real=spec.real_susy_constants,
-        spectrum=[complex(v) for v in s.values],
-        wall_clock_seconds=wall,
-        notes=notes,
-    )
+    return _model_report(config, spec, [outcome], wall,
+                         spectrum=[complex(v) for v in s.values], notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +644,7 @@ def emit_curves(system, grid: discrete.Grid, path: str,
 # ---------------------------------------------------------------------------
 
 def _identity_item(name, residual, tol) -> CheckOutcome:
-    status = "pass" if residual <= tol else "fail"
-    return CheckOutcome(name, status, tol, {"residual": residual})
+    return _bounded(name, {"residual": residual}, tol)
 
 
 def paper_examples() -> VerificationReport:
@@ -692,154 +655,131 @@ def paper_examples() -> VerificationReport:
     symmetrized windows."""
     checks = []
     wall = {}
-    t_start = time.perf_counter()
 
     w_source = "exp(i*alpha*x)-sin(x)"
     masses = {1: "1/4*sec(x)^2", 2: "sec(x)"}
+    constants = {1: (1.0,), 2: (-3.0, 2.0)}
     recovery_pts = np.linspace(0.02, 1.55, 1000)
     target = parse("exp(i*alpha*x)")
 
     # 1. mass-deformed superpotential recovery, both orders
-    for order, mass_source in masses.items():
-        mass = MassFn(parse(mass_source), 0.02, 1.55)
-        wm = mass_deformed_superpotential(parse(w_source), mass, order)
-        for alpha in (0.5, 1.0, 2.0):
-            env = ParamEnv(alpha=alpha)
-            resid = float(np.max(np.abs(evaluate_many(wm, recovery_pts, env)
-                                        - evaluate_many(target, recovery_pts, env))))
+    with _timed(wall, "recovery"):
+        for order, mass_source in masses.items():
+            mass = MassFn(parse(mass_source), 0.02, 1.55)
+            wm = mass_deformed_superpotential(parse(w_source), mass, order)
+            for alpha in (0.5, 1.0, 2.0):
+                env = ParamEnv(alpha=alpha)
+                resid = float(np.max(np.abs(
+                    evaluate_many(wm, recovery_pts, env)
+                    - evaluate_many(target, recovery_pts, env))))
+                checks.append(_identity_item(
+                    f"wm_recovery_n{order}_alpha{alpha:g}", resid,
+                    DEFAULT_TOLERANCES["recovery"]))
+            # alpha = 0 degenerate sweep: W_m collapses to the constant 1
+            env0 = ParamEnv(alpha=0.0)
+            resid0 = float(np.max(np.abs(
+                evaluate_many(wm, recovery_pts, env0) - 1.0)))
             checks.append(_identity_item(
-                f"wm_recovery_n{order}_alpha{alpha:g}", resid,
+                f"wm_recovery_n{order}_alpha0", resid0,
                 DEFAULT_TOLERANCES["recovery"]))
-        # alpha = 0 degenerate sweep: W_m collapses to the constant 1
-        env0 = ParamEnv(alpha=0.0)
-        resid0 = float(np.max(np.abs(evaluate_many(wm, recovery_pts, env0) - 1.0)))
-        checks.append(_identity_item(
-            f"wm_recovery_n{order}_alpha0", resid0,
-            DEFAULT_TOLERANCES["recovery"]))
-    wall["recovery"] = time.perf_counter() - t_start
 
     # 2. u0 route agreement at order 2: closed form, integrated form, and
     # the worked sec-mass expression
-    t0 = time.perf_counter()
-    u0_example = parse(
-        "1/4*sec(x)*exp(2*i*alpha*x) - delta^2/4*cos(x)*exp(-2*i*alpha*x)"
-        " + i*alpha/2*exp(i*alpha*x) + alpha^2/4*cos(x)"
-        " + 1/4*sin(x)^2*sec(x) - 1/2*sec(x)")
-    mass2 = MassFn(parse(masses[2]), 0.05, 1.5)
-    route_pts = np.linspace(0.05, 1.5, 200)
-    wm_expr = parse("exp(i*alpha*x)")
-    f_expr = susy2.f_aux(wm_expr, mass2)
-    worst_routes = 0.0
-    for alpha in (0.5, 1.0, 2.0):
-        for delta in (0.5, 1.0):
-            env = ParamEnv(alpha=alpha, delta=delta)
-            l1, l2 = 0.0, -delta * delta / 4.0
-            closed = susy2.u0_closed(wm_expr, mass2, l1, l2)
-            theta = l2 - l1 * l1 / 4.0
-            integrated = susy2.u0_integrated(f_expr, wm_expr, mass2, theta)
-            va = evaluate_many(closed, route_pts, env)
-            vb = evaluate_many(integrated, route_pts, env)
-            vc = evaluate_many(u0_example, route_pts, env)
-            worst_routes = max(worst_routes,
-                               float(np.max(np.abs(va - vb))),
-                               float(np.max(np.abs(va - vc))),
-                               float(np.max(np.abs(vb - vc))))
-    checks.append(_identity_item("u0_triple_agreement", worst_routes, 1e-10))
-    wall["u0_routes"] = time.perf_counter() - t0
+    with _timed(wall, "u0_routes"):
+        u0_example = parse(
+            "1/4*sec(x)*exp(2*i*alpha*x) - delta^2/4*cos(x)*exp(-2*i*alpha*x)"
+            " + i*alpha/2*exp(i*alpha*x) + alpha^2/4*cos(x)"
+            " + 1/4*sin(x)^2*sec(x) - 1/2*sec(x)")
+        mass2 = MassFn(parse(masses[2]), 0.05, 1.5)
+        route_pts = np.linspace(0.05, 1.5, 200)
+        wm_expr = parse("exp(i*alpha*x)")
+        f_expr = susy2.f_aux(wm_expr, mass2)
+        worst_routes = 0.0
+        for alpha in (0.5, 1.0, 2.0):
+            for delta in (0.5, 1.0):
+                env = ParamEnv(alpha=alpha, delta=delta)
+                l1, l2 = 0.0, -delta * delta / 4.0
+                closed = susy2.u0_closed(wm_expr, mass2, l1, l2)
+                theta = l2 - l1 * l1 / 4.0
+                integrated = susy2.u0_integrated(f_expr, wm_expr, mass2, theta)
+                va = evaluate_many(closed, route_pts, env)
+                vb = evaluate_many(integrated, route_pts, env)
+                vc = evaluate_many(u0_example, route_pts, env)
+                worst_routes = max(worst_routes,
+                                   float(np.max(np.abs(va - vb))),
+                                   float(np.max(np.abs(va - vc))),
+                                   float(np.max(np.abs(vb - vc))))
+        checks.append(_identity_item("u0_triple_agreement", worst_routes, 1e-10))
 
-    # 3 + 4. general-order defect and potential reductions on the worked models
-    t0 = time.perf_counter()
-    from .expr import differentiate
-    worst_dv = 0.0
-    worst_pot = 0.0
-    for order, mass_source in masses.items():
-        mass = MassFn(parse(mass_source), 0.05, 1.5)
-        spec = ModelSpec(order=order, mass=mass,
-                         superpotential=parse(w_source),
-                         susy_constants=(1.0,) if order == 1 else (-3.0, 2.0),
-                         params=ParamEnv(alpha=1.0))
-        wm = spec.wm()
-        mx = mass.expr
-        if order == 1:
-            system = susy1.build_first_order(spec)
-            closed_dv = system.delta_v
+    # 3 + 4. general-order defect and potential reductions on the worked
+    # models, which item 5 reuses
+    worked = {}
+    with _timed(wall, "reductions"):
+        worst_dv = 0.0
+        worst_pot = 0.0
+        for order, mass_source in masses.items():
+            spec = ModelSpec(order=order,
+                             mass=MassFn(parse(mass_source), 0.05, 1.5),
+                             superpotential=parse(w_source),
+                             susy_constants=constants[order],
+                             params=ParamEnv(alpha=1.0))
+            system = _build_system(spec)
+            worked[order] = system
+            u_nm2 = system.u0 if order == 2 else Const(0.0)
+            general_dv = susyn.delta_v_general(system.wm, spec.mass, order)
             general_pot = susyn.potential_general(
-                wm, mass, parse("0"), 1, -spec.susy_constants[0])
-            closed_pot = system.vtilde
-        else:
-            system = susy2.build_second_order(spec)
-            closed_dv = 2 * differentiate(wm) + (differentiate(mx) / mx) * wm
-            general_pot = susyn.potential_general(
-                wm, mass, system.u0, 2, -spec.susy_constants[0])
-            closed_pot = system.vtilde
-        general_dv = susyn.delta_v_general(wm, mass, order)
-        worst_dv = max(worst_dv,
-                       _sup_diff(general_dv, closed_dv, route_pts, spec.params))
-        worst_pot = max(worst_pot,
-                        _sup_diff(general_pot, closed_pot, route_pts, spec.params))
-    checks.append(_identity_item("delta_v_general_reduction", worst_dv, 1e-10))
-    checks.append(_identity_item("potential_general_reduction", worst_pot, 1e-10))
-    wall["reductions"] = time.perf_counter() - t0
+                system.wm, spec.mass, u_nm2, order, -spec.susy_constants[0])
+            worst_dv = max(worst_dv, _sup_diff(general_dv, system.delta_v,
+                                               route_pts, spec.params))
+            worst_pot = max(worst_pot, _sup_diff(general_pot, system.vtilde,
+                                                 route_pts, spec.params))
+        checks.append(_identity_item("delta_v_general_reduction", worst_dv, 1e-10))
+        checks.append(_identity_item("potential_general_reduction", worst_pot,
+                                     1e-10))
 
     # 5. zero-mode Riccati identities on both worked examples
-    t0 = time.perf_counter()
-    riccati_pts = np.linspace(0.05, 1.5, IDENTITY_SAMPLES)
-    mass1 = MassFn(parse(masses[1]), 0.05, 1.5)
-    spec1 = ModelSpec(order=1, mass=mass1, superpotential=parse(w_source),
-                      susy_constants=(1.0,), params=ParamEnv(alpha=1.0))
-    sys1 = susy1.build_first_order(spec1)
-    r1 = susy1.riccati_check_first(sys1, riccati_pts)
-    checks.append(_identity_item("riccati_first_order", r1, 1e-9))
-
-    spec2 = ModelSpec(order=2, mass=MassFn(parse(masses[2]), 0.05, 1.5),
-                      superpotential=parse(w_source),
-                      susy_constants=(-3.0, 2.0), params=ParamEnv(alpha=1.0))
-    sys2 = susy2.build_second_order(spec2)
-    r2 = max(discrete.riccati_residual(spec2.mass, sys2.vtilde, sys2.phi2,
-                                       sys2.e0, riccati_pts, spec2.params),
-             discrete.riccati_residual(spec2.mass, sys2.vtilde, sys2.phi1,
-                                       sys2.e1, riccati_pts, spec2.params))
-    checks.append(_identity_item("riccati_second_order", r2, 1e-9))
-    wall["riccati"] = time.perf_counter() - t0
+    with _timed(wall, "riccati"):
+        riccati_pts = np.linspace(0.05, 1.5, IDENTITY_SAMPLES)
+        for order, label in ((1, "first"), (2, "second")):
+            values = _riccati_values(worked[order], riccati_pts)
+            checks.append(_identity_item(f"riccati_{label}_order",
+                                         max(values.values()), 1e-9))
 
     # 6. quadratic eigenvalues and the reality boundary
-    t0 = time.perf_counter()
-    e0, e1, real_spec = susy2.lowest_eigenvalues(-3.0, 2.0)
-    eig_resid = max(abs(e0 - 1.0), abs(e1 - 2.0))
-    ok_flags = (real_spec
-                and susy2.lowest_eigenvalues(2.0, 1.0)[2]
-                and susy2.lowest_eigenvalues(2.0, 1.0 - 1e-9)[2]
-                and not susy2.lowest_eigenvalues(2.0, 1.0 + 1e-9)[2])
-    item = _identity_item("quadratic_eigenvalues", float(eig_resid), 1e-12)
-    if not ok_flags:
-        item.status = "fail"
-        item.reason = "reality flag did not flip at l1^2 = 4 l2"
-    checks.append(item)
-    wall["eigenvalues"] = time.perf_counter() - t0
+    with _timed(wall, "eigenvalues"):
+        e0, e1, real_spec = susy2.lowest_eigenvalues(-3.0, 2.0)
+        eig_resid = max(abs(e0 - 1.0), abs(e1 - 2.0))
+        ok_flags = (real_spec
+                    and susy2.lowest_eigenvalues(2.0, 1.0)[2]
+                    and susy2.lowest_eigenvalues(2.0, 1.0 - 1e-9)[2]
+                    and not susy2.lowest_eigenvalues(2.0, 1.0 + 1e-9)[2])
+        item = _identity_item("quadratic_eigenvalues", float(eig_resid), 1e-12)
+        if not ok_flags:
+            item.status = "fail"
+            item.reason = "reality flag did not flip at l1^2 = 4 l2"
+        checks.append(item)
 
     # 7. symmetry defects on symmetrized windows
-    t0 = time.perf_counter()
-    worst_sym = 0.0
-    for order, mass_source in masses.items():
-        sym_spec = ModelSpec(order=order,
-                             mass=MassFn(parse(mass_source), -1.4, 1.4),
-                             deformed=parse("exp(i*alpha*x)"),
-                             susy_constants=(1.0,) if order == 1 else (-3.0, 2.0),
-                             params=ParamEnv(alpha=1.0))
-        rep = symmetry_report(sym_spec)
-        worst_sym = max(worst_sym, rep.mass_parity_defect, rep.wm_pt_defect)
-    checks.append(_identity_item("symmetry_defects", worst_sym,
-                                 DEFAULT_TOLERANCES["symmetry"]))
-    wall["symmetry"] = time.perf_counter() - t0
+    with _timed(wall, "symmetry"):
+        worst_sym = 0.0
+        for order, mass_source in masses.items():
+            sym_spec = ModelSpec(order=order,
+                                 mass=MassFn(parse(mass_source), -1.4, 1.4),
+                                 deformed=parse("exp(i*alpha*x)"),
+                                 susy_constants=constants[order],
+                                 params=ParamEnv(alpha=1.0))
+            rep = symmetry_report(sym_spec)
+            worst_sym = max(worst_sym, rep.mass_parity_defect, rep.wm_pt_defect)
+        checks.append(_identity_item("symmetry_defects", worst_sym,
+                                     DEFAULT_TOLERANCES["symmetry"]))
 
     max_identity = max(c.values.get("residual", 0.0) for c in checks)
-    report = VerificationReport(
+    return VerificationReport(
         model={"built_in": "paper-examples"},
         checks=checks,
         wall_clock_seconds=wall,
         notes=[f"max identity residual {max_identity:.3e}"],
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -859,14 +799,7 @@ def _apply_tol_overrides(config: RunConfig, pairs: Sequence[str]) -> RunConfig:
         if "=" not in pair:
             raise ConfigError(f"--tol expects name=value, got '{pair}'")
         name, _, value = pair.partition("=")
-        if name not in DEFAULT_TOLERANCES:
-            raise ConfigError(
-                f"unknown tolerance '{name}'; valid names: "
-                f"{', '.join(sorted(DEFAULT_TOLERANCES))}")
-        try:
-            tolerances[name] = float(value)
-        except ValueError:
-            raise ConfigError(f"--tol {name}: '{value}' is not a number") from None
+        _set_tolerance(tolerances, name, value, f"--tol {name}")
     return dataclasses.replace(config, tolerances=tolerances)
 
 

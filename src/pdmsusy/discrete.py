@@ -33,10 +33,8 @@ __all__ = [
     "Grid", "OperatorMatrix", "Spectrum", "ConvergenceResult",
     "assemble_hamiltonian", "assemble_charge", "parity_matrix",
     "probe_matrix", "constraint_residuals", "dense_eigenvalues",
-    "eigenvalues", "hamiltonian_spectrum", "susy_algebra_spectrum",
-    "conjugate_pairing_distance",
-    "conjugate_closure", "riccati_residual", "convergence_study",
-    "make_supercharges", "pseudo_hermiticity_inverse_residual",
+    "hamiltonian_spectrum", "susy_algebra_spectrum",
+    "conjugate_pairing_distance", "riccati_residual", "convergence_study",
     "wavefunction_from_log_derivative", "l2_normalizable",
     "MAX_DENSE_DIMENSION", "RESIDUAL_FLOOR",
 ]
@@ -305,37 +303,6 @@ def constraint_residuals(H: OperatorMatrix, C: OperatorMatrix, P: OperatorMatrix
     return out
 
 
-def make_supercharges(zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Block supercharges Q = [[0, zeta], [0, 0]], Qbar = [[0, 0], [conj(zeta), 0]];
-    their anticommutator is diag(zeta conj(zeta), conj(zeta) zeta)."""
-    n = zeta.shape[0]
-    Q = np.zeros((2 * n, 2 * n), dtype=complex)
-    Qbar = np.zeros((2 * n, 2 * n), dtype=complex)
-    Q[:n, n:] = zeta
-    Qbar[n:, :n] = zeta.conj()
-    return Q, Qbar
-
-
-def pseudo_hermiticity_inverse_residual(H: OperatorMatrix, C: OperatorMatrix,
-                                        P: OperatorMatrix,
-                                        kappa_limit: float = 1e8):
-    """Residual of H^dagger zeta^{-1} - zeta^{-1} H on the interior block,
-    with the condition number of zeta reported.
-
-    Returns (residual, kappa); residual is None when kappa > kappa_limit,
-    since zeta^{-1} then carries no certifiable information.
-    """
-    zeta = (C.data @ P.data)[1:-1, 1:-1]
-    Hi = H.data[1:-1, 1:-1]
-    kappa = float(np.linalg.cond(zeta))
-    if not math.isfinite(kappa) or kappa > kappa_limit:
-        return None, kappa
-    zinv = np.linalg.inv(zeta)
-    resid = np.linalg.norm(Hi.conj().T @ zinv - zinv @ Hi)
-    scale = np.linalg.norm(zinv @ Hi)
-    return float(resid / max(scale, np.finfo(float).tiny)), kappa
-
-
 # ---------------------------------------------------------------------------
 # Eigenvalues
 # ---------------------------------------------------------------------------
@@ -378,13 +345,6 @@ def conjugate_pairing_distance(values: np.ndarray) -> float:
     return worst
 
 
-def eigenvalues(M: OperatorMatrix) -> Spectrum:
-    """Spectrum of the full matrix (all n eigenvalues)."""
-    values = dense_eigenvalues(M.data)
-    return Spectrum(values=values,
-                    conjugate_pairing_distance=conjugate_pairing_distance(values))
-
-
 def hamiltonian_spectrum(M: OperatorMatrix) -> Spectrum:
     """Spectrum of the decoupled interior block of a Dirichlet Hamiltonian
     (drops the two identity boundary rows, which would otherwise contribute
@@ -409,13 +369,6 @@ def susy_algebra_spectrum(C: OperatorMatrix, P: OperatorMatrix) -> Spectrum:
     values = dense_eigenvalues(zeta @ zeta.conj())
     return Spectrum(values=values,
                     conjugate_pairing_distance=conjugate_pairing_distance(values))
-
-
-def conjugate_closure(s: Spectrum, tol: Optional[float] = None) -> float:
-    """Conjugate-closure distance of a spectrum; a value <= tol certifies
-    the CPT spectral property at discretization level (tol is recorded by
-    callers, not enforced here)."""
-    return s.conjugate_pairing_distance
 
 
 # ---------------------------------------------------------------------------

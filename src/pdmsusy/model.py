@@ -109,15 +109,14 @@ class SymmetryReport:
 @dataclass(frozen=True)
 class ModelSpec:
     """Order-N SUSY model: mass, superpotential (constant-mass form W or
-    deformed form W_m), SUSY constants l_1..l_N (l_0 = 1 is implicit),
-    kinetic ambiguity parameters and parameter bindings."""
+    deformed form W_m), SUSY constants l_1..l_N (l_0 = 1 is implicit)
+    and parameter bindings."""
 
     order: int
     mass: MassFn
     superpotential: Optional[Expr] = None
     deformed: Optional[Expr] = None
     susy_constants: tuple = ()
-    ambiguity: tuple = (0.0, -1.0)
     params: ParamEnv = field(default_factory=ParamEnv)
 
     def __post_init__(self):
@@ -130,8 +129,6 @@ class ModelSpec:
             raise ModelError(
                 f"susy_constants must have length {self.order}, got {len(constants)}")
         object.__setattr__(self, "susy_constants", constants)
-        object.__setattr__(self, "ambiguity",
-                           (float(self.ambiguity[0]), float(self.ambiguity[1])))
         self.mass.validate(self.params)
 
     @property

@@ -19,14 +19,11 @@ library performs (the Riccati form of H psi = E psi) needs only phi0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
-from .expr import Const, Expr, ParamEnv, differentiate, div, func
+from .expr import Const, Expr, ParamEnv, differentiate, func
 from .model import MassFn, ModelError, ModelSpec
-from . import discrete
 
-__all__ = ["FirstOrderSystem", "build_first_order", "charge_coefficients_first",
-           "riccati_check_first"]
+__all__ = ["FirstOrderSystem", "build_first_order"]
 
 
 @dataclass(frozen=True)
@@ -61,25 +58,3 @@ def build_first_order(spec: ModelSpec) -> FirstOrderSystem:
     return FirstOrderSystem(wm=wm, m=spec.mass, l1=l1, vtilde=vtilde,
                             delta_v=delta_v, phi0=phi0, e0=-l1,
                             params=spec.params)
-
-
-def charge_coefficients_first(spec: ModelSpec) -> tuple[Expr, Expr]:
-    """Coefficients of the first-order charge C = m^(-1/2) d/dx + W(x).
-
-    W is the constant-mass superpotential; when the model was given in
-    deformed form it is recovered by inverting the mass deformation.
-    """
-    if spec.order != 1:
-        raise ModelError(f"first-order charge needs order 1, got {spec.order}")
-    lead = div(Const(1.0), func("sqrt", spec.mass.expr))
-    return lead, spec.w()
-
-
-def riccati_check_first(system: FirstOrderSystem,
-                        samples: Sequence[float],
-                        env: Optional[ParamEnv] = None) -> float:
-    """Sup over samples of the Riccati residual of (phi0, -l1); zero up to
-    roundoff exactly when psi0 is an eigenfunction with eigenvalue -l1."""
-    return discrete.riccati_residual(system.m, system.vtilde, system.phi0,
-                                     system.e0, samples,
-                                     env if env is not None else system.params)

@@ -8,7 +8,8 @@ The N=2 SUSY algebra zeta zeta* = H^2 + l1 H + l2 pins down, for a given
     agree identically: the closed form in terms of delta^2 = l1^2 - 4 l2
     and the integrated form u0 = f'/(m W_m) + f^2/(m W_m^2) + Theta/(m W_m^2)
     with Theta = l2 - l1^2/4;
-  * the potential Vtilde = (3/2) W_m' + (m'/2m) W_m + (m/2) W_m^2 - u0 - l1/2;
+  * the potential Vtilde = (3/2) W_m' + (m'/2m) W_m + (m/2) W_m^2 - u0 - l1/2
+    and its PT defect Delta V = 2 W_m' + (m'/m) W_m;
   * two zero-mode log-derivatives phi_j = m'/(2m) + W_m'/(2 W_m) + F_j,
     F_j = (m W_m^2 + (-1)^j delta)/(2 W_m), whose Riccati residuals vanish
     identically for the lowest eigenvalues E0 = -(l1+delta)/2 (paired with
@@ -57,6 +58,7 @@ class SecondOrderSystem:
     f: Expr
     u0: Expr
     vtilde: Expr
+    delta_v: Expr
     phi1: Expr           # Riccati pair (phi1, e1)
     phi2: Expr           # Riccati pair (phi2, e0)
     e0: complex
@@ -184,8 +186,11 @@ def build_second_order(spec: ModelSpec,
     f = f_aux(wm, spec.mass)
     u0 = u0_closed(wm, spec.mass, l1, l2)
     vtilde = potential_second_order(wm, spec.mass, u0, l1)
+    mx = spec.mass.expr
+    delta_v = 2 * differentiate(wm) + (differentiate(mx) / mx) * wm
     phi1, phi2 = zero_mode_logderivs(wm, spec.mass, delta)
     return SecondOrderSystem(wm=wm, m=spec.mass, l1=l1, l2=l2, delta=delta,
-                             f=f, u0=u0, vtilde=vtilde, phi1=phi1, phi2=phi2,
+                             f=f, u0=u0, vtilde=vtilde, delta_v=delta_v,
+                             phi1=phi1, phi2=phi2,
                              e0=e0, e1=e1, real_spectrum=real_spec,
                              params=spec.params)

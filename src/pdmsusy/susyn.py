@@ -23,7 +23,7 @@ __all__ = [
     "NthOrderCoefficients", "EnergyPolynomial",
     "first_order_coefficients", "second_order_coefficients",
     "delta_v_general", "potential_general", "delta_u_coefficients",
-    "energy_roots",
+    "monic_value", "energy_roots",
 ]
 
 
@@ -55,16 +55,6 @@ def first_order_coefficients(spec: ModelSpec) -> NthOrderCoefficients:
 def second_order_coefficients(spec: ModelSpec, u0: Expr) -> NthOrderCoefficients:
     lead = div(Const(1.0), spec.mass.expr)
     return NthOrderCoefficients(n=2, lead=lead, sub=spec.w(), u=(u0,))
-
-
-def _lead_expr(m: MassFn, n: int) -> Expr:
-    # m^(-N/2) = 1/sqrt(m^N)
-    return pow_(m.expr, Const(-n / 2.0))
-
-
-def coefficients_from_parts(m: MassFn, w: Expr, n: int,
-                            u: Sequence[Optional[Expr]] = ()) -> NthOrderCoefficients:
-    return NthOrderCoefficients(n=n, lead=_lead_expr(m, n), sub=w, u=tuple(u))
 
 
 def delta_v_general(wm: Expr, m: MassFn, n: int) -> Expr:
@@ -141,7 +131,8 @@ def delta_u_coefficients(wm: Expr, m: MassFn, n: int,
     return first, mul(Const(float(n - 2)), inner)
 
 
-def _monic_value(coeffs: tuple, e: complex) -> complex:
+def monic_value(coeffs: tuple, e: complex) -> complex:
+    """Horner value of E^N + l1 E^(N-1) + ... + lN at e; coeffs = (l1..lN)."""
     acc = complex(1.0)
     for c in coeffs:
         acc = acc * e + c
@@ -164,7 +155,7 @@ class EnergyPolynomial:
     roots: tuple
 
     def value(self, e: complex) -> complex:
-        return _monic_value(self.coefficients, e)
+        return monic_value(self.coefficients, e)
 
     def __post_init__(self):
         for r in self.roots:
@@ -196,7 +187,7 @@ def energy_roots(l: Sequence[complex]) -> EnergyPolynomial:
         r = complex(r)
         dp = _monic_derivative(coeffs, r)
         if abs(dp) > 0.0:
-            r = r - _monic_value(coeffs, r) / dp
+            r = r - monic_value(coeffs, r) / dp
         polished.append(r)
     polished.sort(key=lambda z: (z.real, z.imag))
     return EnergyPolynomial(coefficients=coeffs, roots=tuple(polished))

@@ -65,6 +65,10 @@ def test_unknown_tolerance_rejected():
     bad = dict(MINIMAL, tolerances={"identty": 1e-9})
     with pytest.raises(ConfigError, match="identty"):
         parse_config_dict(bad)
+    for value in ("abc", [1]):
+        bad = dict(MINIMAL, tolerances={"identity": value})
+        with pytest.raises(ConfigError, match="not a number"):
+            parse_config_dict(bad)
 
 
 def test_expression_error_carries_field_and_offset():
@@ -148,6 +152,11 @@ def test_tol_override_validation(tmp_path):
     good = write_config(tmp_path, MINIMAL)
     assert main(["check", good, "--quiet", "--tol", "bogus=1"]) == 2
     assert main(["check", good, "--quiet", "--tol", "identity"]) == 2
+    assert main(["check", good, "--quiet", "--tol", "identity=abc"]) == 2
+    for value in ("abc", [1]):
+        bad = write_config(tmp_path, dict(MINIMAL, tolerances={"identity": value}),
+                           "bad.json")
+        assert main(["check", bad, "--quiet"]) == 2
 
 
 def test_first_order_worked_example_config(tmp_path):
@@ -158,12 +167,16 @@ def test_first_order_worked_example_config(tmp_path):
         "params": {"alpha": 1.0},
         "susy_constants": [1.0],
         "grid": {"xmin": 0.02, "xmax": 1.55, "points": 101},
-        "checks": ["symmetry", "riccati", "delta_v"],
+        "checks": ["symmetry", "riccati", "delta_v", "pseudo", "cpt", "susy",
+                   "conjugate_closure", "convergence"],
     }
     report = run(load_config(write_config(tmp_path, payload)))
     by_name = {c.name: c for c in report.checks}
     assert by_name["symmetry"].status == "skip"
-    assert "not symmetric" in by_name["symmetry"].reason
+    assert by_name["symmetry"].reason == "domain not symmetric about 0"
+    for name in ("pseudo", "cpt", "susy", "conjugate_closure", "convergence"):
+        assert by_name[name].status == "skip"
+        assert by_name[name].reason == "grid not symmetric about 0"
     assert by_name["riccati"].status == "pass"
     assert by_name["delta_v"].status == "pass"
     assert report.passed
@@ -176,7 +189,6 @@ def test_second_order_worked_example_config(tmp_path):
                            "expr": "exp(i*alpha*x)-sin(x)"},
         "params": {"alpha": 1.0},
         "susy_constants": [-3.0, 2.0],
-        "ambiguity": {"a": 0.0, "b": -1.0},
         "grid": {"xmin": 0.02, "xmax": 1.55, "points": 101},
         "checks": ["u0_routes", "riccati", "eigenvalues"],
     }

@@ -6,15 +6,13 @@ import pytest
 from conftest import random_pt_model
 
 from pdmsusy import (Grid, GridError, MassFn, ModelSpec, OperatorMatrix,
-                     Spectrum, assemble_charge, assemble_hamiltonian,
-                     conjugate_closure, conjugate_pairing_distance,
+                     assemble_charge, assemble_hamiltonian,
+                     conjugate_pairing_distance,
                      constraint_residuals, convergence_study,
-                     dense_eigenvalues, eigenvalues, hamiltonian_spectrum,
+                     dense_eigenvalues, hamiltonian_spectrum,
                      l2_normalizable, parity_matrix, parse,
                      wavefunction_from_log_derivative)
-from pdmsusy.discrete import (EigensolverError, UnsupportedOrderError,
-                              make_supercharges,
-                              pseudo_hermiticity_inverse_residual)
+from pdmsusy.discrete import EigensolverError, UnsupportedOrderError
 from pdmsusy.expr import Const, ParamEnv, evaluate
 from pdmsusy.susy1 import build_first_order
 from pdmsusy.susy2 import build_second_order
@@ -153,16 +151,14 @@ def test_dense_budget_enforced():
 def test_conjugate_closure_trivial_cases():
     assert conjugate_pairing_distance(np.array([1.0, 2.0, 3.0])) == 0.0
     assert conjugate_pairing_distance(np.array([1j, -1j, 2.0])) <= 1e-15
-    s = Spectrum(values=np.array([1j, -1j, 2.0]), conjugate_pairing_distance=0.0)
-    assert conjugate_closure(s, 1e-6) == 0.0
 
 
 def test_spectrum_from_operator_carries_pairing_distance():
     g = Grid(-2.0, 2.0, 24)
     mass = MassFn(parse("1"), -2.0, 2.0)
     H = assemble_hamiltonian(mass, parse("x^2"), g)
-    s = eigenvalues(H)
-    assert len(s) == 24
+    s = hamiltonian_spectrum(H)
+    assert len(s) == 22                            # boundary rows dropped
     assert s.conjugate_pairing_distance <= 1e-10   # real symmetric problem
 
 
@@ -240,23 +236,8 @@ def test_convergence_study_needs_halving_grids():
 
 
 # ---------------------------------------------------------------------------
-# block algebra and intertwining identities
+# intertwining identities
 # ---------------------------------------------------------------------------
-
-def test_supercharge_anticommutator_blocks():
-    g = Grid(-6.0, 6.0, 41)
-    H, C, P, _ = synthetic_operators(g)
-    zeta = C.data @ P.data
-    Q, Qbar = make_supercharges(zeta)
-    K = Q @ Qbar + Qbar @ Q
-    n = 41
-    zz = zeta @ zeta.conj()
-    zbarz = zeta.conj() @ zeta
-    assert np.array_equal(K[:n, n:], np.zeros((n, n)))
-    assert np.array_equal(K[n:, :n], np.zeros((n, n)))
-    assert np.array_equal(K[:n, :n], zz)
-    assert np.array_equal(K[n:, n:], zbarz)
-
 
 def test_intertwining_residuals_are_conjugate():
     g = Grid(-6.0, 6.0, 41)
@@ -266,20 +247,6 @@ def test_intertwining_residuals_are_conjugate():
     r1 = Hd @ zeta - zeta @ Hd.conj()
     r2 = Hd.conj() @ zeta.conj() - zeta.conj() @ Hd
     assert np.array_equal(r1.conj(), r2)
-
-
-def test_pseudo_hermiticity_inverse_residual():
-    g = Grid(-6.0, 6.0, 201)
-    H, C, P, _ = synthetic_operators(g)
-    residual, kappa = pseudo_hermiticity_inverse_residual(H, C, P)
-    assert kappa > 0
-    if residual is not None:
-        zeta_int = (C.data @ P.data)[1:-1, 1:-1]
-        direct = np.linalg.norm(H.data[1:-1, 1:-1] @ zeta_int
-                                - zeta_int @ H.data[1:-1, 1:-1].conj())
-        bound = kappa ** 2 * direct / np.linalg.norm(zeta_int) ** 2
-        # consistency of the computation path, not a sharp estimate
-        assert residual <= 10 * max(bound, 1e-12) + 1e-6
 
 
 # ---------------------------------------------------------------------------

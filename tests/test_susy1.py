@@ -10,10 +10,9 @@ from conftest import interior, random_pt_model, sup_diff
 
 from pdmsusy import (Grid, MassFn, ModelError, ModelSpec,
                      assemble_charge, assemble_hamiltonian, constraint_residuals,
-                     parity_matrix, parse, pt_image)
+                     parity_matrix, parse, pt_image, riccati_residual)
 from pdmsusy.expr import Const, ParamEnv, evaluate
-from pdmsusy.susy1 import (build_first_order, charge_coefficients_first,
-                           riccati_check_first)
+from pdmsusy.susy1 import build_first_order
 from pdmsusy.susyn import first_order_coefficients
 
 
@@ -30,7 +29,8 @@ def test_constant_superpotential_system():
     xs = interior(spec, 30)
     assert sup_diff(system.vtilde, Const(0.64), xs) <= 1e-15
     assert sup_diff(system.phi0, Const(0.8), xs) <= 1e-15
-    assert riccati_check_first(system, xs) <= 1e-12
+    assert riccati_residual(spec.mass, system.vtilde, system.phi0, system.e0,
+                            xs) <= 1e-12
 
 
 def test_imaginary_linear_superpotential_potential():
@@ -53,23 +53,23 @@ def test_worked_delta_v_value_at_pi_over_four():
 def test_charge_coefficients():
     flat = ModelSpec(order=1, mass=MassFn(parse("1"), -1.0, 1.0),
                      deformed=parse("i*x"), susy_constants=(0.0,))
-    lead, zeroth = charge_coefficients_first(flat)
+    coeffs = first_order_coefficients(flat)
     xs = interior(flat, 20)
-    assert sup_diff(lead, Const(1.0), xs) == 0.0
-    assert sup_diff(zeroth, flat.wm(), xs) == 0.0
+    assert sup_diff(coeffs.lead, Const(1.0), xs) == 0.0
+    assert sup_diff(coeffs.sub, flat.wm(), xs) == 0.0
 
     spec = worked_spec()
-    lead, zeroth = charge_coefficients_first(spec)
+    coeffs = first_order_coefficients(spec)
     xs = interior(spec, 40)
-    assert sup_diff(lead, parse("2*cos(x)"), xs, spec.params) <= 1e-13
-    assert sup_diff(zeroth, parse("exp(i*alpha*x)-sin(x)"), xs,
+    assert sup_diff(coeffs.lead, parse("2*cos(x)"), xs, spec.params) <= 1e-13
+    assert sup_diff(coeffs.sub, parse("exp(i*alpha*x)-sin(x)"), xs,
                     spec.params) <= 1e-13
 
     heavy = ModelSpec(order=1, mass=MassFn(parse("4"), -1.0, 1.0),
                       deformed=parse("i*x"), susy_constants=(0.0,))
-    lead, zeroth = charge_coefficients_first(heavy)
-    assert sup_diff(lead, Const(0.5), xs=interior(heavy, 10)) == 0.0
-    assert sup_diff(zeroth, heavy.wm(), xs=interior(heavy, 10)) == 0.0
+    coeffs = first_order_coefficients(heavy)
+    assert sup_diff(coeffs.lead, Const(0.5), xs=interior(heavy, 10)) == 0.0
+    assert sup_diff(coeffs.sub, heavy.wm(), xs=interior(heavy, 10)) == 0.0
 
 
 def test_order_mismatch_rejected():
@@ -80,16 +80,17 @@ def test_order_mismatch_rejected():
 
 
 def test_riccati_on_worked_example():
-    system = build_first_order(worked_spec())
+    spec = worked_spec()
+    system = build_first_order(spec)
     xs = np.linspace(0.05, 1.5, 100)
-    assert riccati_check_first(system, xs) <= 1e-9
+    assert riccati_residual(spec.mass, system.vtilde, system.phi0, system.e0,
+                            xs, spec.params) <= 1e-9
 
 
 def test_riccati_detects_shifted_potential():
     spec = worked_spec()
     system = build_first_order(spec)
     shifted = system.vtilde + Const(0.1)
-    from pdmsusy.discrete import riccati_residual
     xs = np.linspace(0.05, 1.5, 100)
     r = riccati_residual(spec.mass, shifted, system.phi0, system.e0, xs,
                          spec.params)
