@@ -8,7 +8,7 @@ log-derivative, then verifies H psi0 = -l1 psi0 through the Riccati form
 import numpy as np
 
 from pdmsusy import MassFn, ModelSpec, parse, pt_image, riccati_residual
-from pdmsusy.expr import ParamEnv, evaluate
+from pdmsusy.expr import ParamEnv, evaluate, evaluate_many
 from pdmsusy.susy1 import build_first_order
 from pdmsusy.susyn import first_order_coefficients
 
@@ -37,6 +37,6 @@ print("\nRiccati residual of (phi0, -l1):", residual)
 
 # The PT defect of the potential has the closed form 2 W_m'/sqrt(m)
 defect = system.vtilde - pt_image(system.vtilde)
-worst = max(abs(evaluate(defect, float(x), spec.params)
-                - evaluate(system.delta_v, float(x), spec.params)) for x in xs)
+worst = np.max(np.abs(evaluate_many(defect, xs, spec.params)
+                      - evaluate_many(system.delta_v, xs, spec.params)))
 print("PT-defect identity residual:", worst)

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .expr import EMPTY_ENV, Expr, ParamEnv, differentiate, evaluate, evaluate_many
+from .expr import Expr, ParamEnv, differentiate, evaluate_many
 from .model import MassFn
 
 __all__ = [
@@ -151,14 +151,16 @@ def assemble_hamiltonian(m: MassFn, vtilde: Expr, g: Grid,
     on interior rows; Dirichlet boundary rows are identity rows decoupled
     from the interior block.  Second-order accurate.
     """
-    env = env if env is not None else EMPTY_ENV
     n = g.points
     h = g.h
     mids = g.midpoints()
     m_mid = evaluate_many(m.expr, mids, env)
-    for x, v in zip(mids, m_mid):
-        if v.real <= 0.0 or abs(v.imag) > 1e-12 * (1.0 + abs(v)):
-            raise AssemblyError(f"mass not positive at midpoint x={x!r}: m={v!r}")
+    bad = np.flatnonzero((m_mid.real <= 0.0)
+                         | (np.abs(m_mid.imag) > 1e-12 * (1.0 + np.abs(m_mid))))
+    if bad.size:
+        i = bad[0]
+        raise AssemblyError(
+            f"mass not positive at midpoint x={mids[i]!r}: m={m_mid[i]!r}")
     inv_m = 1.0 / m_mid.real
     v_nodes = evaluate_many(vtilde, g.nodes()[1:-1], env)
 
@@ -182,7 +184,6 @@ def assemble_charge(coeffs, g: Grid, env: Optional[ParamEnv] = None) -> Operator
     (lead * D2 + sub * D1 + u0); for N >= 3 the interior coefficients have
     no closed form and assembly raises UnsupportedOrderError.
     """
-    env = env if env is not None else EMPTY_ENV
     n_order = coeffs.n
     if n_order > 2:
         raise UnsupportedOrderError(
@@ -380,21 +381,14 @@ def riccati_residual(m: MassFn, vtilde: Expr, phi: Expr, e: complex,
                      env: Optional[ParamEnv] = None) -> float:
     """Sup over samples of |-(phi' + phi^2)/m + (m'/m^2) phi + Vtilde - e|,
     the log-derivative form of H psi = e psi."""
-    env = env if env is not None else EMPTY_ENV
     dphi = differentiate(phi)
     mx = m.expr
     dm = differentiate(mx)
-    worst = 0.0
-    for x in samples:
-        x = float(x)
-        mv = evaluate(mx, x, env)
-        pv = evaluate(phi, x, env)
-        dpv = evaluate(dphi, x, env)
-        dmv = evaluate(dm, x, env)
-        vv = evaluate(vtilde, x, env)
-        r = -(dpv + pv * pv) / mv + (dmv / (mv * mv)) * pv + vv - complex(e)
-        worst = max(worst, abs(r))
-    return worst
+    xs = np.asarray(list(samples), dtype=float)
+    mv, pv, dpv, dmv, vv = (evaluate_many(f, xs, env)
+                            for f in (mx, phi, dphi, dm, vtilde))
+    r = -(dpv + pv * pv) / mv + (dmv / (mv * mv)) * pv + vv - complex(e)
+    return float(np.max(np.abs(r), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -445,26 +439,25 @@ def wavefunction_from_log_derivative(phi: Expr, xs: Sequence[float],
     """psi on the nodes from psi'/psi = phi by fixed-step 4th-order
     (Simpson) cumulative quadrature of phi from the domain midpoint, with
     the normalization psi(midpoint) = 1."""
-    env = env if env is not None else EMPTY_ENV
     xs = np.asarray(list(xs), dtype=float)
     if midpoint is None:
         midpoint = 0.5 * (xs[0] + xs[-1])
 
-    def segment(a: float, b: float) -> complex:
-        if a == b:
-            return 0.0 + 0.0j
-        mid = 0.5 * (a + b)
-        return ((b - a) / 6.0) * (evaluate(phi, a, env)
-                                  + 4.0 * evaluate(phi, mid, env)
-                                  + evaluate(phi, b, env))
-
     anchor = int(np.argmin(np.abs(xs - midpoint)))
-    integral = np.zeros(xs.size, dtype=complex)
-    integral[anchor] = segment(midpoint, xs[anchor])
-    for j in range(anchor + 1, xs.size):
-        integral[j] = integral[j - 1] + segment(xs[j - 1], xs[j])
-    for j in range(anchor - 1, -1, -1):
-        integral[j] = integral[j + 1] - segment(xs[j], xs[j + 1])
+    # Simpson segments (a, b) in summation order: midpoint to the anchor
+    # node, then outward to the right, then outward to the left
+    a = np.concatenate([[midpoint], xs[anchor:-1], xs[:anchor][::-1]])
+    b = np.concatenate([[xs[anchor]], xs[anchor + 1:], xs[1:anchor + 1][::-1]])
+    live = a != b
+    f = evaluate_many(phi, np.column_stack([a, 0.5 * (a + b), b])[live].ravel(),
+                      env).reshape(-1, 3)
+    segments = np.zeros(a.size, dtype=complex)
+    segments[live] = ((b - a)[live] / 6.0) * (f[:, 0] + 4.0 * f[:, 1] + f[:, 2])
+    right = xs.size - anchor
+    integral = np.empty(xs.size, dtype=complex)
+    integral[anchor:] = np.add.accumulate(segments[:right])
+    integral[anchor::-1] = np.subtract.accumulate(
+        np.concatenate([segments[:1], segments[right:]]))
     return np.exp(integral)
 
 

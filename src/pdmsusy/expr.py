@@ -30,7 +30,6 @@ grammar and such trees are not meant to be re-parsed.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
@@ -310,29 +309,9 @@ class ParamEnv:
         except KeyError:
             raise UnboundParameterError(name) from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._values
-
-    def items(self):
-        return self._values.items()
-
-    def names(self):
-        return tuple(sorted(self._values))
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self._values.items()))
         return f"ParamEnv({inner})"
-
-
-EMPTY_ENV = ParamEnv()
-
-
-def _coerce_env(env) -> ParamEnv:
-    if env is None:
-        return EMPTY_ENV
-    if isinstance(env, ParamEnv):
-        return env
-    return ParamEnv(env)
 
 
 # ---------------------------------------------------------------------------
@@ -615,89 +594,103 @@ def _d(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 def evaluate(e: Expr, x: float, env=None) -> complex:
-    """Evaluate at real x with all parameters bound; deterministic.
-
-    Raises UnboundParameterError for missing parameters and PoleError when
-    a denominator (or cos under sec/tan) falls below POLE_TOLERANCE or an
-    intermediate stops being finite.
-    """
-    return _eval(e, float(x), _coerce_env(env))
-
-
-def _check_finite(value: complex, e: Expr, x: float) -> complex:
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise PoleError(e, x, "non-finite value")
-    return value
-
-
-def _eval(e: Expr, x: float, env: ParamEnv) -> complex:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return complex(x)
-    if isinstance(e, Param):
-        return env.lookup(e.name)
-    if isinstance(e, Neg):
-        return -_eval(e.arg, x, env)
-    if isinstance(e, Conj):
-        return _eval(e.arg, x, env).conjugate()
-    if isinstance(e, Add):
-        return _check_finite(_eval(e.left, x, env) + _eval(e.right, x, env), e, x)
-    if isinstance(e, Sub):
-        return _check_finite(_eval(e.left, x, env) - _eval(e.right, x, env), e, x)
-    if isinstance(e, Mul):
-        return _check_finite(_eval(e.left, x, env) * _eval(e.right, x, env), e, x)
-    if isinstance(e, Div):
-        den = _eval(e.right, x, env)
-        if abs(den) < POLE_TOLERANCE:
-            raise PoleError(e, x)
-        return _check_finite(_eval(e.left, x, env) / den, e, x)
-    if isinstance(e, Pow):
-        base = _eval(e.base, x, env)
-        expo = _eval(e.exponent, x, env)
-        try:
-            value = base ** expo
-        except (ZeroDivisionError, OverflowError, ValueError):
-            raise PoleError(e, x) from None
-        return _check_finite(value, e, x)
-    if isinstance(e, Func):
-        u = _eval(e.arg, x, env)
-        try:
-            if e.name == "sin":
-                value = cmath.sin(u)
-            elif e.name == "cos":
-                value = cmath.cos(u)
-            elif e.name in ("tan", "sec"):
-                c = cmath.cos(u)
-                if abs(c) < POLE_TOLERANCE:
-                    raise PoleError(e, x)
-                value = cmath.sin(u) / c if e.name == "tan" else 1.0 / c
-            elif e.name == "exp":
-                value = cmath.exp(u)
-            elif e.name == "log":
-                if u == 0:
-                    raise PoleError(e, x)
-                value = cmath.log(u)
-            elif e.name == "sqrt":
-                value = cmath.sqrt(u)
-            elif e.name == "sinh":
-                value = cmath.sinh(u)
-            elif e.name == "cosh":
-                value = cmath.cosh(u)
-            elif e.name == "tanh":
-                value = cmath.tanh(u)
-            else:  # pragma: no cover
-                raise ExprError(f"no evaluation rule for '{e.name}'")
-        except OverflowError:
-            raise PoleError(e, x, "overflow") from None
-        return _check_finite(value, e, x)
-    raise TypeError(f"unknown node {e!r}")
+    """Evaluate at one real x; see :func:`evaluate_many`."""
+    return complex(evaluate_many(e, [x], env)[0])
 
 
 def evaluate_many(e: Expr, xs: Iterable[float], env=None) -> np.ndarray:
-    """Evaluate at each point of ``xs``; returns a complex ndarray."""
-    env = _coerce_env(env)
-    return np.array([_eval(e, float(x), env) for x in xs], dtype=complex)
+    """Evaluate at every point of ``xs`` in one walk over the tree; returns
+    a complex ndarray of the same length.  Deterministic.
+
+    Raises UnboundParameterError for missing parameters and PoleError when
+    a denominator (or cos under sec/tan) falls below POLE_TOLERANCE or an
+    intermediate stops being finite.  The error is the one a point-by-point
+    walk would raise: at the first point of ``xs`` that fails, for the first
+    failing node in evaluation order there.
+    """
+    xs = np.asarray(xs if hasattr(xs, "__len__") else list(xs), dtype=float)
+    walk = _Walk(xs, env if isinstance(env, ParamEnv) else ParamEnv(env))
+    with np.errstate(all="ignore"):
+        value = walk(e)
+    failed = np.flatnonzero(walk.cause >= 0)
+    if failed.size:
+        i = failed[0]
+        raise walk.causes[walk.cause[i]](float(xs[i]))
+    return np.broadcast_to(value, xs.shape).astype(complex)
+
+
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
+           "sqrt": np.sqrt, "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh}
+_ARITHMETIC = {Add: np.add, Sub: np.subtract, Mul: np.multiply}
+
+
+class _Walk:
+    """Evaluates each node once over all points.  Operands go left before
+    right, except that Div evaluates its denominator first, so at any one
+    point the checks run in the order of a scalar walk.  Each point keeps
+    the first failure it meets (``cause`` indexes ``causes``, factories
+    x -> exception; -1 while none) and goes on with a non-finite value."""
+
+    def __init__(self, xs: np.ndarray, env: ParamEnv):
+        self.x = (xs + 0.0).astype(complex)    # x = -0.0 is the point 0.0
+        self.env = env
+        self.cause = np.full(xs.shape, -1)
+        self.causes = []
+
+    def fail(self, mask, make_error) -> None:
+        new = mask & (self.cause < 0)
+        if new.any():
+            self.cause[new] = len(self.causes)
+            self.causes.append(make_error)
+
+    def check(self, value, e: Expr, detail: str, mask=None):
+        """Record ``mask`` (default: the non-finite entries of ``value``)
+        as ``detail`` failures of node ``e``; returns ``value``."""
+        if mask is None:
+            mask = ~np.isfinite(value)
+        self.fail(mask, lambda x: PoleError(e, x, detail))
+        return value
+
+    def __call__(self, e: Expr):
+        if isinstance(e, Const):
+            return np.complex128(e.value)
+        if isinstance(e, Var):
+            return self.x
+        if isinstance(e, Param):
+            try:
+                return np.complex128(self.env.lookup(e.name))
+            except UnboundParameterError as exc:
+                self.fail(np.True_, lambda x, error=exc: error)
+                return np.complex128(np.nan)
+        if isinstance(e, Neg):
+            return -self(e.arg)
+        if isinstance(e, Conj):
+            return np.conj(self(e.arg))
+        if type(e) in _ARITHMETIC:
+            return self.check(_ARITHMETIC[type(e)](self(e.left), self(e.right)),
+                              e, "non-finite value")
+        if isinstance(e, Div):
+            den = self(e.right)
+            self.check(den, e, "pole hit", np.abs(den) < POLE_TOLERANCE)
+            return self.check(self(e.left) / den, e, "non-finite value")
+        if isinstance(e, Pow):
+            base, expo = self(e.base), self(e.exponent)
+            value = base ** expo
+            # Python's complex power raises at 0 to a complex exponent
+            return self.check(value, e, "pole hit", ~np.isfinite(value)
+                              | ((base == 0) & (np.imag(expo) != 0)))
+        if isinstance(e, Func):
+            u = self(e.arg)
+            if e.name in ("tan", "sec"):
+                c = self.check(np.cos(u), e, "overflow")
+                self.check(c, e, "pole hit", np.abs(c) < POLE_TOLERANCE)
+                value = np.sin(u) / c if e.name == "tan" else 1.0 / c
+            elif e.name == "log":
+                value = np.log(self.check(u, e, "pole hit", u == 0))
+            else:
+                value = _UFUNCS[e.name](u)
+            return self.check(value, e, "overflow")
+        raise TypeError(f"unknown node {e!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import (Const, Expr, ParamEnv, Var, conj_expr, differentiate,
-                   div, evaluate, mul, neg, pow_, sub, substitute_x)
+from .expr import (Const, Expr, ParamEnv, PoleError, Sub, Var, conj_expr,
+                   differentiate, div, evaluate_many, mul, pow_, sub,
+                   substitute_x)
 
 __all__ = [
     "ModelError", "MassError", "DomainError",
@@ -81,13 +82,19 @@ class MassFn:
 
     def validate(self, env: ParamEnv | None = None, samples: Optional[Sequence[float]] = None) -> None:
         """Check reality and positivity on sample points; raises MassError."""
-        xs = self.interior_points() if samples is None else samples
-        for x in xs:
-            v = evaluate(self.expr, float(x), env)
-            if abs(v.imag) > REALITY_TOL * (1.0 + abs(v)):
-                raise MassError(f"mass not real at x={x!r}: m={v!r}")
-            if v.real <= 0.0:
-                raise MassError(f"mass not positive at x={x!r}: m={v!r}")
+        xs = self.interior_points() if samples is None else list(samples)
+        try:
+            v = evaluate_many(self.expr, xs, env)
+        except PoleError as exc:
+            # a pointwise scan checks the samples before the pole first
+            self.validate(env, xs[:int(np.argmax(np.asarray(xs) == exc.x))])
+            raise
+        not_real = np.abs(v.imag) > REALITY_TOL * (1.0 + np.abs(v))
+        bad = np.flatnonzero(not_real | (v.real <= 0.0))
+        if bad.size:
+            i = bad[0]
+            kind = "real" if not_real[i] else "positive"
+            raise MassError(f"mass not {kind} at x={xs[i]!r}: m={complex(v[i])!r}")
 
 
 @dataclass
@@ -188,12 +195,14 @@ def ordered_potential(vtilde: Expr, m: MassFn, a: float, b: float) -> Expr:
 def pt_image(f: Expr) -> Expr:
     """AST whose evaluation at x equals conj(f(-x)), exactly.
 
-    Built as conjugation of the parity substitution x -> -x, so the identity
+    Built as conjugation of the parity substitution x -> 0-x, so the identity
     holds bit-for-bit at evaluation; derivatives obey PT f'(x) = -conj(f'(-x)).
-    The result may contain a conjugation node (printed "conj(...)") that is
-    not part of the input grammar.
+    0-x and not -x: negating x+0i gives -x-0i, and the sign of that zero
+    would put sqrt, log and fractional powers on the other side of their
+    branch cuts.  The result may contain a conjugation node (printed
+    "conj(...)") that is not part of the input grammar.
     """
-    return conj_expr(substitute_x(f, neg(Var())))
+    return conj_expr(substitute_x(f, Sub(Const(0.0), Var())))
 
 
 def symmetry_report(spec: ModelSpec, samples: Optional[Sequence[float]] = None,
@@ -221,16 +230,16 @@ def symmetry_report(spec: ModelSpec, samples: Optional[Sequence[float]] = None,
         if abs(lo + hi) > 1e-12 * max(1.0, abs(hi)):
             raise DomainError(f"sample domain ({lo}, {hi}) is not symmetric about 0")
 
-    env = spec.params
+    # each x next to -x, so an evaluation error names the point that a
+    # pointwise scan meets first
+    pairs = np.column_stack([xs, -xs]).ravel()
 
-    def pt_defect_of(f: Expr) -> float:
-        return max(abs(evaluate(f, float(x), env)
-                       - evaluate(f, -float(x), env).conjugate()) for x in xs)
+    def defect(f: Expr, image=np.conj) -> float:
+        values = evaluate_many(f, pairs, spec.params)
+        return float(np.max(np.abs(values[0::2] - image(values[1::2]))))
 
-    mx = spec.mass.expr
-    mass_defect = max(abs(evaluate(mx, float(x), env)
-                          - evaluate(mx, -float(x), env)) for x in xs)
-    delta_sup = {name: pt_defect_of(f) for name, f in (functions or {}).items()}
+    mass_defect = defect(spec.mass.expr, image=np.positive)
+    delta_sup = {name: defect(f) for name, f in (functions or {}).items()}
     return SymmetryReport(mass_parity_defect=mass_defect,
-                          wm_pt_defect=pt_defect_of(spec.wm()),
+                          wm_pt_defect=defect(spec.wm()),
                           delta_sup=delta_sup)

@@ -25,7 +25,9 @@ import cmath
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .expr import Const, Expr, ParamEnv, differentiate, evaluate
+import numpy as np
+
+from .expr import Const, Expr, ParamEnv, differentiate, evaluate_many
 from .model import MassFn, ModelError, ModelSpec
 
 __all__ = [
@@ -70,10 +72,10 @@ class SecondOrderSystem:
 def scan_superpotential_zeros(wm: Expr, samples: Sequence[float],
                               env: Optional[ParamEnv] = None) -> None:
     """Raise SingularPointError listing sample points where |W_m| < 1e-8."""
-    bad = [float(x) for x in samples
-           if abs(evaluate(wm, float(x), env)) < WM_ZERO_TOLERANCE]
-    if bad:
-        raise SingularPointError(bad)
+    xs = np.asarray(list(samples), dtype=float)
+    bad = xs[np.abs(evaluate_many(wm, xs, env)) < WM_ZERO_TOLERANCE]
+    if bad.size:
+        raise SingularPointError(bad.tolist())
 
 
 def f_aux(wm: Expr, m: MassFn) -> Expr:

@@ -3,7 +3,7 @@
 import numpy as np
 
 from pdmsusy import MassFn, ModelSpec, parse
-from pdmsusy.expr import evaluate
+from pdmsusy.expr import evaluate_many
 
 DOMAIN = (-1.5, 1.5)
 
@@ -40,12 +40,13 @@ def random_pt_model(rng, order, domain=DOMAIN):
 
 
 def sup_diff(a, b, xs, env=None):
-    return max(abs(evaluate(a, float(x), env) - evaluate(b, float(x), env))
-               for x in xs)
+    xs = np.asarray(xs, dtype=float)
+    return float(np.max(np.abs(evaluate_many(a, xs, env)
+                               - evaluate_many(b, xs, env))))
 
 
 def sup_abs(e, xs, env=None):
-    return max(abs(evaluate(e, float(x), env)) for x in xs)
+    return float(np.max(np.abs(evaluate_many(e, xs, env))))
 
 
 def interior(spec, n=100):

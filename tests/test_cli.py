@@ -99,6 +99,10 @@ def test_high_order_restricted_to_formula_checks():
     bad = dict(cfg, checks=["riccati"])
     with pytest.raises(ConfigError, match="order 3"):
         parse_config_dict(bad)
+    # on MINIMAL's symmetric grid the symmetry check measures m and W_m only
+    report = run(parse_config_dict(dict(cfg, checks=["symmetry", "eigenvalues"])))
+    assert report.passed
+    assert set(report.symmetry) == {"mass_parity_defect", "wm_pt_defect"}
 
 
 def test_complex_constants_accepted_and_flagged():

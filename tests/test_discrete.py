@@ -13,7 +13,7 @@ from pdmsusy import (Grid, GridError, MassFn, ModelSpec, OperatorMatrix,
                      l2_normalizable, parity_matrix, parse,
                      wavefunction_from_log_derivative)
 from pdmsusy.discrete import EigensolverError, UnsupportedOrderError
-from pdmsusy.expr import Const, ParamEnv, evaluate
+from pdmsusy.expr import Const, ParamEnv, evaluate, evaluate_many
 from pdmsusy.susy1 import build_first_order
 from pdmsusy.susy2 import build_second_order
 from pdmsusy.susyn import (first_order_coefficients, NthOrderCoefficients,
@@ -293,6 +293,34 @@ def test_wavefunction_quadrature_is_fourth_order():
         errors.append(np.max(np.abs(psi - expected)))
     order = np.log2(errors[0] / errors[2]) / 2
     assert order > 3.5
+
+
+def test_wavefunction_sums_outward_from_the_anchor():
+    # reference: the pointwise cumulative Simpson sum, outward from the node
+    # nearest the midpoint, subtracting on the left; the arithmetic is the
+    # same, so the results agree bit for bit
+    phi = parse("-x + i*sin(x)/(2+x^2)")
+
+    def segment(a, b):
+        if a == b:
+            return 0j
+        fa, fm, fb = evaluate_many(phi, [a, 0.5 * (a + b), b])
+        return ((b - a) / 6.0) * (fa + 4.0 * fm + fb)
+
+    for xs, midpoint in ((np.linspace(-1.5, 1.5, 33), 0.0),
+                         (np.linspace(-1.0, 2.0, 20), 0.5),
+                         (np.array([0.0, 0.0, 0.5, 0.5, 1.0]), 0.5),
+                         (np.linspace(-1.0, 1.0, 9), -1.0),
+                         (np.linspace(-1.0, 1.0, 9), 1.0)):
+        anchor = int(np.argmin(np.abs(xs - midpoint)))
+        integral = np.zeros(xs.size, dtype=complex)
+        integral[anchor] = segment(midpoint, xs[anchor])
+        for j in range(anchor + 1, xs.size):
+            integral[j] = integral[j - 1] + segment(xs[j - 1], xs[j])
+        for j in range(anchor - 1, -1, -1):
+            integral[j] = integral[j + 1] - segment(xs[j], xs[j + 1])
+        psi = wavefunction_from_log_derivative(phi, xs, midpoint=midpoint)
+        assert np.array_equal(psi, np.exp(integral))
 
 
 def test_operator_matrix_validation():

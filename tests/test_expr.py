@@ -12,7 +12,7 @@ import pytest
 
 from pdmsusy.expr import (Add, Const, Func, Param, ParamEnv, ParseError,
                           PoleError, Sub, UnboundParameterError, Var,
-                          differentiate, evaluate, parse)
+                          differentiate, evaluate, evaluate_many, parse)
 
 
 def fd_derivative(f, x, h=1e-5):
@@ -199,6 +199,14 @@ def test_symbolic_derivative_matches_fd(source):
 def test_evaluate_basics():
     assert evaluate(parse("exp(i*alpha*x)"), 0.0, ParamEnv(alpha=1.0)) == 1.0
     assert abs(evaluate(parse("sec(x)"), math.pi / 4) - math.sqrt(2)) < 1e-15
+    # one value per point, also for a tree without x; any iterable of points
+    values = evaluate_many(parse("2+a"), np.zeros(4), ParamEnv(a=1j))
+    assert values.shape == (4,) and values.dtype == complex
+    assert np.all(values == 2 + 1j)
+    assert evaluate_many(parse("x^2"), []).shape == (0,)
+    assert evaluate_many(parse("alpha*x"), []).shape == (0,)
+    squares = evaluate_many(parse("x^2"), (x for x in (1.0, 2.0, 3.0)))
+    assert list(squares) == [1.0, 4.0, 9.0]
 
 
 def test_evaluate_is_deterministic():
@@ -213,8 +221,29 @@ def test_evaluate_pole_reports_subexpression():
         evaluate(parse("1/4*sec(x)^2"), math.pi / 2)
     with pytest.raises(PoleError):
         evaluate(parse("1/(x-1)"), 1.0)
+    # the first failing point of xs in the order given, and there the
+    # first failing node of a point-by-point walk
+    two_poles = parse("1/(x-1)+1/(x+1)")
+    with pytest.raises(PoleError) as err:
+        evaluate_many(two_poles, [-1.0, 1.0])
+    assert err.value.x == -1.0 and str(err.value.subexpr) == "1/(x+1)"
+    with pytest.raises(PoleError) as err:
+        evaluate_many(two_poles, [1.0, -1.0])
+    assert err.value.x == 1.0 and str(err.value.subexpr) == "1/(x-1)"
+    # Div evaluates its denominator before its numerator
+    with pytest.raises(PoleError, match=r"pole hit in '1/x/sin\(x\)' at x=0.0"):
+        evaluate_many(parse("(1/x)/sin(x)"), [0.0])
+    with pytest.raises(PoleError, match=r"overflow in 'exp\(1000\*x\)' at x=1.0"):
+        evaluate_many(parse("exp(1000*x)"), [0.0, 1.0])
+    with pytest.raises(PoleError, match=r"non-finite value in 'a\*b'"):
+        evaluate_many(parse("a*b"), [0.0], ParamEnv(a=1e200, b=1e200))
 
 
 def test_unbound_parameter_is_an_error_not_zero():
     with pytest.raises(UnboundParameterError, match="alpha"):
         evaluate(parse("alpha*x"), 1.0)
+    # a pole met before the parameter at the first point is reported instead
+    with pytest.raises(PoleError, match="at x=0.0"):
+        evaluate_many(parse("1/x + alpha"), [0.0, 1.0])
+    with pytest.raises(UnboundParameterError):
+        evaluate_many(parse("1/x + alpha"), [1.0, 0.0])

@@ -1,0 +1,91 @@
+"""Property tests for the symbolic core on random grammar-built trees:
+exact derivatives against a central finite difference, the PT image
+against conjugate parity bit for bit, and render -> parse round trips.
+
+Examples are derandomized so the suite is reproducible; widen
+``max_examples`` locally to search harder.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from pdmsusy.expr import (FUNCTIONS, X, Const, EvaluationError, Param,
+                          ParamEnv, add, differentiate, div, evaluate_many,
+                          func, mul, neg, parse, pow_, sub)
+from pdmsusy.model import pt_image
+
+ENV = ParamEnv(alpha=0.7)
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+def trees(numbers):
+    """Trees built through the smart constructors, as the parser and the
+    pipelines build them; ``numbers`` draws the real constants."""
+    leaves = st.one_of(
+        st.just(X), st.just(Param("alpha")),
+        numbers.map(Const),
+        numbers.map(lambda v: Const(complex(0.0, v))),
+        st.tuples(numbers, numbers).map(lambda p: Const(complex(*p))))
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from([add, sub, mul, div]), children,
+                      children).map(lambda t: t[0](t[1], t[2])),
+            st.tuples(children, st.sampled_from([-1.0, 0.5, 2.0, 2.5, 3.0]))
+            .map(lambda t: pow_(t[0], Const(t[1]))),
+            children.map(neg),
+            st.tuples(st.sampled_from(FUNCTIONS), children)
+            .map(lambda t: func(*t)))
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+SMALL = trees(st.floats(-3.0, 3.0).map(lambda v: round(v, 3)))
+ANY = trees(st.floats(allow_nan=False, allow_infinity=False))
+
+
+@PROPERTY
+@given(SMALL, st.floats(-1.0, 1.0))
+def test_derivative_matches_central_difference(tree, x):
+    # 5-point central differences at h and h/2; their gap estimates the
+    # truncation error of the finer one (Richardson), which also covers a
+    # branch cut or a steep region inside the stencil
+    h = 1e-3
+    offsets = np.array([-2.0, -1.0, 1.0, 2.0])
+    weights = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+    try:
+        slopes = evaluate_many(differentiate(tree),
+                               np.append(x, x + h * offsets), ENV)
+        coarse = evaluate_many(tree, x + h * offsets, ENV)
+        fine = evaluate_many(tree, x + 0.5 * h * offsets, ENV)
+    except EvaluationError:
+        assume(False)
+    exact = slopes[0]
+    # a finite difference says nothing where f' is not smooth on the scale
+    # of the stencil (next to a branch point of sqrt, say)
+    assume(np.max(np.abs(slopes - exact)) <= 0.5 * max(1.0, abs(exact)))
+    fd_coarse = coarse @ weights / h
+    fd_fine = fine @ weights / (0.5 * h)
+    scale = max(1.0, abs(exact), float(np.max(np.abs(coarse))))
+    assert abs(fd_fine - exact) <= 10 * abs(fd_coarse - fd_fine) + 1e-8 * scale
+
+
+@PROPERTY
+@given(SMALL, st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8))
+def test_pt_image_is_conjugate_parity_bit_for_bit(tree, points):
+    xs = np.array(points)
+    try:
+        image = evaluate_many(pt_image(tree), xs, ENV)
+    except EvaluationError:
+        with pytest.raises(EvaluationError):
+            evaluate_many(tree, -xs, ENV)
+        return
+    assert image.tobytes() == np.conj(evaluate_many(tree, -xs, ENV)).tobytes()
+
+
+@PROPERTY
+@given(ANY)
+def test_render_parse_round_trip(tree):
+    assert parse(str(tree)) == tree

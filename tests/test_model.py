@@ -11,7 +11,7 @@ from pdmsusy import (DomainError, MassError, MassFn, ModelError, ModelSpec,
                      chebyshev_points, constant_mass_superpotential,
                      mass_deformed_superpotential, ordered_potential, parse,
                      pt_image, rho, symmetry_report)
-from pdmsusy.expr import Const, ParamEnv, evaluate
+from pdmsusy.expr import Const, ParamEnv, PoleError, evaluate, evaluate_many
 
 
 def test_deformation_recovers_periodic_superpotential_first_order():
@@ -119,8 +119,8 @@ def test_pt_recovery_from_constructed_superpotential():
         wm = mass_deformed_superpotential(w, spec.mass, order)
         xs = spec.mass.interior_points(60)
         assert sup_diff(wm, g, xs) <= 1e-12
-        defect = max(abs(evaluate(wm, float(x)) -
-                         evaluate(wm, -float(x)).conjugate()) for x in xs)
+        defect = np.max(np.abs(evaluate_many(wm, xs)
+                               - np.conj(evaluate_many(wm, -xs))))
         assert defect <= 1e-12
 
 
@@ -146,6 +146,13 @@ def test_symmetry_report_detects_real_odd_superpotential():
     rep = symmetry_report(spec)
     xs = chebyshev_points(-1.0, 1.0)
     assert abs(rep.wm_pt_defect - 2 * max(abs(xs))) < 1e-13
+    # the scan meets x and -x in turn, so W_m = exp(800 x) first overflows
+    # at -xs[0], the largest point
+    spec = ModelSpec(order=1, mass=MassFn(parse("1"), -1.0, 1.0),
+                     deformed=parse("exp(800*x)"), susy_constants=(0.0,))
+    with pytest.raises(PoleError, match="overflow") as err:
+        symmetry_report(spec)
+    assert err.value.x == -xs[0]
 
 
 def test_symmetry_report_rejects_asymmetric_domain():
@@ -161,6 +168,16 @@ def test_mass_validation():
     with pytest.raises(MassError, match="real"):
         MassFn(parse("1+i*x"), 0.5, 1.0).validate()
     MassFn(parse("sec(x)"), -1.5, 1.5).validate()   # fine
+    # the first failing sample is named; "real" is checked before "positive"
+    with pytest.raises(MassError, match=r"positive at x=-0.25:"):
+        MassFn(parse("x"), -1.0, 1.0).validate(samples=[0.5, -0.25, -0.5])
+    with pytest.raises(MassError, match=r"real at x=0.5:"):
+        MassFn(parse("i*x-1"), -1.0, 1.0).validate(samples=[0.5])
+    # samples before a pole are checked first
+    with pytest.raises(MassError, match=r"positive at x=-0.5:"):
+        MassFn(parse("1/x"), -1.0, 1.0).validate(samples=[-0.5, 0.0])
+    with pytest.raises(PoleError, match=r"at x=0.0"):
+        MassFn(parse("1/x"), -1.0, 1.0).validate(samples=[0.5, 0.0, -0.5])
 
 
 def test_model_spec_validation():

@@ -13,7 +13,8 @@ from pdmsusy import MassFn, ModelSpec, parse, pt_image, riccati_residual
 from pdmsusy.expr import Const, ParamEnv, differentiate, evaluate
 from pdmsusy.susy2 import (SingularPointError, build_second_order, f_aux,
                            lowest_eigenvalues, potential_second_order,
-                           u0_closed, u0_integrated, zero_mode_logderivs)
+                           scan_superpotential_zeros, u0_closed, u0_integrated,
+                           zero_mode_logderivs)
 
 
 def worked_spec(l1=-3.0, l2=2.0, alpha=1.0, domain=(0.05, 1.5)):
@@ -233,3 +234,7 @@ def test_superpotential_zero_scan():
                      deformed=parse("x"), susy_constants=(0.0, 0.0))
     with pytest.raises(SingularPointError, match="W_m vanishes"):
         build_second_order(spec)
+    # the points are listed in input order
+    with pytest.raises(SingularPointError) as err:
+        scan_superpotential_zeros(parse("x*(x-0.5)"), [0.5, 0.25, 0.0, -0.5])
+    assert err.value.points == (0.5, 0.0)
