@@ -29,8 +29,8 @@ from .susyn import (
 from .discrete import (
     Grid, OperatorMatrix, Spectrum, DiscreteError, GridError, AssemblyError,
     EigensolverError, UnsupportedOrderError,
-    assemble_hamiltonian, assemble_charge, parity_matrix,
-    constraint_residuals, dense_eigenvalues,
+    assemble_hamiltonian, assemble_charge, constraint_residuals,
+    dense_eigenvalues,
     hamiltonian_spectrum, susy_algebra_spectrum, conjugate_pairing_distance,
     riccati_residual, convergence_study, wavefunction_from_log_derivative,
     l2_normalizable,

@@ -340,8 +340,7 @@ class _CheckContext:
         H = discrete.assemble_hamiltonian(spec.mass, self.system.vtilde, grid,
                                           spec.params)
         C = discrete.assemble_charge(coeffs, grid, spec.params)
-        P = discrete.parity_matrix(grid)
-        return H, C, P
+        return H, C
 
     @cached_property
     def operators(self):
@@ -444,8 +443,8 @@ def _check_constraint(name: str, ctx: _CheckContext) -> CheckOutcome:
 
 def _check_conjugate_closure(ctx: _CheckContext) -> CheckOutcome:
     tol = ctx.config.tolerances["closure"]
-    H, C, P = ctx.operators
-    distance = discrete.susy_algebra_spectrum(C, P).conjugate_pairing_distance
+    H, C = ctx.operators
+    distance = discrete.susy_algebra_spectrum(C).conjugate_pairing_distance
     h_spec = discrete.hamiltonian_spectrum(H)
     values = {"susy_algebra_distance": distance,
               "h_spectrum_distance": h_spec.conjugate_pairing_distance}

@@ -2,9 +2,11 @@
 
 Dense complex matrices on a uniform 1-D grid represent the Hamiltonian
 H = -d(m^{-1} d) + Vtilde (midpoint-sampled mass flux, Dirichlet walls as
-identity rows decoupled from the interior block), the charge operator C
-(central stencils with node-sampled coefficients, zeroed boundary rows)
-and parity P (node-reversal permutation).
+identity rows decoupled from the interior block) and the charge operator C
+(central stencils with node-sampled coefficients, zeroed boundary rows).
+Parity P: x -> -x is no matrix: on a grid symmetric about 0 it is the
+node reversal, so zeta = C P reverses the columns of C and P conj(H) P
+reverses both axes of conj(H).
 
 Operator identities such as zeta = zeta^dagger or zeta zeta* = sum_k l_k
 H^{N-k} hold in the continuum; their discrete counterparts are measured by
@@ -31,8 +33,8 @@ __all__ = [
     "DiscreteError", "GridError", "AssemblyError", "EigensolverError",
     "UnsupportedOrderError",
     "Grid", "OperatorMatrix", "Spectrum", "ConvergenceResult",
-    "assemble_hamiltonian", "assemble_charge", "parity_matrix",
-    "probe_matrix", "constraint_residuals", "dense_eigenvalues",
+    "assemble_hamiltonian", "assemble_charge", "probe_matrix",
+    "constraint_residuals", "dense_eigenvalues",
     "hamiltonian_spectrum", "susy_algebra_spectrum",
     "conjugate_pairing_distance", "riccati_residual", "convergence_study",
     "wavefunction_from_log_derivative", "l2_normalizable",
@@ -41,7 +43,6 @@ __all__ = [
 
 MAX_DENSE_DIMENSION = 4096
 RESIDUAL_FLOOR = 1e-14
-DEFAULT_PROBE_COUNT = 8
 
 
 class DiscreteError(Exception):
@@ -212,24 +213,13 @@ def assemble_charge(coeffs, g: Grid, env: Optional[ParamEnv] = None) -> Operator
     return OperatorMatrix(data, g, label=f"C{n_order}")
 
 
-def parity_matrix(g: Grid) -> OperatorMatrix:
-    """Node-reversal permutation; requires a symmetric grid; P^2 = I exactly."""
-    if not g.symmetric:
-        raise GridError(
-            f"parity needs a symmetric grid, got ({g.x_min}, {g.x_max})")
-    n = g.points
-    data = np.zeros((n, n), dtype=complex)
-    data[np.arange(n), n - 1 - np.arange(n)] = 1.0
-    return OperatorMatrix(data, g, label="P")
-
-
 # ---------------------------------------------------------------------------
 # Constraint residuals
 # ---------------------------------------------------------------------------
 
-def probe_matrix(g: Grid, count: int = DEFAULT_PROBE_COUNT) -> np.ndarray:
-    """Fixed basis of smooth probe vectors (Gaussian-windowed polynomials
-    and low harmonics), normalized columns; deterministic."""
+def probe_matrix(g: Grid) -> np.ndarray:
+    """Fixed basis of eight smooth probe vectors (Gaussian-windowed
+    polynomials and low harmonics), normalized columns; deterministic."""
     x = g.nodes()
     half = 0.5 * (g.x_max - g.x_min)
     center = 0.5 * (g.x_max + g.x_min)
@@ -238,20 +228,21 @@ def probe_matrix(g: Grid, count: int = DEFAULT_PROBE_COUNT) -> np.ndarray:
     shapes = [np.ones_like(t), t, t**2, t**3,
               np.cos(np.pi * t), np.sin(np.pi * t),
               np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)]
-    cols = []
-    for j in range(count):
-        base = shapes[j % len(shapes)]
-        if j >= len(shapes):
-            base = base * np.cos((j // len(shapes)) * t)
-        col = window * base
-        cols.append(col / np.linalg.norm(col))
-    return np.stack(cols, axis=1).astype(complex)
+    cols = [window * base for base in shapes]
+    return np.stack([col / np.linalg.norm(col) for col in cols],
+                    axis=1).astype(complex)
 
 
-def constraint_residuals(H: OperatorMatrix, C: OperatorMatrix, P: OperatorMatrix,
-                         l: Sequence[complex],
-                         probes: Optional[np.ndarray] = None,
-                         margin: Optional[int] = None) -> dict:
+def _zeta(C: OperatorMatrix) -> np.ndarray:
+    """zeta = C P: the columns of C reversed (P is the node reversal)."""
+    if not C.grid.symmetric:
+        raise GridError("parity needs a grid symmetric about 0, got "
+                        f"({C.grid.x_min}, {C.grid.x_max})")
+    return C.data[:, ::-1]
+
+
+def constraint_residuals(H: OperatorMatrix, C: OperatorMatrix,
+                         l: Sequence[complex]) -> dict:
     """Normalized residuals of the three operator constraints with
     zeta = C P:
 
@@ -263,24 +254,21 @@ def constraint_residuals(H: OperatorMatrix, C: OperatorMatrix, P: OperatorMatrix
     interior rows (boundary rows plus a 2N-node stencil margin trimmed) and
     measured in the Frobenius norm relative to the dominant term.
     """
-    if not (H.grid == C.grid == P.grid):
-        raise GridError("H, C, P must share one grid")
-    if not H.grid.symmetric:
-        raise GridError("constraint residuals need a symmetric grid")
+    if H.grid != C.grid:
+        raise GridError("H and C must share one grid")
+    zeta = _zeta(C)
     coeffs = tuple(complex(c) for c in l)
     n_order = len(coeffs)
     if n_order < 1:
         raise DiscreteError("need at least one SUSY constant")
     n = H.n
-    if margin is None:
-        margin = 1 + 2 * n_order
+    margin = 1 + 2 * n_order
     if 2 * margin >= n:
         raise GridError(f"margin {margin} leaves no interior rows for n={n}")
-    V = probes if probes is not None else probe_matrix(H.grid)
+    V = probe_matrix(H.grid)
 
     rows = slice(margin, n - margin)
-    Hd, Cd, Pd = H.data, C.data, P.data
-    zeta = Cd @ Pd
+    Hd, Cd = H.data, C.data
 
     def act(mat: np.ndarray) -> float:
         return float(np.linalg.norm((mat @ V)[rows]))
@@ -288,17 +276,16 @@ def constraint_residuals(H: OperatorMatrix, C: OperatorMatrix, P: OperatorMatrix
     out = {}
     out["pseudo"] = act(zeta - zeta.conj().T) / max(act(zeta), np.finfo(float).tiny)
 
-    lhs = Cd @ (Pd @ Hd.conj() @ Pd)
+    lhs = Cd @ Hd[::-1, ::-1].conj()       # C (P conj(H) P)
     rhs = Hd @ Cd
     out["cpt"] = act(lhs - rhs) / max(act(lhs), act(rhs), np.finfo(float).tiny)
 
-    poly = np.zeros_like(Hd)
-    power = np.eye(n, dtype=complex)       # H^0
-    poly += coeffs[-1] * power
+    poly = np.diag(np.full(n, coeffs[-1]))  # l_N H^0
+    power = Hd
     for k in range(n_order - 1, 0, -1):    # l_k H^{N-k}
-        power = power @ Hd
         poly += coeffs[k - 1] * power
-    poly += power @ Hd                     # H^N
+        power = power @ Hd
+    poly += power                          # H^N
     lhs2 = zeta @ zeta.conj()
     out["susy"] = act(lhs2 - poly) / max(act(lhs2), act(poly), np.finfo(float).tiny)
     return out
@@ -355,7 +342,7 @@ def hamiltonian_spectrum(M: OperatorMatrix) -> Spectrum:
                     conjugate_pairing_distance=conjugate_pairing_distance(values))
 
 
-def susy_algebra_spectrum(C: OperatorMatrix, P: OperatorMatrix) -> Spectrum:
+def susy_algebra_spectrum(C: OperatorMatrix) -> Spectrum:
     """Spectrum of zeta conj(zeta) with zeta = C P, the discrete image of
     the SUSY polynomial sum_k l_k H^{N-k}.
 
@@ -364,9 +351,7 @@ def susy_algebra_spectrum(C: OperatorMatrix, P: OperatorMatrix) -> Spectrum:
     distance isolates eigensolver backward error and certifies the CPT
     spectral property at discretization level.
     """
-    if C.grid != P.grid:
-        raise GridError("C and P must share one grid")
-    zeta = C.data @ P.data
+    zeta = _zeta(C)
     values = dense_eigenvalues(zeta @ zeta.conj())
     return Spectrum(values=values,
                     conjugate_pairing_distance=conjugate_pairing_distance(values))
@@ -461,9 +446,9 @@ def wavefunction_from_log_derivative(phi: Expr, xs: Sequence[float],
     return np.exp(integral)
 
 
-def l2_normalizable(psi: np.ndarray, ratio: float = 1e-3) -> bool:
-    """Window-confinement test: boundary amplitude at most ``ratio`` of the
+def l2_normalizable(psi: np.ndarray) -> bool:
+    """Window-confinement test: boundary amplitude at most 1e-3 of the
     peak amplitude, i.e. |psi|^2 at the walls is negligible."""
     peak = float(np.max(np.abs(psi)))
     edge = math.sqrt(abs(psi[0]) ** 2 + abs(psi[-1]) ** 2)
-    return edge <= ratio * peak
+    return edge <= 1e-3 * peak

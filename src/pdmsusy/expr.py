@@ -42,7 +42,7 @@ __all__ = [
     "ParamEnv", "ExprError", "ParseError", "EvaluationError",
     "UnboundParameterError", "PoleError",
     "parse", "differentiate", "evaluate", "evaluate_many", "substitute_x",
-    "const", "add", "sub", "mul", "div", "pow_", "neg", "conj_expr", "func",
+    "add", "sub", "mul", "div", "pow_", "neg", "conj_expr", "func",
     "X", "IMAG", "FUNCTIONS",
 ]
 
@@ -196,10 +196,6 @@ def _is_const(e: Expr, value=None) -> bool:
 # Smart constructors: safe local simplification only
 # ---------------------------------------------------------------------------
 
-def const(value: Number) -> Const:
-    return Const(value)
-
-
 def _finite(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
@@ -271,7 +267,9 @@ def pow_(a: Expr, b: Expr) -> Expr:
 
 def neg(a: Expr) -> Expr:
     if isinstance(a, Const):
-        return Const(-a.value)
+        # 0 - v, not -v: a real's +0 imaginary part stays +0, keeping a
+        # negated real on the principal side of the branch cuts
+        return Const(0 - a.value)
     if isinstance(a, Neg):
         return a.arg
     return Neg(a)
@@ -663,7 +661,7 @@ class _Walk:
                 self.fail(np.True_, lambda x, error=exc: error)
                 return np.complex128(np.nan)
         if isinstance(e, Neg):
-            return -self(e.arg)
+            return 0 - self(e.arg)             # as in neg()
         if isinstance(e, Conj):
             return np.conj(self(e.arg))
         if type(e) in _ARITHMETIC:

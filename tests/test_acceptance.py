@@ -11,8 +11,8 @@ from conftest import interior, random_pt_model, sup_diff
 from pdmsusy import (Grid, MassFn, ModelSpec, assemble_charge,
                      assemble_hamiltonian, constraint_residuals,
                      convergence_study, hamiltonian_spectrum,
-                     mass_deformed_superpotential, parity_matrix, parse,
-                     pt_image, riccati_residual, susy_algebra_spectrum)
+                     mass_deformed_superpotential, parse, pt_image,
+                     riccati_residual, susy_algebra_spectrum)
 from pdmsusy.cli import main as cli_main
 from pdmsusy.expr import Const, ParamEnv, differentiate, evaluate_many
 from pdmsusy.susy1 import build_first_order
@@ -216,16 +216,15 @@ def _synthetic_operators(grid):
     system = build_first_order(spec)
     H = assemble_hamiltonian(spec.mass, system.vtilde, grid, spec.params)
     C = assemble_charge(first_order_coefficients(spec), grid, spec.params)
-    P = parity_matrix(grid)
-    return H, C, P, spec
+    return H, C, spec
 
 
 def test_criterion_7_constraint_residual_convergence():
     crit = Criterion(7, 60.0)
 
     def residual_fn(grid):
-        H, C, P, spec = _synthetic_operators(grid)
-        return constraint_residuals(H, C, P, spec.susy_constants)
+        H, C, spec = _synthetic_operators(grid)
+        return constraint_residuals(H, C, spec.susy_constants)
 
     grids = [Grid(-6.0, 6.0, n) for n in (201, 401, 801)]
     study = convergence_study(residual_fn, grids)
@@ -238,8 +237,8 @@ def test_criterion_7_constraint_residual_convergence():
 def test_criterion_8_cpt_spectral_property():
     crit = Criterion(8, 30.0)
     grid = Grid(-8.0, 8.0, 601)
-    _, C, P, _ = _synthetic_operators(grid)
-    distance = susy_algebra_spectrum(C, P).conjugate_pairing_distance
+    _, C, _ = _synthetic_operators(grid)
+    distance = susy_algebra_spectrum(C).conjugate_pairing_distance
     crit.finish(distance, 1e-6)
 
 

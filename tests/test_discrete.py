@@ -10,9 +10,10 @@ from pdmsusy import (Grid, GridError, MassFn, ModelSpec, OperatorMatrix,
                      conjugate_pairing_distance,
                      constraint_residuals, convergence_study,
                      dense_eigenvalues, hamiltonian_spectrum,
-                     l2_normalizable, parity_matrix, parse,
+                     l2_normalizable, parse, susy_algebra_spectrum,
                      wavefunction_from_log_derivative)
-from pdmsusy.discrete import EigensolverError, UnsupportedOrderError
+from pdmsusy.discrete import (EigensolverError, UnsupportedOrderError,
+                              probe_matrix)
 from pdmsusy.expr import Const, ParamEnv, evaluate, evaluate_many
 from pdmsusy.susy1 import build_first_order
 from pdmsusy.susy2 import build_second_order
@@ -31,8 +32,41 @@ def synthetic_operators(grid, spec=None):
     system = build_first_order(spec)
     H = assemble_hamiltonian(spec.mass, system.vtilde, grid, spec.params)
     C = assemble_charge(first_order_coefficients(spec), grid, spec.params)
-    P = parity_matrix(grid)
-    return H, C, P, spec
+    return H, C, spec
+
+
+def dense_parity_reference(H, C, l):
+    """Residuals, closure distance and ||zeta conj(zeta)||_2 from the dense
+    formulas: P a permutation matrix, zeta = C @ P, P conj(H) P by two
+    products and the power sum started from eye @ H."""
+    n = H.n
+    P = np.zeros((n, n), dtype=complex)
+    P[np.arange(n), n - 1 - np.arange(n)] = 1.0
+    Hd, Cd = H.data, C.data
+    V = probe_matrix(H.grid)
+    rows = slice(1 + 2 * len(l), n - 1 - 2 * len(l))
+
+    def act(mat):
+        return float(np.linalg.norm((mat @ V)[rows]))
+
+    zeta = Cd @ P
+    lhs = Cd @ (P @ Hd.conj() @ P)
+    rhs = Hd @ Cd
+    poly = np.zeros_like(Hd)
+    power = np.eye(n, dtype=complex)
+    poly += l[-1] * power
+    for k in range(len(l) - 1, 0, -1):
+        power = power @ Hd
+        poly += l[k - 1] * power
+    poly += power @ Hd
+    lhs2 = zeta @ zeta.conj()
+    residuals = {
+        "pseudo": act(zeta - zeta.conj().T) / act(zeta),
+        "cpt": act(lhs - rhs) / max(act(lhs), act(rhs)),
+        "susy": act(lhs2 - poly) / max(act(lhs2), act(poly)),
+    }
+    closure = conjugate_pairing_distance(dense_eigenvalues(lhs2))
+    return residuals, closure, np.linalg.norm(lhs2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -99,15 +133,14 @@ def test_unsupported_charge_orders():
         assemble_charge(coeffs, g)
 
 
-def test_parity_matrix_properties():
-    g = Grid(-2.0, 2.0, 17)
-    P = parity_matrix(g).data
-    assert np.array_equal(P @ P, np.eye(17))
-    x = g.nodes()
-    f = x**3
-    assert np.max(np.abs(P @ f - (-x) ** 3)) < 1e-12
+def test_parity_is_node_reversal():
+    x = Grid(-2.0, 2.0, 17).nodes()
+    assert np.max(np.abs((x**3)[::-1] - (-x) ** 3)) < 1e-12
+    H, C, spec = synthetic_operators(Grid(0.0, 1.0, 17), synthetic_spec(1.0))
     with pytest.raises(GridError):
-        parity_matrix(Grid(0.0, 1.0, 17))
+        constraint_residuals(H, C, spec.susy_constants)
+    with pytest.raises(GridError):
+        susy_algebra_spectrum(C)
 
 
 def test_grid_contract():
@@ -168,13 +201,32 @@ def test_spectrum_from_operator_carries_pairing_distance():
 
 def test_constraint_residuals_converge_at_second_order():
     def residual_fn(g):
-        H, C, P, spec = synthetic_operators(g)
-        return constraint_residuals(H, C, P, spec.susy_constants)
+        H, C, spec = synthetic_operators(g)
+        return constraint_residuals(H, C, spec.susy_constants)
 
     grids = [Grid(-6.0, 6.0, n) for n in (201, 401, 801)]
     study = convergence_study(residual_fn, grids)
     for name in ("pseudo", "cpt", "susy"):
         assert 1.7 <= study[name].order <= 2.3, (name, study[name])
+
+    # the node reversal agrees with the dense permutation formulas to
+    # matmul rounding, 100 n u relative to the dominant term
+    spec2 = random_pt_model(np.random.default_rng(0), 2)
+    system2 = build_second_order(spec2)
+    g2 = Grid(-1.5, 1.5, 201)
+    H2 = assemble_hamiltonian(spec2.mass, system2.vtilde, g2, spec2.params)
+    C2 = assemble_charge(second_order_coefficients(spec2, system2.u0), g2,
+                         spec2.params)
+    first = synthetic_operators(Grid(-6.0, 6.0, 201))
+    for H, C, spec in (first, (H2, C2, spec2)):
+        bound = 100 * H.n * np.finfo(float).eps / 2     # 100 n u
+        ref, ref_closure, scale = dense_parity_reference(
+            H, C, spec.susy_constants)
+        got = constraint_residuals(H, C, spec.susy_constants)
+        for name in ("pseudo", "cpt", "susy"):
+            assert abs(got[name] - ref[name]) <= bound, (name, got, ref)
+        closure = susy_algebra_spectrum(C).conjugate_pairing_distance
+        assert abs(closure - ref_closure) <= bound * scale
 
 
 def test_constant_mass_model_residuals():
@@ -184,8 +236,8 @@ def test_constant_mass_model_residuals():
                      deformed=parse("i*x"), susy_constants=(0.0,))
 
     def residual_fn(g):
-        H, C, P, _ = synthetic_operators(g, spec)
-        return constraint_residuals(H, C, P, spec.susy_constants)
+        H, C, _ = synthetic_operators(g, spec)
+        return constraint_residuals(H, C, spec.susy_constants)
 
     grids = [Grid(-6.0, 6.0, n) for n in (201, 401, 801)]
     study = convergence_study(residual_fn, grids)
@@ -202,8 +254,8 @@ def test_parity_violation_is_detected():
     residuals = []
     for n in (101, 201, 401):
         g = Grid(-2.0, 2.0, n)
-        H, C, P, _ = synthetic_operators(g, spec)
-        residuals.append(constraint_residuals(H, C, P, spec.susy_constants)["pseudo"])
+        H, C, _ = synthetic_operators(g, spec)
+        residuals.append(constraint_residuals(H, C, spec.susy_constants)["pseudo"])
     assert residuals[-1] > 1e-3
     assert residuals[0] / residuals[-1] < 2.0
 
@@ -241,8 +293,8 @@ def test_convergence_study_needs_halving_grids():
 
 def test_intertwining_residuals_are_conjugate():
     g = Grid(-6.0, 6.0, 41)
-    H, C, P, _ = synthetic_operators(g)
-    zeta = C.data @ P.data
+    H, C, _ = synthetic_operators(g)
+    zeta = C.data[:, ::-1]
     Hd = H.data
     r1 = Hd @ zeta - zeta @ Hd.conj()
     r2 = Hd.conj() @ zeta.conj() - zeta.conj() @ Hd

@@ -207,6 +207,15 @@ def test_evaluate_basics():
     assert evaluate_many(parse("alpha*x"), []).shape == (0,)
     squares = evaluate_many(parse("x^2"), (x for x in (1.0, 2.0, 3.0)))
     assert list(squares) == [1.0, 4.0, 9.0]
+    # a negated real keeps a +0 imaginary part, so it sits on the principal
+    # side of the branch cuts of sqrt, log and fractional powers
+    four = parse("-4")
+    assert isinstance(four, Const) and math.copysign(1.0, four.value.imag) == 1.0
+    assert evaluate(parse("sqrt(-4)"), 0.0) == 2j
+    assert evaluate(parse("sqrt(-x)"), 4.0) == 2j
+    assert evaluate(parse("log(-1)"), 0.0) == math.pi * 1j
+    root = evaluate(parse("(-8)^(1/3)"), 0.0)
+    assert abs(root - (1 + math.sqrt(3) * 1j)) < 1e-15
 
 
 def test_evaluate_is_deterministic():

@@ -10,7 +10,7 @@ from conftest import interior, random_pt_model, sup_diff
 
 from pdmsusy import (Grid, MassFn, ModelError, ModelSpec,
                      assemble_charge, assemble_hamiltonian, constraint_residuals,
-                     parity_matrix, parse, pt_image, riccati_residual)
+                     parse, pt_image, riccati_residual)
 from pdmsusy.expr import Const, ParamEnv, evaluate
 from pdmsusy.susy1 import build_first_order
 from pdmsusy.susyn import first_order_coefficients
@@ -123,8 +123,7 @@ def test_integration_constant_fixing_is_visible_discretely():
             g = Grid(-6.0, 6.0, n)
             H = assemble_hamiltonian(spec.mass, vt, g, spec.params)
             C = assemble_charge(coeffs, g, spec.params)
-            P = parity_matrix(g)
-            out.append(constraint_residuals(H, C, P, spec.susy_constants)["susy"])
+            out.append(constraint_residuals(H, C, spec.susy_constants)["susy"])
         return out
 
     good = residuals(system.vtilde)
