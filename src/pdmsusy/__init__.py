@@ -13,7 +13,7 @@ from .expr import (
 from .model import (
     MassFn, ModelSpec, SymmetryReport, ModelError, MassError, DomainError,
     mass_deformed_superpotential, constant_mass_superpotential, rho,
-    ordered_potential, pt_image, symmetry_report, chebyshev_points,
+    pt_image, symmetry_report, chebyshev_points,
 )
 from .susy1 import FirstOrderSystem, build_first_order
 from .susy2 import (

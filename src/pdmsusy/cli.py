@@ -137,6 +137,12 @@ def _jsonable(obj):
 # Config loading
 # ---------------------------------------------------------------------------
 
+def _is_a(value, types) -> bool:
+    """isinstance, except that no boolean passes: JSON true and false load
+    as bool, which Python counts as an int, and no field is a boolean."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _want(mapping: dict, key: str, types, path: str, optional: bool = False,
           default=None):
     if key not in mapping:
@@ -144,7 +150,7 @@ def _want(mapping: dict, key: str, types, path: str, optional: bool = False,
             return default
         raise ConfigError(f"missing field '{path}{key}'")
     value = mapping[key]
-    if not isinstance(value, types):
+    if not _is_a(value, types):
         raise ConfigError(f"field '{path}{key}' has wrong type "
                           f"({type(value).__name__})")
     return value
@@ -164,12 +170,10 @@ def _parse_expression(source: str, path: str) -> Expr:
 
 
 def _as_complex(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
-        return complex(value[0], value[1])
-    raise ConfigError(f"field '{path}' must be a number or [re, im] pair")
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    if not all(_is_a(v, (int, float)) for v in parts):
+        raise ConfigError(f"field '{path}' must be a number or [re, im] pair")
+    return complex(*parts)
 
 
 def parse_config_dict(raw: dict) -> RunConfig:
@@ -180,7 +184,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
     _check_unknown(raw, allowed, "")
 
     order = _want(raw, "order", int, "")
-    if isinstance(order, bool) or order < 1:
+    if order < 1:
         raise ConfigError("field 'order' must be a positive integer")
 
     mass_expr = _parse_expression(_want(raw, "mass", str, ""), "mass")
@@ -262,10 +266,13 @@ def _set_tolerance(tolerances: dict, name: str, value, source: str) -> None:
         raise ConfigError(
             f"unknown tolerance '{name}'; valid names: "
             f"{', '.join(sorted(DEFAULT_TOLERANCES))}")
-    try:
-        tolerances[name] = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{source}: '{value}' is not a number") from None
+    if _is_a(value, (int, float, str)):
+        try:
+            tolerances[name] = float(value)
+            return
+        except ValueError:
+            pass
+    raise ConfigError(f"{source}: '{value}' is not a number")
 
 
 def load_config(path: str) -> RunConfig:
@@ -604,15 +611,14 @@ SECOND_ORDER_HEADER = (FIRST_ORDER_HEADER
                        + ",re_u0,im_u0,re_psi1,im_psi1,re_psi2,im_psi2")
 
 
-def emit_curves(system, grid: discrete.Grid, path: str,
-                env: Optional[ParamEnv] = None) -> None:
+def emit_curves(system, grid: discrete.Grid, path: str) -> None:
     """Write plot-ready curves, one row per grid node, deterministic order.
 
     First order: x, m, W_m, Vtilde and psi0 (from phi0).  Second order adds
     u0 and both zero modes; psi0 is then the ground mode (the phi2 state,
     paired with E0).  All wavefunctions use the midpoint normalization.
     """
-    env = env if env is not None else getattr(system, "params", None)
+    env = system.params
     xs = grid.nodes()
     m_vals = evaluate_many(system.m.expr, xs, env)
     wm_vals = evaluate_many(system.wm, xs, env)
@@ -859,6 +865,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         config = load_config(args.config)
         config = _apply_tol_overrides(config, args.tol)
+        # spectrum, curves and convergence need the closed-form system
+        if config.order > 2 and args.command != "check":
+            raise ConfigError(f"'{args.command}' supports orders 1 and 2 only, "
+                              f"got order {config.order}")
 
         if args.command == "check":
             report = run(config)

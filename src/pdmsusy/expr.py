@@ -31,6 +31,7 @@ grammar and such trees are not meant to be re-parsed.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -289,6 +290,18 @@ def func(name: str, arg: Expr) -> Expr:
     return Func(name, arg)
 
 
+# node type -> its smart constructor, which takes the node's fields in order
+_REBUILD = {Neg: neg, Conj: conj_expr, Add: add, Sub: sub, Mul: mul,
+            Div: div, Pow: pow_, Func: func}
+
+
+def _rebuild(e: Expr, f) -> Expr:
+    """The node ``e`` built again through its smart constructor from ``f``
+    of each child, left to right; a Func keeps its name."""
+    return _REBUILD[type(e)](*[f(v) if isinstance(v, Expr) else v
+                               for v in vars(e).values()])
+
+
 # ---------------------------------------------------------------------------
 # Parameter environment
 # ---------------------------------------------------------------------------
@@ -316,56 +329,51 @@ class ParamEnv:
 # Parser
 # ---------------------------------------------------------------------------
 
+# One token at the cursor: a number, an identifier, an operator or any
+# other non-space character.  Tokens are matched lazily, as the parser asks
+# for them, so the first error in reading order is the one reported.
+_TOKEN = re.compile(r"\s*(?:(?P<number>[\d.]+(?:[eE][+-]?\d+)?)"
+                    r"|(?P<ident>[^\W\d]\w*)|(?P<op>[-+*/^()])|(?P<other>\S))?")
+
+# Left-associative binary operators, loosest level first.
+_BINARY = ({"+": add, "-": sub}, {"*": mul, "/": div})
+
+
 class _Tokenizer:
     def __init__(self, source: str):
         self.source = source
         self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.source) and self.source[self.pos].isspace():
-            self.pos += 1
+        self._ahead = (-1, None, 0)     # (position, token, end) last scanned
 
     def peek(self):
-        saved = self.pos
-        tok = self.next()
-        self.pos = saved
-        return tok
+        if self._ahead[0] != self.pos:
+            self._ahead = (self.pos, *self._scan())
+        return self._ahead[1]
 
     def next(self):
-        self._skip_ws()
-        src, i = self.source, self.pos
-        if i >= len(src):
-            return ("end", "", i)
-        ch = src[i]
-        if ch in "+-*/^()":
-            self.pos = i + 1
-            return ("op", ch, i)
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < len(src) and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < len(src) and src[j] in "eE":
-                k = j + 1
-                if k < len(src) and src[k] in "+-":
-                    k += 1
-                if k < len(src) and src[k].isdigit():
-                    j = k
-                    while j < len(src) and src[j].isdigit():
-                        j += 1
-            text = src[i:j]
+        token = self.peek()
+        self.pos = self._ahead[2]
+        return token
+
+    def _scan(self):
+        """The (kind, text, offset) token at the cursor and the position
+        after it."""
+        m = _TOKEN.match(self.source, self.pos)
+        kind = m.lastgroup
+        if kind is None:
+            return ("end", "", m.end()), m.end()
+        text, offset = m.group(kind), m.start(kind)
+        if kind == "number":
             try:
                 float(text)
             except ValueError:
-                raise ParseError(f"malformed number '{text}'", i)
-            self.pos = j
-            return ("number", text, i)
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            self.pos = j
-            return ("ident", src[i:j], i)
-        raise ParseError(f"unexpected character {ch!r}", i)
+                raise ParseError(f"malformed number '{text}'", offset) from None
+        # \w also holds digits that are not decimal, such as "²" and "½",
+        # and those may not start a name
+        elif kind == "other" or (kind == "ident" and text[0] != "_"
+                                 and not text[0].isalpha()):
+            raise ParseError(f"unexpected character {text[0]!r}", offset)
+        return (kind, text, offset), m.end()
 
 
 class _Parser:
@@ -381,49 +389,37 @@ class _Parser:
             raise ParseError(f"unexpected trailing input '{text}'", offset)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, text, _ = self.toks.peek()
-            if kind == "op" and text in "+-":
-                self.toks.next()
-                rhs = self.term()
-                e = add(e, rhs) if text == "+" else sub(e, rhs)
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            kind, text, _ = self.toks.peek()
-            if kind == "op" and text in "*/":
-                self.toks.next()
-                rhs = self.factor()
-                e = mul(e, rhs) if text == "*" else div(e, rhs)
-            else:
-                return e
+    def expr(self, level: int = 0) -> Expr:
+        if level == len(_BINARY):
+            return self.factor()
+        e = self.expr(level + 1)
+        while (build := _BINARY[level].get(self.toks.peek()[1])) is not None:
+            self.toks.next()
+            e = build(e, self.expr(level + 1))
+        return e
 
     def factor(self) -> Expr:
-        kind, text, _ = self.toks.peek()
-        if kind == "op" and text == "-":
+        if self.toks.peek()[1] == "-":
             self.toks.next()
             return neg(self.factor())
         base = self.atom()
-        kind, text, _ = self.toks.peek()
-        if kind == "op" and text == "^":
+        if self.toks.peek()[1] == "^":
             self.toks.next()
             return pow_(base, self.factor())
         return base
+
+    def close(self) -> None:
+        _, text, offset = self.toks.next()
+        if text != ")":
+            raise ParseError("expected ')'", offset)
 
     def atom(self) -> Expr:
         kind, text, offset = self.toks.next()
         if kind == "number":
             return Const(float(text))
-        if kind == "op" and text == "(":
+        if text == "(":
             e = self.expr()
-            kind, text, offset = self.toks.next()
-            if not (kind == "op" and text == ")"):
-                raise ParseError("expected ')'", offset)
+            self.close()
             return e
         if kind == "ident":
             if text == "x":
@@ -432,15 +428,12 @@ class _Parser:
                 return IMAG
             if text == "pi":
                 return Const(math.pi)
-            nk, nt, _ = self.toks.peek()
-            if nk == "op" and nt == "(":
+            if self.toks.peek()[1] == "(":
                 if text not in FUNCTIONS:
                     raise ParseError(f"unknown function '{text}'", offset)
                 self.toks.next()
                 arg = self.expr()
-                kind2, text2, offset2 = self.toks.next()
-                if not (kind2 == "op" and text2 == ")"):
-                    raise ParseError("expected ')'", offset2)
+                self.close()
                 return Func(text, arg)
             return Param(text)
         raise ParseError(f"expected an operand, found '{text or 'end of input'}'",
@@ -457,6 +450,8 @@ def parse(source: str) -> Expr:
 # ---------------------------------------------------------------------------
 
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+_INFIX = {Add: ("+", _PREC_ADD), Sub: ("-", _PREC_ADD),
+          Mul: ("*", _PREC_MUL), Div: ("/", _PREC_MUL)}
 
 
 def _fmt_real(v: float) -> str:
@@ -490,18 +485,9 @@ def _render(e: Expr):
         return f"-{inner}", _PREC_UNARY
     if isinstance(e, Conj):
         return f"conj({_render(e.arg)[0]})", _PREC_ATOM
-    if isinstance(e, Add):
-        return (f"{_child(e.left, _PREC_ADD)}+{_child(e.right, _PREC_ADD + 1)}",
-                _PREC_ADD)
-    if isinstance(e, Sub):
-        return (f"{_child(e.left, _PREC_ADD)}-{_child(e.right, _PREC_ADD + 1)}",
-                _PREC_ADD)
-    if isinstance(e, Mul):
-        return (f"{_child(e.left, _PREC_MUL)}*{_child(e.right, _PREC_MUL + 1)}",
-                _PREC_MUL)
-    if isinstance(e, Div):
-        return (f"{_child(e.left, _PREC_MUL)}/{_child(e.right, _PREC_MUL + 1)}",
-                _PREC_MUL)
+    if type(e) in _INFIX:
+        symbol, prec = _INFIX[type(e)]
+        return f"{_child(e.left, prec)}{symbol}{_child(e.right, prec + 1)}", prec
     if isinstance(e, Pow):
         base = _child(e.base, _PREC_ATOM)
         expo = _child(e.exponent, _PREC_UNARY)
@@ -532,20 +518,28 @@ def differentiate(e: Expr, k: int = 1) -> Expr:
     return out
 
 
+# d/du of each function with a product chain rule f(u)' = f'(u) u'; log and
+# sqrt keep their quotient forms u'/u and u'/(2 sqrt(u))
+_OUTER = {
+    "sin": lambda u: func("cos", u),
+    "cos": lambda u: neg(func("sin", u)),
+    "tan": lambda u: mul(func("sec", u), func("sec", u)),
+    "sec": lambda u: mul(func("sec", u), func("tan", u)),
+    "exp": lambda u: func("exp", u),
+    "sinh": lambda u: func("cosh", u),
+    "cosh": lambda u: func("sinh", u),
+    "tanh": lambda u: sub(_ONE, mul(func("tanh", u), func("tanh", u))),
+}
+
+
 def _d(e: Expr) -> Expr:
     if isinstance(e, (Const, Param)):
         return _ZERO
     if isinstance(e, Var):
         return _ONE
-    if isinstance(e, Neg):
-        return neg(_d(e.arg))
-    if isinstance(e, Conj):
-        # x is real, so conjugation commutes with d/dx
-        return conj_expr(_d(e.arg))
-    if isinstance(e, Add):
-        return add(_d(e.left), _d(e.right))
-    if isinstance(e, Sub):
-        return sub(_d(e.left), _d(e.right))
+    if isinstance(e, (Neg, Conj, Add, Sub)):
+        # d/dx is linear, and commutes with conjugation because x is real
+        return _rebuild(e, _d)
     if isinstance(e, Mul):
         return add(mul(_d(e.left), e.right), mul(e.left, _d(e.right)))
     if isinstance(e, Div):
@@ -560,30 +554,11 @@ def _d(e: Expr) -> Expr:
         return mul(e, inner)
     if isinstance(e, Func):
         u, du = e.arg, _d(e.arg)
-        name = e.name
-        if name == "sin":
-            outer = func("cos", u)
-        elif name == "cos":
-            outer = neg(func("sin", u))
-        elif name == "tan":
-            outer = mul(func("sec", u), func("sec", u))
-        elif name == "sec":
-            outer = mul(func("sec", u), func("tan", u))
-        elif name == "exp":
-            outer = func("exp", u)
-        elif name == "log":
+        if e.name == "log":
             return div(du, u)
-        elif name == "sqrt":
+        if e.name == "sqrt":
             return div(du, mul(Const(2.0), func("sqrt", u)))
-        elif name == "sinh":
-            outer = func("cosh", u)
-        elif name == "cosh":
-            outer = func("sinh", u)
-        elif name == "tanh":
-            outer = sub(_ONE, mul(func("tanh", u), func("tanh", u)))
-        else:  # pragma: no cover - func() rejects unknown names
-            raise ExprError(f"no derivative rule for '{name}'")
-        return mul(outer, du)
+        return mul(_OUTER[e.name](u), du)
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -698,25 +673,10 @@ class _Walk:
 def substitute_x(e: Expr, replacement: Expr) -> Expr:
     """Replace the variable x by ``replacement``, rebuilding through the
     simplifying constructors."""
-    if isinstance(e, Var):
-        return replacement
-    if isinstance(e, (Const, Param)):
-        return e
-    if isinstance(e, Neg):
-        return neg(substitute_x(e.arg, replacement))
-    if isinstance(e, Conj):
-        return conj_expr(substitute_x(e.arg, replacement))
-    if isinstance(e, Add):
-        return add(substitute_x(e.left, replacement), substitute_x(e.right, replacement))
-    if isinstance(e, Sub):
-        return sub(substitute_x(e.left, replacement), substitute_x(e.right, replacement))
-    if isinstance(e, Mul):
-        return mul(substitute_x(e.left, replacement), substitute_x(e.right, replacement))
-    if isinstance(e, Div):
-        return div(substitute_x(e.left, replacement), substitute_x(e.right, replacement))
-    if isinstance(e, Pow):
-        return pow_(substitute_x(e.base, replacement),
-                    substitute_x(e.exponent, replacement))
-    if isinstance(e, Func):
-        return func(e.name, substitute_x(e.arg, replacement))
-    raise TypeError(f"unknown node {e!r}")
+    def walk(node: Expr) -> Expr:
+        if isinstance(node, Var):
+            return replacement
+        if isinstance(node, (Const, Param)):
+            return node
+        return _rebuild(node, walk)
+    return walk(e)

@@ -26,7 +26,7 @@ __all__ = [
     "ModelError", "MassError", "DomainError",
     "MassFn", "ModelSpec", "SymmetryReport",
     "mass_deformed_superpotential", "constant_mass_superpotential",
-    "rho", "ordered_potential", "pt_image", "symmetry_report",
+    "rho", "pt_image", "symmetry_report",
     "chebyshev_points",
 ]
 
@@ -67,10 +67,6 @@ class MassFn:
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise DomainError(f"empty mass domain ({self.x_min}, {self.x_max})")
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (self.x_min, self.x_max)
 
     @property
     def symmetric_domain(self) -> bool:
@@ -186,12 +182,6 @@ def rho(m: MassFn, a: float, b: float) -> Expr:
     return sub(first, second)
 
 
-def ordered_potential(vtilde: Expr, m: MassFn, a: float, b: float) -> Expr:
-    """Derived output V_m = Vtilde_m - rho(m); the library treats Vtilde_m
-    as primary because all closed formulas are written for it."""
-    return sub(vtilde, rho(m, a, b))
-
-
 def pt_image(f: Expr) -> Expr:
     """AST whose evaluation at x equals conj(f(-x)), exactly.
 
@@ -205,30 +195,23 @@ def pt_image(f: Expr) -> Expr:
     return conj_expr(substitute_x(f, Sub(Const(0.0), Var())))
 
 
-def symmetry_report(spec: ModelSpec, samples: Optional[Sequence[float]] = None,
-                    functions=None) -> SymmetryReport:
-    """Parity defect of the mass and PT defect of W_m on a symmetric sample
-    set (default: 513 interior Chebyshev points of the mass domain).
+def symmetry_report(spec: ModelSpec, functions=None) -> SymmetryReport:
+    """Parity defect of the mass and PT defect of W_m on the 513 interior
+    Chebyshev points of the mass domain.
 
     ``functions`` may map names to further expressions (a potential, charge
     coefficients); for each entry the report carries sup|f(x) - conj(f(-x))|,
     the size of its PT defect.  These extra norms are informational: the
     derived functions are non-PT-symmetric by construction.
 
-    Raises DomainError when the sample domain is not symmetric about 0,
+    Raises DomainError when the mass domain is not symmetric about 0,
     because parity is undefined there.
     """
-    if samples is None:
-        if not spec.mass.symmetric_domain:
-            raise DomainError(
-                f"domain ({spec.mass.x_min}, {spec.mass.x_max}) is not symmetric "
-                "about 0; parity comparison is undefined")
-        xs = chebyshev_points(spec.mass.x_min, spec.mass.x_max)
-    else:
-        xs = np.asarray(list(samples), dtype=float)
-        lo, hi = float(np.min(xs)), float(np.max(xs))
-        if abs(lo + hi) > 1e-12 * max(1.0, abs(hi)):
-            raise DomainError(f"sample domain ({lo}, {hi}) is not symmetric about 0")
+    if not spec.mass.symmetric_domain:
+        raise DomainError(
+            f"domain ({spec.mass.x_min}, {spec.mass.x_max}) is not symmetric "
+            "about 0; parity comparison is undefined")
+    xs = chebyshev_points(spec.mass.x_min, spec.mass.x_max)
 
     # each x next to -x, so an evaluation error names the point that a
     # pointwise scan meets first

@@ -174,13 +174,11 @@ def lowest_eigenvalues(l1: complex, l2: complex) -> tuple[complex, complex, bool
     return e0, e1, real_spec
 
 
-def build_second_order(spec: ModelSpec,
-                       samples: Optional[Sequence[float]] = None) -> SecondOrderSystem:
+def build_second_order(spec: ModelSpec) -> SecondOrderSystem:
     if spec.order != 2:
         raise ModelError(f"second-order pipeline needs order 2, got {spec.order}")
     wm = spec.wm()
-    scan_points = spec.mass.interior_points() if samples is None else samples
-    scan_superpotential_zeros(wm, scan_points, spec.params)
+    scan_superpotential_zeros(wm, spec.mass.interior_points(), spec.params)
 
     l1, l2 = spec.susy_constants
     e0, e1, real_spec = lowest_eigenvalues(l1, l2)

@@ -1,6 +1,7 @@
 """Config loading, the check runner, report emission and the CLI contract."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,15 @@ def test_wrong_susy_constant_count():
     bad = dict(MINIMAL, susy_constants=[0.0, 1.0])
     with pytest.raises(ConfigError, match="susy_constants"):
         parse_config_dict(bad)
+    # JSON true and false are not numbers, wherever a number is expected
+    for field, bad in (
+            ("susy_constants[0]", dict(MINIMAL, susy_constants=[True])),
+            ("susy_constants[0]", dict(MINIMAL, susy_constants=[[0.0, False]])),
+            ("params.a", dict(MINIMAL, params={"a": True})),
+            ("grid.xmin", dict(MINIMAL, grid=dict(MINIMAL["grid"], xmin=False))),
+            ("grid.xmax", dict(MINIMAL, grid=dict(MINIMAL["grid"], xmax=True)))):
+        with pytest.raises(ConfigError, match=re.escape(f"'{field}'")):
+            parse_config_dict(bad)
 
 
 def test_unknown_check_name_lists_valid_checks():
@@ -65,9 +75,10 @@ def test_unknown_tolerance_rejected():
     bad = dict(MINIMAL, tolerances={"identty": 1e-9})
     with pytest.raises(ConfigError, match="identty"):
         parse_config_dict(bad)
-    for value in ("abc", [1]):
+    for value in ("abc", [1], True, False):
         bad = dict(MINIMAL, tolerances={"identity": value})
-        with pytest.raises(ConfigError, match="not a number"):
+        with pytest.raises(ConfigError,
+                           match="'tolerances.identity'.*not a number"):
             parse_config_dict(bad)
 
 
@@ -89,7 +100,7 @@ def test_u0_routes_requires_second_order():
         parse_config_dict(bad)
 
 
-def test_high_order_restricted_to_formula_checks():
+def test_high_order_restricted_to_formula_checks(tmp_path, capsys):
     cfg = dict(MINIMAL, order=3, susy_constants=[1.0, 2.0, 3.0],
                checks=["eigenvalues"])
     config = parse_config_dict(cfg)
@@ -103,6 +114,11 @@ def test_high_order_restricted_to_formula_checks():
     report = run(parse_config_dict(dict(cfg, checks=["symmetry", "eigenvalues"])))
     assert report.passed
     assert set(report.symmetry) == {"mass_parity_defect", "wm_pt_defect"}
+    # the commands that need the closed-form system refuse order 3 up front
+    path = write_config(tmp_path, cfg)
+    for command in ("spectrum", "curves", "convergence"):
+        assert main([command, path, "--quiet"]) == 2
+        assert "order 3" in capsys.readouterr().err
 
 
 def test_complex_constants_accepted_and_flagged():
@@ -241,7 +257,7 @@ def test_curves_second_order_header(tmp_path):
     system = build_second_order(spec)
     grid = Grid(0.05, 1.5, 33)
     path = tmp_path / "curves2.csv"
-    emit_curves(system, grid, str(path), spec.params)
+    emit_curves(system, grid, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == ("x,re_m,re_wm,im_wm,re_v,im_v,re_psi0,im_psi0,"
                         "re_u0,im_u0,re_psi1,im_psi1,re_psi2,im_psi2")
@@ -296,7 +312,7 @@ def test_paper_examples_battery():
 def test_build_model_uses_grid_as_domain(tmp_path):
     config = load_config(write_config(tmp_path, MINIMAL))
     spec = build_model(config)
-    assert spec.mass.domain == (-2.0, 2.0)
+    assert (spec.mass.x_min, spec.mass.x_max) == (-2.0, 2.0)
     assert spec.order == 1
 
 

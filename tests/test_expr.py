@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from pdmsusy.expr import (Add, Const, Func, Param, ParamEnv, ParseError,
+from pdmsusy.expr import (Add, Const, Func, Mul, Param, ParamEnv, ParseError,
                           PoleError, Sub, UnboundParameterError, Var,
                           differentiate, evaluate, evaluate_many, parse)
 
@@ -51,6 +51,11 @@ def test_parse_numbers_and_constants():
     assert parse("1e-3").value == 1e-3
     assert parse("pi").value == math.pi
     assert parse("i").value == 1j
+    assert parse("3.") == Const(3.0)
+    assert parse(".5e2") == Const(50.0)
+    # identifiers are Unicode words that start with a letter or "_"
+    assert parse("α*x") == Mul(Param("α"), Var())
+    assert parse("x²") == Param("x²")
 
 
 def test_unary_minus_binds_looser_than_power():
@@ -127,6 +132,20 @@ def test_parse_errors_carry_offsets():
         parse("1 + x)")
     with pytest.raises(ParseError):
         parse("sin()")
+    # tokens are read lazily, so the first error in reading order wins
+    for source, offset, message in (
+            ("1.2.3", 0, "malformed number '1.2.3'"),
+            (".", 0, "malformed number '.'"),
+            ("1e", 1, "unexpected trailing input 'e'"),
+            ("1 +) $", 3, "expected an operand, found ')'"),
+            ("x y", 2, "unexpected trailing input 'y'")):
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert str(err.value) == f"{message} (offset {offset})"
+    # "²" is a digit to str.isdigit but no decimal digit: no number, no name
+    with pytest.raises(ParseError) as err:
+        parse("²")
+    assert err.value.offset == 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from conftest import random_pt_model, sup_diff
 
 from pdmsusy import (DomainError, MassError, MassFn, ModelError, ModelSpec,
                      chebyshev_points, constant_mass_superpotential,
-                     mass_deformed_superpotential, ordered_potential, parse,
+                     mass_deformed_superpotential, parse,
                      pt_image, rho, symmetry_report)
 from pdmsusy.expr import Const, ParamEnv, PoleError, evaluate, evaluate_many
 
@@ -70,15 +70,6 @@ def test_rho_sec_mass_value():
     value = evaluate(rho(mass, 0.0, 0.0), math.pi / 4)
     expected = 3 * math.sqrt(2) / 4 - 1 / math.sqrt(2)
     assert abs(value - expected) < 1e-13
-
-
-def test_ordered_potential_subtracts_rho():
-    mass = MassFn(parse("sec(x)"), 0.1, 1.5)
-    vt = parse("x^2 + i*x")
-    v = ordered_potential(vt, mass, 0.25, 0.5)
-    r = rho(mass, 0.25, 0.5)
-    for x in (0.2, 0.7, 1.3):
-        assert abs(evaluate(v, x) - (evaluate(vt, x) - evaluate(r, x))) == 0.0
 
 
 def test_pt_image_examples():
