@@ -10,7 +10,6 @@ import numpy as np
 from pdmsusy import MassFn, ModelSpec, parse, pt_image, riccati_residual
 from pdmsusy.expr import ParamEnv, evaluate, evaluate_many
 from pdmsusy.susy1 import build_first_order
-from pdmsusy.susyn import first_order_coefficients
 
 spec = ModelSpec(order=1,
                  mass=MassFn(parse("1/4*sec(x)^2"), 0.05, 1.5),
@@ -24,7 +23,7 @@ print("Vtilde(0.5) =", evaluate(system.vtilde, 0.5, spec.params))
 print("phi0(0.5)   =", evaluate(system.phi0, 0.5, spec.params))
 print("lowest eigenvalue -l1 =", system.e0)
 
-coeffs = first_order_coefficients(spec)
+coeffs = system.charge
 print("\ncharge operator: C = lead * d/dx + zeroth")
 print("  lead(0.5)   =", evaluate(coeffs.lead, 0.5, spec.params),
       " (this is 2 cos x)")

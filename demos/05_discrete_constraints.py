@@ -10,18 +10,16 @@ from pdmsusy import (Grid, MassFn, ModelSpec, assemble_charge,
                      convergence_study, hamiltonian_spectrum, parse,
                      susy_algebra_spectrum)
 from pdmsusy.susy1 import build_first_order
-from pdmsusy.susyn import first_order_coefficients
 
 # Synthetic CPT-conserving model: even mass, PT-symmetric W_m
 spec = ModelSpec(order=1, mass=MassFn(parse("1/(1+x^2)"), -6.0, 6.0),
                  deformed=parse("x^2+i*x"), susy_constants=(1.0,))
 system = build_first_order(spec)
-coeffs = first_order_coefficients(spec)
 
 
 def residual_fn(grid):
     H = assemble_hamiltonian(spec.mass, system.vtilde, grid, spec.params)
-    C = assemble_charge(coeffs, grid, spec.params)
+    C = assemble_charge(system.charge, grid, spec.params)
     return constraint_residuals(H, C, spec.susy_constants)
 
 
@@ -39,7 +37,7 @@ for name, result in study.items():
 g = Grid(-8.0, 8.0, 601)
 spec8 = ModelSpec(order=1, mass=MassFn(parse("1/(1+x^2)"), -8.0, 8.0),
                   deformed=parse("x^2+i*x"), susy_constants=(1.0,))
-C = assemble_charge(first_order_coefficients(spec8), g, spec8.params)
+C = assemble_charge(build_first_order(spec8).charge, g, spec8.params)
 closure = susy_algebra_spectrum(C).conjugate_pairing_distance
 print(f"\nconjugate closure of spec(zeta zeta*) at n=601: {closure:.3e}")
 

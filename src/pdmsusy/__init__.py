@@ -22,9 +22,8 @@ from .susy2 import (
     build_second_order,
 )
 from .susyn import (
-    NthOrderCoefficients, EnergyPolynomial, first_order_coefficients,
-    second_order_coefficients, delta_v_general, potential_general,
-    delta_u_coefficients, energy_roots,
+    NthOrderCoefficients, EnergyPolynomial, delta_v_general,
+    potential_general, delta_u_coefficients, energy_roots,
 )
 from .discrete import (
     Grid, OperatorMatrix, Spectrum, DiscreteError, GridError, AssemblyError,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -28,13 +29,12 @@ from .model import (DomainError, MassError, MassFn, ModelError, ModelSpec,
 from .susy2 import SingularPointError
 
 __all__ = ["ConfigError", "RunConfig", "CheckOutcome", "VerificationReport",
-           "load_config", "build_model", "run", "paper_examples",
+           "load_config", "run", "paper_examples",
            "emit_curves", "main",
            "KNOWN_CHECKS", "DEFAULT_TOLERANCES"]
 
 DEFAULT_TOLERANCES = {
     "identity": 1e-9,            # pointwise closed-form identities
-    "recovery": 1e-12,           # superpotential deformation recovery
     "quadratic_residual": 1e-12, # E^2 + l1 E + l2 at the closed-form roots
     "symmetry": 1e-12,           # parity/PT defects of symmetric inputs
     "discrete_residual": 1e-2,   # single-grid constraint residuals
@@ -53,12 +53,7 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    order: int
-    mass_expr: Expr
-    superpotential_kind: str            # "constant_mass" | "deformed"
-    superpotential_expr: Expr
-    params: dict
-    susy_constants: tuple
+    spec: ModelSpec             # its mass domain is the grid interval
     grid: discrete.Grid
     checks: tuple
     tolerances: dict
@@ -138,9 +133,11 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 
 def _is_a(value, types) -> bool:
-    """isinstance, except that no boolean passes: JSON true and false load
-    as bool, which Python counts as an int, and no field is a boolean."""
-    return isinstance(value, types) and not isinstance(value, bool)
+    """isinstance, except that no boolean and no infinite or NaN float
+    passes: JSON true and false load as bool, which Python counts as an
+    int, JSON Infinity and NaN load as floats, and no field takes either."""
+    return (isinstance(value, types) and not isinstance(value, bool)
+            and not (isinstance(value, float) and not math.isfinite(value)))
 
 
 def _want(mapping: dict, key: str, types, path: str, optional: bool = False,
@@ -150,6 +147,8 @@ def _want(mapping: dict, key: str, types, path: str, optional: bool = False,
             return default
         raise ConfigError(f"missing field '{path}{key}'")
     value = mapping[key]
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"field '{path}{key}' is not finite ({value})")
     if not _is_a(value, types):
         raise ConfigError(f"field '{path}{key}' has wrong type "
                           f"({type(value).__name__})")
@@ -251,13 +250,14 @@ def parse_config_dict(raw: dict) -> RunConfig:
 
     output_raw = _want(raw, "output", dict, "", optional=True, default={})
     _check_unknown(output_raw, ("report", "curves"), "output.")
-    output = {k: str(v) for k, v in output_raw.items()}
+    output = {k: _want(output_raw, k, str, "output.") for k in output_raw}
 
-    return RunConfig(order=order, mass_expr=mass_expr,
-                     superpotential_kind=kind, superpotential_expr=sp_expr,
-                     params=params, susy_constants=constants, grid=grid,
-                     checks=tuple(checks), tolerances=tolerances,
-                     output=output, echo=raw)
+    sp_field = "superpotential" if kind == "constant_mass" else "deformed"
+    spec = ModelSpec(order=order, mass=MassFn(mass_expr, grid.x_min, grid.x_max),
+                     susy_constants=constants, params=ParamEnv(params),
+                     **{sp_field: sp_expr})
+    return RunConfig(spec=spec, grid=grid, checks=tuple(checks),
+                     tolerances=tolerances, output=output, echo=raw)
 
 
 def _set_tolerance(tolerances: dict, name: str, value, source: str) -> None:
@@ -266,13 +266,15 @@ def _set_tolerance(tolerances: dict, name: str, value, source: str) -> None:
         raise ConfigError(
             f"unknown tolerance '{name}'; valid names: "
             f"{', '.join(sorted(DEFAULT_TOLERANCES))}")
-    if _is_a(value, (int, float, str)):
-        try:
-            tolerances[name] = float(value)
-            return
-        except ValueError:
-            pass
-    raise ConfigError(f"{source}: '{value}' is not a number")
+    try:
+        number = float(value) if _is_a(value, (int, float, str)) else None
+    except ValueError:
+        number = None
+    if number is None:
+        raise ConfigError(f"{source}: '{value}' is not a number")
+    if not 0.0 <= number < math.inf:
+        raise ConfigError(f"{source}: '{value}' must be a finite number >= 0")
+    tolerances[name] = number
 
 
 def load_config(path: str) -> RunConfig:
@@ -283,17 +285,9 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file unreadable: {exc}") from exc
     return parse_config_dict(raw)
-
-
-def build_model(config: RunConfig) -> ModelSpec:
-    mass = MassFn(config.mass_expr, config.grid.x_min, config.grid.x_max)
-    kwargs = {"superpotential": config.superpotential_expr} \
-        if config.superpotential_kind == "constant_mass" \
-        else {"deformed": config.superpotential_expr}
-    return ModelSpec(order=config.order, mass=mass,
-                     susy_constants=config.susy_constants,
-                     params=ParamEnv(config.params), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +315,7 @@ def _bounded(name: str, values: dict, tol: float) -> CheckOutcome:
 
 
 def _build_system(spec: ModelSpec):
+    # builders are read off their modules at call time, so wrappers see them
     if spec.order == 1:
         return susy1.build_first_order(spec)
     if spec.order == 2:
@@ -340,13 +335,9 @@ class _CheckContext:
 
     def assemble(self, grid: discrete.Grid):
         spec = self.spec
-        if spec.order == 1:
-            coeffs = susyn.first_order_coefficients(spec)
-        else:
-            coeffs = susyn.second_order_coefficients(spec, self.system.u0)
         H = discrete.assemble_hamiltonian(spec.mass, self.system.vtilde, grid,
                                           spec.params)
-        C = discrete.assemble_charge(coeffs, grid, spec.params)
+        C = discrete.assemble_charge(self.system.charge, grid, spec.params)
         return H, C
 
     @cached_property
@@ -362,9 +353,9 @@ class _CheckContext:
 def _check_symmetry(ctx: _CheckContext) -> CheckOutcome:
     tol = ctx.config.tolerances["symmetry"]
     # above order 2 there is no system: only m and W_m are measured
-    functions = {} if ctx.system is None else {"delta_vtilde": ctx.system.vtilde}
-    if ctx.spec.order == 2:
-        functions["delta_u0"] = ctx.system.u0
+    functions = {} if ctx.system is None else {
+        "delta_vtilde": ctx.system.vtilde,
+        **{f"delta_u{j}": u for j, u in enumerate(ctx.system.charge.u)}}
     rep = symmetry_report(ctx.spec, functions=functions)
     # the delta_* norms are informational (those functions are
     # non-PT-symmetric by construction); only m and W_m must be symmetric
@@ -396,19 +387,10 @@ def _check_u0_routes(ctx: _CheckContext) -> CheckOutcome:
     }, ctx.config.tolerances["identity"])
 
 
-def _zero_modes(system) -> list:
-    """(Riccati key, energy label, log-derivative, energy) of each
-    closed-form zero mode."""
-    if isinstance(system, susy1.FirstOrderSystem):
-        return [("phi0", "e0", system.phi0, system.e0)]
-    return [("phi2_e0", "e0", system.phi2, system.e0),
-            ("phi1_e1", "e1", system.phi1, system.e1)]
-
-
 def _riccati_values(system, xs) -> dict:
     return {key: discrete.riccati_residual(system.m, system.vtilde, phi,
                                            energy, xs, system.params)
-            for key, _, phi, energy in _zero_modes(system)}
+            for key, _, phi, energy in system.zero_modes}
 
 
 def _check_riccati(ctx: _CheckContext) -> CheckOutcome:
@@ -466,8 +448,10 @@ def _check_convergence(ctx: _CheckContext) -> CheckOutcome:
         grids.append(grids[-1].refined())
 
     def residual_fn(grid):
-        ops = ctx.operators if grid == ctx.config.grid else ctx.assemble(grid)
-        return discrete.constraint_residuals(*ops, ctx.spec.susy_constants)
+        if grid == ctx.config.grid:
+            return ctx.residuals
+        return discrete.constraint_residuals(*ctx.assemble(grid),
+                                             ctx.spec.susy_constants)
 
     study = discrete.convergence_study(residual_fn, grids)
     values = {}
@@ -504,15 +488,15 @@ _CHECKS = {
 KNOWN_CHECKS = tuple(_CHECKS)
 
 
-def _model_report(config: RunConfig, spec: ModelSpec, checks: list,
-                  wall: dict, **extra) -> VerificationReport:
-    roots, real_spec = _closed_form_eigenvalues(spec)
+def _model_report(config: RunConfig, checks: list, wall: dict,
+                  **extra) -> VerificationReport:
+    roots, real_spec = _closed_form_eigenvalues(config.spec)
     return VerificationReport(
         model=dict(config.echo),
         checks=checks,
         closed_form_eigenvalues=[complex(r) for r in roots],
         reality_condition=real_spec,
-        susy_constants_real=spec.real_susy_constants,
+        susy_constants_real=config.spec.real_susy_constants,
         wall_clock_seconds=wall,
         **extra,
     )
@@ -521,8 +505,7 @@ def _model_report(config: RunConfig, spec: ModelSpec, checks: list,
 def run(config: RunConfig, refinements: int = 3) -> VerificationReport:
     """Execute every requested check; deterministic apart from wall-clock."""
     wall = {}
-    with _timed(wall, "model"):
-        spec = build_model(config)
+    spec = config.spec
     with _timed(wall, "system"):
         system = _build_system(spec)
 
@@ -548,7 +531,7 @@ def run(config: RunConfig, refinements: int = 3) -> VerificationReport:
             symmetry = dict(outcome.values) if outcome.values else \
                 {"skipped": outcome.reason}
 
-    report = _model_report(config, spec, checks, wall, symmetry=symmetry)
+    report = _model_report(config, checks, wall, symmetry=symmetry)
     if not spec.real_susy_constants:
         report.notes.append("susy_constants are not all real; reality analysis "
                             "of the lowest eigenvalues does not apply")
@@ -562,7 +545,7 @@ def run(config: RunConfig, refinements: int = 3) -> VerificationReport:
 def spectrum_report(config: RunConfig) -> VerificationReport:
     """Discrete interior spectrum plus closed-form comparison when the zero
     modes are window-confined."""
-    spec = build_model(config)
+    spec = config.spec
     system = _build_system(spec)
     wall = {}
     with _timed(wall, "spectrum"):
@@ -576,7 +559,7 @@ def spectrum_report(config: RunConfig) -> VerificationReport:
     confined = {}
     notes = []
     ok = True
-    for _, label, phi, energy in _zero_modes(system):
+    for _, label, phi, energy in system.zero_modes:
         psi = discrete.wavefunction_from_log_derivative(phi, xs, spec.params)
         confined[label] = discrete.l2_normalizable(psi)
         if label == "e0" and config.grid.symmetric:
@@ -598,7 +581,7 @@ def spectrum_report(config: RunConfig) -> VerificationReport:
                                       "closed-form comparison not meaningful")
         outcome.values.update(values)
     outcome.values.update({f"{k}_confined": v for k, v in confined.items()})
-    return _model_report(config, spec, [outcome], wall,
+    return _model_report(config, [outcome], wall,
                          spectrum=[complex(v) for v in s.values], notes=notes)
 
 
@@ -620,24 +603,18 @@ def emit_curves(system, grid: discrete.Grid, path: str) -> None:
     """
     env = system.params
     xs = grid.nodes()
-    m_vals = evaluate_many(system.m.expr, xs, env)
-    wm_vals = evaluate_many(system.wm, xs, env)
-    v_vals = evaluate_many(system.vtilde, xs, env)
-
-    second_order = hasattr(system, "phi1")
-    columns = [xs, m_vals.real, wm_vals.real, wm_vals.imag, v_vals.real,
-               v_vals.imag]
-    if second_order:
-        psi1 = discrete.wavefunction_from_log_derivative(system.phi1, xs, env)
-        psi2 = discrete.wavefunction_from_log_derivative(system.phi2, xs, env)
-        u0_vals = evaluate_many(system.u0, xs, env)
-        columns += [psi2.real, psi2.imag, u0_vals.real, u0_vals.imag,
-                    psi1.real, psi1.imag, psi2.real, psi2.imag]
+    m_vals, wm_vals, v_vals = (evaluate_many(f, xs, env)
+                               for f in (system.m.expr, system.wm, system.vtilde))
+    psis = [discrete.wavefunction_from_log_derivative(phi, xs, env)
+            for _, _, phi, _ in system.zero_modes]     # ground mode first
+    curves = [wm_vals, v_vals, psis[0]]
+    header = FIRST_ORDER_HEADER
+    if system.charge.u:
+        # u0, then the modes in the order of their log-derivatives phi1, phi2
+        curves += [evaluate_many(system.charge.u[0], xs, env), *psis[::-1]]
         header = SECOND_ORDER_HEADER
-    else:
-        psi0 = discrete.wavefunction_from_log_derivative(system.phi0, xs, env)
-        columns += [psi0.real, psi0.imag]
-        header = FIRST_ORDER_HEADER
+    columns = [xs, m_vals.real] + [part for c in curves
+                                   for part in (c.real, c.imag)]
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
@@ -677,13 +654,12 @@ def paper_examples() -> VerificationReport:
                 env = ParamEnv(alpha=alpha)
                 checks.append(_identity_item(
                     f"wm_recovery_n{order}_alpha{alpha:g}",
-                    _sup_diff(wm, target, recovery_pts, env),
-                    DEFAULT_TOLERANCES["recovery"]))
+                    _sup_diff(wm, target, recovery_pts, env), 1e-12))
             # alpha = 0 degenerate sweep: W_m collapses to the constant 1
             checks.append(_identity_item(
                 f"wm_recovery_n{order}_alpha0",
                 _sup_diff(wm, Const(1.0), recovery_pts, ParamEnv(alpha=0.0)),
-                DEFAULT_TOLERANCES["recovery"]))
+                1e-12))
 
     # 2. u0 route agreement at order 2: closed form, integrated form, and
     # the worked sec-mass expression
@@ -838,8 +814,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     def add_common(p, with_config=True):
         if with_config:
             p.add_argument("config", help="JSON run configuration")
-        p.add_argument("--tol", action="append", default=[],
-                       metavar="NAME=VALUE", help="override a tolerance")
+            p.add_argument("--tol", action="append", default=[],
+                           metavar="NAME=VALUE", help="override a tolerance")
         p.add_argument("--report", default=None, help="report output path")
         p.add_argument("--quiet", action="store_true")
 
@@ -866,9 +842,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = load_config(args.config)
         config = _apply_tol_overrides(config, args.tol)
         # spectrum, curves and convergence need the closed-form system
-        if config.order > 2 and args.command != "check":
+        if config.spec.order > 2 and args.command != "check":
             raise ConfigError(f"'{args.command}' supports orders 1 and 2 only, "
-                              f"got order {config.order}")
+                              f"got order {config.spec.order}")
 
         if args.command == "check":
             report = run(config)
@@ -880,10 +856,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = run(dataclasses.replace(config, checks=("convergence",)),
                          refinements=args.refinements)
         elif args.command == "curves":
-            spec = build_model(config)
-            system = _build_system(spec)
             path = config.output.get("curves", "curves.csv")
-            emit_curves(system, config.grid, path)
+            emit_curves(_build_system(config.spec), config.grid, path)
             if not args.quiet:
                 print(f"curves written to {path}")
             return 0

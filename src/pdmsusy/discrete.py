@@ -142,6 +142,14 @@ def _sorted_eigenvalues(values: np.ndarray) -> np.ndarray:
 # Assembly
 # ---------------------------------------------------------------------------
 
+def _zeros(g: Grid) -> np.ndarray:
+    """The dense n x n complex zero matrix of an operator on g."""
+    if g.points > MAX_DENSE_DIMENSION:
+        raise AssemblyError(
+            f"dense budget is n <= {MAX_DENSE_DIMENSION}, got {g.points}")
+    return np.zeros((g.points, g.points), dtype=complex)
+
+
 def assemble_hamiltonian(m: MassFn, vtilde: Expr, g: Grid,
                          env: Optional[ParamEnv] = None) -> OperatorMatrix:
     """H = -d(m^{-1} d) + Vtilde with midpoint mass sampling:
@@ -150,22 +158,15 @@ def assemble_hamiltonian(m: MassFn, vtilde: Expr, g: Grid,
                               - (psi_i-psi_{i-1})/m_{i-1/2} ] + Vtilde_i psi_i
 
     on interior rows; Dirichlet boundary rows are identity rows decoupled
-    from the interior block.  Second-order accurate.
+    from the interior block.  Second-order accurate.  MassFn.validate
+    raises MassError where a midpoint mass is not real and positive.
     """
     n = g.points
     h = g.h
-    mids = g.midpoints()
-    m_mid = evaluate_many(m.expr, mids, env)
-    bad = np.flatnonzero((m_mid.real <= 0.0)
-                         | (np.abs(m_mid.imag) > 1e-12 * (1.0 + np.abs(m_mid))))
-    if bad.size:
-        i = bad[0]
-        raise AssemblyError(
-            f"mass not positive at midpoint x={mids[i]!r}: m={m_mid[i]!r}")
-    inv_m = 1.0 / m_mid.real
+    inv_m = 1.0 / m.validate(env, g.midpoints())
     v_nodes = evaluate_many(vtilde, g.nodes()[1:-1], env)
 
-    data = np.zeros((n, n), dtype=complex)
+    data = _zeros(g)
     idx = np.arange(1, n - 1)
     data[idx, idx] = (inv_m[idx - 1] + inv_m[idx]) / h**2 + v_nodes
     left = idx[idx - 1 >= 1]
@@ -199,7 +200,7 @@ def assemble_charge(coeffs, g: Grid, env: Optional[ParamEnv] = None) -> Operator
     lead = evaluate_many(coeffs.lead, x_int, env)
     sub = evaluate_many(coeffs.sub, x_int, env)
 
-    data = np.zeros((n, n), dtype=complex)
+    data = _zeros(g)
     idx = np.arange(1, n - 1)
     if n_order == 1:
         data[idx, idx - 1] = -lead / (2 * h)

@@ -365,9 +365,11 @@ class _Tokenizer:
         text, offset = m.group(kind), m.start(kind)
         if kind == "number":
             try:
-                float(text)
+                value = float(text)
             except ValueError:
                 raise ParseError(f"malformed number '{text}'", offset) from None
+            if math.isinf(value):
+                raise ParseError(f"number out of range '{text}'", offset)
         # \w also holds digits that are not decimal, such as "²" and "½",
         # and those may not start a name
         elif kind == "other" or (kind == "ident" and text[0] != "_"

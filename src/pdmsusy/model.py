@@ -76,21 +76,23 @@ class MassFn:
         h = (self.x_max - self.x_min) / n
         return self.x_min + h * (np.arange(n) + 0.5)
 
-    def validate(self, env: ParamEnv | None = None, samples: Optional[Sequence[float]] = None) -> None:
-        """Check reality and positivity on sample points; raises MassError."""
-        xs = self.interior_points() if samples is None else list(samples)
+    def validate(self, env: ParamEnv | None = None, samples: Optional[Sequence[float]] = None) -> np.ndarray:
+        """Check reality and positivity on sample points; raises MassError.
+        Returns the real mass values at the samples."""
+        xs = self.interior_points() if samples is None else np.asarray(samples, dtype=float)
         try:
             v = evaluate_many(self.expr, xs, env)
         except PoleError as exc:
             # a pointwise scan checks the samples before the pole first
-            self.validate(env, xs[:int(np.argmax(np.asarray(xs) == exc.x))])
+            self.validate(env, xs[:int(np.argmax(xs == exc.x))])
             raise
         not_real = np.abs(v.imag) > REALITY_TOL * (1.0 + np.abs(v))
         bad = np.flatnonzero(not_real | (v.real <= 0.0))
         if bad.size:
             i = bad[0]
             kind = "real" if not_real[i] else "positive"
-            raise MassError(f"mass not {kind} at x={xs[i]!r}: m={complex(v[i])!r}")
+            raise MassError(f"mass not {kind} at x={float(xs[i])!r}: m={complex(v[i])!r}")
+        return v.real
 
 
 @dataclass

@@ -9,7 +9,8 @@ the pipeline produces:
     zeta zeta* = H + l1;
   * the PT defect Delta V = 2 W_m'/sqrt(m);
   * the ground-state log-derivative phi0 = m'/(4m) + sqrt(m) W_m, an exact
-    zero mode with eigenvalue -l1.
+    zero mode with eigenvalue -l1;
+  * the charge C = m^(-1/2) d + W, with W the constant-mass superpotential.
 
 The state is kept as a log-derivative because the wavefunction itself
 contains an antiderivative with no closed form in general; every check the
@@ -20,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .expr import Const, Expr, ParamEnv, differentiate, func
+from .expr import Const, Expr, ParamEnv, differentiate, div, func
 from .model import MassFn, ModelError, ModelSpec
+from .susyn import NthOrderCoefficients
 
 __all__ = ["FirstOrderSystem", "build_first_order"]
 
@@ -35,6 +37,8 @@ class FirstOrderSystem:
     delta_v: Expr
     phi0: Expr
     e0: complex
+    charge: NthOrderCoefficients
+    zero_modes: tuple    # (Riccati key, energy label, phi, E) per zero mode
     params: ParamEnv = field(default_factory=ParamEnv)
 
 
@@ -55,6 +59,9 @@ def build_first_order(spec: ModelSpec) -> FirstOrderSystem:
               - Const(l1))
     delta_v = 2 * dwm / sqrt_m
     phi0 = dm / (4 * mx) + sqrt_m * wm
+    charge = NthOrderCoefficients(n=1, lead=div(Const(1.0), sqrt_m),
+                                  sub=spec.w(), u=())
     return FirstOrderSystem(wm=wm, m=spec.mass, l1=l1, vtilde=vtilde,
-                            delta_v=delta_v, phi0=phi0, e0=-l1,
+                            delta_v=delta_v, phi0=phi0, e0=-l1, charge=charge,
+                            zero_modes=(("phi0", "e0", phi0, -l1),),
                             params=spec.params)

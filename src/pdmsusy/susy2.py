@@ -13,7 +13,8 @@ The N=2 SUSY algebra zeta zeta* = H^2 + l1 H + l2 pins down, for a given
   * two zero-mode log-derivatives phi_j = m'/(2m) + W_m'/(2 W_m) + F_j,
     F_j = (m W_m^2 + (-1)^j delta)/(2 W_m), whose Riccati residuals vanish
     identically for the lowest eigenvalues E0 = -(l1+delta)/2 (paired with
-    phi2) and E1 = -(l1-delta)/2 (paired with phi1).
+    phi2) and E1 = -(l1-delta)/2 (paired with phi1);
+  * the charge C = (1/m) d^2 + W d + u0 (W: constant-mass superpotential).
 
 Divisions by W_m are everywhere, so inputs are scanned for near-zeros of
 W_m before a system is built.
@@ -27,8 +28,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import Const, Expr, ParamEnv, differentiate, evaluate_many
+from .expr import Const, Expr, ParamEnv, differentiate, div, evaluate_many
 from .model import MassFn, ModelError, ModelSpec
+from .susyn import NthOrderCoefficients
 
 __all__ = [
     "SecondOrderSystem", "SingularPointError",
@@ -66,6 +68,8 @@ class SecondOrderSystem:
     e0: complex
     e1: complex
     real_spectrum: bool
+    charge: NthOrderCoefficients
+    zero_modes: tuple    # (Riccati key, energy label, phi, E), ground first
     params: ParamEnv = field(default_factory=ParamEnv)
 
 
@@ -189,8 +193,13 @@ def build_second_order(spec: ModelSpec) -> SecondOrderSystem:
     mx = spec.mass.expr
     delta_v = 2 * differentiate(wm) + (differentiate(mx) / mx) * wm
     phi1, phi2 = zero_mode_logderivs(wm, spec.mass, delta)
+    charge = NthOrderCoefficients(n=2, lead=div(Const(1.0), mx), sub=spec.w(),
+                                  u=(u0,))
     return SecondOrderSystem(wm=wm, m=spec.mass, l1=l1, l2=l2, delta=delta,
                              f=f, u0=u0, vtilde=vtilde, delta_v=delta_v,
                              phi1=phi1, phi2=phi2,
                              e0=e0, e1=e1, real_spectrum=real_spec,
+                             charge=charge,
+                             zero_modes=(("phi2_e0", "e0", phi2, e0),
+                                         ("phi1_e1", "e1", phi1, e1)),
                              params=spec.params)

@@ -15,13 +15,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import Const, Expr, differentiate, div, func, mul, pow_
-from .model import MassFn, ModelError, ModelSpec
+from .expr import Const, Expr, differentiate, mul, pow_
+from .model import MassFn, ModelError
 from . import discrete
 
 __all__ = [
     "NthOrderCoefficients", "EnergyPolynomial",
-    "first_order_coefficients", "second_order_coefficients",
     "delta_v_general", "potential_general", "delta_u_coefficients",
     "monic_value", "energy_roots",
 ]
@@ -45,16 +44,6 @@ class NthOrderCoefficients:
         if len(self.u) != expected:
             raise ModelError(
                 f"u must have {expected} entries for order {self.n}, got {len(self.u)}")
-
-
-def first_order_coefficients(spec: ModelSpec) -> NthOrderCoefficients:
-    lead = div(Const(1.0), func("sqrt", spec.mass.expr))
-    return NthOrderCoefficients(n=1, lead=lead, sub=spec.w(), u=())
-
-
-def second_order_coefficients(spec: ModelSpec, u0: Expr) -> NthOrderCoefficients:
-    lead = div(Const(1.0), spec.mass.expr)
-    return NthOrderCoefficients(n=2, lead=lead, sub=spec.w(), u=(u0,))
 
 
 def delta_v_general(wm: Expr, m: MassFn, n: int) -> Expr:

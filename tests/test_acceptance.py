@@ -19,7 +19,7 @@ from pdmsusy.susy1 import build_first_order
 from pdmsusy.susy2 import (build_second_order, f_aux, lowest_eigenvalues,
                            u0_closed, u0_integrated)
 from pdmsusy.susyn import (delta_u_coefficients, delta_v_general, energy_roots,
-                           first_order_coefficients, potential_general)
+                           potential_general)
 
 
 class Criterion:
@@ -215,7 +215,7 @@ def _synthetic_operators(grid):
                      deformed=parse("x^2+i*x"), susy_constants=(1.0,))
     system = build_first_order(spec)
     H = assemble_hamiltonian(spec.mass, system.vtilde, grid, spec.params)
-    C = assemble_charge(first_order_coefficients(spec), grid, spec.params)
+    C = assemble_charge(system.charge, grid, spec.params)
     return H, C, spec
 
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from pdmsusy.cli import (ConfigError, DEFAULT_TOLERANCES, KNOWN_CHECKS,
-                         build_model, emit_curves, load_config, main,
-                         paper_examples, parse_config_dict, run)
-from pdmsusy import Grid, MassFn, ModelSpec, parse
+                         emit_curves, load_config, main, paper_examples,
+                         parse_config_dict, run)
+from pdmsusy import Grid, MassFn, ModelSpec, discrete, parse
 from pdmsusy.expr import ParamEnv
 from pdmsusy.susy1 import build_first_order
 from pdmsusy.susy2 import build_second_order
@@ -33,7 +33,7 @@ def write_config(tmp_path, payload, name="config.json"):
 
 def test_minimal_config_loads_and_passes(tmp_path):
     config = load_config(write_config(tmp_path, MINIMAL))
-    assert config.order == 1
+    assert config.spec.order == 1
     assert config.checks == ("riccati", "eigenvalues")
     report = run(config)
     assert report.passed
@@ -54,6 +54,15 @@ def test_wrong_susy_constant_count():
             ("grid.xmax", dict(MINIMAL, grid=dict(MINIMAL["grid"], xmax=True)))):
         with pytest.raises(ConfigError, match=re.escape(f"'{field}'")):
             parse_config_dict(bad)
+    # nor are JSON NaN and Infinity
+    for field, bad in (
+            ("susy_constants[0]", dict(MINIMAL, susy_constants=[float("nan")])),
+            ("susy_constants[0]", dict(MINIMAL, susy_constants=[[0.0, np.inf]])),
+            ("params.a", dict(MINIMAL, params={"a": -np.inf})),
+            ("grid.xmin", dict(MINIMAL, grid=dict(MINIMAL["grid"], xmin=np.nan))),
+            ("grid.xmax", dict(MINIMAL, grid=dict(MINIMAL["grid"], xmax=np.inf)))):
+        with pytest.raises(ConfigError, match=re.escape(f"'{field}'")):
+            parse_config_dict(bad)
 
 
 def test_unknown_check_name_lists_valid_checks():
@@ -69,17 +78,31 @@ def test_unknown_top_level_key_rejected():
     bad["grids"] = {}
     with pytest.raises(ConfigError, match="unknown field 'grids'"):
         parse_config_dict(bad)
+    for value in (None, 1, ["r.json"]):
+        bad = dict(MINIMAL, output={"report": value})
+        with pytest.raises(ConfigError, match="'output.report' has wrong type"):
+            parse_config_dict(bad)
 
 
 def test_unknown_tolerance_rejected():
     bad = dict(MINIMAL, tolerances={"identty": 1e-9})
     with pytest.raises(ConfigError, match="identty"):
         parse_config_dict(bad)
-    for value in ("abc", [1], True, False):
+    for value in ("abc", [1], True, False, float("nan"), np.inf):
         bad = dict(MINIMAL, tolerances={"identity": value})
         with pytest.raises(ConfigError,
                            match="'tolerances.identity'.*not a number"):
             parse_config_dict(bad)
+    for value in ("nan", "inf", "-inf", -1, -1e-30):
+        bad = dict(MINIMAL, tolerances={"identity": value})
+        with pytest.raises(ConfigError,
+                           match="'tolerances.identity'.*finite number >= 0"):
+            parse_config_dict(bad)
+    assert parse_config_dict(dict(MINIMAL, tolerances={"identity": 0})) \
+        .tolerances["identity"] == 0.0
+    # no run reads a superpotential-recovery tolerance
+    with pytest.raises(ConfigError, match="unknown tolerance 'recovery'"):
+        parse_config_dict(dict(MINIMAL, tolerances={"recovery": 1e-12}))
 
 
 def test_expression_error_carries_field_and_offset():
@@ -137,7 +160,7 @@ def test_report_idempotent_apart_from_wall_clock(tmp_path):
     assert json.dumps(a, default=str) == json.dumps(b, default=str)
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     good = write_config(tmp_path, MINIMAL, "good.json")
     assert main(["check", good, "--quiet"]) == 0
 
@@ -156,6 +179,14 @@ def test_exit_codes(tmp_path):
     bad = write_config(tmp_path, dict(MINIMAL, checks=["nope"]), "bad.json")
     assert main(["check", bad, "--quiet"]) == 2
     assert main(["check", str(tmp_path / "missing.json"), "--quiet"]) == 2
+    # unreadable config files: a directory and a file that is not UTF-8
+    assert main(["check", str(tmp_path), "--quiet"]) == 2
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"order": 1, "mass": "\xe9"}')
+    assert main(["check", str(latin1), "--quiet"]) == 2
+    # a literal that overflows a double is a configuration error
+    huge = write_config(tmp_path, dict(MINIMAL, mass="1.5+1e999*x"), "huge.json")
+    assert main(["check", huge, "--quiet"]) == 2
 
     # numerical failure: W_m vanishes inside the window at order 2
     singular = write_config(tmp_path, {
@@ -167,16 +198,36 @@ def test_exit_codes(tmp_path):
     }, "singular.json")
     assert main(["check", singular, "--quiet"]) == 3
 
+    # a mass positive at the 257 samples checked at load but negative
+    # around the first grid midpoint x = -1.9375, where the Hamiltonian
+    # samples it, is a configuration error too
+    capsys.readouterr()
+    dip = write_config(tmp_path, dict(
+        MINIMAL, mass="1-2*exp(-1e6*(x+1.9375)^2)", checks=["pseudo"]),
+        "dip.json")
+    assert main(["check", dip, "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error [stage pseudo]: mass not positive at "
+        "x=-1.9375: m=(-1+0j)\n")
+
 
 def test_tol_override_validation(tmp_path):
     good = write_config(tmp_path, MINIMAL)
     assert main(["check", good, "--quiet", "--tol", "bogus=1"]) == 2
     assert main(["check", good, "--quiet", "--tol", "identity"]) == 2
     assert main(["check", good, "--quiet", "--tol", "identity=abc"]) == 2
-    for value in ("abc", [1]):
+    for value in ("inf", "nan", "-1"):
+        assert main(["check", good, "--quiet", "--tol", f"identity={value}"]) == 2
+    assert main(["check", good, "--quiet", "--tol", "recovery=1"]) == 2
+    # json.dumps writes float("nan") as the JSON literal NaN
+    for value in ("abc", [1], float("nan"), "nan", -1):
         bad = write_config(tmp_path, dict(MINIMAL, tolerances={"identity": value}),
                            "bad.json")
         assert main(["check", bad, "--quiet"]) == 2
+    # paper-examples reads no config and no tolerance
+    with pytest.raises(SystemExit) as exc:
+        main(["paper-examples", "--quiet", "--tol", "identity=1"])
+    assert exc.value.code == 2
 
 
 def test_first_order_worked_example_config(tmp_path):
@@ -309,11 +360,24 @@ def test_paper_examples_battery():
     assert max(residuals) <= 1e-9
 
 
-def test_build_model_uses_grid_as_domain(tmp_path):
-    config = load_config(write_config(tmp_path, MINIMAL))
-    spec = build_model(config)
+def test_config_spec_uses_grid_as_domain(tmp_path):
+    spec = load_config(write_config(tmp_path, MINIMAL)).spec
     assert (spec.mass.x_min, spec.mass.x_max) == (-2.0, 2.0)
     assert spec.order == 1
+
+
+def test_convergence_reuses_base_grid_residuals(monkeypatch):
+    calls = []
+    residuals = discrete.constraint_residuals
+
+    def counted(*args):
+        calls.append(args[0].n)
+        return residuals(*args)
+
+    monkeypatch.setattr(discrete, "constraint_residuals", counted)
+    run(parse_config_dict(dict(MINIMAL, checks=["pseudo", "convergence"])),
+        refinements=3)
+    assert calls == [33, 65, 129]
 
 
 def test_default_tolerances_are_complete():

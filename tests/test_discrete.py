@@ -12,13 +12,12 @@ from pdmsusy import (Grid, GridError, MassFn, ModelSpec, OperatorMatrix,
                      dense_eigenvalues, hamiltonian_spectrum,
                      l2_normalizable, parse, susy_algebra_spectrum,
                      wavefunction_from_log_derivative)
-from pdmsusy.discrete import (EigensolverError, UnsupportedOrderError,
-                              probe_matrix)
+from pdmsusy.discrete import (AssemblyError, EigensolverError,
+                              UnsupportedOrderError, probe_matrix)
 from pdmsusy.expr import Const, ParamEnv, evaluate, evaluate_many
 from pdmsusy.susy1 import build_first_order
 from pdmsusy.susy2 import build_second_order
-from pdmsusy.susyn import (first_order_coefficients, NthOrderCoefficients,
-                           second_order_coefficients)
+from pdmsusy.susyn import NthOrderCoefficients
 
 
 def synthetic_spec(half_width=6.0):
@@ -31,7 +30,7 @@ def synthetic_operators(grid, spec=None):
     spec = spec or synthetic_spec(abs(grid.x_max))
     system = build_first_order(spec)
     H = assemble_hamiltonian(spec.mass, system.vtilde, grid, spec.params)
-    C = assemble_charge(first_order_coefficients(spec), grid, spec.params)
+    C = assemble_charge(system.charge, grid, spec.params)
     return H, C, spec
 
 
@@ -103,14 +102,14 @@ def test_charge_stencils():
     mass = MassFn(parse("1"), -2.0, 2.0)
     spec = ModelSpec(order=1, mass=mass, deformed=Const(0.0),
                      susy_constants=(0.0,))
-    C = assemble_charge(first_order_coefficients(spec), g).data
+    C = assemble_charge(build_first_order(spec).charge, g).data
     h = g.h
     assert C[5, 4] == -1 / (2 * h) and C[5, 6] == 1 / (2 * h) and C[5, 5] == 0
     assert np.all(C[0] == 0) and np.all(C[-1] == 0)
 
     spec_c = ModelSpec(order=1, mass=mass, deformed=Const(0.7),
                        susy_constants=(0.0,))
-    C2 = assemble_charge(first_order_coefficients(spec_c), g).data
+    C2 = assemble_charge(build_first_order(spec_c).charge, g).data
     assert np.allclose(C2[1:-1, :], C[1:-1, :] + 0.7 * np.eye(32)[1:-1, :])
 
 
@@ -120,8 +119,7 @@ def test_second_order_charge_on_worked_model_is_finite():
                      susy_constants=(-3.0, 2.0), params=ParamEnv(alpha=1.0))
     system = build_second_order(spec)
     g = Grid(0.05, 1.5, 401)
-    C = assemble_charge(second_order_coefficients(spec, system.u0), g,
-                        spec.params)
+    C = assemble_charge(system.charge, g, spec.params)
     assert np.all(np.isfinite(C.data.real)) and np.all(np.isfinite(C.data.imag))
 
 
@@ -179,6 +177,10 @@ def test_trace_identity_on_random_matrix():
 def test_dense_budget_enforced():
     with pytest.raises(EigensolverError, match="4096"):
         dense_eigenvalues(np.zeros((5000, 5000), dtype=complex))
+    # assembly refuses before it allocates the n x n matrix
+    g = Grid(-1.0, 1.0, 4097)
+    with pytest.raises(AssemblyError, match="4096, got 4097"):
+        assemble_hamiltonian(MassFn(parse("1"), -1.0, 1.0), parse("x^2"), g)
 
 
 def test_conjugate_closure_trivial_cases():
@@ -215,8 +217,7 @@ def test_constraint_residuals_converge_at_second_order():
     system2 = build_second_order(spec2)
     g2 = Grid(-1.5, 1.5, 201)
     H2 = assemble_hamiltonian(spec2.mass, system2.vtilde, g2, spec2.params)
-    C2 = assemble_charge(second_order_coefficients(spec2, system2.u0), g2,
-                         spec2.params)
+    C2 = assemble_charge(system2.charge, g2, spec2.params)
     first = synthetic_operators(Grid(-6.0, 6.0, 201))
     for H, C, spec in (first, (H2, C2, spec2)):
         bound = 100 * H.n * np.finfo(float).eps / 2     # 100 n u

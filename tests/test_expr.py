@@ -138,7 +138,9 @@ def test_parse_errors_carry_offsets():
             (".", 0, "malformed number '.'"),
             ("1e", 1, "unexpected trailing input 'e'"),
             ("1 +) $", 3, "expected an operand, found ')'"),
-            ("x y", 2, "unexpected trailing input 'y'")):
+            ("x y", 2, "unexpected trailing input 'y'"),
+            # a literal that overflows a double would render as "inf"
+            ("1.5+1e999*x", 4, "number out of range '1e999'")):
         with pytest.raises(ParseError) as err:
             parse(source)
         assert str(err.value) == f"{message} (offset {offset})"

@@ -13,7 +13,6 @@ from pdmsusy import (Grid, MassFn, ModelError, ModelSpec,
                      parse, pt_image, riccati_residual)
 from pdmsusy.expr import Const, ParamEnv, evaluate
 from pdmsusy.susy1 import build_first_order
-from pdmsusy.susyn import first_order_coefficients
 
 
 def worked_spec(l1=1.0, alpha=1.0, domain=(0.05, 1.5)):
@@ -53,13 +52,13 @@ def test_worked_delta_v_value_at_pi_over_four():
 def test_charge_coefficients():
     flat = ModelSpec(order=1, mass=MassFn(parse("1"), -1.0, 1.0),
                      deformed=parse("i*x"), susy_constants=(0.0,))
-    coeffs = first_order_coefficients(flat)
+    coeffs = build_first_order(flat).charge
     xs = interior(flat, 20)
     assert sup_diff(coeffs.lead, Const(1.0), xs) == 0.0
     assert sup_diff(coeffs.sub, flat.wm(), xs) == 0.0
 
     spec = worked_spec()
-    coeffs = first_order_coefficients(spec)
+    coeffs = build_first_order(spec).charge
     xs = interior(spec, 40)
     assert sup_diff(coeffs.lead, parse("2*cos(x)"), xs, spec.params) <= 1e-13
     assert sup_diff(coeffs.sub, parse("exp(i*alpha*x)-sin(x)"), xs,
@@ -67,7 +66,7 @@ def test_charge_coefficients():
 
     heavy = ModelSpec(order=1, mass=MassFn(parse("4"), -1.0, 1.0),
                       deformed=parse("i*x"), susy_constants=(0.0,))
-    coeffs = first_order_coefficients(heavy)
+    coeffs = build_first_order(heavy).charge
     assert sup_diff(coeffs.lead, Const(0.5), xs=interior(heavy, 10)) == 0.0
     assert sup_diff(coeffs.sub, heavy.wm(), xs=interior(heavy, 10)) == 0.0
 
@@ -114,7 +113,7 @@ def test_integration_constant_fixing_is_visible_discretely():
     spec = ModelSpec(order=1, mass=MassFn(parse("1/(1+x^2)"), -6.0, 6.0),
                      deformed=parse("x^2+i*x"), susy_constants=(1.0,))
     system = build_first_order(spec)
-    coeffs = first_order_coefficients(spec)
+    coeffs = system.charge
     wrong_vtilde = system.vtilde + Const(spec.susy_constants[0])   # Lambda = 0
 
     def residuals(vt):
