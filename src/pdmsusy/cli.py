@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import math
 import sys
 import time
@@ -45,6 +46,8 @@ DEFAULT_TOLERANCES = {
 }
 
 IDENTITY_SAMPLES = 100
+
+log = logging.getLogger(__name__)
 
 
 class ConfigError(Exception):
@@ -300,6 +303,18 @@ def _timed(wall: dict, key: str):
     t0 = time.perf_counter()
     yield
     wall[key] = time.perf_counter() - t0
+    log.info("stage %s: %.3f s", key, wall[key])
+
+
+@contextmanager
+def _stage(name: str):
+    """Tag a model or numerical failure raised in the block with the
+    pipeline stage it happened in (printed as "[stage name]")."""
+    try:
+        yield
+    except (EvaluationError, ModelError, discrete.DiscreteError) as exc:
+        exc.stage = name
+        raise
 
 
 def _sup_diff(a: Expr, b: Expr, xs, env) -> float:
@@ -517,12 +532,8 @@ def run(config: RunConfig, refinements: int = 3) -> VerificationReport:
             if skip_reason and not config.grid.symmetric:
                 outcome = CheckOutcome(name, "skip", reason=skip_reason)
             else:
-                try:
+                with _stage(name):
                     outcome = check(ctx)
-                except (EvaluationError, ModelError,
-                        discrete.DiscreteError) as exc:
-                    exc.stage = name
-                    raise
         checks.append(outcome)
 
     symmetry = None
@@ -548,7 +559,7 @@ def spectrum_report(config: RunConfig) -> VerificationReport:
     spec = config.spec
     system = _build_system(spec)
     wall = {}
-    with _timed(wall, "spectrum"):
+    with _timed(wall, "spectrum"), _stage("spectrum"):
         H = discrete.assemble_hamiltonian(spec.mass, system.vtilde,
                                           config.grid, spec.params)
         s = discrete.hamiltonian_spectrum(H)
@@ -818,6 +829,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                            metavar="NAME=VALUE", help="override a tolerance")
         p.add_argument("--report", default=None, help="report output path")
         p.add_argument("--quiet", action="store_true")
+        p.add_argument("-v", "--verbose", action="store_true",
+                       help="log stage wall times and eigensolver "
+                            "statistics to stderr")
 
     add_common(sub.add_parser("check", help="run the configured checks"))
     add_common(sub.add_parser("spectrum", help="discrete spectrum of H"))
@@ -831,7 +845,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       help="number of grids (spacing halves each time)")
 
     args = parser.parse_args(argv)
+    with _logging(args.verbose):
+        return _command(args)
 
+
+@contextmanager
+def _logging(verbose: bool):
+    """With verbose, INFO records of the pdmsusy loggers go to stderr for
+    the duration of the block; without it nothing changes."""
+    if not verbose:
+        yield
+        return
+    logger = logging.getLogger("pdmsusy")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def _command(args) -> int:
+    """Run the parsed command; returns the exit code."""
     try:
         if args.command == "paper-examples":
             report = paper_examples()

@@ -16,10 +16,28 @@ the dominant term.  Raw entrywise matrix norms would not converge (the
 compact flux Laplacian and composed central stencils differ by a null
 stencil with O(1) entries); the probe measurement sees the operator action
 and decreases at the stencil order O(h^2).
+
+The spectrum of H is computed from its three diagonals, never from a dense
+copy: H's interior block T is tridiagonal, and its eigenvalues are the roots
+of p(z) = det(T - z), which the three-term recurrence evaluates in O(n) per
+point.  A divide-and-conquer Ehrlich-Aberth iteration (Aberth, Math. Comp.
+27, 339 (1973); Bini, Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27,
+153 (2005)) splits T in halves down to blocks of BASE_BLOCK rows, solves
+those dense, and refines the union of the halves' eigenvalues into the
+eigenvalues of their parent, all n at once, in O(n^2) per sweep.  The
+Newton ratio p/p' = -1/trace((T - z)^-1) comes from the forward and
+backward pivots of T - z; a pivot that vanishes is replaced by 2*u*||T||
+(u the unit roundoff).  A value is converged when its last correction is
+at most n*u*||T||_inf, and a last sweep over all n values confirms it.
+A level that does not converge within SWEEP_BUDGET sweeps, a non-finite
+correction, or a sum of eigenvalues that misses trace(T) by more than the
+sum of the stopping thresholds raises EigensolverError.  There is no
+fallback to a dense solve.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
@@ -43,6 +61,14 @@ __all__ = [
 
 MAX_DENSE_DIMENSION = 4096
 RESIDUAL_FLOOR = 1e-14
+
+UNIT_ROUNDOFF = 2.0 ** -53
+BASE_BLOCK = 48          # tridiagonal blocks this small are solved dense
+SWEEP_BUDGET = 60        # Aberth sweeps allowed per level of the recursion
+WORK_BYTES = 16 * 2**20  # scratch buffer of one solve: the pivot and
+                         # pairwise-sum arrays of a chunk of points
+
+log = logging.getLogger(__name__)
 
 
 class DiscreteError(Exception):
@@ -300,9 +326,11 @@ def dense_eigenvalues(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a dense complex matrix, sorted by (Re, Im).
 
     Backed by LAPACK's standard dense pipeline (balancing, Householder
-    Hessenberg reduction, shifted QR); backward-stable to ~1e-12 * ||M||
-    per eigenvalue.  Non-convergence of the QR iteration (LAPACK's ~30n
-    sweep budget) is reported, never silent.
+    Hessenberg reduction, shifted QR); the computed eigenvalues are exact
+    for some M + E with ||E|| <= p(n) * u * ||M||, p(n) a modest function
+    of n and u the unit roundoff (LAPACK Users' Guide, section 4.8).
+    Non-convergence of the QR iteration (LAPACK's ~30n sweep budget) is
+    reported, never silent.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -334,11 +362,220 @@ def conjugate_pairing_distance(values: np.ndarray) -> float:
     return worst
 
 
+def _resolvent_trace(az: np.ndarray, bt: np.ndarray, tplus: np.ndarray,
+                     pivmin: float = 0.0) -> np.ndarray:
+    """trace((T - z)^-1) for each column of az = a - z (the diagonal of
+    T - z per point z) and bt (the off-diagonal products, one column or
+    one per point).  az is overwritten; tplus is scratch space of its shape.
+
+    The k-th diagonal entry of the resolvent is 1/g_k with
+    g_k = d+_k + d-_k - (a_k - z) = d-_k - b_(k-1) / d+_(k-1), where d+
+    and d- are the pivots of the forward and backward LDU factorizations
+    of T - z.  With pivmin > 0 (the stable form) a zero pivot or g_k
+    becomes pivmin, a change of a_k by pivmin; without it a zero pivot
+    gives a non-finite trace.  Small nonzero values are kept: a small
+    pivot only makes the next one large, and a small g_k is the true,
+    large resolvent entry near an eigenvalue, which raising it to pivmin
+    would cap (and so move the Newton ratio by more than the stopping
+    threshold).
+    """
+    rows = az.shape[0]
+    d = az[0].copy()
+    tplus[0] = 0.0
+    for k in range(1, rows):            # forward: tplus_k = b_(k-1) / d+_(k-1)
+        if pivmin:
+            d[d == 0] = pivmin
+        np.divide(bt[k - 1], d, out=tplus[k])
+        np.subtract(az[k], tplus[k], out=d)
+    t = d                               # d+ is no longer needed
+    for k in range(rows - 2, -1, -1):   # backward: az_k becomes d-_k
+        if pivmin:
+            az[k + 1][az[k + 1] == 0] = pivmin
+        np.divide(bt[k], az[k + 1], out=t)
+        np.subtract(az[k], t, out=az[k])
+    g = np.subtract(az, tplus, out=az)
+    if pivmin:
+        g[g == 0] = pivmin
+    return np.reciprocal(g, out=g).sum(axis=0)
+
+
+def _newton_ratio(a_t: np.ndarray, cols, bt: np.ndarray, z: np.ndarray,
+                  az: np.ndarray, scratch: np.ndarray,
+                  pivmin: float) -> np.ndarray:
+    """N = p/p' = -1/trace((T - z)^-1) at the points z (see
+    _resolvent_trace).  The diagonal of T at each point is the column cols
+    of a_t, or its only column when cols is None; bt holds the off-diagonal
+    products, one column or one per point; az and scratch are work arrays
+    of shape (rows, points).  The fast form, which leaves zero pivots
+    alone, gives the stable form's result wherever it is finite; the
+    points where it is not are evaluated again in the stable form."""
+    if cols is None:
+        np.subtract(a_t, z, out=az)
+    else:
+        np.take(a_t, cols, axis=1, out=az, mode="clip")
+        az -= z
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        trace = _resolvent_trace(az, bt, scratch)
+        bad = ~np.isfinite(trace)
+        if bad.any():
+            redo = (a_t if cols is None else a_t[:, cols[bad]]) - z[bad]
+            trace[bad] = _resolvent_trace(
+                redo, bt if bt.shape[1] == 1 else bt[:, bad],
+                np.empty_like(redo), pivmin)
+        return -1.0 / trace
+
+
+def _repulsion(zi: np.ndarray, zrows: np.ndarray, pos: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """sum_{j != i} 1/(z_i - z_j) for each point z_i, the sum running over
+    its row of zrows (one shared row or one per point); pos is the index
+    of z_i in its row and out is scratch space for the terms."""
+    np.subtract(zi[:, None], zrows, out=out)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.reciprocal(out, out=out)
+    out[np.arange(zi.size), pos] = 0.0
+    return out.sum(axis=1)
+
+
+def _aberth(a: np.ndarray, beta: np.ndarray, z: np.ndarray, tol: float,
+            pivmin: float, confirm: bool, work: np.ndarray):
+    """Refine the guesses z (B, L) into the eigenvalues of B independent
+    tridiagonal blocks with diagonals a (B, L) and off-diagonal products
+    beta (B, L-1) by Ehrlich-Aberth sweeps
+
+        z_i <- z_i - w_i,  w_i = N_i / (1 - N_i sum_{j != i} 1/(z_i - z_j)),
+
+    N = p/p' (see _newton_ratio), the sum running over the guesses of the
+    same block.  The points of a sweep go in chunks whose arrays fit the
+    flat complex buffer work, and each chunk sees the values that the
+    chunks before it updated.  A value is frozen once |w_i| <= tol.  With
+    confirm, one more sweep then updates every value, and those it moves
+    by more than tol iterate again.  Returns the refined values, the
+    number of sweeps and the largest final |w_i|."""
+    blocks, size = a.shape
+    z = z.copy()
+    flat = z.reshape(-1)
+    active = np.arange(flat.size)
+    last = 0.0
+    # a chunk holds a - z and the pivot quotients, and with several blocks
+    # the off-diagonal products of each point: 2 or 3 (size, width) arrays
+    arrays = 2 if blocks == 1 else 3
+    width = max(1, work.size // (arrays * size))
+    a_t, b_t = np.ascontiguousarray(a.T), np.ascontiguousarray(beta.T)
+    for sweep in range(1, SWEEP_BUDGET + 1):
+        w = np.empty(active.size, dtype=complex)
+        for start in range(0, active.size, width):
+            idx = active[start:start + width]
+            owner, pos = np.divmod(idx, size)
+            zi = flat[idx]
+            chunk = work[:arrays * size * idx.size].reshape(
+                arrays, size, idx.size)
+            if blocks == 1:       # the diagonals broadcast to every point
+                cols, bt, zrows = None, b_t, z
+            else:
+                cols, zrows = owner, z[owner]
+                bt = np.take(b_t, owner, axis=1, out=chunk[2, :-1],
+                             mode="clip")
+            newton = _newton_ratio(a_t, cols, bt, zi, chunk[0], chunk[1],
+                                   pivmin)
+            w[start:start + idx.size] = newton / (1.0 - newton * _repulsion(
+                zi, zrows, pos, chunk[1].reshape(idx.size, size)))
+            flat[idx] -= w[start:start + idx.size]
+        if not np.all(np.isfinite(w)):
+            raise EigensolverError(
+                f"non-finite Aberth correction at {np.sum(~np.isfinite(w))} "
+                f"of {flat.size} eigenvalues (blocks of {size} rows)")
+        done = np.abs(w) <= tol
+        last = max(last, float(np.max(np.abs(w[done]), initial=0.0)))
+        active = active[~done]
+        if active.size == 0:
+            if not confirm:
+                return z, sweep, last
+            confirm, last = False, 0.0
+            active = np.arange(flat.size)
+    raise EigensolverError(
+        f"{active.size} of {flat.size} eigenvalues unconverged after "
+        f"{SWEEP_BUDGET} Aberth sweeps (blocks of {size} rows, last "
+        f"correction above {tol:.3e})")
+
+
+def _tridiagonal_eigenvalues(a: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """All eigenvalues of the tridiagonal matrix T with diagonal a and
+    off-diagonal products beta_k = T[k, k+1] T[k+1, k], sorted by (Re, Im).
+
+    T is split in halves down to blocks of at most BASE_BLOCK rows, which
+    are solved dense in their symmetrized form (off-diagonals sqrt(beta),
+    a diagonal similarity of T).  Each level refines the eigenvalues of its
+    halves, offset by distinct multiples of 1e3*u*||T|| so that the equal
+    eigenvalues of mirror-image halves do not coincide, with _aberth to
+    the stopping threshold L*u*||T||_inf for blocks of L rows; the top
+    level (L = n) ends with a confirmation sweep over all n values.
+    """
+    a = np.asarray(a, dtype=complex)
+    beta = np.asarray(beta, dtype=complex)
+    n = a.size
+    root = np.sqrt(beta)
+    off = np.abs(root)
+    norm = max(float(np.max(np.abs(a) + np.r_[0.0, off] + np.r_[off, 0.0])),
+               np.finfo(float).tiny)
+    pivmin = 2.0 * UNIT_ROUNDOFF * norm
+
+    levels = [np.array([0, n])]        # block boundaries, top level first
+    while np.max(np.diff(levels[-1])) > BASE_BLOCK:
+        edges = levels[-1]
+        levels.append(np.union1d(edges, edges[:-1] + np.diff(edges) // 2))
+    edges = levels.pop()
+    z = np.concatenate([
+        dense_eigenvalues(np.diag(a[lo:hi]) + np.diag(root[lo:hi - 1], 1)
+                          + np.diag(root[lo:hi - 1], -1))
+        for lo, hi in zip(edges[:-1], edges[1:])])
+
+    offsets = 1e3 * UNIT_ROUNDOFF * norm * np.exp(
+        2j * np.pi * (np.arange(n) + 0.5) / n)
+    work = np.empty(max(min(WORK_BYTES // 16, 2 * n * n), 3 * n), dtype=complex)
+    sweeps = []
+    last = 0.0
+    for edges in reversed(levels):
+        z = z + offsets
+        starts, sizes = edges[:-1], np.diff(edges)
+        level_sweeps = 0
+        for size in np.unique(sizes):     # the blocks of a level differ by <= 1
+            rows = starts[sizes == size][:, None] + np.arange(size)
+            z[rows], count, last = _aberth(
+                a[rows], beta[rows[:, :-1]], z[rows],
+                size * UNIT_ROUNDOFF * norm, pivmin, size == n, work)
+            level_sweeps = max(level_sweeps, count)
+        sweeps.append(level_sweeps)
+
+    # sum of the eigenvalues = trace; each value is within its stopping
+    # threshold n*u*||T|| of an eigenvalue, so the sum within n^2*u*||T||
+    excess = abs(z.sum() - a.sum())
+    bound = n * n * UNIT_ROUNDOFF * norm
+    if not excess <= bound:
+        raise EigensolverError(
+            f"sum of the {n} computed eigenvalues misses trace(T) by "
+            f"{excess:.3e} > {bound:.3e}")
+    log.info("tridiagonal eigenvalues: n=%d, sweeps per level (top last) "
+             "%s, final max |w|/(u*||T||) = %.3g", n, sweeps,
+             last / (UNIT_ROUNDOFF * norm))
+    return _sorted_eigenvalues(z)
+
+
 def hamiltonian_spectrum(M: OperatorMatrix) -> Spectrum:
     """Spectrum of the decoupled interior block of a Dirichlet Hamiltonian
     (drops the two identity boundary rows, which would otherwise contribute
-    two artificial unit eigenvalues)."""
-    values = dense_eigenvalues(M.data[1:-1, 1:-1])
+    two artificial unit eigenvalues), from its three diagonals.
+
+    Raises AssemblyError when the interior block has a nonzero outside its
+    three diagonals and EigensolverError when the iteration fails.
+    """
+    block = M.data[1:-1, 1:-1]
+    diagonals = [np.diagonal(block, k) for k in (-1, 0, 1)]
+    if np.count_nonzero(block) != sum(map(np.count_nonzero, diagonals)):
+        raise AssemblyError(f"operator '{M.label}' is not tridiagonal inside "
+                            "its boundary rows")
+    lower, diag, upper = diagonals
+    values = _tridiagonal_eigenvalues(diag, upper * lower)
     return Spectrum(values=values,
                     conjugate_pairing_distance=conjugate_pairing_distance(values))
 

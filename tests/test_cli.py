@@ -332,6 +332,62 @@ def test_spectrum_command_on_confined_model(tmp_path):
     assert match["status"] == "pass"
 
 
+CONFINED = {
+    "order": 2, "mass": "1",
+    "superpotential": {"kind": "deformed", "expr": "-x+i"},
+    "susy_constants": [-3.0, 2.0],
+    "grid": {"xmin": -8.0, "xmax": 8.0, "points": 101},
+    "checks": ["eigenvalues"],
+}
+
+
+def test_spectrum_failures_carry_the_stage(tmp_path, capsys, monkeypatch):
+    # the mass dips below zero around the first grid midpoint, where H
+    # samples it: a configuration error of the spectrum stage
+    dip = write_config(tmp_path, dict(
+        MINIMAL, mass="1-2*exp(-1e6*(x+1.9375)^2)"), "dip.json")
+    assert main(["spectrum", dip, "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error [stage spectrum]: mass not positive at "
+        "x=-1.9375: m=(-1+0j)\n")
+
+    # an eigensolver failure is a numerical failure of the same stage
+    monkeypatch.setattr(discrete, "SWEEP_BUDGET", 1)
+    path = write_config(tmp_path, CONFINED)
+    assert main(["spectrum", path, "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure [stage spectrum]: ")
+    assert "unconverged after 1 Aberth sweeps" in err
+
+
+def test_verbose_logs_stages_and_solver(tmp_path, capsys, caplog):
+    path = write_config(tmp_path, CONFINED)
+    plain, verbose = tmp_path / "plain.json", tmp_path / "verbose.json"
+
+    assert main(["spectrum", path, "--quiet", "--report", str(plain)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert not [r for r in caplog.records if r.name.startswith("pdmsusy")]
+
+    assert main(["spectrum", path, "--quiet", "-v",
+                 "--report", str(verbose)]) == 0
+    messages = [r.getMessage() for r in caplog.records
+                if r.name.startswith("pdmsusy")]
+    assert any(m.startswith("stage spectrum: ") for m in messages)
+    solver = [m for m in messages if m.startswith("tridiagonal eigenvalues")]
+    assert len(solver) == 1 and "n=99" in solver[0]
+    assert "pdmsusy.cli: stage spectrum: " in capsys.readouterr().err
+
+    # the logging leaves the report alone, and is off again afterwards
+    reports = [json.loads(p.read_text()) for p in (plain, verbose)]
+    for report in reports:
+        report.pop("wall_clock_seconds")
+    assert reports[0] == reports[1]
+    caplog.clear()
+    assert main(["spectrum", path, "--quiet"]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert not caplog.records
+
+
 def test_convergence_command(tmp_path):
     payload = {
         "order": 1, "mass": "1/(1+x^2)",

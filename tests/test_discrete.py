@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_pt_model
 
@@ -12,6 +13,7 @@ from pdmsusy import (Grid, GridError, MassFn, ModelSpec, OperatorMatrix,
                      dense_eigenvalues, hamiltonian_spectrum,
                      l2_normalizable, parse, susy_algebra_spectrum,
                      wavefunction_from_log_derivative)
+from pdmsusy import discrete
 from pdmsusy.discrete import (AssemblyError, EigensolverError,
                               UnsupportedOrderError, probe_matrix)
 from pdmsusy.expr import Const, ParamEnv, evaluate, evaluate_many
@@ -195,6 +197,101 @@ def test_spectrum_from_operator_carries_pairing_distance():
     s = hamiltonian_spectrum(H)
     assert len(s) == 22                            # boundary rows dropped
     assert s.conjugate_pairing_distance <= 1e-10   # real symmetric problem
+
+
+# ---------------------------------------------------------------------------
+# the tridiagonal eigensolver behind hamiltonian_spectrum
+# ---------------------------------------------------------------------------
+
+SOLVER = settings(max_examples=60, deadline=None, derandomize=True,
+                  database=None)
+
+
+@st.composite
+def tridiagonals(draw):
+    """(T, beta): a tridiagonal matrix with complex diagonal a and
+    off-diagonal products beta of one kind, of a size on either side of
+    BASE_BLOCK.  Mirror draws have a and beta symmetric under reversal
+    (J T J = T), PT draws have them conjugate-symmetric (a spectrum closed
+    under conjugation); the others split each beta_k unevenly between
+    T[k, k+1] and T[k+1, k]."""
+    n = draw(st.integers(14, 2 * discrete.BASE_BLOCK + 16))
+    kind = draw(st.sampled_from(["positive", "negative", "complex"]))
+    symmetry = draw(st.sampled_from(["none", "mirror", "pt"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=n) + 1j * rng.normal(size=n)
+    size = rng.uniform(0.05, 2.0, size=n - 1)
+    beta = {"positive": size, "negative": -size,
+            "complex": size * np.exp(2j * np.pi * rng.uniform(size=n - 1))
+            }[kind].astype(complex)
+    split = np.ones(n - 1)
+    if symmetry == "mirror":
+        a, beta = (a + a[::-1]) / 2, (beta + beta[::-1]) / 2
+    elif symmetry == "pt":
+        a, beta = (a + a[::-1].conj()) / 2, (beta + beta[::-1].conj()) / 2
+    else:
+        split = np.exp(rng.uniform(-0.5, 0.5, size=n - 1))
+    root = np.sqrt(beta)
+    T = np.diag(a) + np.diag(root * split, 1) + np.diag(root / split, -1)
+    return T, beta
+
+
+def dirichlet_operator(T):
+    """An operator whose interior block is T, with identity boundary rows."""
+    n = T.shape[0] + 2
+    data = np.eye(n, dtype=complex)
+    data[1:-1, 1:-1] = T
+    return OperatorMatrix(data, Grid(-1.0, 1.0, n))
+
+
+@SOLVER
+@given(tridiagonals())
+def test_tridiagonal_solver_matches_dense(case):
+    """Every eigenvalue lies within 10 n u ||T|| of the dense solver's
+    (matched by nearest neighbour both ways), ||T|| the infinity norm of
+    the symmetrized matrix (off-diagonals sqrt(beta)) that both solvers
+    effectively see."""
+    T, beta = case
+    n = T.shape[0]
+    values = hamiltonian_spectrum(dirichlet_operator(T)).values
+    reference = dense_eigenvalues(T)
+    off = np.abs(np.sqrt(beta))
+    norm = np.max(np.abs(np.diag(T)) + np.r_[0.0, off] + np.r_[off, 0.0])
+    bound = 10 * n * 2.0**-53 * norm
+    gap = np.abs(values[:, None] - reference[None, :])
+    assert values.size == n
+    assert np.max(np.min(gap, axis=1)) <= bound
+    assert np.max(np.min(gap, axis=0)) <= bound
+
+
+def test_tridiagonal_solver_rejects_other_operators():
+    g = Grid(-1.0, 1.0, 60)
+    H = assemble_hamiltonian(MassFn(parse("1"), -1.0, 1.0), parse("x^2"), g)
+    data = np.array(H.data)
+    data[5, 9] = 1e-3
+    with pytest.raises(AssemblyError, match="not tridiagonal"):
+        hamiltonian_spectrum(OperatorMatrix(data, g))
+
+
+def test_tridiagonal_solver_failures_are_reported(monkeypatch):
+    g = Grid(-1.0, 1.0, 60)
+    H = assemble_hamiltonian(MassFn(parse("1"), -1.0, 1.0), parse("x^2"), g)
+    monkeypatch.setattr(discrete, "SWEEP_BUDGET", 1)
+    with pytest.raises(EigensolverError, match="unconverged after 1 Aberth"):
+        hamiltonian_spectrum(H)
+    monkeypatch.undo()
+
+    # a result that misses the trace identity is refused
+    aberth = discrete._aberth
+
+    def duplicate(*args, **kwargs):
+        z, sweeps, last = aberth(*args, **kwargs)
+        z[..., 0] = z[..., 1]
+        return z, sweeps, last
+
+    monkeypatch.setattr(discrete, "_aberth", duplicate)
+    with pytest.raises(EigensolverError, match="misses trace"):
+        hamiltonian_spectrum(H)
 
 
 # ---------------------------------------------------------------------------
