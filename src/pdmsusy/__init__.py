@@ -26,7 +26,7 @@ from .susyn import (
     potential_general, delta_u_coefficients, energy_roots,
 )
 from .discrete import (
-    Grid, OperatorMatrix, Spectrum, DiscreteError, GridError, AssemblyError,
+    Grid, Tridiagonal, Spectrum, DiscreteError, GridError, AssemblyError,
     EigensolverError, UnsupportedOrderError,
     assemble_hamiltonian, assemble_charge, constraint_residuals,
     dense_eigenvalues,

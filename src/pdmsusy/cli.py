@@ -24,7 +24,7 @@ import numpy as np
 
 from . import discrete, susy1, susy2, susyn
 from .expr import (Const, EvaluationError, Expr, ParamEnv, ParseError,
-                   evaluate_many, parse)
+                   evaluate_many, parameter_names, parse)
 from .model import (DomainError, MassError, MassFn, ModelError, ModelSpec,
                     mass_deformed_superpotential, pt_image, symmetry_report)
 from .susy2 import SingularPointError
@@ -204,6 +204,11 @@ def parse_config_dict(raw: dict) -> RunConfig:
     params = {}
     for name, value in params_raw.items():
         params[str(name)] = _as_complex(value, f"params.{name}")
+    for path, expr in (("mass", mass_expr), ("superpotential.expr", sp_expr)):
+        for name in parameter_names(expr):
+            if name not in params:
+                raise ConfigError(
+                    f"field '{path}': unbound parameter '{name}'")
 
     constants_raw = _want(raw, "susy_constants", list, "")
     constants = tuple(_as_complex(v, f"susy_constants[{i}]")

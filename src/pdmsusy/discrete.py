@@ -1,12 +1,15 @@
 """Grid discretization and residual measurement.
 
-Dense complex matrices on a uniform 1-D grid represent the Hamiltonian
+Three-point stencils on a uniform 1-D grid make the Hamiltonian
 H = -d(m^{-1} d) + Vtilde (midpoint-sampled mass flux, Dirichlet walls as
 identity rows decoupled from the interior block) and the charge operator C
-(central stencils with node-sampled coefficients, zeroed boundary rows).
-Parity P: x -> -x is no matrix: on a grid symmetric about 0 it is the
-node reversal, so zeta = C P reverses the columns of C and P conj(H) P
-reverses both axes of conj(H).
+(central stencils with node-sampled coefficients, zeroed boundary rows)
+tridiagonal, and both are stored as their three diagonals (Tridiagonal).
+Only the residuals and the spectrum of zeta conj(zeta) multiply them, and
+those build the dense n x n matrix (Tridiagonal.dense, at most
+MAX_DENSE_DIMENSION rows).  Parity P: x -> -x is no matrix: on a grid
+symmetric about 0 it is the node reversal, so zeta = C P reverses the
+columns of C and P conj(H) P reverses both axes of conj(H).
 
 Operator identities such as zeta = zeta^dagger or zeta zeta* = sum_k l_k
 H^{N-k} hold in the continuum; their discrete counterparts are measured by
@@ -29,10 +32,13 @@ Newton ratio p/p' = -1/trace((T - z)^-1) comes from the forward and
 backward pivots of T - z; a pivot that vanishes is replaced by 2*u*||T||
 (u the unit roundoff).  A value is converged when its last correction is
 at most n*u*||T||_inf, and a last sweep over all n values confirms it.
-A level that does not converge within SWEEP_BUDGET sweeps, a non-finite
-correction, or a sum of eigenvalues that misses trace(T) by more than the
-sum of the stopping thresholds raises EigensolverError.  There is no
-fallback to a dense solve.
+A level that does not converge within SWEEP_BUDGET sweeps or meets a
+non-finite correction has its blocks solved dense instead, as the base
+blocks are: where eigenvalue condition numbers are large (~1e10 on
+CPT-conserved H with a variable mass) that stop lies below the rounding
+noise of the eigenvalues, and no iteration reaches it.  A sum of
+eigenvalues that misses trace(T) by more than the sum of the stopping
+thresholds raises EigensolverError.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from .model import MassFn
 __all__ = [
     "DiscreteError", "GridError", "AssemblyError", "EigensolverError",
     "UnsupportedOrderError",
-    "Grid", "OperatorMatrix", "Spectrum", "ConvergenceResult",
+    "Grid", "Tridiagonal", "Spectrum", "ConvergenceResult",
     "assemble_hamiltonian", "assemble_charge", "probe_matrix",
     "constraint_residuals", "dense_eigenvalues",
     "hamiltonian_spectrum", "susy_algebra_spectrum",
@@ -124,28 +130,49 @@ class Grid:
         return Grid(self.x_min, self.x_max, 2 * self.points - 1)
 
 
-@dataclass
-class OperatorMatrix:
-    """Dense complex matrix tied to a grid; immutable once built."""
+@dataclass(frozen=True, eq=False)
+class Tridiagonal:
+    """Complex tridiagonal operator on a grid, stored as its three
+    diagonals: lower[k] = M[k+1, k], diag[k] = M[k, k] and
+    upper[k] = M[k, k+1].  The diagonals are read-only once built."""
 
-    data: np.ndarray
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
     grid: Grid
     label: str = ""
 
     def __post_init__(self):
-        a = np.asarray(self.data, dtype=complex)
         n = self.grid.points
-        if a.shape != (n, n):
-            raise AssemblyError(
-                f"matrix shape {a.shape} does not match grid with {n} points")
-        if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-            raise AssemblyError(f"non-finite entries in operator '{self.label}'")
-        a.setflags(write=False)
-        self.data = a
+        for name, size in (("lower", n - 1), ("diag", n), ("upper", n - 1)):
+            a = np.asarray(getattr(self, name), dtype=complex)
+            if a.shape != (size,):
+                raise AssemblyError(
+                    f"{name} diagonal of operator '{self.label}' has shape "
+                    f"{a.shape}, a grid with {n} points needs ({size},)")
+            if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+                raise AssemblyError(
+                    f"non-finite entries in operator '{self.label}'")
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:
         return self.grid.points
+
+    def dense(self) -> np.ndarray:
+        """The n x n matrix, for the consumers that multiply or zgeev it;
+        refused above MAX_DENSE_DIMENSION grid points."""
+        n = self.n
+        if n > MAX_DENSE_DIMENSION:
+            raise AssemblyError(
+                f"dense budget is n <= {MAX_DENSE_DIMENSION}, got {n}")
+        out = np.zeros((n, n), dtype=complex)
+        flat = out.reshape(-1)
+        flat[::n + 1] = self.diag
+        flat[n::n + 1] = self.lower
+        flat[1::n + 1] = self.upper
+        return out
 
 
 @dataclass
@@ -168,16 +195,8 @@ def _sorted_eigenvalues(values: np.ndarray) -> np.ndarray:
 # Assembly
 # ---------------------------------------------------------------------------
 
-def _zeros(g: Grid) -> np.ndarray:
-    """The dense n x n complex zero matrix of an operator on g."""
-    if g.points > MAX_DENSE_DIMENSION:
-        raise AssemblyError(
-            f"dense budget is n <= {MAX_DENSE_DIMENSION}, got {g.points}")
-    return np.zeros((g.points, g.points), dtype=complex)
-
-
 def assemble_hamiltonian(m: MassFn, vtilde: Expr, g: Grid,
-                         env: Optional[ParamEnv] = None) -> OperatorMatrix:
+                         env: Optional[ParamEnv] = None) -> Tridiagonal:
     """H = -d(m^{-1} d) + Vtilde with midpoint mass sampling:
 
         (H psi)_i = -(1/h^2)[ (psi_{i+1}-psi_i)/m_{i+1/2}
@@ -192,19 +211,14 @@ def assemble_hamiltonian(m: MassFn, vtilde: Expr, g: Grid,
     inv_m = 1.0 / m.validate(env, g.midpoints())
     v_nodes = evaluate_many(vtilde, g.nodes()[1:-1], env)
 
-    data = _zeros(g)
-    idx = np.arange(1, n - 1)
-    data[idx, idx] = (inv_m[idx - 1] + inv_m[idx]) / h**2 + v_nodes
-    left = idx[idx - 1 >= 1]
-    data[left, left - 1] = -inv_m[left - 1] / h**2
-    right = idx[idx + 1 <= n - 2]
-    data[right, right + 1] = -inv_m[right] / h**2
-    data[0, 0] = 1.0
-    data[n - 1, n - 1] = 1.0
-    return OperatorMatrix(data, g, label="H")
+    diag = np.ones(n, dtype=complex)
+    diag[1:-1] = (inv_m[:-1] + inv_m[1:]) / h**2 + v_nodes
+    off = np.zeros(n - 1, dtype=complex)    # H is symmetric: lower = upper
+    off[1:-1] = -inv_m[1:-1] / h**2
+    return Tridiagonal(off, diag, off, g, label="H")
 
 
-def assemble_charge(coeffs, g: Grid, env: Optional[ParamEnv] = None) -> OperatorMatrix:
+def assemble_charge(coeffs, g: Grid, env: Optional[ParamEnv] = None) -> Tridiagonal:
     """Discrete N-th order charge operator with central stencils and
     node-sampled coefficients; boundary rows zeroed.
 
@@ -226,18 +240,19 @@ def assemble_charge(coeffs, g: Grid, env: Optional[ParamEnv] = None) -> Operator
     lead = evaluate_many(coeffs.lead, x_int, env)
     sub = evaluate_many(coeffs.sub, x_int, env)
 
-    data = _zeros(g)
-    idx = np.arange(1, n - 1)
+    lower = np.zeros(n - 1, dtype=complex)     # row i holds lower[i - 1],
+    diag = np.zeros(n, dtype=complex)          # diag[i] and upper[i]
+    upper = np.zeros(n - 1, dtype=complex)
     if n_order == 1:
-        data[idx, idx - 1] = -lead / (2 * h)
-        data[idx, idx + 1] = lead / (2 * h)
-        data[idx, idx] = sub
+        lower[:-1] = -lead / (2 * h)
+        upper[1:] = lead / (2 * h)
+        diag[1:-1] = sub
     else:
         u0 = evaluate_many(coeffs.u[0], x_int, env)
-        data[idx, idx - 1] = lead / h**2 - sub / (2 * h)
-        data[idx, idx + 1] = lead / h**2 + sub / (2 * h)
-        data[idx, idx] = -2 * lead / h**2 + u0
-    return OperatorMatrix(data, g, label=f"C{n_order}")
+        lower[:-1] = lead / h**2 - sub / (2 * h)
+        upper[1:] = lead / h**2 + sub / (2 * h)
+        diag[1:-1] = -2 * lead / h**2 + u0
+    return Tridiagonal(lower, diag, upper, g, label=f"C{n_order}")
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +275,16 @@ def probe_matrix(g: Grid) -> np.ndarray:
                     axis=1).astype(complex)
 
 
-def _zeta(C: OperatorMatrix) -> np.ndarray:
-    """zeta = C P: the columns of C reversed (P is the node reversal)."""
+def _zeta(C: Tridiagonal) -> np.ndarray:
+    """zeta = C P: the columns of the dense C reversed (P is the node
+    reversal)."""
     if not C.grid.symmetric:
         raise GridError("parity needs a grid symmetric about 0, got "
                         f"({C.grid.x_min}, {C.grid.x_max})")
-    return C.data[:, ::-1]
+    return C.dense()[:, ::-1]
 
 
-def constraint_residuals(H: OperatorMatrix, C: OperatorMatrix,
+def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
                          l: Sequence[complex]) -> dict:
     """Normalized residuals of the three operator constraints with
     zeta = C P:
@@ -295,7 +311,7 @@ def constraint_residuals(H: OperatorMatrix, C: OperatorMatrix,
     V = probe_matrix(H.grid)
 
     rows = slice(margin, n - margin)
-    Hd, Cd = H.data, C.data
+    Hd, Cd = H.dense(), zeta[:, ::-1]      # zeta's columns restored: C
 
     def act(mat: np.ndarray) -> float:
         return float(np.linalg.norm((mat @ V)[rows]))
@@ -509,7 +525,9 @@ def _tridiagonal_eigenvalues(a: np.ndarray, beta: np.ndarray) -> np.ndarray:
     halves, offset by distinct multiples of 1e3*u*||T|| so that the equal
     eigenvalues of mirror-image halves do not coincide, with _aberth to
     the stopping threshold L*u*||T||_inf for blocks of L rows; the top
-    level (L = n) ends with a confirmation sweep over all n values.
+    level (L = n) ends with a confirmation sweep over all n values.  A
+    level on which _aberth raises EigensolverError has its blocks solved
+    dense, like the base blocks.
     """
     a = np.asarray(a, dtype=complex)
     beta = np.asarray(beta, dtype=complex)
@@ -524,11 +542,14 @@ def _tridiagonal_eigenvalues(a: np.ndarray, beta: np.ndarray) -> np.ndarray:
     while np.max(np.diff(levels[-1])) > BASE_BLOCK:
         edges = levels[-1]
         levels.append(np.union1d(edges, edges[:-1] + np.diff(edges) // 2))
-    edges = levels.pop()
-    z = np.concatenate([
-        dense_eigenvalues(np.diag(a[lo:hi]) + np.diag(root[lo:hi - 1], 1)
-                          + np.diag(root[lo:hi - 1], -1))
-        for lo, hi in zip(edges[:-1], edges[1:])])
+
+    def dense_blocks(edges):
+        return np.concatenate([
+            dense_eigenvalues(np.diag(a[lo:hi]) + np.diag(root[lo:hi - 1], 1)
+                              + np.diag(root[lo:hi - 1], -1))
+            for lo, hi in zip(edges[:-1], edges[1:])])
+
+    z = dense_blocks(levels.pop())
 
     offsets = 1e3 * UNIT_ROUNDOFF * norm * np.exp(
         2j * np.pi * (np.arange(n) + 0.5) / n)
@@ -539,12 +560,17 @@ def _tridiagonal_eigenvalues(a: np.ndarray, beta: np.ndarray) -> np.ndarray:
         z = z + offsets
         starts, sizes = edges[:-1], np.diff(edges)
         level_sweeps = 0
-        for size in np.unique(sizes):     # the blocks of a level differ by <= 1
-            rows = starts[sizes == size][:, None] + np.arange(size)
-            z[rows], count, last = _aberth(
-                a[rows], beta[rows[:, :-1]], z[rows],
-                size * UNIT_ROUNDOFF * norm, pivmin, size == n, work)
-            level_sweeps = max(level_sweeps, count)
+        try:
+            for size in np.unique(sizes):  # the blocks of a level differ by <= 1
+                rows = starts[sizes == size][:, None] + np.arange(size)
+                z[rows], count, last = _aberth(
+                    a[rows], beta[rows[:, :-1]], z[rows],
+                    size * UNIT_ROUNDOFF * norm, pivmin, size == n, work)
+                level_sweeps = max(level_sweeps, count)
+        except EigensolverError as exc:
+            log.info("tridiagonal eigenvalues: %s; the level's blocks are "
+                     "solved dense", exc)
+            z, level_sweeps, last = dense_blocks(edges), "dense", math.nan
         sweeps.append(level_sweeps)
 
     # sum of the eigenvalues = trace; each value is within its stopping
@@ -561,26 +587,20 @@ def _tridiagonal_eigenvalues(a: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return _sorted_eigenvalues(z)
 
 
-def hamiltonian_spectrum(M: OperatorMatrix) -> Spectrum:
+def hamiltonian_spectrum(M: Tridiagonal) -> Spectrum:
     """Spectrum of the decoupled interior block of a Dirichlet Hamiltonian
     (drops the two identity boundary rows, which would otherwise contribute
     two artificial unit eigenvalues), from its three diagonals.
 
-    Raises AssemblyError when the interior block has a nonzero outside its
-    three diagonals and EigensolverError when the iteration fails.
+    Raises EigensolverError when the solve fails.
     """
-    block = M.data[1:-1, 1:-1]
-    diagonals = [np.diagonal(block, k) for k in (-1, 0, 1)]
-    if np.count_nonzero(block) != sum(map(np.count_nonzero, diagonals)):
-        raise AssemblyError(f"operator '{M.label}' is not tridiagonal inside "
-                            "its boundary rows")
-    lower, diag, upper = diagonals
-    values = _tridiagonal_eigenvalues(diag, upper * lower)
+    values = _tridiagonal_eigenvalues(M.diag[1:-1],
+                                      M.upper[1:-1] * M.lower[1:-1])
     return Spectrum(values=values,
                     conjugate_pairing_distance=conjugate_pairing_distance(values))
 
 
-def susy_algebra_spectrum(C: OperatorMatrix) -> Spectrum:
+def susy_algebra_spectrum(C: Tridiagonal) -> Spectrum:
     """Spectrum of zeta conj(zeta) with zeta = C P, the discrete image of
     the SUSY polynomial sum_k l_k H^{N-k}.
 
@@ -657,14 +677,12 @@ def convergence_study(residual_fn: Callable[[Grid], Mapping[str, float]],
 # ---------------------------------------------------------------------------
 
 def wavefunction_from_log_derivative(phi: Expr, xs: Sequence[float],
-                                     env: Optional[ParamEnv] = None,
-                                     midpoint: Optional[float] = None) -> np.ndarray:
+                                     env: Optional[ParamEnv] = None) -> np.ndarray:
     """psi on the nodes from psi'/psi = phi by fixed-step 4th-order
     (Simpson) cumulative quadrature of phi from the domain midpoint, with
     the normalization psi(midpoint) = 1."""
     xs = np.asarray(list(xs), dtype=float)
-    if midpoint is None:
-        midpoint = 0.5 * (xs[0] + xs[-1])
+    midpoint = 0.5 * (xs[0] + xs[-1])
 
     anchor = int(np.argmin(np.abs(xs - midpoint)))
     # Simpson segments (a, b) in summation order: midpoint to the anchor

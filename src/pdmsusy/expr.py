@@ -43,6 +43,7 @@ __all__ = [
     "ParamEnv", "ExprError", "ParseError", "EvaluationError",
     "UnboundParameterError", "PoleError",
     "parse", "differentiate", "evaluate", "evaluate_many", "substitute_x",
+    "parameter_names",
     "add", "sub", "mul", "div", "pow_", "neg", "conj_expr", "func",
     "X", "IMAG", "FUNCTIONS",
 ]
@@ -300,6 +301,18 @@ def _rebuild(e: Expr, f) -> Expr:
     of each child, left to right; a Func keeps its name."""
     return _REBUILD[type(e)](*[f(v) if isinstance(v, Expr) else v
                                for v in vars(e).values()])
+
+
+def parameter_names(e: Expr) -> list:
+    """Names of the free parameters of e, each once, in tree-walk order."""
+    names = {}
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Param):
+            names.setdefault(node.name)
+        stack += [v for v in reversed(vars(node).values()) if isinstance(v, Expr)]
+    return list(names)
 
 
 # ---------------------------------------------------------------------------

@@ -351,13 +351,75 @@ def test_spectrum_failures_carry_the_stage(tmp_path, capsys, monkeypatch):
         "configuration error [stage spectrum]: mass not positive at "
         "x=-1.9375: m=(-1+0j)\n")
 
-    # an eigensolver failure is a numerical failure of the same stage
-    monkeypatch.setattr(discrete, "SWEEP_BUDGET", 1)
+    # an eigensolver failure is a numerical failure of the same stage: a
+    # result with a repeated value misses the trace identity
+    aberth = discrete._aberth
+
+    def duplicate(*args, **kwargs):
+        z, sweeps, last = aberth(*args, **kwargs)
+        z[..., 0] = z[..., 1]
+        return z, sweeps, last
+
+    monkeypatch.setattr(discrete, "_aberth", duplicate)
     path = write_config(tmp_path, CONFINED)
     assert main(["spectrum", path, "--quiet"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure [stage spectrum]: ")
-    assert "unconverged after 1 Aberth sweeps" in err
+    assert "misses trace(T)" in err
+
+
+def test_spectrum_builds_no_dense_operator(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("spectrum built a dense operator")
+
+    monkeypatch.setattr(discrete.Tridiagonal, "dense", refuse)
+    assert main(["spectrum", write_config(tmp_path, CONFINED), "--quiet"]) == 0
+
+
+# CPT-conserved models with a variable mass whose H has eigenvalue
+# condition numbers up to ~1e10: the Aberth stop lies below the rounding
+# noise there, and the levels that miss it are solved dense
+ILL_CONDITIONED = {
+    "A": dict(MINIMAL, mass="1+0.3*x^2",
+              superpotential={"kind": "deformed", "expr": "-x+0.5*i"},
+              susy_constants=[1.0],
+              grid={"xmin": -8.0, "xmax": 8.0, "points": 601}),
+    "B": dict(CONFINED, mass="1+0.3*x^2",
+              grid={"xmin": -8.0, "xmax": 8.0, "points": 601}),
+    "C": dict(CONFINED, mass="1+0.3*x^2",
+              superpotential={"kind": "deformed", "expr": "1.5+0.2*x^2+i*x"},
+              grid={"xmin": -4.0, "xmax": 4.0, "points": 601},
+              checks=["conjugate_closure"]),
+}
+
+
+@pytest.mark.parametrize("name, command, code", [
+    ("A", "spectrum", 0), ("B", "spectrum", 0), ("C", "spectrum", 0),
+    # the closure distance exceeds the absolute closure bound on C
+    ("C", "check", 1)])
+def test_ill_conditioned_spectra_are_solved(tmp_path, name, command, code):
+    path = write_config(tmp_path, ILL_CONDITIONED[name])
+    report_path = tmp_path / "report.json"
+    assert main([command, path, "--quiet", "--report", str(report_path)]) == code
+    report = json.loads(report_path.read_text())
+    if command == "spectrum":
+        assert len(report["spectrum"]) == 599
+    else:
+        assert np.isfinite(report["checks"][0]["values"]["h_spectrum_distance"])
+
+
+@pytest.mark.parametrize("command, change, field, name", [
+    ("check", {"mass": "1+beta*x^2"}, "mass", "beta"),
+    ("check", {"superpotential": {"kind": "deformed", "expr": "-x+alpha*i"},
+               "checks": ["eigenvalues"]}, "superpotential.expr", "alpha"),
+    ("spectrum", {"superpotential": {"kind": "deformed", "expr": "-x+alpha*i"}},
+     "superpotential.expr", "alpha")])
+def test_unbound_parameters_are_configuration_errors(tmp_path, capsys, command,
+                                                     change, field, name):
+    path = write_config(tmp_path, dict(MINIMAL, **change))
+    assert main([command, path, "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: field '{field}': unbound parameter '{name}'\n")
 
 
 def test_verbose_logs_stages_and_solver(tmp_path, capsys, caplog):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_pt_model
 
-from pdmsusy import (Grid, GridError, MassFn, ModelSpec, OperatorMatrix,
+from pdmsusy import (Grid, GridError, MassFn, ModelSpec, Tridiagonal,
                      assemble_charge, assemble_hamiltonian,
                      conjugate_pairing_distance,
                      constraint_residuals, convergence_study,
@@ -43,7 +43,7 @@ def dense_parity_reference(H, C, l):
     n = H.n
     P = np.zeros((n, n), dtype=complex)
     P[np.arange(n), n - 1 - np.arange(n)] = 1.0
-    Hd, Cd = H.data, C.data
+    Hd, Cd = H.dense(), C.dense()
     V = probe_matrix(H.grid)
     rows = slice(1 + 2 * len(l), n - 1 - 2 * len(l))
 
@@ -93,10 +93,12 @@ def test_constant_potential_shifts_spectrum():
 def test_hamiltonian_boundary_rows_are_decoupled_identity():
     g = Grid(-2.0, 2.0, 32)
     mass = MassFn(parse("1"), -2.0, 2.0)
-    H = assemble_hamiltonian(mass, parse("x^2"), g).data
-    assert H[0, 0] == 1.0 and H[-1, -1] == 1.0
-    assert np.all(H[0, 1:] == 0) and np.all(H[-1, :-1] == 0)
-    assert H[1, 0] == 0 and H[-2, -1] == 0
+    H = assemble_hamiltonian(mass, parse("x^2"), g)
+    assert H.diag[0] == 1.0 and H.diag[-1] == 1.0
+    assert H.upper[0] == 0 and H.lower[-1] == 0     # H[0, 1], H[-1, -2]
+    assert H.lower[0] == 0 and H.upper[-1] == 0     # H[1, 0], H[-2, -1]
+    dense = H.dense()
+    assert np.all(dense[0, 1:] == 0) and np.all(dense[-1, :-1] == 0)
 
 
 def test_charge_stencils():
@@ -104,15 +106,22 @@ def test_charge_stencils():
     mass = MassFn(parse("1"), -2.0, 2.0)
     spec = ModelSpec(order=1, mass=mass, deformed=Const(0.0),
                      susy_constants=(0.0,))
-    C = assemble_charge(build_first_order(spec).charge, g).data
+    C = assemble_charge(build_first_order(spec).charge, g)
     h = g.h
-    assert C[5, 4] == -1 / (2 * h) and C[5, 6] == 1 / (2 * h) and C[5, 5] == 0
-    assert np.all(C[0] == 0) and np.all(C[-1] == 0)
+    # row 5: C[5, 4], C[5, 5], C[5, 6]
+    assert C.lower[4] == -1 / (2 * h) and C.upper[5] == 1 / (2 * h)
+    assert C.diag[5] == 0
+    # boundary rows zeroed
+    assert C.diag[0] == C.upper[0] == C.diag[-1] == C.lower[-1] == 0
+    assert np.all(C.dense()[[0, -1]] == 0)
 
     spec_c = ModelSpec(order=1, mass=mass, deformed=Const(0.7),
                        susy_constants=(0.0,))
-    C2 = assemble_charge(build_first_order(spec_c).charge, g).data
-    assert np.allclose(C2[1:-1, :], C[1:-1, :] + 0.7 * np.eye(32)[1:-1, :])
+    C2 = assemble_charge(build_first_order(spec_c).charge, g)
+    assert np.allclose(C2.diag[1:-1], C.diag[1:-1] + 0.7)
+    assert np.allclose(C2.diag[[0, -1]], 0)
+    assert np.array_equal(C2.lower, C.lower)
+    assert np.array_equal(C2.upper, C.upper)
 
 
 def test_second_order_charge_on_worked_model_is_finite():
@@ -122,7 +131,9 @@ def test_second_order_charge_on_worked_model_is_finite():
     system = build_second_order(spec)
     g = Grid(0.05, 1.5, 401)
     C = assemble_charge(system.charge, g, spec.params)
-    assert np.all(np.isfinite(C.data.real)) and np.all(np.isfinite(C.data.imag))
+    for diagonal in (C.lower, C.diag, C.upper):
+        assert np.all(np.isfinite(diagonal.real))
+        assert np.all(np.isfinite(diagonal.imag))
 
 
 def test_unsupported_charge_orders():
@@ -179,10 +190,14 @@ def test_trace_identity_on_random_matrix():
 def test_dense_budget_enforced():
     with pytest.raises(EigensolverError, match="4096"):
         dense_eigenvalues(np.zeros((5000, 5000), dtype=complex))
-    # assembly refuses before it allocates the n x n matrix
-    g = Grid(-1.0, 1.0, 4097)
-    with pytest.raises(AssemblyError, match="4096, got 4097"):
-        assemble_hamiltonian(MassFn(parse("1"), -1.0, 1.0), parse("x^2"), g)
+    # assembly stores three diagonals, so it has no budget; the consumers
+    # that build the n x n matrix refuse before they allocate it
+    H, C, spec = synthetic_operators(Grid(-1.0, 1.0, 4097))
+    budget = "dense budget is n <= 4096, got 4097"
+    with pytest.raises(AssemblyError, match=budget):
+        constraint_residuals(H, C, spec.susy_constants)
+    with pytest.raises(AssemblyError, match=budget):
+        susy_algebra_spectrum(C)
 
 
 def test_conjugate_closure_trivial_cases():
@@ -238,10 +253,9 @@ def tridiagonals(draw):
 
 def dirichlet_operator(T):
     """An operator whose interior block is T, with identity boundary rows."""
-    n = T.shape[0] + 2
-    data = np.eye(n, dtype=complex)
-    data[1:-1, 1:-1] = T
-    return OperatorMatrix(data, Grid(-1.0, 1.0, n))
+    return Tridiagonal(np.r_[0, np.diagonal(T, -1), 0], np.r_[1, np.diag(T), 1],
+                       np.r_[0, np.diagonal(T, 1), 0],
+                       Grid(-1.0, 1.0, T.shape[0] + 2))
 
 
 @SOLVER
@@ -264,21 +278,20 @@ def test_tridiagonal_solver_matches_dense(case):
     assert np.max(np.min(gap, axis=0)) <= bound
 
 
-def test_tridiagonal_solver_rejects_other_operators():
+def test_tridiagonal_solver_failures_are_reported(monkeypatch, caplog):
     g = Grid(-1.0, 1.0, 60)
     H = assemble_hamiltonian(MassFn(parse("1"), -1.0, 1.0), parse("x^2"), g)
-    data = np.array(H.data)
-    data[5, 9] = 1e-3
-    with pytest.raises(AssemblyError, match="not tridiagonal"):
-        hamiltonian_spectrum(OperatorMatrix(data, g))
-
-
-def test_tridiagonal_solver_failures_are_reported(monkeypatch):
-    g = Grid(-1.0, 1.0, 60)
-    H = assemble_hamiltonian(MassFn(parse("1"), -1.0, 1.0), parse("x^2"), g)
+    # a level that does not converge is solved dense, like the base blocks:
+    # here the top level, so the values are those of the dense solver on
+    # the symmetrized interior block
     monkeypatch.setattr(discrete, "SWEEP_BUDGET", 1)
-    with pytest.raises(EigensolverError, match="unconverged after 1 Aberth"):
-        hamiltonian_spectrum(H)
+    caplog.set_level("INFO", logger="pdmsusy")
+    values = hamiltonian_spectrum(H).values
+    root = np.sqrt(H.upper[1:-1] * H.lower[1:-1])
+    T = np.diag(H.diag[1:-1]) + np.diag(root, 1) + np.diag(root, -1)
+    assert np.array_equal(values, dense_eigenvalues(T))
+    assert any("unconverged after 1 Aberth sweeps" in r.getMessage()
+               and "solved dense" in r.getMessage() for r in caplog.records)
     monkeypatch.undo()
 
     # a result that misses the trace identity is refused
@@ -392,8 +405,8 @@ def test_convergence_study_needs_halving_grids():
 def test_intertwining_residuals_are_conjugate():
     g = Grid(-6.0, 6.0, 41)
     H, C, _ = synthetic_operators(g)
-    zeta = C.data[:, ::-1]
-    Hd = H.data
+    zeta = C.dense()[:, ::-1]
+    Hd = H.dense()
     r1 = Hd @ zeta - zeta @ Hd.conj()
     r2 = Hd.conj() @ zeta.conj() - zeta.conj() @ Hd
     assert np.array_equal(r1.conj(), r2)
@@ -457,11 +470,9 @@ def test_wavefunction_sums_outward_from_the_anchor():
         fa, fm, fb = evaluate_many(phi, [a, 0.5 * (a + b), b])
         return ((b - a) / 6.0) * (fa + 4.0 * fm + fb)
 
-    for xs, midpoint in ((np.linspace(-1.5, 1.5, 33), 0.0),
-                         (np.linspace(-1.0, 2.0, 20), 0.5),
-                         (np.array([0.0, 0.0, 0.5, 0.5, 1.0]), 0.5),
-                         (np.linspace(-1.0, 1.0, 9), -1.0),
-                         (np.linspace(-1.0, 1.0, 9), 1.0)):
+    for xs in (np.linspace(-1.5, 1.5, 33), np.linspace(-1.0, 2.0, 20),
+               np.array([0.0, 0.0, 0.5, 0.5, 1.0])):
+        midpoint = 0.5 * (xs[0] + xs[-1])
         anchor = int(np.argmin(np.abs(xs - midpoint)))
         integral = np.zeros(xs.size, dtype=complex)
         integral[anchor] = segment(midpoint, xs[anchor])
@@ -469,15 +480,22 @@ def test_wavefunction_sums_outward_from_the_anchor():
             integral[j] = integral[j - 1] + segment(xs[j - 1], xs[j])
         for j in range(anchor - 1, -1, -1):
             integral[j] = integral[j + 1] - segment(xs[j], xs[j + 1])
-        psi = wavefunction_from_log_derivative(phi, xs, midpoint=midpoint)
+        psi = wavefunction_from_log_derivative(phi, xs)
         assert np.array_equal(psi, np.exp(integral))
 
 
-def test_operator_matrix_validation():
+def test_tridiagonal_validation():
     g = Grid(-1.0, 1.0, 16)
-    with pytest.raises(Exception):
-        OperatorMatrix(np.zeros((4, 4), dtype=complex), g)
-    bad = np.zeros((16, 16), dtype=complex)
-    bad[3, 3] = np.nan
-    with pytest.raises(Exception, match="non-finite"):
-        OperatorMatrix(bad, g)
+    off, diag = np.zeros(15), np.ones(16)
+    for lower, diagonal, upper in ((off, off, off), (diag, diag, off),
+                                   (off, diag, np.zeros((15, 1)))):
+        with pytest.raises(AssemblyError, match="grid with 16 points"):
+            Tridiagonal(lower, diagonal, upper, g)
+    bad = off.astype(complex)
+    bad[3] = complex(0.0, np.inf)
+    with pytest.raises(AssemblyError, match="non-finite"):
+        Tridiagonal(off, diag, bad, g)
+    M = Tridiagonal(off, diag, off, g)
+    with pytest.raises(ValueError, match="read-only"):
+        M.diag[0] = 2.0
+    assert np.array_equal(M.dense(), np.eye(16))
