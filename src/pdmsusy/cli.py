@@ -18,6 +18,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ from . import discrete, susy1, susy2, susyn
 from .expr import (Const, EvaluationError, Expr, ParamEnv, ParseError,
                    evaluate_many, parameter_names, parse)
 from .model import (DomainError, MassError, MassFn, ModelError, ModelSpec,
-                    mass_deformed_superpotential, pt_image, symmetry_report)
+                    pt_image, symmetry_report)
 from .susy2 import SingularPointError
 
 __all__ = ["ConfigError", "RunConfig", "CheckOutcome", "VerificationReport",
@@ -112,23 +113,17 @@ class VerificationReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(_jsonable(self.as_dict()), indent=2)
+        return json.dumps(self.as_dict(), indent=2, default=_json_default)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    """json.dumps hook for what JSON lacks: a complex number becomes
+    [re, im], a numpy array or scalar its Python value (encoded in turn)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     if isinstance(obj, complex):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.complexfloating):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+        return [obj.real, obj.imag]
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +177,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     allowed = ("order", "mass", "superpotential", "params", "susy_constants",
-               "grid", "boundary", "checks", "tolerances", "output")
+               "grid", "checks", "tolerances", "output")
     _check_unknown(raw, allowed, "")
 
     order = _want(raw, "order", int, "")
@@ -204,11 +199,17 @@ def parse_config_dict(raw: dict) -> RunConfig:
     params = {}
     for name, value in params_raw.items():
         params[str(name)] = _as_complex(value, f"params.{name}")
+    used = set()
     for path, expr in (("mass", mass_expr), ("superpotential.expr", sp_expr)):
         for name in parameter_names(expr):
             if name not in params:
                 raise ConfigError(
                     f"field '{path}': unbound parameter '{name}'")
+            used.add(name)
+    for name in params:
+        if name not in used:
+            raise ConfigError(f"field 'params.{name}': parameter not used "
+                              "by 'mass' or 'superpotential.expr'")
 
     constants_raw = _want(raw, "susy_constants", list, "")
     constants = tuple(_as_complex(v, f"susy_constants[{i}]")
@@ -229,10 +230,6 @@ def parse_config_dict(raw: dict) -> RunConfig:
                              points)
     except discrete.GridError as exc:
         raise ConfigError(f"field 'grid': {exc}") from exc
-
-    if _want(raw, "boundary", str, "", optional=True,
-             default="dirichlet") != "dirichlet":
-        raise ConfigError("field 'boundary': only 'dirichlet' is supported")
 
     checks_raw = _want(raw, "checks", list, "")
     checks = []
@@ -642,8 +639,12 @@ def emit_curves(system, grid: discrete.Grid, path: str) -> None:
 # Built-in paper-example reproduction
 # ---------------------------------------------------------------------------
 
-def _identity_item(name, residual, tol) -> CheckOutcome:
-    return _bounded(name, {"residual": residual}, tol)
+# The paper's worked models: W = exp(i alpha x) - sin x with, per order, the
+# sec-type mass that deforms it into W_m = exp(i alpha x), and the SUSY
+# constants (order -> (mass, constants))
+WORKED_W = "exp(i*alpha*x)-sin(x)"
+WORKED_WM = "exp(i*alpha*x)"
+WORKED = {1: ("1/4*sec(x)^2", (1.0,)), 2: ("sec(x)", (-3.0, 2.0))}
 
 
 def paper_examples() -> VerificationReport:
@@ -654,120 +655,99 @@ def paper_examples() -> VerificationReport:
     symmetrized windows."""
     checks = []
     wall = {}
+    wm_exact = parse(WORKED_WM)
 
-    w_source = "exp(i*alpha*x)-sin(x)"
-    masses = {1: "1/4*sec(x)^2", 2: "sec(x)"}
-    constants = {1: (1.0,), 2: (-3.0, 2.0)}
-    recovery_pts = np.linspace(0.02, 1.55, 1000)
-    target = parse("exp(i*alpha*x)")
+    def worked(order, x_min, x_max, **superpotential) -> ModelSpec:
+        mass, constants = WORKED[order]
+        return ModelSpec(order=order, mass=MassFn(parse(mass), x_min, x_max),
+                         susy_constants=constants, params=ParamEnv(alpha=1.0),
+                         **superpotential)
 
-    # 1. mass-deformed superpotential recovery, both orders
+    route_pts = np.linspace(0.05, 1.5, 200)
+    with _timed(wall, "systems"):
+        systems = {order: _build_system(worked(order, 0.05, 1.5,
+                                               superpotential=parse(WORKED_W)))
+                   for order in WORKED}
+
+    # 1. mass-deformed superpotential recovery, both orders; W_m does not
+    # depend on the mass window, and at alpha = 0 it collapses to 1
     with _timed(wall, "recovery"):
-        for order, mass_source in masses.items():
-            mass = MassFn(parse(mass_source), 0.02, 1.55)
-            wm = mass_deformed_superpotential(parse(w_source), mass, order)
-            for alpha in (0.5, 1.0, 2.0):
-                env = ParamEnv(alpha=alpha)
-                checks.append(_identity_item(
-                    f"wm_recovery_n{order}_alpha{alpha:g}",
-                    _sup_diff(wm, target, recovery_pts, env), 1e-12))
-            # alpha = 0 degenerate sweep: W_m collapses to the constant 1
-            checks.append(_identity_item(
-                f"wm_recovery_n{order}_alpha0",
-                _sup_diff(wm, Const(1.0), recovery_pts, ParamEnv(alpha=0.0)),
-                1e-12))
+        recovery_pts = np.linspace(0.02, 1.55, 1000)
+        for order, system in systems.items():
+            for alpha in (0.5, 1.0, 2.0, 0.0):
+                residual = _sup_diff(system.wm, wm_exact, recovery_pts,
+                                     ParamEnv(alpha=alpha))
+                checks.append(_bounded(f"wm_recovery_n{order}_alpha{alpha:g}",
+                                       {"residual": residual}, 1e-12))
 
     # 2. u0 route agreement at order 2: closed form, integrated form, and
-    # the worked sec-mass expression
+    # the worked sec-mass expression, each evaluated once per (alpha, delta)
     with _timed(wall, "u0_routes"):
         u0_example = parse(
             "1/4*sec(x)*exp(2*i*alpha*x) - delta^2/4*cos(x)*exp(-2*i*alpha*x)"
             " + i*alpha/2*exp(i*alpha*x) + alpha^2/4*cos(x)"
             " + 1/4*sin(x)^2*sec(x) - 1/2*sec(x)")
-        mass2 = MassFn(parse(masses[2]), 0.05, 1.5)
-        route_pts = np.linspace(0.05, 1.5, 200)
-        wm_expr = parse("exp(i*alpha*x)")
-        f_expr = susy2.f_aux(wm_expr, mass2)
-        worst_routes = 0.0
+        mass = systems[2].m
+        f = susy2.f_aux(wm_exact, mass)
+        worst = 0.0
         for alpha in (0.5, 1.0, 2.0):
             for delta in (0.5, 1.0):
-                env = ParamEnv(alpha=alpha, delta=delta)
-                l1, l2 = 0.0, -delta * delta / 4.0
-                closed = susy2.u0_closed(wm_expr, mass2, l1, l2)
-                theta = l2 - l1 * l1 / 4.0
-                integrated = susy2.u0_integrated(f_expr, wm_expr, mass2, theta)
-                va = evaluate_many(closed, route_pts, env)
-                vb = evaluate_many(integrated, route_pts, env)
-                vc = evaluate_many(u0_example, route_pts, env)
-                worst_routes = max(worst_routes,
-                                   float(np.max(np.abs(va - vb))),
-                                   float(np.max(np.abs(va - vc))),
-                                   float(np.max(np.abs(vb - vc))))
-        checks.append(_identity_item("u0_triple_agreement", worst_routes, 1e-10))
+                l2 = -delta * delta / 4.0      # l1 = 0, so Theta = l2
+                routes = [evaluate_many(u0, route_pts,
+                                        ParamEnv(alpha=alpha, delta=delta))
+                          for u0 in (susy2.u0_closed(wm_exact, mass, 0.0, l2),
+                                     susy2.u0_integrated(f, wm_exact, mass, l2),
+                                     u0_example)]
+                worst = max(worst, *(float(np.max(np.abs(a - b)))
+                                     for a, b in combinations(routes, 2)))
+        checks.append(_bounded("u0_triple_agreement", {"residual": worst},
+                               1e-10))
 
-    # 3 + 4. general-order defect and potential reductions on the worked
-    # models, which item 5 reuses
-    worked = {}
+    # 3 + 4. general-order defect and potential reductions
     with _timed(wall, "reductions"):
-        worst_dv = 0.0
-        worst_pot = 0.0
-        for order, mass_source in masses.items():
-            spec = ModelSpec(order=order,
-                             mass=MassFn(parse(mass_source), 0.05, 1.5),
-                             superpotential=parse(w_source),
-                             susy_constants=constants[order],
-                             params=ParamEnv(alpha=1.0))
-            system = _build_system(spec)
-            worked[order] = system
-            u_nm2 = system.u0 if order == 2 else Const(0.0)
-            general_dv = susyn.delta_v_general(system.wm, spec.mass, order)
-            general_pot = susyn.potential_general(
-                system.wm, spec.mass, u_nm2, order, -spec.susy_constants[0])
-            worst_dv = max(worst_dv, _sup_diff(general_dv, system.delta_v,
-                                               route_pts, spec.params))
-            worst_pot = max(worst_pot, _sup_diff(general_pot, system.vtilde,
-                                                 route_pts, spec.params))
-        checks.append(_identity_item("delta_v_general_reduction", worst_dv, 1e-10))
-        checks.append(_identity_item("potential_general_reduction", worst_pot,
-                                     1e-10))
+        worst_dv = max(
+            _sup_diff(susyn.delta_v_general(s.wm, s.m, order), s.delta_v,
+                      route_pts, s.params) for order, s in systems.items())
+        worst_pot = max(
+            _sup_diff(susyn.potential_general(
+                s.wm, s.m, s.u0 if order == 2 else Const(0.0), order, -s.l1),
+                s.vtilde, route_pts, s.params) for order, s in systems.items())
+        checks.append(_bounded("delta_v_general_reduction",
+                               {"residual": worst_dv}, 1e-10))
+        checks.append(_bounded("potential_general_reduction",
+                               {"residual": worst_pot}, 1e-10))
 
-    # 5. zero-mode Riccati identities on both worked examples
+    # 5. zero-mode Riccati identities
     with _timed(wall, "riccati"):
         riccati_pts = np.linspace(0.05, 1.5, IDENTITY_SAMPLES)
         for order, label in ((1, "first"), (2, "second")):
-            values = _riccati_values(worked[order], riccati_pts)
-            checks.append(_identity_item(f"riccati_{label}_order",
-                                         max(values.values()), 1e-9))
+            values = _riccati_values(systems[order], riccati_pts)
+            checks.append(_bounded(f"riccati_{label}_order",
+                                   {"residual": max(values.values())}, 1e-9))
 
     # 6. quadratic eigenvalues and the reality boundary
     with _timed(wall, "eigenvalues"):
-        e0, e1, real_spec = susy2.lowest_eigenvalues(-3.0, 2.0)
-        eig_resid = max(abs(e0 - 1.0), abs(e1 - 2.0))
-        ok_flags = (real_spec
-                    and susy2.lowest_eigenvalues(2.0, 1.0)[2]
-                    and susy2.lowest_eigenvalues(2.0, 1.0 - 1e-9)[2]
-                    and not susy2.lowest_eigenvalues(2.0, 1.0 + 1e-9)[2])
-        item = _identity_item("quadratic_eigenvalues", float(eig_resid), 1e-12)
-        if not ok_flags:
-            item.status = "fail"
-            item.reason = "reality flag did not flip at l1^2 = 4 l2"
-        checks.append(item)
+        e0, e1, real_spec = susy2.lowest_eigenvalues(*WORKED[2][1])
+        outcome = _bounded("quadratic_eigenvalues",
+                           {"residual": max(abs(e0 - 1.0), abs(e1 - 2.0))},
+                           1e-12)
+        flags = [susy2.lowest_eigenvalues(2.0, l2)[2]
+                 for l2 in (1.0, 1.0 - 1e-9, 1.0 + 1e-9)]
+        if not real_spec or flags != [True, True, False]:
+            outcome.status = "fail"
+            outcome.reason = "reality flag did not flip at l1^2 = 4 l2"
+        checks.append(outcome)
 
     # 7. symmetry defects on symmetrized windows
     with _timed(wall, "symmetry"):
         worst_sym = 0.0
-        for order, mass_source in masses.items():
-            sym_spec = ModelSpec(order=order,
-                                 mass=MassFn(parse(mass_source), -1.4, 1.4),
-                                 deformed=parse("exp(i*alpha*x)"),
-                                 susy_constants=constants[order],
-                                 params=ParamEnv(alpha=1.0))
-            rep = symmetry_report(sym_spec)
+        for order in WORKED:
+            rep = symmetry_report(worked(order, -1.4, 1.4, deformed=wm_exact))
             worst_sym = max(worst_sym, rep.mass_parity_defect, rep.wm_pt_defect)
-        checks.append(_identity_item("symmetry_defects", worst_sym,
-                                     DEFAULT_TOLERANCES["symmetry"]))
+        checks.append(_bounded("symmetry_defects", {"residual": worst_sym},
+                               DEFAULT_TOLERANCES["symmetry"]))
 
-    max_identity = max(c.values.get("residual", 0.0) for c in checks)
+    max_identity = max(c.values["residual"] for c in checks)
     return VerificationReport(
         model={"built_in": "paper-examples"},
         checks=checks,
@@ -786,8 +766,6 @@ def _stage_tag(exc: Exception) -> str:
 
 
 def _apply_tol_overrides(config: RunConfig, pairs: Sequence[str]) -> RunConfig:
-    if not pairs:
-        return config
     tolerances = dict(config.tolerances)
     for pair in pairs:
         if "=" not in pair:
@@ -797,27 +775,16 @@ def _apply_tol_overrides(config: RunConfig, pairs: Sequence[str]) -> RunConfig:
     return dataclasses.replace(config, tolerances=tolerances)
 
 
-def _print_report(report: VerificationReport, quiet: bool) -> None:
-    if quiet:
-        return
+def _print_report(report: VerificationReport) -> None:
     for outcome in report.checks:
-        detail = ""
-        if outcome.values:
-            shown = {k: (v if isinstance(v, bool) else f"{v:.3e}")
-                     for k, v in outcome.values.items()
-                     if isinstance(v, (int, float))}
-            if shown:
-                detail = "  " + ", ".join(f"{k}={v}" for k, v in shown.items())
+        shown = [f"{k}={v}" if isinstance(v, bool) else f"{k}={v:.3e}"
+                 for k, v in outcome.values.items()
+                 if isinstance(v, (int, float))]
+        detail = "  " + ", ".join(shown) if shown else ""
         if outcome.reason:
             detail += f"  ({outcome.reason})"
         print(f"{outcome.status.upper():4s} {outcome.name}{detail}")
     print("result:", "PASS" if report.passed else "FAIL")
-
-
-def _write_report(report: VerificationReport, path: Optional[str]) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -827,27 +794,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "Hamiltonians and verify their closed-form identities.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_config=True):
-        if with_config:
+    def add_command(name, help, config=True, report=True):
+        """A sub-command; --tol is taken where a config's checks run."""
+        p = sub.add_parser(name, help=help)
+        if config:
             p.add_argument("config", help="JSON run configuration")
+        if config and report:
             p.add_argument("--tol", action="append", default=[],
                            metavar="NAME=VALUE", help="override a tolerance")
-        p.add_argument("--report", default=None, help="report output path")
+        if report:
+            p.add_argument("--report", default=None, help="report output path")
         p.add_argument("--quiet", action="store_true")
         p.add_argument("-v", "--verbose", action="store_true",
                        help="log stage wall times and eigensolver "
                             "statistics to stderr")
+        return p
 
-    add_common(sub.add_parser("check", help="run the configured checks"))
-    add_common(sub.add_parser("spectrum", help="discrete spectrum of H"))
-    add_common(sub.add_parser("curves", help="emit plot-ready CSV curves"))
-    add_common(sub.add_parser("paper-examples",
-                              help="reproduce the built-in worked examples"),
-               with_config=False)
-    conv = sub.add_parser("convergence", help="grid-refinement study")
-    add_common(conv)
-    conv.add_argument("--refinements", type=int, default=3,
-                      help="number of grids (spacing halves each time)")
+    add_command("check", "run the configured checks")
+    add_command("spectrum", "discrete spectrum of H")
+    add_command("curves", "emit plot-ready CSV curves", report=False)
+    add_command("paper-examples", "reproduce the built-in worked examples",
+                config=False)
+    add_command("convergence", "grid-refinement study").add_argument(
+        "--refinements", type=int, default=3,
+        help="number of grids (spacing halves each time)")
 
     args = parser.parse_args(argv)
     with _logging(args.verbose):
@@ -878,38 +848,35 @@ def _command(args) -> int:
     """Run the parsed command; returns the exit code."""
     try:
         if args.command == "paper-examples":
-            report = paper_examples()
-            _print_report(report, args.quiet)
-            _write_report(report, args.report)
-            return 0 if report.passed else 1
-
-        config = load_config(args.config)
-        config = _apply_tol_overrides(config, args.tol)
-        # spectrum, curves and convergence need the closed-form system
-        if config.spec.order > 2 and args.command != "check":
-            raise ConfigError(f"'{args.command}' supports orders 1 and 2 only, "
-                              f"got order {config.spec.order}")
-
-        if args.command == "check":
-            report = run(config)
-        elif args.command == "spectrum":
-            report = spectrum_report(config)
-        elif args.command == "convergence":
-            if args.refinements < 3:
-                raise ConfigError("--refinements must be >= 3")
-            report = run(dataclasses.replace(config, checks=("convergence",)),
-                         refinements=args.refinements)
-        elif args.command == "curves":
-            path = config.output.get("curves", "curves.csv")
-            emit_curves(_build_system(config.spec), config.grid, path)
-            if not args.quiet:
-                print(f"curves written to {path}")
-            return 0
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown command {args.command}")
-
-        _print_report(report, args.quiet)
-        _write_report(report, args.report or config.output.get("report"))
+            report, path = paper_examples(), args.report
+        else:
+            config = load_config(args.config)
+            # spectrum, curves and convergence need the closed-form system
+            if config.spec.order > 2 and args.command != "check":
+                raise ConfigError(f"'{args.command}' supports orders 1 and 2 "
+                                  f"only, got order {config.spec.order}")
+            if args.command == "curves":
+                path = config.output.get("curves", "curves.csv")
+                emit_curves(_build_system(config.spec), config.grid, path)
+                if not args.quiet:
+                    print(f"curves written to {path}")
+                return 0
+            config = _apply_tol_overrides(config, args.tol)
+            if args.command == "check":
+                report = run(config)
+            elif args.command == "spectrum":
+                report = spectrum_report(config)
+            else:  # convergence
+                if args.refinements < 3:
+                    raise ConfigError("--refinements must be >= 3")
+                report = run(dataclasses.replace(
+                    config, checks=("convergence",)), args.refinements)
+            path = args.report or config.output.get("report")
+        if not args.quiet:
+            _print_report(report)
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json() + "\n")
         return 0 if report.passed else 1
 
     except ConfigError as exc:

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,10 +112,53 @@ def test_expression_error_carries_field_and_offset():
         parse_config_dict(bad)
 
 
-def test_boundary_restricted_to_dirichlet():
-    bad = dict(MINIMAL, boundary="periodic")
-    with pytest.raises(ConfigError, match="dirichlet"):
-        parse_config_dict(bad)
+def test_boundary_restricted_to_dirichlet(tmp_path, capsys):
+    # Dirichlet is the only boundary condition, so no field selects it
+    for value in ("dirichlet", "periodic"):
+        with pytest.raises(ConfigError, match="unknown field 'boundary'"):
+            parse_config_dict(dict(MINIMAL, boundary=value))
+    path = write_config(tmp_path, dict(MINIMAL, boundary="dirichlet"))
+    assert main(["check", path, "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: unknown field 'boundary'\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({k: v for k, v in MINIMAL.items() if k != "grid"}),
+     "missing field 'grid'"),
+    ("[]", "config root must be a JSON object"),
+    ('{"order": 1,', "config is not valid JSON: Expecting property name "
+                     "enclosed in double quotes: line 1 column 13 (char 12)"),
+    (json.dumps(dict(MINIMAL, order=0)),
+     "field 'order' must be a positive integer"),
+    (json.dumps(dict(MINIMAL, superpotential={"kind": "exact", "expr": "i*x"})),
+     "field 'superpotential.kind' must be 'constant_mass' or 'deformed'"),
+    (json.dumps(dict(MINIMAL, grid=dict(MINIMAL["grid"], points=15))),
+     "field 'grid.points' must be >= 16"),
+    (json.dumps(dict(MINIMAL, grid=dict(MINIMAL["grid"], xmin=2.0))),
+     "field 'grid': empty grid (2.0, 2.0)")])
+def test_config_rejections(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["check", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("payload, name", [
+    (dict(MINIMAL, params={"beta": 1.0}), "beta"),
+    (dict(MINIMAL, mass="1+alpha*x^2", params={"alpha": 0.1, "beta": 1.0}),
+     "beta"),
+    (dict(MINIMAL, superpotential={"kind": "deformed", "expr": "alpha*i*x"},
+          params={"gamma": 2.0, "alpha": 1.0}), "gamma")])
+def test_unused_parameters_are_configuration_errors(tmp_path, capsys, payload,
+                                                    name):
+    assert main(["check", write_config(tmp_path, payload), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: field 'params.{name}': parameter not used by "
+        "'mass' or 'superpotential.expr'\n")
+    # the parameters that the expressions read are accepted
+    used = {k: v for k, v in payload["params"].items() if k != name}
+    parse_config_dict(dict(payload, params=used))
 
 
 def test_u0_routes_requires_second_order():
@@ -368,6 +412,47 @@ def test_spectrum_failures_carry_the_stage(tmp_path, capsys, monkeypatch):
     assert "misses trace(T)" in err
 
 
+@pytest.mark.parametrize("payload, header", [
+    (MINIMAL, "x,re_m,re_wm,im_wm,re_v,im_v,re_psi0,im_psi0"),
+    (CONFINED, "x,re_m,re_wm,im_wm,re_v,im_v,re_psi0,im_psi0,"
+               "re_u0,im_u0,re_psi1,im_psi1,re_psi2,im_psi2")])
+def test_curves_command(tmp_path, capsys, payload, header):
+    csv = tmp_path / "curves.csv"
+    path = write_config(tmp_path, dict(payload, output={"curves": str(csv)}))
+    assert main(["curves", path]) == 0
+    assert capsys.readouterr().out == f"curves written to {csv}\n"
+    lines = csv.read_text().splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + payload["grid"]["points"]
+    assert all(len(line.split(",")) == header.count(",") + 1
+               for line in lines[1:])
+
+
+@pytest.mark.parametrize("flag", [("--report", "r.json"),
+                                  ("--tol", "identity=1")])
+def test_curves_takes_no_report_and_no_tolerance(tmp_path, capsys, flag):
+    # curves writes no report and checks nothing
+    path = write_config(tmp_path, dict(
+        MINIMAL, output={"curves": str(tmp_path / "curves.csv")}))
+    with pytest.raises(SystemExit) as exc:
+        main(["curves", path, "--quiet", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "curves.csv").exists()
+
+
+def test_check_prints_one_line_per_check(tmp_path, capsys):
+    path = write_config(tmp_path, dict(
+        MINIMAL, grid=dict(MINIMAL["grid"], xmax=3.0),
+        checks=["riccati", "eigenvalues", "pseudo"]))
+    assert main(["check", path]) == 0
+    assert capsys.readouterr().out == (
+        "PASS riccati  phi0=0.000e+00\n"
+        "PASS eigenvalues  polynomial_residual=0.000e+00\n"
+        "SKIP pseudo  (grid not symmetric about 0)\n"
+        "result: PASS\n")
+
+
 def test_spectrum_builds_no_dense_operator(tmp_path, monkeypatch):
     def refuse(self):
         raise AssertionError("spectrum built a dense operator")
@@ -468,11 +553,28 @@ def test_convergence_command(tmp_path):
     for name in ("pseudo", "cpt", "susy"):
         assert 1.7 <= conv["values"][f"{name}_order"] <= 2.3
     assert main(["convergence", path, "--refinements", "2", "--quiet"]) == 2
+    # a slope window above the measured orders fails the study
+    assert main(["convergence", path, "--refinements", "3", "--quiet",
+                 "--tol", "slope_min=2.2", "--report", str(report_path)]) == 1
+    conv = json.loads(report_path.read_text())["checks"][0]
+    assert (conv["status"], conv["tolerance"]) == ("fail", 2.2)
+    assert "reason" not in conv
 
 
 def test_paper_examples_battery():
     report = paper_examples()
     assert report.passed
+    # perfbench/reference.json compares these names exactly
+    assert [(c.name, c.tolerance) for c in report.checks] == [
+        *((f"wm_recovery_n{order}_alpha{alpha}", 1e-12)
+          for order in (1, 2) for alpha in ("0.5", "1", "2", "0")),
+        ("u0_triple_agreement", 1e-10),
+        ("delta_v_general_reduction", 1e-10),
+        ("potential_general_reduction", 1e-10),
+        ("riccati_first_order", 1e-9),
+        ("riccati_second_order", 1e-9),
+        ("quadratic_eigenvalues", 1e-12),
+        ("symmetry_defects", 1e-12)]
     residuals = [c.values["residual"] for c in report.checks
                  if "residual" in c.values]
     assert max(residuals) <= 1e-9
@@ -502,3 +604,10 @@ def test_default_tolerances_are_complete():
     for name in ("identity", "closure", "slope_min", "slope_max",
                  "discrete_residual", "eigen_match"):
         assert name in DEFAULT_TOLERANCES
+
+
+def test_readme_names_every_check_and_tolerance():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    for name in (*KNOWN_CHECKS, *DEFAULT_TOLERANCES):
+        assert f"`{name}`" in readme, name

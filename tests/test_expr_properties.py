@@ -35,6 +35,7 @@ def trees(numbers):
                       children).map(lambda t: t[0](t[1], t[2])),
             st.tuples(children, st.sampled_from([-1.0, 0.5, 2.0, 2.5, 3.0]))
             .map(lambda t: pow_(t[0], Const(t[1]))),
+            st.tuples(children, children).map(lambda t: pow_(*t)),
             children.map(neg),
             st.tuples(st.sampled_from(FUNCTIONS), children)
             .map(lambda t: func(*t)))
@@ -70,6 +71,19 @@ def test_derivative_matches_central_difference(tree, x):
     fd_fine = fine @ weights / (0.5 * h)
     scale = max(1.0, abs(exact), float(np.max(np.abs(coarse))))
     assert abs(fd_fine - exact) <= 10 * abs(fd_coarse - fd_fine) + 1e-8 * scale
+
+
+@pytest.mark.parametrize("source", ["x^x", "2^x", "x^(alpha*x)"])
+@pytest.mark.parametrize("x", [0.3, 1.0, 1.7])
+def test_general_power_rule(source, x):
+    # f^g with a non-constant exponent: d/dx f^g = f^g (g' log f + g f'/f)
+    tree = parse(source)
+    h = 1e-3
+    offsets = np.array([-2.0, -1.0, 1.0, 2.0])
+    weights = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+    exact = evaluate_many(differentiate(tree), [x], ENV)[0]
+    fd = evaluate_many(tree, x + h * offsets, ENV) @ weights / h
+    assert abs(fd - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
 @PROPERTY
