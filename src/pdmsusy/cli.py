@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import discrete, susy1, susy2, susyn
 from .expr import (Const, EvaluationError, Expr, ParamEnv, ParseError,
-                   evaluate_many, parameter_names, parse)
+                   evaluate_many, node_counts, parameter_names, parse)
 from .model import (DomainError, MassError, MassFn, ModelError, ModelSpec,
                     pt_image, symmetry_report)
 from .susy2 import SingularPointError
@@ -48,7 +49,7 @@ DEFAULT_TOLERANCES = {
 
 IDENTITY_SAMPLES = 100
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("pdmsusy.cli")    # also when run as __main__
 
 
 class ConfigError(Exception):
@@ -334,10 +335,15 @@ def _bounded(name: str, values: dict, tol: float) -> CheckOutcome:
 def _build_system(spec: ModelSpec):
     # builders are read off their modules at call time, so wrappers see them
     if spec.order == 1:
-        return susy1.build_first_order(spec)
-    if spec.order == 2:
-        return susy2.build_second_order(spec)
-    return None
+        system = susy1.build_first_order(spec)
+    elif spec.order == 2:
+        system = susy2.build_second_order(spec)
+    else:
+        return None
+    if log.isEnabledFor(logging.INFO):
+        log.info("order-%d potential: %d tree nodes, %d unique", spec.order,
+                 *node_counts(system.vtilde))
+    return system
 
 
 @dataclass
@@ -775,7 +781,8 @@ def _apply_tol_overrides(config: RunConfig, pairs: Sequence[str]) -> RunConfig:
     return dataclasses.replace(config, tolerances=tolerances)
 
 
-def _print_report(report: VerificationReport) -> None:
+def _report_text(report: VerificationReport) -> str:
+    lines = []
     for outcome in report.checks:
         shown = [f"{k}={v}" if isinstance(v, bool) else f"{k}={v:.3e}"
                  for k, v in outcome.values.items()
@@ -783,8 +790,9 @@ def _print_report(report: VerificationReport) -> None:
         detail = "  " + ", ".join(shown) if shown else ""
         if outcome.reason:
             detail += f"  ({outcome.reason})"
-        print(f"{outcome.status.upper():4s} {outcome.name}{detail}")
-    print("result:", "PASS" if report.passed else "FAIL")
+        lines.append(f"{outcome.status.upper():4s} {outcome.name}{detail}")
+    lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
+    return "\n".join(lines)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -821,7 +829,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     with _logging(args.verbose):
-        return _command(args)
+        code, text = _command(args)
+    if text and not args.quiet:
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed stdout early (as "| head" does): the rest
+            # is dropped, and so is the interpreter's flush of it at exit
+            if sys.stdout is sys.__stdout__:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+    return code
 
 
 @contextmanager
@@ -844,8 +863,9 @@ def _logging(verbose: bool):
         logger.setLevel(level)
 
 
-def _command(args) -> int:
-    """Run the parsed command; returns the exit code."""
+def _command(args):
+    """Run the parsed command; returns the exit code and the text for
+    stdout.  A report file is written before anything is printed."""
     try:
         if args.command == "paper-examples":
             report, path = paper_examples(), args.report
@@ -858,9 +878,7 @@ def _command(args) -> int:
             if args.command == "curves":
                 path = config.output.get("curves", "curves.csv")
                 emit_curves(_build_system(config.spec), config.grid, path)
-                if not args.quiet:
-                    print(f"curves written to {path}")
-                return 0
+                return 0, f"curves written to {path}"
             config = _apply_tol_overrides(config, args.tol)
             if args.command == "check":
                 report = run(config)
@@ -872,25 +890,23 @@ def _command(args) -> int:
                 report = run(dataclasses.replace(
                     config, checks=("convergence",)), args.refinements)
             path = args.report or config.output.get("report")
-        if not args.quiet:
-            _print_report(report)
         if path:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(report.to_json() + "\n")
-        return 0 if report.passed else 1
+        return (0 if report.passed else 1), _report_text(report)
 
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        return 2, ""
     except SingularPointError as exc:
         print(f"numerical failure{_stage_tag(exc)}: {exc}", file=sys.stderr)
-        return 3
+        return 3, ""
     except (MassError, DomainError, ModelError) as exc:
         print(f"configuration error{_stage_tag(exc)}: {exc}", file=sys.stderr)
-        return 2
+        return 2, ""
     except (EvaluationError, discrete.DiscreteError) as exc:
         print(f"numerical failure{_stage_tag(exc)}: {exc}", file=sys.stderr)
-        return 3
+        return 3, ""
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -604,10 +604,10 @@ def susy_algebra_spectrum(C: Tridiagonal) -> Spectrum:
     """Spectrum of zeta conj(zeta) with zeta = C P, the discrete image of
     the SUSY polynomial sum_k l_k H^{N-k}.
 
-    This multiset is exactly closed under conjugation (spec(AB) = spec(BA)
-    and conj(zeta conj(zeta)) = conj(zeta) zeta), so its measured pairing
-    distance isolates eigensolver backward error and certifies the CPT
-    spectral property at discretization level.
+    This multiset is exactly closed under conjugation for every zeta
+    (spec(AB) = spec(BA) and conj(zeta conj(zeta)) = conj(zeta) zeta), so
+    its measured pairing distance isolates eigensolver backward error.  It
+    does not test H: it is small also where H has no conjugate pair.
     """
     zeta = _zeta(C)
     values = dense_eigenvalues(zeta @ zeta.conj())

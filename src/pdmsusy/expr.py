@@ -2,8 +2,11 @@
 
 Everything downstream (superpotentials, masses, potentials, log-derivatives)
 is built on this small AST: parse text, differentiate exactly, evaluate at
-double precision.  Trees are immutable and hashable, so they can be shared
-freely between threads and cached without copying.
+double precision.  Nodes are immutable and hash-consed: a structurally
+identical node is the same object (constants count as identical by bit
+pattern, so 0.0 and -0.0 stay apart), an expression is a DAG, and every walk
+below visits each unique node once.  Nodes can be shared freely between
+threads and cached without copying.
 
 Grammar accepted by :func:`parse` (whitespace is ignored)::
 
@@ -32,6 +35,9 @@ from __future__ import annotations
 
 import math
 import re
+import struct
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -43,7 +49,7 @@ __all__ = [
     "ParamEnv", "ExprError", "ParseError", "EvaluationError",
     "UnboundParameterError", "PoleError",
     "parse", "differentiate", "evaluate", "evaluate_many", "substitute_x",
-    "parameter_names",
+    "parameter_names", "node_counts",
     "add", "sub", "mul", "div", "pow_", "neg", "conj_expr", "func",
     "X", "IMAG", "FUNCTIONS",
 ]
@@ -89,9 +95,73 @@ class PoleError(EvaluationError):
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Expr:
-    """Base node; all concrete nodes are frozen dataclasses."""
+# (type, scalar fields, ids of child nodes) -> weak reference to the node of
+# that structure.  A dead entry is a miss and is overwritten; dead entries are
+# swept whenever the table has doubled since the last sweep.
+_NODES = {}
+_LOCK = threading.Lock()
+_sweep_at = 256
+
+
+class _HashConsed(type):
+    """Metaclass of the nodes: calling a node class with the fields of a live
+    node returns that node.  The lookup is O(1): a name is keyed by value, a
+    constant by its bit pattern, and a child, interned already, by identity
+    (the node holds its children, so their ids stay theirs while it lives).
+    A node keeps its field values as ``_args`` and its structural hash."""
+
+    def __call__(cls, *args, **kwargs):
+        global _sweep_at
+        fields = cls.__dataclass_fields__
+        if kwargs or len(args) != len(fields):
+            # the dataclass __init__ binds keywords and rejects a bad call
+            bound = super().__call__(*args, **kwargs)
+            args = tuple(getattr(bound, name) for name in fields)
+        if cls is Const:
+            args = (complex(*args),)
+            key = (cls, struct.pack("2d", args[0].real, args[0].imag))
+        elif cls is Param or cls is Func:
+            key = (cls, args[0], *map(id, args[1:]))
+        else:
+            key = (cls, *map(id, args))
+        with _LOCK:     # one node per structure under threads, too
+            ref = _NODES.get(key)
+            node = ref() if ref is not None else None
+            if node is None:
+                node = super().__call__(*args)
+                object.__setattr__(node, "_args", args)
+                object.__setattr__(node, "_hash", hash((cls, *args)))
+                _NODES[key] = weakref.ref(node)
+                if len(_NODES) > _sweep_at:
+                    for dead, ref in list(_NODES.items()):
+                        if ref() is None:
+                            del _NODES[dead]
+                    _sweep_at = max(256, 2 * len(_NODES))
+        return node
+
+
+_node = dataclass(frozen=True, eq=False, slots=True)
+
+
+@dataclass(frozen=True, eq=False)
+class Expr(metaclass=_HashConsed):
+    """Base node; all concrete nodes are frozen dataclasses.  ``==`` is
+    structural (so Const(0.0) == Const(-0.0)) and the hash is cached."""
+
+    __slots__ = ("_args", "_hash", "__weakref__")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self._args == other._args
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):      # copies and unpickled nodes are interned too
+        return type(self), self._args
 
     def __add__(self, other):  return add(self, _as_expr(other))
     def __radd__(self, other): return add(_as_expr(other), self)
@@ -108,66 +178,63 @@ class Expr:
         return _render(self)[0]
 
 
-@dataclass(frozen=True)
+@_node
 class Const(Expr):
-    value: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
+    value: complex      # stored as a complex
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     """The independent variable x."""
 
 
-@dataclass(frozen=True)
+@_node
 class Param(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Conj(Expr):
     """Complex conjugation; internal to parity images, not in the grammar."""
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Func(Expr):
     name: str
     arg: Expr
@@ -300,19 +367,54 @@ def _rebuild(e: Expr, f) -> Expr:
     """The node ``e`` built again through its smart constructor from ``f``
     of each child, left to right; a Func keeps its name."""
     return _REBUILD[type(e)](*[f(v) if isinstance(v, Expr) else v
-                               for v in vars(e).values()])
+                               for v in e._args])
+
+
+class _Memo(dict):
+    """A walk that applies ``rule(node, walk)`` once per unique node, after
+    its children, left to right; the rule reads its children's results by
+    calling ``walk``.  It keeps no stack of calls, so depth is unlimited."""
+
+    def __init__(self, rule):
+        super().__init__()
+        self.rule = rule
+
+    def __call__(self, root: Expr):
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in self:
+                stack.pop()
+                continue
+            todo = [v for v in reversed(node._args)
+                    if isinstance(v, Expr) and id(v) not in self]
+            if todo:
+                stack += todo
+            else:
+                stack.pop()
+                self[id(node)] = self.rule(node, self)
+        return self[id(root)]
 
 
 def parameter_names(e: Expr) -> list:
     """Names of the free parameters of e, each once, in tree-walk order."""
     names = {}
-    stack = [e]
-    while stack:
-        node = stack.pop()
+
+    def visit(node: Expr, walk) -> None:
         if isinstance(node, Param):
             names.setdefault(node.name)
-        stack += [v for v in reversed(vars(node).values()) if isinstance(v, Expr)]
+        for v in node._args:
+            if isinstance(v, Expr):
+                walk(v)
+    _Memo(visit)(e)
     return list(names)
+
+
+def node_counts(e: Expr) -> tuple:
+    """(tree nodes, unique nodes) of e, in time linear in the unique ones."""
+    size = _Memo(lambda node, size: 1 + sum(
+        size(v) for v in node._args if isinstance(v, Expr)))
+    return size(e), len(size)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +631,7 @@ def differentiate(e: Expr, k: int = 1) -> Expr:
         raise ExprError(f"derivative order must be a positive integer, got {k!r}")
     out = e
     for _ in range(k):
-        out = _d(out)
+        out = _Memo(_d)(out)
     return out
 
 
@@ -547,28 +649,29 @@ _OUTER = {
 }
 
 
-def _d(e: Expr) -> Expr:
+def _d(e: Expr, d) -> Expr:
+    """d/dx of the node e; ``d`` differentiates its children."""
     if isinstance(e, (Const, Param)):
         return _ZERO
     if isinstance(e, Var):
         return _ONE
     if isinstance(e, (Neg, Conj, Add, Sub)):
         # d/dx is linear, and commutes with conjugation because x is real
-        return _rebuild(e, _d)
+        return _rebuild(e, d)
     if isinstance(e, Mul):
-        return add(mul(_d(e.left), e.right), mul(e.left, _d(e.right)))
+        return add(mul(d(e.left), e.right), mul(e.left, d(e.right)))
     if isinstance(e, Div):
-        num = sub(mul(_d(e.left), e.right), mul(e.left, _d(e.right)))
+        num = sub(mul(d(e.left), e.right), mul(e.left, d(e.right)))
         return div(num, mul(e.right, e.right))
     if isinstance(e, Pow):
         f, g = e.base, e.exponent
         if isinstance(g, Const):
             # principal branch: d/dx f^c = c f^(c-1) f'
-            return mul(mul(g, pow_(f, Const(g.value - 1))), _d(f))
-        inner = add(mul(_d(g), func("log", f)), mul(g, div(_d(f), f)))
+            return mul(mul(g, pow_(f, Const(g.value - 1))), d(f))
+        inner = add(mul(d(g), func("log", f)), mul(g, div(d(f), f)))
         return mul(e, inner)
     if isinstance(e, Func):
-        u, du = e.arg, _d(e.arg)
+        u, du = e.arg, d(e.arg)
         if e.name == "log":
             return div(du, u)
         if e.name == "sqrt":
@@ -587,8 +690,9 @@ def evaluate(e: Expr, x: float, env=None) -> complex:
 
 
 def evaluate_many(e: Expr, xs: Iterable[float], env=None) -> np.ndarray:
-    """Evaluate at every point of ``xs`` in one walk over the tree; returns
-    a complex ndarray of the same length.  Deterministic.
+    """Evaluate at every point of ``xs`` in one walk over the DAG, each
+    unique subexpression once; returns a complex ndarray of the same length.
+    Deterministic.
 
     Raises UnboundParameterError for missing parameters and PoleError when
     a denominator (or cos under sec/tan) falls below POLE_TOLERANCE or an
@@ -597,7 +701,7 @@ def evaluate_many(e: Expr, xs: Iterable[float], env=None) -> np.ndarray:
     failing node in evaluation order there.
     """
     xs = np.asarray(xs if hasattr(xs, "__len__") else list(xs), dtype=float)
-    walk = _Walk(xs, env if isinstance(env, ParamEnv) else ParamEnv(env))
+    walk = _Walk(xs, env if isinstance(env, ParamEnv) else ParamEnv(env), e)
     with np.errstate(all="ignore"):
         value = walk(e)
     failed = np.flatnonzero(walk.cause >= 0)
@@ -613,17 +717,34 @@ _ARITHMETIC = {Add: np.add, Sub: np.subtract, Mul: np.multiply}
 
 
 class _Walk:
-    """Evaluates each node once over all points.  Operands go left before
-    right, except that Div evaluates its denominator first, so at any one
-    point the checks run in the order of a scalar walk.  Each point keeps
-    the first failure it meets (``cause`` indexes ``causes``, factories
-    x -> exception; -1 while none) and goes on with a non-finite value."""
+    """Evaluates each unique node once over all points, on its first visit
+    in tree-walk order, and drops its array after its last parent has read
+    it.  Operands go left before right, except that Div evaluates its
+    denominator first, so at any one point the checks run in the order of a
+    scalar walk.  Each point keeps the first failure it meets (``cause``
+    indexes ``causes``, factories x -> exception; -1 while none) and goes on
+    with a non-finite value.
 
-    def __init__(self, xs: np.ndarray, env: ParamEnv):
+    Skipping repeat visits keeps every point's first failure: a shared node
+    records its failures on its first visit, and at every point that visit
+    comes before any repeat, so a repeat could only record failures at
+    points that already hold one."""
+
+    def __init__(self, xs: np.ndarray, env: ParamEnv, root: Expr):
         self.x = (xs + 0.0).astype(complex)    # x = -0.0 is the point 0.0
         self.env = env
         self.cause = np.full(xs.shape, -1)
         self.causes = []
+        self.values = {}                        # id -> value still to be read
+        # id -> reads left: one per parent edge, one for the caller's root
+        reads = self.reads = {id(root): 1}
+        stack = [root]
+        while stack:
+            for child in stack.pop()._args:
+                if isinstance(child, Expr):
+                    if id(child) not in reads:
+                        stack.append(child)
+                    reads[id(child)] = reads.get(id(child), 0) + 1
 
     def fail(self, mask, make_error) -> None:
         new = mask & (self.cause < 0)
@@ -639,7 +760,40 @@ class _Walk:
         self.fail(mask, lambda x: PoleError(e, x, detail))
         return value
 
-    def __call__(self, e: Expr):
+    def __call__(self, root: Expr):
+        """The value of ``root``.  The walk keeps its own stack of steps, so
+        depth is unlimited; a step is (node, None) to visit a node, or
+        (node, action) to run an action once its operands are done."""
+        stack = [(root, None)]
+        while stack:
+            e, action = stack.pop()
+            if action is not None:
+                action(e)
+            elif id(e) not in self.values:
+                stack.append((e, self.finish))
+                if isinstance(e, Div):
+                    stack += [(e.left, None), (e, self.check_pole),
+                              (e.right, None)]
+                else:
+                    stack += [(v, None) for v in reversed(e._args)
+                              if isinstance(v, Expr)]
+        return self.read(root)
+
+    def read(self, e: Expr):
+        """The value of ``e``, dropped after its last read."""
+        key = id(e)
+        self.reads[key] -= 1
+        return self.values[key] if self.reads[key] else self.values.pop(key)
+
+    def check_pole(self, e: Div) -> None:
+        den = self.values[id(e.right)]
+        self.check(den, e, "pole hit", np.abs(den) < POLE_TOLERANCE)
+
+    def finish(self, e: Expr) -> None:
+        self.values[id(e)] = self.node(e)
+
+    def node(self, e: Expr):
+        """Evaluate the node ``e`` from its operands' values."""
         if isinstance(e, Const):
             return np.complex128(e.value)
         if isinstance(e, Var):
@@ -651,24 +805,23 @@ class _Walk:
                 self.fail(np.True_, lambda x, error=exc: error)
                 return np.complex128(np.nan)
         if isinstance(e, Neg):
-            return 0 - self(e.arg)             # as in neg()
+            return 0 - self.read(e.arg)             # as in neg()
         if isinstance(e, Conj):
-            return np.conj(self(e.arg))
+            return np.conj(self.read(e.arg))
         if type(e) in _ARITHMETIC:
-            return self.check(_ARITHMETIC[type(e)](self(e.left), self(e.right)),
+            return self.check(_ARITHMETIC[type(e)](self.read(e.left), self.read(e.right)),
                               e, "non-finite value")
         if isinstance(e, Div):
-            den = self(e.right)
-            self.check(den, e, "pole hit", np.abs(den) < POLE_TOLERANCE)
-            return self.check(self(e.left) / den, e, "non-finite value")
+            den = self.read(e.right)            # checked by check_pole
+            return self.check(self.read(e.left) / den, e, "non-finite value")
         if isinstance(e, Pow):
-            base, expo = self(e.base), self(e.exponent)
+            base, expo = self.read(e.base), self.read(e.exponent)
             value = base ** expo
             # Python's complex power raises at 0 to a complex exponent
             return self.check(value, e, "pole hit", ~np.isfinite(value)
                               | ((base == 0) & (np.imag(expo) != 0)))
         if isinstance(e, Func):
-            u = self(e.arg)
+            u = self.read(e.arg)
             if e.name in ("tan", "sec"):
                 c = self.check(np.cos(u), e, "overflow")
                 self.check(c, e, "pole hit", np.abs(c) < POLE_TOLERANCE)
@@ -688,10 +841,10 @@ class _Walk:
 def substitute_x(e: Expr, replacement: Expr) -> Expr:
     """Replace the variable x by ``replacement``, rebuilding through the
     simplifying constructors."""
-    def walk(node: Expr) -> Expr:
+    def rule(node: Expr, walk) -> Expr:
         if isinstance(node, Var):
             return replacement
         if isinstance(node, (Const, Param)):
             return node
         return _rebuild(node, walk)
-    return walk(e)
+    return _Memo(rule)(e)

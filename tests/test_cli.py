@@ -1,7 +1,10 @@
 """Config loading, the check runner, report emission and the CLI contract."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ from pdmsusy.cli import (ConfigError, DEFAULT_TOLERANCES, KNOWN_CHECKS,
                          emit_curves, load_config, main, paper_examples,
                          parse_config_dict, run)
 from pdmsusy import Grid, MassFn, ModelSpec, discrete, parse
-from pdmsusy.expr import ParamEnv
+from pdmsusy.expr import ParamEnv, node_counts
 from pdmsusy.susy1 import build_first_order
 from pdmsusy.susy2 import build_second_order
 
@@ -520,6 +523,12 @@ def test_verbose_logs_stages_and_solver(tmp_path, capsys, caplog):
     messages = [r.getMessage() for r in caplog.records
                 if r.name.startswith("pdmsusy")]
     assert any(m.startswith("stage spectrum: ") for m in messages)
+    # the potential's size, once for the one system built
+    system = build_second_order(load_config(path).spec)
+    tree, unique = node_counts(system.vtilde)
+    assert tree > unique > 0
+    assert [m for m in messages if "potential" in m] == [
+        f"order-2 potential: {tree} tree nodes, {unique} unique"]
     solver = [m for m in messages if m.startswith("tridiagonal eigenvalues")]
     assert len(solver) == 1 and "n=99" in solver[0]
     assert "pdmsusy.cli: stage spectrum: " in capsys.readouterr().err
@@ -533,6 +542,59 @@ def test_verbose_logs_stages_and_solver(tmp_path, capsys, caplog):
     assert main(["spectrum", path, "--quiet"]) == 0
     assert capsys.readouterr() == ("", "")
     assert not caplog.records
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_stdout_keeps_report_and_exit_code(tmp_path, monkeypatch,
+                                                  capsys):
+    rough = write_config(tmp_path, {
+        "order": 1, "mass": "1/(1+x^2)",
+        "superpotential": {"kind": "deformed", "expr": "x^2+i*x"},
+        "susy_constants": [1.0],
+        "grid": {"xmin": -2.0, "xmax": 2.0, "points": 33},
+        "checks": ["riccati"],
+    })
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    for argv, code in ((["check", rough], 0),
+                       (["check", rough, "--tol", "identity=1e-30"], 1)):
+        report = tmp_path / f"report{code}.json"
+        assert main(argv + ["--report", str(report)]) == code
+        assert json.loads(report.read_text())["passed"] == (code == 0)
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_pipe_ends_quietly(tmp_path):
+    # the pipe has no reader before the child starts, so its first write
+    # fails, as under "pdmsusy paper-examples | head" when head exits early;
+    # stderr holds the -v log and nothing else
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    report = tmp_path / "report.json"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "pdmsusy.cli", "paper-examples", "-v",
+             "--report", str(report)],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120)
+    finally:
+        os.close(write)
+    assert child.returncode == 0
+    log = child.stderr.splitlines()
+    assert all(line.startswith("pdmsusy.") for line in log)
+    assert "pdmsusy.cli: order-2 potential: 774 tree nodes, 102 unique" in log
+    assert json.loads(report.read_text())["passed"]
 
 
 def test_convergence_command(tmp_path):

@@ -5,14 +5,25 @@ Derivative values are frozen from an independent finite-difference oracle
 """
 
 import cmath
+import copy
+import dataclasses
 import math
+import pickle
+import sys
+import threading
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from pdmsusy.expr import (Add, Const, Func, Mul, Param, ParamEnv, ParseError,
-                          PoleError, Sub, UnboundParameterError, Var,
-                          differentiate, evaluate, evaluate_many, parse)
+from pdmsusy import expr
+from pdmsusy.expr import (Add, Const, Expr, Func, Mul, Param, ParamEnv,
+                          ParseError, PoleError, Sub, UnboundParameterError,
+                          Var, add, differentiate, evaluate, evaluate_many,
+                          mul, node_counts, parse)
+from pdmsusy.model import MassFn, ModelSpec
+from pdmsusy.susy2 import build_second_order
 
 
 def fd_derivative(f, x, h=1e-5):
@@ -277,3 +288,104 @@ def test_unbound_parameter_is_an_error_not_zero():
         evaluate_many(parse("1/x + alpha"), [0.0, 1.0])
     with pytest.raises(UnboundParameterError):
         evaluate_many(parse("1/x + alpha"), [1.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# hash-consing: one object per structure, one evaluation per unique node
+# ---------------------------------------------------------------------------
+
+def test_structurally_identical_nodes_are_one_object():
+    source = "exp(i*alpha*x)*sec(x)^2 - 1/(1+x^2)"
+    assert parse(source) is parse(source)
+    assert Sub(Const(0.0), Var()) is Sub(Const(0), Var())
+    assert Func("sin", Var()) is Func(name="sin", arg=Var())
+    e = parse(source)
+    assert copy.deepcopy(e) is e and pickle.loads(pickle.dumps(e)) is e
+
+
+def test_signed_zero_constants_stay_apart():
+    # equal and equally hashed, but two objects: the sign of a zero picks
+    # the side of a branch cut
+    below, above = Const(complex(-1.0, -0.0)), Const(complex(-1.0, 0.0))
+    assert below == above and hash(below) == hash(above)
+    assert below is not above
+    assert Const(0.0) == Const(-0.0) and Const(0.0) is not Const(-0.0)
+    assert evaluate(Func("log", below), 0.0).imag == -math.pi
+    assert evaluate(Func("log", above), 0.0).imag == math.pi
+    assert Add(Var(), Const(0.0)) is not Add(Var(), Const(-0.0))
+
+
+def test_finished_expressions_are_freed():
+    node = Mul(Param("only_here"), Var())
+    ref = weakref.ref(node)
+    del node
+    assert ref() is None
+    # nor does the intern table keep the entries of dead nodes for long
+    for k in range(20_000):
+        Add(Param(f"p{k}"), Var())
+    assert len(expr._NODES) < 5_000
+
+
+def test_deep_expressions_need_no_recursion():
+    deep = parse("+".join(["x"] * 5000))
+    assert evaluate(deep, 0.5) == 2500
+    assert evaluate(differentiate(deep), 0.5) == 5000
+    assert node_counts(deep) == (9999, 5000)
+
+
+def test_node_counts():
+    t = parse("x+1")
+    shared = add(t, mul(t, t))
+    assert node_counts(shared) == (11, 5)
+    assert node_counts(parse("x")) == (1, 1)
+
+
+def test_dag_walk_evaluates_each_unique_node_once(monkeypatch):
+    spec = ModelSpec(order=2, mass=MassFn(parse("sec(x)"), 0.05, 1.5),
+                     susy_constants=(-3.0, 2.0), params=ParamEnv(alpha=1.0),
+                     superpotential=parse("exp(i*alpha*x)-sin(x)"))
+    d4 = differentiate(build_second_order(spec).vtilde, 4)
+    unique, stack = set(), [d4]
+    while stack:
+        node = stack.pop()
+        if id(node) not in unique:
+            unique.add(id(node))
+            stack += [getattr(node, f.name) for f in dataclasses.fields(node)
+                      if isinstance(getattr(node, f.name), Expr)]
+    visits, walks = Counter(), set()
+    evaluate_node = expr._Walk.node
+
+    def counted(walk, e):
+        visits[id(e)] += 1
+        walks.add(walk)
+        return evaluate_node(walk, e)
+
+    monkeypatch.setattr(expr._Walk, "node", counted)
+    values = evaluate_many(d4, np.linspace(0.05, 1.5, 1000), spec.params)
+    assert np.all(np.isfinite(values))
+    assert node_counts(d4) == (1_789_323, len(unique))
+    assert set(visits) == unique and set(visits.values()) == {1}
+    # every array was dropped once its last parent had read it
+    assert [walk.values for walk in walks] == [{}]
+
+
+def test_interning_holds_across_threads():
+    # threads that build the same new nodes at once still share one object
+    # per structure; a lost update in the intern table would split them
+    sources = [f"sin({k}*x)+x^{k}/(1+gamma_{k}*x)-cos(x)*{k}" for k in range(60)]
+    built = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: built.append(
+            [parse(s) for s in sources])) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(built) == len(threads)
+    for same in zip(*built):
+        assert all(e is same[0] for e in same)

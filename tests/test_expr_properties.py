@@ -1,18 +1,23 @@
 """Property tests for the symbolic core on random grammar-built trees:
 exact derivatives against a central finite difference, the PT image
-against conjugate parity bit for bit, and render -> parse round trips.
+against conjugate parity bit for bit, render -> parse round trips, and the
+DAG walk against a tree walk on trees that share subexpressions.
 
 Examples are derandomized so the suite is reproducible; widen
 ``max_examples`` locally to search harder.
 """
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from pdmsusy import expr
 from pdmsusy.expr import (FUNCTIONS, X, Const, EvaluationError, Param,
-                          ParamEnv, add, differentiate, div, evaluate_many,
-                          func, mul, neg, parse, pow_, sub)
+                          ParamEnv, add, differentiate, div, evaluate,
+                          evaluate_many, func, mul, neg, parse, pow_, sub)
 from pdmsusy.model import pt_image
 
 ENV = ParamEnv(alpha=0.7)
@@ -103,3 +108,62 @@ def test_pt_image_is_conjugate_parity_bit_for_bit(tree, points):
 @given(ANY)
 def test_render_parse_round_trip(tree):
     assert parse(str(tree)) == tree
+
+
+def _shared(children):
+    """Nodes that read one subtree more than once."""
+    return st.one_of(
+        children.map(lambda t: add(t, mul(t, t))),
+        children.map(lambda t: div(t, sub(t, t))),
+        st.tuples(children, children).map(
+            lambda p: mul(add(p[0], p[1]), sub(p[1], p[0]))))
+
+
+SHARED = st.recursive(SMALL, _shared, max_leaves=4)
+# poles of 1/x, log, sec and tan among ordinary points
+POINTS = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.pi / 2]),
+                            st.floats(-3.0, 3.0)), min_size=1, max_size=6)
+
+
+def _tree_walk(walk, e):
+    """The value of e from a recursive walk of the tree, which evaluates a
+    shared node again, and records its failures again, at every visit."""
+    operands = ([e.right, e.left] if isinstance(e, expr.Div)
+                else [v for v in e._args if isinstance(v, expr.Expr)])
+    for k, v in enumerate(operands):
+        walk.values[id(v)] = _tree_walk(walk, v)
+        walk.reads[id(v)] = walk.reads.get(id(v), 0) + 1
+        if k == 0 and isinstance(e, expr.Div):
+            walk.check_pole(e)          # before the numerator is evaluated
+    return walk.node(e)
+
+
+def _tree_call(walk, root):
+    walk.reads = {}
+    return _tree_walk(walk, root)
+
+
+def _outcome(evaluate_at, x):
+    """(value bytes, None) at x, or (None, (type, message, x)) of the error."""
+    try:
+        return np.complex128(evaluate_at(x)).tobytes(), None
+    except EvaluationError as exc:
+        return None, (type(exc), str(exc), getattr(exc, "x", None))
+
+
+@PROPERTY
+@given(SHARED, POINTS)
+def test_dag_walk_matches_tree_walk(tree, points):
+    with mock.patch.object(expr._Walk, "__call__", _tree_call):
+        tree_walk = [_outcome(lambda x: evaluate(tree, x, ENV), x)
+                     for x in points]
+    dag_walk = [_outcome(lambda x: evaluate(tree, x, ENV), x) for x in points]
+    assert dag_walk == tree_walk
+    try:
+        values = evaluate_many(tree, points, ENV)
+    except EvaluationError as exc:
+        first = next(error for _, error in tree_walk if error is not None)
+        assert (type(exc), str(exc), exc.x) == first
+    else:
+        assert [values[i].tobytes() for i in range(len(points))] == [
+            value for value, _ in tree_walk]
