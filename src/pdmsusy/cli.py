@@ -562,8 +562,8 @@ def run(config: RunConfig, refinements: int = 3) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def spectrum_report(config: RunConfig) -> VerificationReport:
-    """Discrete interior spectrum plus closed-form comparison when the zero
-    modes are window-confined."""
+    """The lowest levels of the discrete H plus closed-form comparison when
+    the zero modes are window-confined."""
     spec = config.spec
     system = _build_system(spec)
     wall = {}
@@ -576,8 +576,8 @@ def spectrum_report(config: RunConfig) -> VerificationReport:
     tol = config.tolerances["eigen_match"]
     values = {}
     confined = {}
+    targets = {}
     notes = []
-    ok = True
     for _, label, phi, energy in system.zero_modes:
         psi = discrete.wavefunction_from_log_derivative(phi, xs, spec.params)
         confined[label] = discrete.l2_normalizable(psi)
@@ -588,9 +588,18 @@ def spectrum_report(config: RunConfig) -> VerificationReport:
                 np.max(np.abs(psi - np.conj(psi[::-1]))))
             notes.append("psi0_pt_defect uses the midpoint normalization")
         if confined[label]:
-            dist = float(np.min(np.abs(s.values - complex(energy))))
-            values[f"{label}_distance"] = dist
-            ok = ok and dist <= tol
+            targets[label] = complex(energy)
+    # the unlisted levels lie right of s.edge: widen the window until none
+    # of them can be nearer to a closed-form level than the listed ones
+    with _stage("spectrum"):
+        while any(np.min(np.abs(s.values - e)) > s.edge - e.real
+                  for e in targets.values()):
+            s = discrete.lowest_levels(H, 2 * len(s))
+    ok = True
+    for label, energy in targets.items():
+        dist = float(np.min(np.abs(s.values - energy)))
+        values[f"{label}_distance"] = dist
+        ok = ok and dist <= tol
     if any(confined.values()):
         outcome = CheckOutcome("spectrum_match", "pass" if ok else "fail",
                                tol, values)

@@ -20,25 +20,23 @@ compact flux Laplacian and composed central stencils differ by a null
 stencil with O(1) entries); the probe measurement sees the operator action
 and decreases at the stencil order O(h^2).
 
-The spectrum of H is computed from its three diagonals, never from a dense
-copy: H's interior block T is tridiagonal, and its eigenvalues are the roots
-of p(z) = det(T - z), which the three-term recurrence evaluates in O(n) per
-point.  A divide-and-conquer Ehrlich-Aberth iteration (Aberth, Math. Comp.
-27, 339 (1973); Bini, Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27,
-153 (2005)) splits T in halves down to blocks of BASE_BLOCK rows, solves
-those dense, and refines the union of the halves' eigenvalues into the
-eigenvalues of their parent, all n at once, in O(n^2) per sweep.  The
-Newton ratio p/p' = -1/trace((T - z)^-1) comes from the forward and
-backward pivots of T - z; a pivot that vanishes is replaced by 2*u*||T||
-(u the unit roundoff).  A value is converged when its last correction is
-at most n*u*||T||_inf, and a last sweep over all n values confirms it.
-A level that does not converge within SWEEP_BUDGET sweeps or meets a
-non-finite correction has its blocks solved dense instead, as the base
-blocks are: where eigenvalue condition numbers are large (~1e10 on
-CPT-conserved H with a variable mass) that stop lies below the rounding
-noise of the eigenvalues, and no iteration reaches it.  A sum of
-eigenvalues that misses trace(T) by more than the sum of the stopping
-thresholds raises EigensolverError.
+The spectrum of H is computed from its three diagonals, and only its low
+end, where the paper's claims live (the high levels of a 3-point stencil
+are discretization artifacts): hamiltonian_spectrum returns the LOW_LEVELS
+lowest levels by real part of H's interior block T.  T is halved down to at
+most COARSE_ROWS rows, solved dense there, and the lowest values plus
+SPARES spares are refined on each finer grid by Ehrlich-Aberth sweeps
+(Aberth, Math. Comp. 27, 339 (1973); Bini, Gemignani & Tisseur, SIAM J.
+Matrix Anal. Appl. 27, 153 (2005)) over the tracked values, in O(n) per
+value and sweep.  A value stops once its correction is at most
+n*u*||T||_inf*kappa_i (u the unit roundoff, kappa_i its condition number),
+its error bound; a spare that does not stop is dropped.  The argument
+principle certifies the result: the winding number of det(T - z) along a
+rectangle that holds T's spectrum up to midway between level k and k + 1
+must equal k, with the k error discs inside it and apart (discs that
+overlap must hold as many eigenvalues, by their own winding number).
+Otherwise the solve raises EigensolverError; there is no other solver to
+fall back on.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ __all__ = [
     "Grid", "Tridiagonal", "Spectrum", "ConvergenceResult",
     "assemble_hamiltonian", "assemble_charge", "probe_matrix",
     "constraint_residuals", "dense_eigenvalues",
-    "hamiltonian_spectrum", "susy_algebra_spectrum",
+    "hamiltonian_spectrum", "lowest_levels", "susy_algebra_spectrum",
     "conjugate_pairing_distance", "riccati_residual", "convergence_study",
     "wavefunction_from_log_derivative", "l2_normalizable",
     "MAX_DENSE_DIMENSION", "RESIDUAL_FLOOR",
@@ -69,10 +67,13 @@ MAX_DENSE_DIMENSION = 4096
 RESIDUAL_FLOOR = 1e-14
 
 UNIT_ROUNDOFF = 2.0 ** -53
-BASE_BLOCK = 48          # tridiagonal blocks this small are solved dense
-SWEEP_BUDGET = 60        # Aberth sweeps allowed per level of the recursion
-WORK_BYTES = 16 * 2**20  # scratch buffer of one solve: the pivot and
-                         # pairwise-sum arrays of a chunk of points
+LOW_LEVELS = 16          # levels of H that hamiltonian_spectrum returns
+SPARES = 8               # values tracked above the requested levels
+COARSE_ROWS = 200        # a grid this small is solved dense
+SWEEP_BUDGET = 60        # Aberth sweeps allowed per grid
+CONTOUR_POINTS = 1000    # points of the counting contour before refinement
+CONTOUR_BUDGET = 2**16   # points it may be refined to
+PHASE_STEP = np.pi / 4   # largest phase step of det(T - z) between points
 
 log = logging.getLogger(__name__)
 
@@ -177,10 +178,13 @@ class Tridiagonal:
 
 @dataclass
 class Spectrum:
-    """Eigenvalues sorted by (Re, Im) plus the conjugate-pairing distance."""
+    """Eigenvalues sorted by (Re, Im) plus their conjugate-pairing
+    distance.  For H these are the k lowest levels: every eigenvalue whose
+    real part is below edge, and no other (edge is inf when all are)."""
 
     values: np.ndarray
     conjugate_pairing_distance: float
+    edge: float = math.inf
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -379,10 +383,11 @@ def conjugate_pairing_distance(values: np.ndarray) -> float:
 
 
 def _resolvent_trace(az: np.ndarray, bt: np.ndarray, tplus: np.ndarray,
-                     pivmin: float = 0.0) -> np.ndarray:
-    """trace((T - z)^-1) for each column of az = a - z (the diagonal of
-    T - z per point z) and bt (the off-diagonal products, one column or
-    one per point).  az is overwritten; tplus is scratch space of its shape.
+                     pivmin: float = 0.0):
+    """trace((T - z)^-1) and sum_k |((T - z)^-1)_kk| for each column of
+    az = a - z (the diagonal of T - z per point z) and bt (the off-diagonal
+    products, one column).  az is overwritten; tplus is scratch space of
+    its shape.
 
     The k-th diagonal entry of the resolvent is 1/g_k with
     g_k = d+_k + d-_k - (a_k - z) = d-_k - b_(k-1) / d+_(k-1), where d+
@@ -412,192 +417,255 @@ def _resolvent_trace(az: np.ndarray, bt: np.ndarray, tplus: np.ndarray,
     g = np.subtract(az, tplus, out=az)
     if pivmin:
         g[g == 0] = pivmin
-    return np.reciprocal(g, out=g).sum(axis=0)
+    g = np.reciprocal(g, out=g)
+    return g.sum(axis=0), np.abs(g).sum(axis=0)
 
 
-def _newton_ratio(a_t: np.ndarray, cols, bt: np.ndarray, z: np.ndarray,
-                  az: np.ndarray, scratch: np.ndarray,
-                  pivmin: float) -> np.ndarray:
-    """N = p/p' = -1/trace((T - z)^-1) at the points z (see
-    _resolvent_trace).  The diagonal of T at each point is the column cols
-    of a_t, or its only column when cols is None; bt holds the off-diagonal
-    products, one column or one per point; az and scratch are work arrays
-    of shape (rows, points).  The fast form, which leaves zero pivots
-    alone, gives the stable form's result wherever it is finite; the
-    points where it is not are evaluated again in the stable form."""
-    if cols is None:
-        np.subtract(a_t, z, out=az)
-    else:
-        np.take(a_t, cols, axis=1, out=az, mode="clip")
-        az -= z
+def _newton_ratio(a: np.ndarray, beta: np.ndarray, z: np.ndarray,
+                  pivmin: float):
+    """N = p/p' = -1/trace(G) and kappa = sum_k |G_kk| / |trace(G)| at the
+    points z, G = (T - z)^-1 (see _resolvent_trace).  Near an eigenvalue
+    lambda, G = v v^T / ((lambda - z) v^T v) + O(1), v its eigenvector in
+    the symmetrized T (complex symmetric: v^T is the left eigenvector), so
+    kappa is ||v||^2 / |v^T v|, its condition number.  The fast form, which
+    leaves zero pivots alone, gives the stable form's result wherever it
+    is finite; the other points are evaluated again in the stable form."""
+    az = a[:, None] - z
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        trace = _resolvent_trace(az, bt, scratch)
-        bad = ~np.isfinite(trace)
+        trace, spread = _resolvent_trace(az, beta[:, None], np.empty_like(az))
+        bad = ~np.isfinite(trace) | ~np.isfinite(spread)
         if bad.any():
-            redo = (a_t if cols is None else a_t[:, cols[bad]]) - z[bad]
-            trace[bad] = _resolvent_trace(
-                redo, bt if bt.shape[1] == 1 else bt[:, bad],
-                np.empty_like(redo), pivmin)
-        return -1.0 / trace
+            redo = a[:, None] - z[bad]
+            trace[bad], spread[bad] = _resolvent_trace(
+                redo, beta[:, None], np.empty_like(redo), pivmin)
+        return -1.0 / trace, spread / np.abs(trace)
 
 
-def _repulsion(zi: np.ndarray, zrows: np.ndarray, pos: np.ndarray,
-               out: np.ndarray) -> np.ndarray:
-    """sum_{j != i} 1/(z_i - z_j) for each point z_i, the sum running over
-    its row of zrows (one shared row or one per point); pos is the index
-    of z_i in its row and out is scratch space for the terms."""
-    np.subtract(zi[:, None], zrows, out=out)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.reciprocal(out, out=out)
-    out[np.arange(zi.size), pos] = 0.0
-    return out.sum(axis=1)
+def _coarsened(a: np.ndarray, beta: np.ndarray):
+    """T (diagonal a, off-diagonal products beta) on every second node:
+    with o = -sqrt(beta) (H's off-diagonals), the potential part
+    a_i + o_(i-1) + o_i of the even nodes is kept, and two intervals join
+    in series, o_a o_b / (2 (o_a + o_b)), as two half-interval inverse
+    masses do.  The wall couplings, which T lacks, copy the nearest
+    interval; of an even number of rows the last becomes a wall."""
+    o = -np.sqrt(beta)
+    edges = np.concatenate([o[:1], o, o[-1:]])
+    v = a + edges[:-1] + edges[1:]
+    if a.size % 2 == 0:
+        v, edges = v[:-1], edges[:-1]
+    joined = 0.5 * edges[0::2] * edges[1::2] / (edges[0::2] + edges[1::2])
+    return v[1::2] - joined[:-1] - joined[1:], joined[1:-1] ** 2
 
 
-def _aberth(a: np.ndarray, beta: np.ndarray, z: np.ndarray, tol: float,
-            pivmin: float, confirm: bool, work: np.ndarray):
-    """Refine the guesses z (B, L) into the eigenvalues of B independent
-    tridiagonal blocks with diagonals a (B, L) and off-diagonal products
-    beta (B, L-1) by Ehrlich-Aberth sweeps
+def _split(z: np.ndarray, bound: np.ndarray, k: int):
+    """The first s >= k at which z, ordered by real part, splits into the
+    s lowest values and the rest: the real parts of values s and s + 1
+    differ by more than their error bounds, and the values up to s + 1
+    have stopped (finite bound).  None when there is none."""
+    order = np.argsort(z.real, kind="stable")
+    re, r = z.real[order], bound[order]
+    for s in range(k, z.size):
+        if re[s] - re[s - 1] > r[s] + r[s - 1]:
+            return s if np.all(np.isfinite(r[:s + 1])) else None
+    return None
+
+
+def _aberth(a: np.ndarray, beta: np.ndarray, z: np.ndarray, k: int,
+            tol: float, pivmin: float):
+    """Refine the tracked values z toward eigenvalues of T by
+    Ehrlich-Aberth sweeps
 
         z_i <- z_i - w_i,  w_i = N_i / (1 - N_i sum_{j != i} 1/(z_i - z_j)),
 
-    N = p/p' (see _newton_ratio), the sum running over the guesses of the
-    same block.  The points of a sweep go in chunks whose arrays fit the
-    flat complex buffer work, and each chunk sees the values that the
-    chunks before it updated.  A value is frozen once |w_i| <= tol.  With
-    confirm, one more sweep then updates every value, and those it moves
-    by more than tol iterate again.  Returns the refined values, the
-    number of sweeps and the largest final |w_i|."""
-    blocks, size = a.shape
+    N = p/p' (see _newton_ratio), the sum running over the tracked values.
+    A value stops once |w_i| <= tol * kappa_i, its error bound, and the
+    sweeps end once the k lowest stand apart (see _split).  Returns the
+    values, their bounds (inf where not stopped) and the sweep count."""
     z = z.copy()
-    flat = z.reshape(-1)
-    active = np.arange(flat.size)
-    last = 0.0
-    # a chunk holds a - z and the pivot quotients, and with several blocks
-    # the off-diagonal products of each point: 2 or 3 (size, width) arrays
-    arrays = 2 if blocks == 1 else 3
-    width = max(1, work.size // (arrays * size))
-    a_t, b_t = np.ascontiguousarray(a.T), np.ascontiguousarray(beta.T)
+    bound = np.full(z.size, np.inf)
+    active = np.arange(z.size)
     for sweep in range(1, SWEEP_BUDGET + 1):
-        w = np.empty(active.size, dtype=complex)
-        for start in range(0, active.size, width):
-            idx = active[start:start + width]
-            owner, pos = np.divmod(idx, size)
-            zi = flat[idx]
-            chunk = work[:arrays * size * idx.size].reshape(
-                arrays, size, idx.size)
-            if blocks == 1:       # the diagonals broadcast to every point
-                cols, bt, zrows = None, b_t, z
-            else:
-                cols, zrows = owner, z[owner]
-                bt = np.take(b_t, owner, axis=1, out=chunk[2, :-1],
-                             mode="clip")
-            newton = _newton_ratio(a_t, cols, bt, zi, chunk[0], chunk[1],
-                                   pivmin)
-            w[start:start + idx.size] = newton / (1.0 - newton * _repulsion(
-                zi, zrows, pos, chunk[1].reshape(idx.size, size)))
-            flat[idx] -= w[start:start + idx.size]
+        zi = z[active]
+        newton, kappa = _newton_ratio(a, beta, zi, pivmin)
+        gaps = zi[:, None] - z
+        gaps[np.arange(active.size), active] = np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = newton / (1.0 - newton * np.sum(1.0 / gaps, axis=1))
         if not np.all(np.isfinite(w)):
             raise EigensolverError(
                 f"non-finite Aberth correction at {np.sum(~np.isfinite(w))} "
-                f"of {flat.size} eigenvalues (blocks of {size} rows)")
-        done = np.abs(w) <= tol
-        last = max(last, float(np.max(np.abs(w[done]), initial=0.0)))
+                f"of {z.size} tracked values ({a.size} rows)")
+        z[active] = zi - w
+        done = np.abs(w) <= tol * kappa
+        bound[active[done]] = tol * kappa[done]
         active = active[~done]
-        if active.size == 0:
-            if not confirm:
-                return z, sweep, last
-            confirm, last = False, 0.0
-            active = np.arange(flat.size)
+        if _split(z, bound, k):
+            return z, bound, sweep
     raise EigensolverError(
-        f"{active.size} of {flat.size} eigenvalues unconverged after "
-        f"{SWEEP_BUDGET} Aberth sweeps (blocks of {size} rows, last "
-        f"correction above {tol:.3e})")
+        f"the {k} lowest of {z.size} tracked values are unconverged after "
+        f"{SWEEP_BUDGET} Aberth sweeps ({a.size} rows)")
 
 
-def _tridiagonal_eigenvalues(a: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """All eigenvalues of the tridiagonal matrix T with diagonal a and
-    off-diagonal products beta_k = T[k, k+1] T[k+1, k], sorted by (Re, Im).
+def _det_phase(a: np.ndarray, beta: np.ndarray, z: np.ndarray,
+               pivmin: float):
+    """det(T - z) / |det(T - z)| and p'/p = sum_k d_k'/d_k at the points z,
+    p(z) = det(T - z) the product of the forward pivots
+    d_k = a_k - z - beta_(k-1)/d_(k-1) (a zero one becomes pivmin), with
+    d_k' = -1 + beta_(k-1) d_(k-1)'/d_(k-1)^2."""
+    phase, d = np.ones(z.size, dtype=complex), np.ones(z.size, dtype=complex)
+    slope, dd, t = (np.zeros(z.size, dtype=complex) for _ in range(3))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(a.size):
+            if k:
+                np.divide(beta[k - 1], d, out=t)
+                dd *= t
+                dd /= d
+            dd -= 1.0
+            np.subtract(a[k], z, out=d)
+            d -= t
+            d[d == 0] = pivmin
+            slope += dd / d
+            phase *= d
+            if k % 8 == 7:      # a product of eight pivots stays in range
+                phase /= np.abs(phase)
+    return phase / np.abs(phase), slope
 
-    T is split in halves down to blocks of at most BASE_BLOCK rows, which
-    are solved dense in their symmetrized form (off-diagonals sqrt(beta),
-    a diagonal similarity of T).  Each level refines the eigenvalues of its
-    halves, offset by distinct multiples of 1e3*u*||T|| so that the equal
-    eigenvalues of mirror-image halves do not coincide, with _aberth to
-    the stopping threshold L*u*||T||_inf for blocks of L rows; the top
-    level (L = n) ends with a confirmation sweep over all n values.  A
-    level on which _aberth raises EigensolverError has its blocks solved
-    dense, like the base blocks.
+
+def _winding(a: np.ndarray, beta: np.ndarray, points: np.ndarray,
+             pivmin: float, where: str):
+    """The winding number of det(T - z) along the closed counterclockwise
+    polygon through points, the number of eigenvalues of T inside, and
+    its largest phase step.  A segment gets a point in its middle until
+    neither its phase step nor the step that p'/p at its ends predicts
+    exceeds PHASE_STEP: the latter sees an eigenvalue, a double one say,
+    so close to the segment that the phase turns by 2*pi along it."""
+    phase, slope = _det_phase(a, beta, points, pivmin)
+    while True:
+        steps = np.angle(np.roll(phase, -1) * phase.conj())
+        predicted = (np.maximum(np.abs(slope), np.abs(np.roll(slope, -1)))
+                     * np.abs(np.roll(points, -1) - points))
+        coarse = np.flatnonzero((np.abs(steps) > PHASE_STEP)
+                                | ~(predicted <= PHASE_STEP))
+        if coarse.size == 0:
+            return round(steps.sum() / (2 * np.pi)), np.max(np.abs(steps))
+        if points.size + coarse.size > CONTOUR_BUDGET:
+            raise EigensolverError(
+                f"the phase of det(T - z) along {where} does not resolve "
+                f"within {CONTOUR_BUDGET} contour points")
+        middle = 0.5 * (points[coarse] + np.roll(points, -1)[coarse])
+        points = np.insert(points, coarse + 1, middle)
+        phase, slope = (np.insert(old, coarse + 1, new) for old, new in zip(
+            (phase, slope), _det_phase(a, beta, middle, pivmin)))
+
+
+def _certify(a: np.ndarray, beta: np.ndarray, values: np.ndarray,
+             bound: np.ndarray, edge: float, pivmin: float):
+    """Raise EigensolverError unless values are the eigenvalues of T with
+    real part below edge, each within its error bound.
+
+    The window reaches from left of T's Gershgorin discs to edge, over
+    the imaginary parts that Bendixson's bound allows ([min Im a,
+    max Im a] where sqrt(beta) is real, the Gershgorin range otherwise).
+    The values' error discs must lie inside it, and the winding number
+    of det(T - z) along it must equal their number.  Overlapping discs (a
+    near-degenerate pair) must hold as many eigenvalues as values, by the
+    winding number along a circle around them that crosses no disc.
+    Returns the window's count and largest phase step."""
+    o = np.sqrt(beta)
+    reach = np.abs(np.r_[0.0, o]) + np.abs(np.r_[o, 0.0])
+    spread = 0.0 if np.all(o.imag == 0) else reach
+    low, high = np.min(a.imag - spread), np.max(a.imag + spread)
+    left, right = np.min(a.real - reach), min(edge, np.max(a.real + reach))
+    pad = 0.05 * (right - left + high - low) + pivmin
+    left, right, low, high = left - pad, right + pad, low - pad, high + pad
+    edge = min(edge, right)
+    window = (f"the window Re in ({left:.6g}, {edge:.6g}), "
+              f"Im in ({low:.6g}, {high:.6g})")
+    inside = ((values.real - bound > left) & (values.imag - bound > low)
+              & (values.real + bound < edge) & (values.imag + bound < high))
+    if not np.all(inside):
+        raise EigensolverError(f"levels leave {window} within their error "
+                               "bounds")
+    near = np.abs(values[:, None] - values) <= bound[:, None] + bound
+    circle = np.exp(2j * np.pi * np.arange(64) / 64)
+    for i in np.flatnonzero(near.sum(axis=1) > 1):
+        dist = np.abs(values - values[i])
+        radius = 2 * np.max((dist + bound)[near[i]])
+        where = (f"levels within their error bounds of each other, and a "
+                 f"circle of radius {radius:.3g} around {values[i]:.6g}")
+        if not np.all(np.abs(dist - radius) > bound):
+            raise EigensolverError(f"{where} crosses the bounds of others")
+        count, _ = _winding(a, beta, values[i] + radius * circle, pivmin,
+                            where)
+        if count != np.sum(dist < radius):
+            raise EigensolverError(f"{where} holds {count} eigenvalues, not "
+                                   f"{np.sum(dist < radius)}")
+    corners = [left + 1j * low, edge + 1j * low, edge + 1j * high,
+               left + 1j * high, left + 1j * low]
+    count, step = _winding(a, beta, np.concatenate([
+        np.linspace(p, q, CONTOUR_POINTS // 4, endpoint=False)
+        for p, q in zip(corners, corners[1:])]), pivmin, window)
+    if count != values.size:
+        raise EigensolverError(f"{window} holds {count} eigenvalues, "
+                               f"{values.size} levels were found there")
+    return count, step
+
+
+def lowest_levels(M: Tridiagonal, count: int) -> Spectrum:
+    """The count lowest levels by real part of the interior block T of a
+    Dirichlet Hamiltonian (the two identity boundary rows would add two
+    unit eigenvalues), certified, from its three diagonals: more where
+    level count shares its real part with the next within their error
+    bounds, all where T has no more rows.
+
+    T is halved (_coarsened) down to COARSE_ROWS rows, but to no fewer
+    than twice the values tracked, count + SPARES; their dense solution
+    there (symmetrized: off-diagonals sqrt(beta), a diagonal similarity)
+    is refined by _aberth on each finer grid, with T's stop
+    n*u*||T||_inf*kappa_i, and certified by _certify.  Raises
+    EigensolverError when that fails.
     """
-    a = np.asarray(a, dtype=complex)
-    beta = np.asarray(beta, dtype=complex)
-    n = a.size
-    root = np.sqrt(beta)
-    off = np.abs(root)
-    norm = max(float(np.max(np.abs(a) + np.r_[0.0, off] + np.r_[off, 0.0])),
+    a, beta = M.diag[1:-1], M.upper[1:-1] * M.lower[1:-1]
+    rows, o = a.size, np.abs(np.sqrt(beta))
+    norm = max(float(np.max(np.abs(a) + np.r_[0.0, o] + np.r_[o, 0.0])),
                np.finfo(float).tiny)
-    pivmin = 2.0 * UNIT_ROUNDOFF * norm
-
-    levels = [np.array([0, n])]        # block boundaries, top level first
-    while np.max(np.diff(levels[-1])) > BASE_BLOCK:
-        edges = levels[-1]
-        levels.append(np.union1d(edges, edges[:-1] + np.diff(edges) // 2))
-
-    def dense_blocks(edges):
-        return np.concatenate([
-            dense_eigenvalues(np.diag(a[lo:hi]) + np.diag(root[lo:hi - 1], 1)
-                              + np.diag(root[lo:hi - 1], -1))
-            for lo, hi in zip(edges[:-1], edges[1:])])
-
-    z = dense_blocks(levels.pop())
-
-    offsets = 1e3 * UNIT_ROUNDOFF * norm * np.exp(
-        2j * np.pi * (np.arange(n) + 0.5) / n)
-    work = np.empty(max(min(WORK_BYTES // 16, 2 * n * n), 3 * n), dtype=complex)
+    pivmin, tol = 2.0 * UNIT_ROUNDOFF * norm, rows * UNIT_ROUNDOFF * norm
+    k = min(count, rows)
+    tracked = min(k + SPARES, rows)
+    grids = [(a, beta)]
+    while grids[-1][0].size > max(COARSE_ROWS, 4 * tracked):
+        grids.append(_coarsened(*grids[-1]))
+    ca, cb = grids.pop()
+    co = np.sqrt(cb)
+    z = dense_eigenvalues(np.diag(ca) + np.diag(co, 1)
+                          + np.diag(co, -1))[:tracked]
+    if not grids:                       # T itself was solved dense
+        bound = tol * _newton_ratio(a, beta, z, pivmin)[1]
     sweeps = []
-    last = 0.0
-    for edges in reversed(levels):
-        z = z + offsets
-        starts, sizes = edges[:-1], np.diff(edges)
-        level_sweeps = 0
-        try:
-            for size in np.unique(sizes):  # the blocks of a level differ by <= 1
-                rows = starts[sizes == size][:, None] + np.arange(size)
-                z[rows], count, last = _aberth(
-                    a[rows], beta[rows[:, :-1]], z[rows],
-                    size * UNIT_ROUNDOFF * norm, pivmin, size == n, work)
-                level_sweeps = max(level_sweeps, count)
-        except EigensolverError as exc:
-            log.info("tridiagonal eigenvalues: %s; the level's blocks are "
-                     "solved dense", exc)
-            z, level_sweeps, last = dense_blocks(edges), "dense", math.nan
-        sweeps.append(level_sweeps)
-
-    # sum of the eigenvalues = trace; each value is within its stopping
-    # threshold n*u*||T|| of an eigenvalue, so the sum within n^2*u*||T||
-    excess = abs(z.sum() - a.sum())
-    bound = n * n * UNIT_ROUNDOFF * norm
-    if not excess <= bound:
-        raise EigensolverError(
-            f"sum of the {n} computed eigenvalues misses trace(T) by "
-            f"{excess:.3e} > {bound:.3e}")
-    log.info("tridiagonal eigenvalues: n=%d, sweeps per level (top last) "
-             "%s, final max |w|/(u*||T||) = %.3g", n, sweeps,
-             last / (UNIT_ROUNDOFF * norm))
-    return _sorted_eigenvalues(z)
+    for grid in reversed(grids):
+        z, bound, sweep = _aberth(*grid, z, k, tol, pivmin)
+        sweeps.append(sweep)
+    s = _split(z, bound, k) or (rows if tracked == rows else None)
+    if s is None:
+        raise EigensolverError(f"no gap in real part after level {k} "
+                               "exceeds the error bounds")
+    order = np.argsort(z.real, kind="stable")
+    values, bound = z[order[:s]], bound[order[:s]]
+    edge = math.inf if s == rows else 0.5 * float(z[order[s - 1]].real
+                                                   + z[order[s]].real)
+    inside, step = _certify(a, beta, values, bound, edge, pivmin)
+    log.info("tridiagonal eigenvalues: n=%d, %d lowest, sweeps per grid "
+             "(coarse to fine) %s, winding count %d, largest phase step "
+             "%.3g rad, largest kappa %.3g", rows, s, sweeps, inside, step,
+             np.max(bound) / tol)
+    values = _sorted_eigenvalues(values)
+    return Spectrum(values, conjugate_pairing_distance(values), edge)
 
 
 def hamiltonian_spectrum(M: Tridiagonal) -> Spectrum:
-    """Spectrum of the decoupled interior block of a Dirichlet Hamiltonian
-    (drops the two identity boundary rows, which would otherwise contribute
-    two artificial unit eigenvalues), from its three diagonals.
-
-    Raises EigensolverError when the solve fails.
-    """
-    values = _tridiagonal_eigenvalues(M.diag[1:-1],
-                                      M.upper[1:-1] * M.lower[1:-1])
-    return Spectrum(values=values,
-                    conjugate_pairing_distance=conjugate_pairing_distance(values))
+    """The LOW_LEVELS lowest levels of a Dirichlet Hamiltonian (see
+    lowest_levels)."""
+    return lowest_levels(M, LOW_LEVELS)
 
 
 def susy_algebra_spectrum(C: Tridiagonal) -> Spectrum:

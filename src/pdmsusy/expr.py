@@ -578,7 +578,17 @@ def _fmt_real(v: float) -> str:
 
 
 def _render(e: Expr):
-    """Return (text, precedence)."""
+    """Return (text, precedence).  The walk keeps its own stack (_Memo), so
+    depth is unlimited."""
+    return _Memo(_render_node)(e)
+
+
+def _render_node(e: Expr, walk):
+    """(text, precedence) of e from walk(child), its children's."""
+    def child(c: Expr, minimum: int) -> str:
+        text, prec = walk(c)
+        return f"({text})" if prec < minimum else text
+
     if isinstance(e, Const):
         re_, im_ = e.value.real, e.value.imag
         if im_ == 0.0:
@@ -598,27 +608,19 @@ def _render(e: Expr):
     if isinstance(e, Param):
         return e.name, _PREC_ATOM
     if isinstance(e, Neg):
-        inner = _child(e.arg, _PREC_UNARY)
-        return f"-{inner}", _PREC_UNARY
+        return f"-{child(e.arg, _PREC_UNARY)}", _PREC_UNARY
     if isinstance(e, Conj):
-        return f"conj({_render(e.arg)[0]})", _PREC_ATOM
+        return f"conj({walk(e.arg)[0]})", _PREC_ATOM
     if type(e) in _INFIX:
         symbol, prec = _INFIX[type(e)]
-        return f"{_child(e.left, prec)}{symbol}{_child(e.right, prec + 1)}", prec
+        return f"{child(e.left, prec)}{symbol}{child(e.right, prec + 1)}", prec
     if isinstance(e, Pow):
-        base = _child(e.base, _PREC_ATOM)
-        expo = _child(e.exponent, _PREC_UNARY)
+        base = child(e.base, _PREC_ATOM)
+        expo = child(e.exponent, _PREC_UNARY)
         return f"{base}^{expo}", _PREC_POW
     if isinstance(e, Func):
-        return f"{e.name}({_render(e.arg)[0]})", _PREC_ATOM
+        return f"{e.name}({walk(e.arg)[0]})", _PREC_ATOM
     raise TypeError(f"unknown node {e!r}")
-
-
-def _child(e: Expr, minimum: int) -> str:
-    text, prec = _render(e)
-    if prec < minimum:
-        return f"({text})"
-    return text
 
 
 # ---------------------------------------------------------------------------

@@ -399,20 +399,21 @@ def test_spectrum_failures_carry_the_stage(tmp_path, capsys, monkeypatch):
         "x=-1.9375: m=(-1+0j)\n")
 
     # an eigensolver failure is a numerical failure of the same stage: a
-    # result with a repeated value misses the trace identity
+    # result with a repeated level fails the certification
     aberth = discrete._aberth
 
     def duplicate(*args, **kwargs):
-        z, sweeps, last = aberth(*args, **kwargs)
-        z[..., 0] = z[..., 1]
-        return z, sweeps, last
+        z, bound, sweeps = aberth(*args, **kwargs)
+        z[1] = z[0]
+        return z, bound, sweeps
 
     monkeypatch.setattr(discrete, "_aberth", duplicate)
-    path = write_config(tmp_path, CONFINED)
+    path = write_config(tmp_path, dict(
+        CONFINED, grid=dict(CONFINED["grid"], points=401)))
     assert main(["spectrum", path, "--quiet"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure [stage spectrum]: ")
-    assert "misses trace(T)" in err
+    assert "within their error bounds of each other" in err
 
 
 @pytest.mark.parametrize("payload, header", [
@@ -464,9 +465,27 @@ def test_spectrum_builds_no_dense_operator(tmp_path, monkeypatch):
     assert main(["spectrum", write_config(tmp_path, CONFINED), "--quiet"]) == 0
 
 
+def test_spectrum_widens_the_window_to_the_closed_form_levels(
+        tmp_path, monkeypatch):
+    # E1 = 2 lies above the lowest level alone: the window is widened until
+    # its distance is the one to the whole spectrum
+    path = write_config(tmp_path, CONFINED)
+    full = tmp_path / "full.json"
+    assert main(["spectrum", path, "--quiet", "--report", str(full)]) == 0
+    monkeypatch.setattr(discrete, "LOW_LEVELS", 1)
+    narrow = tmp_path / "narrow.json"
+    assert main(["spectrum", path, "--quiet", "--report", str(narrow)]) == 0
+    reports = [json.loads(p.read_text()) for p in (full, narrow)]
+    assert len(reports[1]["spectrum"]) < len(reports[0]["spectrum"])
+    values = [r["checks"][0]["values"] for r in reports]
+    assert values[1]["e1_distance"] == values[0]["e1_distance"]
+    assert values[1]["e0_distance"] == values[0]["e0_distance"]
+
+
 # CPT-conserved models with a variable mass whose H has eigenvalue
-# condition numbers up to ~1e10: the Aberth stop lies below the rounding
-# noise there, and the levels that miss it are solved dense
+# condition numbers up to ~1e10: an absolute Aberth stop lies below the
+# rounding noise there, and the stop scaled by each level's condition
+# number is met
 ILL_CONDITIONED = {
     "A": dict(MINIMAL, mass="1+0.3*x^2",
               superpotential={"kind": "deformed", "expr": "-x+0.5*i"},
@@ -491,7 +510,12 @@ def test_ill_conditioned_spectra_are_solved(tmp_path, name, command, code):
     assert main([command, path, "--quiet", "--report", str(report_path)]) == code
     report = json.loads(report_path.read_text())
     if command == "spectrum":
-        assert len(report["spectrum"]) == 599
+        assert len(report["spectrum"]) == discrete.LOW_LEVELS
+        if name == "B":             # a confined model: E0 = 1 is matched
+            match = report["checks"][0]
+            assert match["status"] == "pass"
+            assert match["values"]["e0_distance"] == pytest.approx(
+                5.0e-6, rel=0.05)
     else:
         assert np.isfinite(report["checks"][0]["values"]["h_spectrum_distance"])
 
@@ -530,7 +554,10 @@ def test_verbose_logs_stages_and_solver(tmp_path, capsys, caplog):
     assert [m for m in messages if "potential" in m] == [
         f"order-2 potential: {tree} tree nodes, {unique} unique"]
     solver = [m for m in messages if m.startswith("tridiagonal eigenvalues")]
-    assert len(solver) == 1 and "n=99" in solver[0]
+    assert len(solver) == 1
+    for part in ("n=99,", "16 lowest", "sweeps per grid (coarse to fine) []",
+                 "winding count 16", "largest phase step", "largest kappa"):
+        assert part in solver[0]
     assert "pdmsusy.cli: stage spectrum: " in capsys.readouterr().err
 
     # the logging leaves the report alone, and is off again afterwards

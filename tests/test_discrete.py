@@ -15,7 +15,8 @@ from pdmsusy import (Grid, GridError, MassFn, ModelSpec, Tridiagonal,
                      wavefunction_from_log_derivative)
 from pdmsusy import discrete
 from pdmsusy.discrete import (AssemblyError, EigensolverError,
-                              UnsupportedOrderError, probe_matrix)
+                              UnsupportedOrderError, lowest_levels,
+                              probe_matrix)
 from pdmsusy.expr import Const, ParamEnv, evaluate, evaluate_many
 from pdmsusy.susy1 import build_first_order
 from pdmsusy.susy2 import build_second_order
@@ -210,27 +211,32 @@ def test_spectrum_from_operator_carries_pairing_distance():
     mass = MassFn(parse("1"), -2.0, 2.0)
     H = assemble_hamiltonian(mass, parse("x^2"), g)
     s = hamiltonian_spectrum(H)
-    assert len(s) == 22                            # boundary rows dropped
+    assert len(s) == min(discrete.LOW_LEVELS, 22)  # boundary rows dropped
     assert s.conjugate_pairing_distance <= 1e-10   # real symmetric problem
+    # a block of LOW_LEVELS rows or fewer gives all of its levels
+    small = assemble_hamiltonian(mass, parse("x^2"), Grid(-2.0, 2.0, 16))
+    s = hamiltonian_spectrum(small)
+    assert len(s) == 14 and s.edge == np.inf
 
 
 # ---------------------------------------------------------------------------
-# the tridiagonal eigensolver behind hamiltonian_spectrum
+# the eigensolver behind hamiltonian_spectrum
 # ---------------------------------------------------------------------------
 
 SOLVER = settings(max_examples=60, deadline=None, derandomize=True,
                   database=None)
+UNIT_ROUNDOFF = 2.0**-53
 
 
 @st.composite
 def tridiagonals(draw):
     """(T, beta): a tridiagonal matrix with complex diagonal a and
-    off-diagonal products beta of one kind, of a size on either side of
-    BASE_BLOCK.  Mirror draws have a and beta symmetric under reversal
-    (J T J = T), PT draws have them conjugate-symmetric (a spectrum closed
-    under conjugation); the others split each beta_k unevenly between
-    T[k, k+1] and T[k+1, k]."""
-    n = draw(st.integers(14, 2 * discrete.BASE_BLOCK + 16))
+    off-diagonal products beta of one kind, small enough to be solved
+    dense.  Mirror draws have a and beta symmetric under reversal
+    (J T J = T, near-degenerate pairs), PT draws have them
+    conjugate-symmetric (a spectrum closed under conjugation); the others
+    split each beta_k unevenly between T[k, k+1] and T[k+1, k]."""
+    n = draw(st.integers(14, discrete.COARSE_ROWS))
     kind = draw(st.sampled_from(["positive", "negative", "complex"]))
     symmetry = draw(st.sampled_from(["none", "mirror", "pt"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -251,6 +257,20 @@ def tridiagonals(draw):
     return T, beta
 
 
+@st.composite
+def smooth_hamiltonians(draw):
+    """H of a seeded PT-symmetric model (the test suite's random_pt_model)
+    on a grid of more than COARSE_ROWS interior rows: the coarse-to-fine
+    path with its certification."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = draw(st.sampled_from([1, 2]))
+    points = draw(st.integers(discrete.COARSE_ROWS + 3, 401))
+    spec = random_pt_model(rng, order)
+    build = build_first_order if order == 1 else build_second_order
+    return assemble_hamiltonian(spec.mass, build(spec).vtilde,
+                                Grid(-1.5, 1.5, points), spec.params)
+
+
 def dirichlet_operator(T):
     """An operator whose interior block is T, with identity boundary rows."""
     return Tridiagonal(np.r_[0, np.diagonal(T, -1), 0], np.r_[1, np.diag(T), 1],
@@ -258,52 +278,87 @@ def dirichlet_operator(T):
                        Grid(-1.0, 1.0, T.shape[0] + 2))
 
 
+def assert_lowest_levels(M):
+    """hamiltonian_spectrum(M) gives the lowest levels of M's interior
+    block T by real part: LOW_LEVELS of them (all where T has no more
+    rows), more only where the next level's real part lies within the
+    error bounds, and each within twice its error bound n*u*||T||*kappa_i
+    of the dense solver's (its own bound plus the dense solver's), kappa_i
+    = ||v||^2 / |v^T v| from the dense eigenvector v of the symmetrized T.
+    The returned edge separates them from the other levels."""
+    s = hamiltonian_spectrum(M)
+    a = M.diag[1:-1]
+    o = np.sqrt(M.upper[1:-1] * M.lower[1:-1])
+    T = np.diag(a) + np.diag(o, 1) + np.diag(o, -1)
+    reference, vectors = np.linalg.eig(T)
+    kappa = (np.sum(np.abs(vectors) ** 2, axis=0)
+             / np.abs(np.sum(vectors * vectors, axis=0)))
+    order = np.argsort(reference.real, kind="stable")
+    n, k = a.size, len(s)
+    norm = np.max(np.abs(a) + np.abs(np.r_[0.0, o]) + np.abs(np.r_[o, 0.0]))
+    bound = 2 * n * UNIT_ROUNDOFF * norm * kappa[order[:k]]
+    assert k >= min(discrete.LOW_LEVELS, n)
+    gap = np.abs(s.values[:, None] - reference[order[:k]])
+    assert np.all(np.min(gap, axis=0) <= bound)
+    assert np.all(np.min(gap, axis=1) <= bound[np.argmin(gap, axis=1)])
+    if k < n:
+        assert np.max(s.values.real) < s.edge < reference[order[k]].real
+    return s
+
+
 @SOLVER
 @given(tridiagonals())
 def test_tridiagonal_solver_matches_dense(case):
-    """Every eigenvalue lies within 10 n u ||T|| of the dense solver's
-    (matched by nearest neighbour both ways), ||T|| the infinity norm of
-    the symmetrized matrix (off-diagonals sqrt(beta)) that both solvers
-    effectively see."""
-    T, beta = case
-    n = T.shape[0]
-    values = hamiltonian_spectrum(dirichlet_operator(T)).values
-    reference = dense_eigenvalues(T)
-    off = np.abs(np.sqrt(beta))
-    norm = np.max(np.abs(np.diag(T)) + np.r_[0.0, off] + np.r_[off, 0.0])
-    bound = 10 * n * 2.0**-53 * norm
-    gap = np.abs(values[:, None] - reference[None, :])
-    assert values.size == n
-    assert np.max(np.min(gap, axis=1)) <= bound
-    assert np.max(np.min(gap, axis=0)) <= bound
+    T, _ = case
+    assert_lowest_levels(dirichlet_operator(T))
 
 
-def test_tridiagonal_solver_failures_are_reported(monkeypatch, caplog):
-    g = Grid(-1.0, 1.0, 60)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(smooth_hamiltonians())
+def test_coarse_to_fine_solver_matches_dense(H):
+    assert_lowest_levels(H)
+
+
+def test_ill_conditioned_levels_are_certified():
+    # order 2, mass 1+0.3x^2, W_m -x+i on [-8, 8]: eigenvalue condition
+    # numbers up to ~1e4 among the lowest levels, where an absolute
+    # n*u*||T|| stop lies below the rounding noise
+    spec = ModelSpec(order=2, mass=MassFn(parse("1+0.3*x^2"), -8.0, 8.0),
+                     deformed=parse("-x+i"), susy_constants=(-3.0, 2.0))
+    H = assemble_hamiltonian(spec.mass, build_second_order(spec).vtilde,
+                             Grid(-8.0, 8.0, 601), spec.params)
+    s = assert_lowest_levels(H)
+    assert len(s) == discrete.LOW_LEVELS
+    assert abs(s.values[0] - 1.0) == pytest.approx(5.0e-6, rel=0.05)
+
+
+def test_lowest_levels_reach_every_level():
+    g = Grid(-3.0, 3.0, 240)
+    H = assemble_hamiltonian(MassFn(parse("1"), -3.0, 3.0), parse("x^2"), g)
+    assert len(lowest_levels(H, 40)) == 40
+    s = lowest_levels(H, 500)
+    assert len(s) == 238 and s.edge == np.inf
+
+
+def test_tridiagonal_solver_failures_are_reported(monkeypatch):
+    g = Grid(-1.0, 1.0, 401)
     H = assemble_hamiltonian(MassFn(parse("1"), -1.0, 1.0), parse("x^2"), g)
-    # a level that does not converge is solved dense, like the base blocks:
-    # here the top level, so the values are those of the dense solver on
-    # the symmetrized interior block
+    # sweeps that do not converge raise: there is no other solver
     monkeypatch.setattr(discrete, "SWEEP_BUDGET", 1)
-    caplog.set_level("INFO", logger="pdmsusy")
-    values = hamiltonian_spectrum(H).values
-    root = np.sqrt(H.upper[1:-1] * H.lower[1:-1])
-    T = np.diag(H.diag[1:-1]) + np.diag(root, 1) + np.diag(root, -1)
-    assert np.array_equal(values, dense_eigenvalues(T))
-    assert any("unconverged after 1 Aberth sweeps" in r.getMessage()
-               and "solved dense" in r.getMessage() for r in caplog.records)
+    with pytest.raises(EigensolverError, match="unconverged after 1 Aberth"):
+        hamiltonian_spectrum(H)
     monkeypatch.undo()
 
-    # a result that misses the trace identity is refused
+    # a result that repeats a level is refused by the certification
     aberth = discrete._aberth
 
     def duplicate(*args, **kwargs):
-        z, sweeps, last = aberth(*args, **kwargs)
-        z[..., 0] = z[..., 1]
-        return z, sweeps, last
+        z, bound, sweeps = aberth(*args, **kwargs)
+        z[1] = z[0]
+        return z, bound, sweeps
 
     monkeypatch.setattr(discrete, "_aberth", duplicate)
-    with pytest.raises(EigensolverError, match="misses trace"):
+    with pytest.raises(EigensolverError, match="within their error bounds"):
         hamiltonian_spectrum(H)
 
 

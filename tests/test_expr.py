@@ -331,6 +331,15 @@ def test_deep_expressions_need_no_recursion():
     assert evaluate(deep, 0.5) == 2500
     assert evaluate(differentiate(deep), 0.5) == 5000
     assert node_counts(deep) == (9999, 5000)
+    assert parse(str(deep)) is deep
+
+
+def test_failure_deep_in_an_expression_is_reported():
+    # the error message prints the failing node, 700 levels deep
+    e = parse("(" + "+".join(["x"] * 700) + ")*1e308")
+    with pytest.raises(PoleError, match="non-finite value") as info:
+        evaluate(e, 1.0)
+    assert info.value.x == 1.0
 
 
 def test_node_counts():
