@@ -348,24 +348,26 @@ def _build_system(spec: ModelSpec):
 
 @dataclass
 class _CheckContext:
-    """Everything a check reads.  The base-grid operators and their
-    constraint residuals are computed on first use, once per run."""
+    """Everything a check reads, and what it adds to the report.  The
+    operators on the config's grid and their constraint residuals are
+    computed on first use, once per context."""
 
     config: RunConfig
     spec: ModelSpec
     system: object
     refinements: int
+    report: dict = field(default_factory=lambda: {"notes": []})
 
-    def assemble(self, grid: discrete.Grid):
+    @cached_property
+    def hamiltonian(self):
         spec = self.spec
-        H = discrete.assemble_hamiltonian(spec.mass, self.system.vtilde, grid,
-                                          spec.params)
-        C = discrete.assemble_charge(self.system.charge, grid, spec.params)
-        return H, C
+        return discrete.assemble_hamiltonian(spec.mass, self.system.vtilde,
+                                             self.config.grid, spec.params)
 
     @cached_property
     def operators(self):
-        return self.assemble(self.config.grid)
+        return self.hamiltonian, discrete.assemble_charge(
+            self.system.charge, self.config.grid, self.spec.params)
 
     @cached_property
     def residuals(self) -> dict:
@@ -466,6 +468,11 @@ def _check_conjugate_closure(ctx: _CheckContext) -> CheckOutcome:
 
 def _check_convergence(ctx: _CheckContext) -> CheckOutcome:
     lo, hi = ctx.config.tolerances["slope_min"], ctx.config.tolerances["slope_max"]
+    # the residuals are dense: refuse a finest grid past the budget up front
+    finest = (ctx.config.grid.points - 1) * 2 ** (ctx.refinements - 1) + 1
+    if finest > discrete.MAX_DENSE_DIMENSION:
+        raise discrete.AssemblyError(
+            f"dense budget is n <= {discrete.MAX_DENSE_DIMENSION}, got {finest}")
     grids = [ctx.config.grid]
     for _ in range(ctx.refinements - 1):
         grids.append(grids[-1].refined())
@@ -473,8 +480,8 @@ def _check_convergence(ctx: _CheckContext) -> CheckOutcome:
     def residual_fn(grid):
         if grid == ctx.config.grid:
             return ctx.residuals
-        return discrete.constraint_residuals(*ctx.assemble(grid),
-                                             ctx.spec.susy_constants)
+        finer = dataclasses.replace(ctx.config, grid=grid)
+        return dataclasses.replace(ctx, config=finer).residuals
 
     study = discrete.convergence_study(residual_fn, grids)
     values = {}
@@ -491,6 +498,51 @@ def _check_convergence(ctx: _CheckContext) -> CheckOutcome:
                         "; ".join(reasons) or None)
 
 
+def _check_spectrum(ctx: _CheckContext) -> CheckOutcome:
+    """The lowest levels of the discrete H plus closed-form comparison when
+    the zero modes are window-confined."""
+    config, spec = ctx.config, ctx.spec
+    # H alone: assembling C evaluates u0, which divides by W_m
+    H = ctx.hamiltonian
+    s = discrete.hamiltonian_spectrum(H)
+
+    xs = config.grid.nodes()
+    tol = config.tolerances["eigen_match"]
+    values = {}
+    confined = {}
+    targets = {}
+    for _, label, phi, energy in ctx.system.zero_modes:
+        psi = discrete.wavefunction_from_log_derivative(phi, xs, spec.params)
+        confined[label] = discrete.l2_normalizable(psi)
+        if label == "e0" and config.grid.symmetric:
+            # PT defect of the ground mode under the midpoint normalization
+            # (any other normalization changes this number)
+            values["psi0_pt_defect"] = float(
+                np.max(np.abs(psi - np.conj(psi[::-1]))))
+            ctx.report["notes"].append(
+                "psi0_pt_defect uses the midpoint normalization")
+        if confined[label]:
+            targets[label] = complex(energy)
+    # the unlisted levels lie right of s.edge: widen the window until none
+    # of them can be nearer to a closed-form level than the listed ones
+    while any(np.min(np.abs(s.values - e)) > s.edge - e.real
+              for e in targets.values()):
+        s = discrete.lowest_levels(H, 2 * len(s))
+    ctx.report["spectrum"] = [complex(v) for v in s.values]
+    ok = True
+    for label, energy in targets.items():
+        dist = float(np.min(np.abs(s.values - energy)))
+        values[f"{label}_distance"] = dist
+        ok = ok and dist <= tol
+    values.update({f"{k}_confined": v for k, v in confined.items()})
+    if any(confined.values()):
+        return CheckOutcome("spectrum_match", "pass" if ok else "fail", tol,
+                            values)
+    return CheckOutcome("spectrum_match", "skip", values=values,
+                        reason="zero modes not window-confined; "
+                               "closed-form comparison not meaningful")
+
+
 _ASYMMETRIC_GRID = "grid not symmetric about 0"
 
 # name -> (check, reason it is skipped on a grid not symmetric about 0, or
@@ -505,24 +557,11 @@ _CHECKS = {
     "cpt": (partial(_check_constraint, "cpt"), _ASYMMETRIC_GRID),
     "susy": (partial(_check_constraint, "susy"), _ASYMMETRIC_GRID),
     "conjugate_closure": (_check_conjugate_closure, _ASYMMETRIC_GRID),
+    "spectrum": (_check_spectrum, None),
     "convergence": (_check_convergence, _ASYMMETRIC_GRID),
 }
 
 KNOWN_CHECKS = tuple(_CHECKS)
-
-
-def _model_report(config: RunConfig, checks: list, wall: dict,
-                  **extra) -> VerificationReport:
-    roots, real_spec = _closed_form_eigenvalues(config.spec)
-    return VerificationReport(
-        model=dict(config.echo),
-        checks=checks,
-        closed_form_eigenvalues=[complex(r) for r in roots],
-        reality_condition=real_spec,
-        susy_constants_real=config.spec.real_susy_constants,
-        wall_clock_seconds=wall,
-        **extra,
-    )
 
 
 def run(config: RunConfig, refinements: int = 3) -> VerificationReport:
@@ -543,74 +582,21 @@ def run(config: RunConfig, refinements: int = 3) -> VerificationReport:
                 with _stage(name):
                     outcome = check(ctx)
         checks.append(outcome)
+        if name == "symmetry":
+            ctx.report["symmetry"] = (dict(outcome.values) if outcome.values
+                                      else {"skipped": outcome.reason})
 
-    symmetry = None
-    for outcome in checks:
-        if outcome.name == "symmetry":
-            symmetry = dict(outcome.values) if outcome.values else \
-                {"skipped": outcome.reason}
-
-    report = _model_report(config, checks, wall, symmetry=symmetry)
     if not spec.real_susy_constants:
-        report.notes.append("susy_constants are not all real; reality analysis "
-                            "of the lowest eigenvalues does not apply")
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Spectrum command helpers
-# ---------------------------------------------------------------------------
-
-def spectrum_report(config: RunConfig) -> VerificationReport:
-    """The lowest levels of the discrete H plus closed-form comparison when
-    the zero modes are window-confined."""
-    spec = config.spec
-    system = _build_system(spec)
-    wall = {}
-    with _timed(wall, "spectrum"), _stage("spectrum"):
-        H = discrete.assemble_hamiltonian(spec.mass, system.vtilde,
-                                          config.grid, spec.params)
-        s = discrete.hamiltonian_spectrum(H)
-
-    xs = config.grid.nodes()
-    tol = config.tolerances["eigen_match"]
-    values = {}
-    confined = {}
-    targets = {}
-    notes = []
-    for _, label, phi, energy in system.zero_modes:
-        psi = discrete.wavefunction_from_log_derivative(phi, xs, spec.params)
-        confined[label] = discrete.l2_normalizable(psi)
-        if label == "e0" and config.grid.symmetric:
-            # PT defect of the ground mode under the midpoint normalization
-            # (any other normalization changes this number)
-            values["psi0_pt_defect"] = float(
-                np.max(np.abs(psi - np.conj(psi[::-1]))))
-            notes.append("psi0_pt_defect uses the midpoint normalization")
-        if confined[label]:
-            targets[label] = complex(energy)
-    # the unlisted levels lie right of s.edge: widen the window until none
-    # of them can be nearer to a closed-form level than the listed ones
-    with _stage("spectrum"):
-        while any(np.min(np.abs(s.values - e)) > s.edge - e.real
-                  for e in targets.values()):
-            s = discrete.lowest_levels(H, 2 * len(s))
-    ok = True
-    for label, energy in targets.items():
-        dist = float(np.min(np.abs(s.values - energy)))
-        values[f"{label}_distance"] = dist
-        ok = ok and dist <= tol
-    if any(confined.values()):
-        outcome = CheckOutcome("spectrum_match", "pass" if ok else "fail",
-                               tol, values)
-    else:
-        outcome = CheckOutcome("spectrum_match", "skip",
-                               reason="zero modes not window-confined; "
-                                      "closed-form comparison not meaningful")
-        outcome.values.update(values)
-    outcome.values.update({f"{k}_confined": v for k, v in confined.items()})
-    return _model_report(config, [outcome], wall,
-                         spectrum=[complex(v) for v in s.values], notes=notes)
+        ctx.report["notes"].append(
+            "susy_constants are not all real; reality analysis of the "
+            "lowest eigenvalues does not apply")
+    roots, real_spec = _closed_form_eigenvalues(spec)
+    return VerificationReport(
+        model=dict(config.echo), checks=checks,
+        closed_form_eigenvalues=[complex(r) for r in roots],
+        reality_condition=real_spec,
+        susy_constants_real=spec.real_susy_constants,
+        wall_clock_seconds=wall, **ctx.report)
 
 
 # ---------------------------------------------------------------------------
@@ -889,15 +875,12 @@ def _command(args):
                 emit_curves(_build_system(config.spec), config.grid, path)
                 return 0, f"curves written to {path}"
             config = _apply_tol_overrides(config, args.tol)
-            if args.command == "check":
-                report = run(config)
-            elif args.command == "spectrum":
-                report = spectrum_report(config)
-            else:  # convergence
-                if args.refinements < 3:
-                    raise ConfigError("--refinements must be >= 3")
-                report = run(dataclasses.replace(
-                    config, checks=("convergence",)), args.refinements)
+            refinements = getattr(args, "refinements", 3)
+            if refinements < 3:
+                raise ConfigError("--refinements must be >= 3")
+            if args.command != "check":     # one registry check
+                config = dataclasses.replace(config, checks=(args.command,))
+            report = run(config, refinements)
             path = args.report or config.output.get("report")
         if path:
             with open(path, "w", encoding="utf-8") as fh:
@@ -916,6 +899,10 @@ def _command(args):
     except (EvaluationError, discrete.DiscreteError) as exc:
         print(f"numerical failure{_stage_tag(exc)}: {exc}", file=sys.stderr)
         return 3, ""
+    except OSError as exc:      # a report or curves file that cannot be written
+        print(f"configuration error: output file unwritable: {exc}",
+              file=sys.stderr)
+        return 2, ""
 
 
 if __name__ == "__main__":  # pragma: no cover

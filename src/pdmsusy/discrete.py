@@ -49,7 +49,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .expr import Expr, ParamEnv, differentiate, evaluate_many
-from .model import MassFn
+from .model import MassFn, symmetric_interval
 
 __all__ = [
     "DiscreteError", "GridError", "AssemblyError", "EigensolverError",
@@ -118,7 +118,7 @@ class Grid:
 
     @property
     def symmetric(self) -> bool:
-        return abs(self.x_min + self.x_max) <= 1e-14 * max(1.0, abs(self.x_max))
+        return symmetric_interval(self.x_min, self.x_max)
 
     def nodes(self) -> np.ndarray:
         return self.x_min + np.arange(self.points) * self.h

@@ -47,6 +47,11 @@ class DomainError(ModelError):
     pass
 
 
+def symmetric_interval(x_min: float, x_max: float) -> bool:
+    """Whether (x_min, x_max) is symmetric about 0, up to rounding."""
+    return abs(x_min + x_max) <= 1e-14 * max(1.0, abs(x_max))
+
+
 def chebyshev_points(x_min: float, x_max: float, n: int = SYMMETRY_SAMPLES) -> np.ndarray:
     """Interior Chebyshev (Gauss) nodes: clustered at the endpoints without
     touching them, which is where masses like sec(x) vary fastest."""
@@ -70,7 +75,7 @@ class MassFn:
 
     @property
     def symmetric_domain(self) -> bool:
-        return abs(self.x_min + self.x_max) <= 1e-14 * max(1.0, abs(self.x_max))
+        return symmetric_interval(self.x_min, self.x_max)
 
     def interior_points(self, n: int = 257) -> np.ndarray:
         h = (self.x_max - self.x_min) / n

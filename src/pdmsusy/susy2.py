@@ -159,6 +159,11 @@ def zero_mode_logderivs(wm: Expr, m: MassFn, delta: complex) -> tuple[Expr, Expr
     return phis[0], phis[1]
 
 
+def _delta(l1: complex, l2: complex) -> complex:
+    """delta = +sqrt(l1^2 - 4 l2), the principal square root."""
+    return cmath.sqrt(complex(l1) * complex(l1) - 4.0 * complex(l2))
+
+
 def lowest_eigenvalues(l1: complex, l2: complex) -> tuple[complex, complex, bool]:
     """Roots of E^2 + l1 E + l2 = 0 through delta = +sqrt(l1^2 - 4 l2):
 
@@ -170,7 +175,7 @@ def lowest_eigenvalues(l1: complex, l2: complex) -> tuple[complex, complex, bool
     """
     l1 = complex(l1)
     l2 = complex(l2)
-    delta = cmath.sqrt(l1 * l1 - 4.0 * l2)
+    delta = _delta(l1, l2)
     e0 = -(l1 + delta) / 2.0
     e1 = -(l1 - delta) / 2.0
     real_spec = (l1.imag == 0.0 and l2.imag == 0.0
@@ -186,7 +191,7 @@ def build_second_order(spec: ModelSpec) -> SecondOrderSystem:
 
     l1, l2 = spec.susy_constants
     e0, e1, real_spec = lowest_eigenvalues(l1, l2)
-    delta = cmath.sqrt(complex(l1) * complex(l1) - 4.0 * complex(l2))
+    delta = _delta(l1, l2)
     f = f_aux(wm, spec.mass)
     u0 = u0_closed(wm, spec.mass, l1, l2)
     vtilde = potential_second_order(wm, spec.mass, u0, l1)

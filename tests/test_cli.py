@@ -445,6 +445,46 @@ def test_curves_takes_no_report_and_no_tolerance(tmp_path, capsys, flag):
     assert not (tmp_path / "curves.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["check", "curves"])
+def test_unwritable_output_is_a_configuration_error(tmp_path, capsys, command):
+    out = str(tmp_path / "missing" / "out")
+    if command == "check":
+        argv = ["check", write_config(tmp_path, MINIMAL), "--report", out]
+    else:
+        argv = ["curves", write_config(tmp_path, dict(
+            MINIMAL, output={"curves": out}))]
+    assert main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: output file unwritable: ")
+    assert out in err
+
+
+def test_spectrum_is_a_registry_check(tmp_path):
+    # the spectrum command is the check run with only the spectrum check
+    path = write_config(tmp_path, dict(CONFINED, checks=["spectrum"]))
+    reports = []
+    for command in ("check", "spectrum"):
+        report_path = tmp_path / f"{command}.json"
+        assert main([command, path, "--quiet",
+                     "--report", str(report_path)]) == 0
+        reports.append(json.loads(report_path.read_text()))
+    walls = [report.pop("wall_clock_seconds") for report in reports]
+    assert reports[0] == reports[1]
+    assert reports[0]["checks"][0]["name"] == "spectrum_match"
+    assert all(set(wall) == {"system", "spectrum"} for wall in walls)
+
+
+def test_spectrum_report_notes_complex_constants(tmp_path):
+    path = write_config(tmp_path, dict(CONFINED, susy_constants=[[-3.0, 0.5],
+                                                                 2.0]))
+    report_path = tmp_path / "report.json"
+    main(["spectrum", path, "--quiet", "--report", str(report_path)])
+    report = json.loads(report_path.read_text())
+    assert report["susy_constants_real"] is False
+    assert report["spectrum"]
+    assert any("not all real" in note for note in report["notes"])
+
+
 def test_check_prints_one_line_per_check(tmp_path, capsys):
     path = write_config(tmp_path, dict(
         MINIMAL, grid=dict(MINIMAL["grid"], xmax=3.0),
@@ -648,6 +688,22 @@ def test_convergence_command(tmp_path):
     conv = json.loads(report_path.read_text())["checks"][0]
     assert (conv["status"], conv["tolerance"]) == ("fail", 2.2)
     assert "reason" not in conv
+
+
+@pytest.mark.parametrize("refinements", [8, 1100])
+def test_convergence_past_the_dense_budget_fails_first(
+        tmp_path, capsys, monkeypatch, refinements):
+    def refuse(*args):
+        raise AssertionError("residuals computed past the dense budget")
+
+    monkeypatch.setattr(discrete, "constraint_residuals", refuse)
+    path = write_config(tmp_path, MINIMAL)     # 33 points
+    assert main(["convergence", path, "--refinements", str(refinements),
+                 "--quiet"]) == 3
+    finest = 32 * 2 ** (refinements - 1) + 1      # 4097 at 8 refinements
+    assert capsys.readouterr().err == (
+        "numerical failure [stage convergence]: dense budget is n <= 4096, "
+        f"got {finest}\n")
 
 
 def test_paper_examples_battery():
