@@ -18,7 +18,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -321,8 +321,7 @@ def _stage(name: str):
 
 
 def _sup_diff(a: Expr, b: Expr, xs, env) -> float:
-    va = evaluate_many(a, xs, env)
-    vb = evaluate_many(b, xs, env)
+    va, vb = evaluate_many((a, b), xs, env)
     return float(np.max(np.abs(va - vb)))
 
 
@@ -392,12 +391,13 @@ def _check_symmetry(ctx: _CheckContext) -> CheckOutcome:
 def _check_delta_v(ctx: _CheckContext) -> CheckOutcome:
     spec, system = ctx.spec, ctx.system
     xs = spec.mass.interior_points(IDENTITY_SAMPLES)
-    defect = system.vtilde - pt_image(system.vtilde)
-    general = susyn.delta_v_general(system.wm, spec.mass, spec.order)
+    defect, delta_v, general = evaluate_many(
+        (system.vtilde - pt_image(system.vtilde), system.delta_v,
+         susyn.delta_v_general(system.wm, spec.mass, spec.order)),
+        xs, spec.params)
     return _bounded("delta_v", {
-        "identity": _sup_diff(defect, system.delta_v, xs, spec.params),
-        "general_reduction": _sup_diff(general, system.delta_v, xs,
-                                       spec.params),
+        "identity": float(np.max(np.abs(defect - delta_v))),
+        "general_reduction": float(np.max(np.abs(general - delta_v))),
     }, ctx.config.tolerances["identity"])
 
 
@@ -617,23 +617,25 @@ def emit_curves(system, grid: discrete.Grid, path: str) -> None:
     """
     env = system.params
     xs = grid.nodes()
-    m_vals, wm_vals, v_vals = (evaluate_many(f, xs, env)
-                               for f in (system.m.expr, system.wm, system.vtilde))
+    m_vals, wm_vals, v_vals, *u0 = evaluate_many(
+        (system.m.expr, system.wm, system.vtilde, *system.charge.u), xs, env)
     psis = [discrete.wavefunction_from_log_derivative(phi, xs, env)
             for _, _, phi, _ in system.zero_modes]     # ground mode first
     curves = [wm_vals, v_vals, psis[0]]
     header = FIRST_ORDER_HEADER
-    if system.charge.u:
+    if u0:
         # u0, then the modes in the order of their log-derivatives phi1, phi2
-        curves += [evaluate_many(system.charge.u[0], xs, env), *psis[::-1]]
+        curves += [*u0, *psis[::-1]]
         header = SECOND_ORDER_HEADER
     columns = [xs, m_vals.real] + [part for c in curves
                                    for part in (c.real, c.imag)]
-
+    table = np.column_stack(columns)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        # blocks of rows as Python floats, whose repr is the shortest form
+        for start in range(0, len(table), 128):
+            fh.writelines(",".join(map(repr, row)) + "\n"
+                          for row in table[start:start + 128].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -694,11 +696,10 @@ def paper_examples() -> VerificationReport:
         for alpha in (0.5, 1.0, 2.0):
             for delta in (0.5, 1.0):
                 l2 = -delta * delta / 4.0      # l1 = 0, so Theta = l2
-                routes = [evaluate_many(u0, route_pts,
-                                        ParamEnv(alpha=alpha, delta=delta))
-                          for u0 in (susy2.u0_closed(wm_exact, mass, 0.0, l2),
-                                     susy2.u0_integrated(f, wm_exact, mass, l2),
-                                     u0_example)]
+                routes = evaluate_many(
+                    (susy2.u0_closed(wm_exact, mass, 0.0, l2),
+                     susy2.u0_integrated(f, wm_exact, mass, l2), u0_example),
+                    route_pts, ParamEnv(alpha=alpha, delta=delta))
                 worst = max(worst, *(float(np.max(np.abs(a - b)))
                                      for a, b in combinations(routes, 2)))
         checks.append(_bounded("u0_triple_agreement", {"residual": worst},
@@ -790,7 +791,8 @@ def _report_text(report: VerificationReport) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@cache         # built on first use, once per process
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdmsusy",
         description="Construct CPT-conserved position-dependent-mass SUSY "
@@ -821,8 +823,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     add_command("convergence", "grid-refinement study").add_argument(
         "--refinements", type=int, default=3,
         help="number of grids (spacing halves each time)")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     with _logging(args.verbose):
         code, text = _command(args)
     if text and not args.quiet:
@@ -863,7 +868,7 @@ def _command(args):
     stdout.  A report file is written before anything is printed."""
     try:
         if args.command == "paper-examples":
-            report, path = paper_examples(), args.report
+            config, path = None, args.report
         else:
             config = load_config(args.config)
             # spectrum, curves and convergence need the closed-form system
@@ -872,16 +877,23 @@ def _command(args):
                                   f"only, got order {config.spec.order}")
             if args.command == "curves":
                 path = config.output.get("curves", "curves.csv")
-                emit_curves(_build_system(config.spec), config.grid, path)
-                return 0, f"curves written to {path}"
-            config = _apply_tol_overrides(config, args.tol)
-            refinements = getattr(args, "refinements", 3)
-            if refinements < 3:
-                raise ConfigError("--refinements must be >= 3")
-            if args.command != "check":     # one registry check
-                config = dataclasses.replace(config, checks=(args.command,))
-            report = run(config, refinements)
-            path = args.report or config.output.get("report")
+            else:
+                config = _apply_tol_overrides(config, args.tol)
+                refinements = getattr(args, "refinements", 3)
+                if refinements < 3:
+                    raise ConfigError("--refinements must be >= 3")
+                if args.command != "check":     # one registry check
+                    config = dataclasses.replace(config, checks=(args.command,))
+                path = args.report or config.output.get("report")
+        if path:    # unwritable fails before the run; the path stays as it was
+            existed = os.path.lexists(path)
+            open(path, "a", encoding="utf-8").close()
+            if not existed:
+                os.remove(path)
+        if args.command == "curves":
+            emit_curves(_build_system(config.spec), config.grid, path)
+            return 0, f"curves written to {path}"
+        report = paper_examples() if config is None else run(config, refinements)
         if path:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(report.to_json() + "\n")

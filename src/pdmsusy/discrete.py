@@ -241,8 +241,8 @@ def assemble_charge(coeffs, g: Grid, env: Optional[ParamEnv] = None) -> Tridiago
     n = g.points
     h = g.h
     x_int = g.nodes()[1:-1]
-    lead = evaluate_many(coeffs.lead, x_int, env)
-    sub = evaluate_many(coeffs.sub, x_int, env)
+    lead, sub, *u0 = evaluate_many((coeffs.lead, coeffs.sub, *coeffs.u),
+                                   x_int, env)
 
     lower = np.zeros(n - 1, dtype=complex)     # row i holds lower[i - 1],
     diag = np.zeros(n, dtype=complex)          # diag[i] and upper[i]
@@ -252,10 +252,9 @@ def assemble_charge(coeffs, g: Grid, env: Optional[ParamEnv] = None) -> Tridiago
         upper[1:] = lead / (2 * h)
         diag[1:-1] = sub
     else:
-        u0 = evaluate_many(coeffs.u[0], x_int, env)
         lower[:-1] = lead / h**2 - sub / (2 * h)
         upper[1:] = lead / h**2 + sub / (2 * h)
-        diag[1:-1] = -2 * lead / h**2 + u0
+        diag[1:-1] = -2 * lead / h**2 + u0[0]
     return Tridiagonal(lower, diag, upper, g, label=f"C{n_order}")
 
 
@@ -696,8 +695,7 @@ def riccati_residual(m: MassFn, vtilde: Expr, phi: Expr, e: complex,
     mx = m.expr
     dm = differentiate(mx)
     xs = np.asarray(list(samples), dtype=float)
-    mv, pv, dpv, dmv, vv = (evaluate_many(f, xs, env)
-                            for f in (mx, phi, dphi, dm, vtilde))
+    mv, pv, dpv, dmv, vv = evaluate_many((mx, phi, dphi, dm, vtilde), xs, env)
     r = -(dpv + pv * pv) / mv + (dmv / (mv * mv)) * pv + vv - complex(e)
     return float(np.max(np.abs(r), initial=0.0))
 

@@ -108,7 +108,8 @@ class _HashConsed(type):
     node returns that node.  The lookup is O(1): a name is keyed by value, a
     constant by its bit pattern, and a child, interned already, by identity
     (the node holds its children, so their ids stay theirs while it lives).
-    A node keeps its field values as ``_args`` and its structural hash."""
+    A node keeps its field values as ``_args``, its structural hash and,
+    once differentiated, its first derivative (``_deriv``)."""
 
     def __call__(cls, *args, **kwargs):
         global _sweep_at
@@ -131,6 +132,7 @@ class _HashConsed(type):
                 node = super().__call__(*args)
                 object.__setattr__(node, "_args", args)
                 object.__setattr__(node, "_hash", hash((cls, *args)))
+                object.__setattr__(node, "_deriv", None)
                 _NODES[key] = weakref.ref(node)
                 if len(_NODES) > _sweep_at:
                     for dead, ref in list(_NODES.items()):
@@ -148,7 +150,7 @@ class Expr(metaclass=_HashConsed):
     """Base node; all concrete nodes are frozen dataclasses.  ``==`` is
     structural (so Const(0.0) == Const(-0.0)) and the hash is cached."""
 
-    __slots__ = ("_args", "_hash", "__weakref__")
+    __slots__ = ("_args", "_hash", "_deriv", "__weakref__")
 
     def __eq__(self, other):
         if self is other:
@@ -628,13 +630,27 @@ def _render_node(e: Expr, walk):
 # ---------------------------------------------------------------------------
 
 def differentiate(e: Expr, k: int = 1) -> Expr:
-    """k-th exact symbolic derivative with respect to x (k >= 1)."""
+    """k-th exact symbolic derivative with respect to x (k >= 1).  Each node
+    keeps its first derivative (``_deriv``), so a node is differentiated
+    once while it lives; the walk keeps its own stack."""
     if not isinstance(k, int) or k < 1:
         raise ExprError(f"derivative order must be a positive integer, got {k!r}")
-    out = e
     for _ in range(k):
-        out = _Memo(_d)(out)
-    return out
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            todo = [v for v in node._args
+                    if isinstance(v, Expr) and v._deriv is None]
+            if todo:
+                stack += [node, *todo]
+            elif node._deriv is None:
+                object.__setattr__(node, "_deriv", _d(node, _derived))
+        e = e._deriv
+    return e
+
+
+def _derived(e: Expr) -> Expr:
+    return e._deriv
 
 
 # d/du of each function with a product chain rule f(u)' = f'(u) u'; log and
@@ -691,26 +707,30 @@ def evaluate(e: Expr, x: float, env=None) -> complex:
     return complex(evaluate_many(e, [x], env)[0])
 
 
-def evaluate_many(e: Expr, xs: Iterable[float], env=None) -> np.ndarray:
+def evaluate_many(e, xs: Iterable[float], env=None):
     """Evaluate at every point of ``xs`` in one walk over the DAG, each
     unique subexpression once; returns a complex ndarray of the same length.
-    Deterministic.
+    ``e`` may also be a tuple of expressions: the result is then the tuple
+    of their arrays, from one walk over their joint DAG.  Deterministic.
 
     Raises UnboundParameterError for missing parameters and PoleError when
     a denominator (or cos under sec/tan) falls below POLE_TOLERANCE or an
     intermediate stops being finite.  The error is the one a point-by-point
     walk would raise: at the first point of ``xs`` that fails, for the first
-    failing node in evaluation order there.
+    failing node in evaluation order there.  Of a tuple, the first
+    expression that fails raises, as one call per expression would.
     """
+    roots = e if isinstance(e, tuple) else (e,)
     xs = np.asarray(xs if hasattr(xs, "__len__") else list(xs), dtype=float)
-    walk = _Walk(xs, env if isinstance(env, ParamEnv) else ParamEnv(env), e)
+    env = env if isinstance(env, ParamEnv) else ParamEnv(env)
     with np.errstate(all="ignore"):
-        value = walk(e)
-    failed = np.flatnonzero(walk.cause >= 0)
-    if failed.size:
-        i = failed[0]
-        raise walk.causes[walk.cause[i]](float(xs[i]))
-    return np.broadcast_to(value, xs.shape).astype(complex)
+        try:
+            values = _Plan(roots, xs, env, checked=False).run()
+        except _Trip:
+            values = [_Plan((root,), xs, env, checked=True).run()[0]
+                      for root in roots]
+    values = tuple(np.broadcast_to(v, xs.shape).astype(complex) for v in values)
+    return values if isinstance(e, tuple) else values[0]
 
 
 _UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
@@ -718,37 +738,91 @@ _UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
 _ARITHMETIC = {Add: np.add, Sub: np.subtract, Mul: np.multiply}
 
 
-class _Walk:
-    """Evaluates each unique node once over all points, on its first visit
-    in tree-walk order, and drops its array after its last parent has read
-    it.  Operands go left before right, except that Div evaluates its
-    denominator first, so at any one point the checks run in the order of a
-    scalar walk.  Each point keeps the first failure it meets (``cause``
-    indexes ``causes``, factories x -> exception; -1 while none) and goes on
-    with a non-finite value.
+class _Trip(Exception):
+    """An unchecked run met something that may be a failure."""
 
-    Skipping repeat visits keeps every point's first failure: a shared node
-    records its failures on its first visit, and at every point that visit
-    comes before any repeat, so a repeat could only record failures at
-    points that already hold one."""
 
-    def __init__(self, xs: np.ndarray, env: ParamEnv, root: Expr):
+class _Plan:
+    """The joint DAG of ``roots`` as a flat list of steps, one per unique
+    node, run once over all points.  The steps follow a tree walk that
+    skips repeat visits: operands left to right, except that Div evaluates
+    its denominator and checks it for a pole first, so at any one point the
+    checks run in the order of a scalar walk.  Each array is dropped after
+    its last read.  Both modes make the same numpy calls per node.
+
+    Unchecked, the values a checked run would test for finiteness add into
+    one sentinel, and a failing explicit condition (pole, log(0), 0^complex,
+    unbound parameter) raises _Trip at once, as a non-finite sentinel does
+    at the end.  Checked, each point keeps the first failure it meets
+    (``cause`` indexes ``causes``, factories x -> exception; -1 while none)
+    and goes on with a non-finite value; the run raises the first failure
+    of the first failing point.  Skipping repeats keeps it: a shared node's
+    first visit comes, at every point, before any repeat."""
+
+    def __init__(self, roots, xs: np.ndarray, env: ParamEnv, checked: bool):
+        self.roots, self.xs, self.env = roots, xs, env
         self.x = (xs + 0.0).astype(complex)    # x = -0.0 is the point 0.0
-        self.env = env
-        self.cause = np.full(xs.shape, -1)
-        self.causes = []
-        self.values = {}                        # id -> value still to be read
-        # id -> reads left: one per parent edge, one for the caller's root
-        reads = self.reads = {id(root): 1}
-        stack = [root]
+        if checked:
+            self.cause, self.causes = np.full(xs.shape, -1), []
+        else:
+            self.cause, self.total = None, np.zeros(xs.shape, complex)
+        node, pole = _Plan.node, _Plan.check_pole    # unbound: no cycle
+        slot = {}           # id(node) -> the step that computes it
+        last = {}           # step -> the last step that reads its value
+        self.steps = []     # (function, node, steps of its operands)
+        # a node on the stack is to be visited, a tuple (function, node,
+        # operand nodes) is a step whose operands are done
+        stack = list(reversed(roots))
         while stack:
-            for child in stack.pop()._args:
-                if isinstance(child, Expr):
-                    if id(child) not in reads:
-                        stack.append(child)
-                    reads[id(child)] = reads.get(id(child), 0) + 1
+            e = stack.pop()
+            if type(e) is tuple:
+                fn, e, operands = e
+                k = len(self.steps)
+                ins = tuple([slot[id(v)] for v in operands])
+                for i in ins:
+                    last[i] = k
+                if fn is node:
+                    slot[id(e)] = k
+                self.steps.append((fn, e, ins))
+            elif id(e) not in slot:
+                if type(e) is Div:
+                    stack += [(node, e, e._args), e.left, (pole, e, (e.right,)),
+                              e.right]
+                else:
+                    operands = [v for v in e._args if isinstance(v, Expr)]
+                    stack.append((node, e, operands))
+                    stack += reversed(operands)
+        self.outs = [slot[id(root)] for root in roots]
+        self.dead = [[] for _ in self.steps]
+        for i, k in last.items():
+            if i not in self.outs:      # the caller reads the roots last
+                self.dead[k].append(i)
+
+    def run(self) -> list:
+        """The values of the roots, after raising what the run met."""
+        values = self.values = [None] * len(self.steps)
+        for k, ((fn, e, ins), dead) in enumerate(zip(self.steps, self.dead)):
+            values[k] = fn(self, e, *[values[i] for i in ins])
+            for i in dead:
+                values[i] = None
+        out = [values[k] for k in self.outs]
+        for k in self.outs:
+            values[k] = None
+        self.settle()
+        return out
+
+    def settle(self) -> None:
+        if self.cause is None:          # _Trip unless the sentinel is finite
+            return self.fail(~np.isfinite(self.total), None)
+        failed = np.flatnonzero(self.cause >= 0)
+        if failed.size:
+            raise self.causes[self.cause[failed[0]]](float(self.xs[failed[0]]))
 
     def fail(self, mask, make_error) -> None:
+        if self.cause is None:
+            if mask.any():
+                raise _Trip
+            return
         new = mask & (self.cause < 0)
         if new.any():
             self.cause[new] = len(self.causes)
@@ -758,72 +832,46 @@ class _Walk:
         """Record ``mask`` (default: the non-finite entries of ``value``)
         as ``detail`` failures of node ``e``; returns ``value``."""
         if mask is None:
+            if self.cause is None:
+                self.total += value
+                return value
             mask = ~np.isfinite(value)
         self.fail(mask, lambda x: PoleError(e, x, detail))
         return value
 
-    def __call__(self, root: Expr):
-        """The value of ``root``.  The walk keeps its own stack of steps, so
-        depth is unlimited; a step is (node, None) to visit a node, or
-        (node, action) to run an action once its operands are done."""
-        stack = [(root, None)]
-        while stack:
-            e, action = stack.pop()
-            if action is not None:
-                action(e)
-            elif id(e) not in self.values:
-                stack.append((e, self.finish))
-                if isinstance(e, Div):
-                    stack += [(e.left, None), (e, self.check_pole),
-                              (e.right, None)]
-                else:
-                    stack += [(v, None) for v in reversed(e._args)
-                              if isinstance(v, Expr)]
-        return self.read(root)
-
-    def read(self, e: Expr):
-        """The value of ``e``, dropped after its last read."""
-        key = id(e)
-        self.reads[key] -= 1
-        return self.values[key] if self.reads[key] else self.values.pop(key)
-
-    def check_pole(self, e: Div) -> None:
-        den = self.values[id(e.right)]
+    def check_pole(self, e: Div, den) -> None:
         self.check(den, e, "pole hit", np.abs(den) < POLE_TOLERANCE)
 
-    def finish(self, e: Expr) -> None:
-        self.values[id(e)] = self.node(e)
-
-    def node(self, e: Expr):
-        """Evaluate the node ``e`` from its operands' values."""
-        if isinstance(e, Const):
+    def node(self, e: Expr, *operands):
+        """The value of the node ``e`` from its operands' values."""
+        kind = type(e)
+        if kind in _ARITHMETIC:
+            return self.check(_ARITHMETIC[kind](*operands), e, "non-finite value")
+        if kind is Div:
+            num, den = operands                 # den checked by check_pole
+            return self.check(num / den, e, "non-finite value")
+        if kind is Const:
             return np.complex128(e.value)
-        if isinstance(e, Var):
+        if kind is Var:
             return self.x
-        if isinstance(e, Param):
+        if kind is Param:
             try:
                 return np.complex128(self.env.lookup(e.name))
             except UnboundParameterError as exc:
                 self.fail(np.True_, lambda x, error=exc: error)
                 return np.complex128(np.nan)
-        if isinstance(e, Neg):
-            return 0 - self.read(e.arg)             # as in neg()
-        if isinstance(e, Conj):
-            return np.conj(self.read(e.arg))
-        if type(e) in _ARITHMETIC:
-            return self.check(_ARITHMETIC[type(e)](self.read(e.left), self.read(e.right)),
-                              e, "non-finite value")
-        if isinstance(e, Div):
-            den = self.read(e.right)            # checked by check_pole
-            return self.check(self.read(e.left) / den, e, "non-finite value")
-        if isinstance(e, Pow):
-            base, expo = self.read(e.base), self.read(e.exponent)
-            value = base ** expo
+        if kind is Neg:
+            return 0 - operands[0]              # as in neg()
+        if kind is Conj:
+            return np.conj(operands[0])
+        if kind is Pow:
+            base, expo = operands
+            value = self.check(base ** expo, e, "pole hit")
             # Python's complex power raises at 0 to a complex exponent
-            return self.check(value, e, "pole hit", ~np.isfinite(value)
-                              | ((base == 0) & (np.imag(expo) != 0)))
-        if isinstance(e, Func):
-            u = self.read(e.arg)
+            return self.check(value, e, "pole hit",
+                              (base == 0) & (np.imag(expo) != 0))
+        if kind is Func:
+            u, = operands
             if e.name in ("tan", "sec"):
                 c = self.check(np.cos(u), e, "overflow")
                 self.check(c, e, "pole hit", np.abs(c) < POLE_TOLERANCE)

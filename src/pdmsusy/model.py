@@ -224,12 +224,13 @@ def symmetry_report(spec: ModelSpec, functions=None) -> SymmetryReport:
     # pointwise scan meets first
     pairs = np.column_stack([xs, -xs]).ravel()
 
-    def defect(f: Expr, image=np.conj) -> float:
-        values = evaluate_many(f, pairs, spec.params)
+    def defect(values: np.ndarray, image=np.conj) -> float:
         return float(np.max(np.abs(values[0::2] - image(values[1::2]))))
 
-    mass_defect = defect(spec.mass.expr, image=np.positive)
-    delta_sup = {name: defect(f) for name, f in (functions or {}).items()}
-    return SymmetryReport(mass_parity_defect=mass_defect,
-                          wm_pt_defect=defect(spec.wm()),
-                          delta_sup=delta_sup)
+    functions = functions or {}
+    mass, *derived, wm = evaluate_many(
+        (spec.mass.expr, *functions.values(), spec.wm()), pairs, spec.params)
+    return SymmetryReport(
+        mass_parity_defect=defect(mass, image=np.positive),
+        wm_pt_defect=defect(wm),
+        delta_sup={name: defect(v) for name, v in zip(functions, derived)})

@@ -13,7 +13,7 @@ import pytest
 from pdmsusy.cli import (ConfigError, DEFAULT_TOLERANCES, KNOWN_CHECKS,
                          emit_curves, load_config, main, paper_examples,
                          parse_config_dict, run)
-from pdmsusy import Grid, MassFn, ModelSpec, discrete, parse
+from pdmsusy import Grid, MassFn, ModelSpec, cli, discrete, parse
 from pdmsusy.expr import ParamEnv, node_counts
 from pdmsusy.susy1 import build_first_order
 from pdmsusy.susy2 import build_second_order
@@ -26,6 +26,15 @@ MINIMAL = {
     "susy_constants": [0.0],
     "grid": {"xmin": -2.0, "xmax": 2.0, "points": 33},
     "checks": ["riccati", "eigenvalues"],
+}
+
+# W_m vanishes inside the window: a numerical failure (exit 3) at the build
+SINGULAR = {
+    "order": 2, "mass": "1",
+    "superpotential": {"kind": "deformed", "expr": "x"},
+    "susy_constants": [0.0, 0.0],
+    "grid": {"xmin": -2.0, "xmax": 2.0, "points": 33},
+    "checks": ["riccati"],
 }
 
 
@@ -236,13 +245,7 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["check", huge, "--quiet"]) == 2
 
     # numerical failure: W_m vanishes inside the window at order 2
-    singular = write_config(tmp_path, {
-        "order": 2, "mass": "1",
-        "superpotential": {"kind": "deformed", "expr": "x"},
-        "susy_constants": [0.0, 0.0],
-        "grid": {"xmin": -2.0, "xmax": 2.0, "points": 33},
-        "checks": ["riccati"],
-    }, "singular.json")
+    singular = write_config(tmp_path, SINGULAR, "singular.json")
     assert main(["check", singular, "--quiet"]) == 3
 
     # a mass positive at the 257 samples checked at load but negative
@@ -457,6 +460,79 @@ def test_unwritable_output_is_a_configuration_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: output file unwritable: ")
     assert out in err
+
+
+@pytest.mark.parametrize("command", ["check", "paper-examples", "curves"])
+@pytest.mark.parametrize("where", ["missing/out", "."])
+def test_unwritable_output_fails_before_the_run(tmp_path, capsys, monkeypatch,
+                                                command, where):
+    def refuse(*args):
+        raise AssertionError("the run started before its output was tried")
+
+    for name in ("run", "paper_examples", "emit_curves"):
+        monkeypatch.setattr(cli, name, refuse)
+    out = str(tmp_path / where)         # a missing directory, or a directory
+    if command == "curves":
+        argv = ["curves", write_config(tmp_path, dict(
+            MINIMAL, output={"curves": out}))]
+    elif command == "check":
+        argv = ["check", write_config(tmp_path, MINIMAL), "--report", out]
+    else:
+        argv = ["paper-examples", "--report", out]
+    assert main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: output file unwritable: ")
+    assert out in err
+
+
+@pytest.mark.parametrize("command", ["check", "curves"])
+def test_failed_run_leaves_the_output_path_as_it_was(tmp_path, command):
+    out = tmp_path / "out"
+    argv = [command, write_config(tmp_path, dict(
+        SINGULAR, output={command.replace("check", "report"): str(out)})),
+        "--quiet"]
+    assert main(argv) == 3
+    assert not out.exists()
+    out.write_text("earlier\n")
+    assert main(argv) == 3
+    assert out.read_text() == "earlier\n"
+
+
+def test_tolerance_override_does_not_reach_the_next_call(tmp_path):
+    # the parser is built once per process, and keeps no state of a call
+    path = write_config(tmp_path, MINIMAL)
+    tolerances = []
+    for extra in (["--tol", "identity=1e-3"], []):
+        report = tmp_path / "report.json"
+        assert main(["check", path, "--quiet", "--report", str(report),
+                     *extra]) == 0
+        tolerances.append(json.loads(report.read_text())["checks"][0]["tolerance"])
+    assert tolerances == [1e-3, DEFAULT_TOLERANCES["identity"]]
+    assert cli._parser() is cli._parser()
+
+
+def test_curves_rows_print_each_value_as_repr_of_its_float(tmp_path, monkeypatch):
+    # signed zeros, subnormals and huge values keep their shortest
+    # round-trip form, bit for bit
+    spec = ModelSpec(order=1, mass=MassFn(parse("1"), -2.0, 2.0),
+                     deformed=parse("i*x"), susy_constants=(0.0,))
+    system = build_first_order(spec)
+    grid = Grid(-2.0, 2.0, 16)
+    special = np.resize([-0.0, 5e-324, 1e300, -2.5e-310, 0.1], 16)
+    m, wm = special.astype(complex), special - 1j * special[::-1]
+    v = 1e8 * special + 0.1j
+    psi = np.resize([complex(-0.0, 5e-324), 1e300j, -1e-300, 0.3 - 0.0j], 16)
+    monkeypatch.setattr(cli, "evaluate_many", lambda *args: (m, wm, v))
+    monkeypatch.setattr(discrete, "wavefunction_from_log_derivative",
+                        lambda *args: psi)
+    path = tmp_path / "curves.csv"
+    emit_curves(system, grid, str(path))
+    columns = [grid.nodes(), m.real, wm.real, wm.imag, v.real, v.imag,
+               psi.real, psi.imag]
+    assert path.read_text() == "".join(
+        ["x,re_m,re_wm,im_wm,re_v,im_v,re_psi0,im_psi0\n"]
+        + [",".join(repr(float(value)) for value in row) + "\n"
+           for row in zip(*columns)])
 
 
 def test_spectrum_is_a_registry_check(tmp_path):

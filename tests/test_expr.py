@@ -7,6 +7,7 @@ Derivative values are frozen from an independent finite-difference oracle
 import cmath
 import copy
 import dataclasses
+import gc
 import math
 import pickle
 import sys
@@ -349,33 +350,91 @@ def test_node_counts():
     assert node_counts(parse("x")) == (1, 1)
 
 
-def test_dag_walk_evaluates_each_unique_node_once(monkeypatch):
-    spec = ModelSpec(order=2, mass=MassFn(parse("sec(x)"), 0.05, 1.5),
-                     susy_constants=(-3.0, 2.0), params=ParamEnv(alpha=1.0),
-                     superpotential=parse("exp(i*alpha*x)-sin(x)"))
-    d4 = differentiate(build_second_order(spec).vtilde, 4)
-    unique, stack = set(), [d4]
+def _unique_ids(*roots):
+    unique, stack = set(), list(roots)
     while stack:
         node = stack.pop()
         if id(node) not in unique:
             unique.add(id(node))
             stack += [getattr(node, f.name) for f in dataclasses.fields(node)
                       if isinstance(getattr(node, f.name), Expr)]
-    visits, walks = Counter(), set()
-    evaluate_node = expr._Walk.node
+    return unique
 
-    def counted(walk, e):
+
+def test_dag_walk_evaluates_each_unique_node_once(monkeypatch):
+    spec = ModelSpec(order=2, mass=MassFn(parse("sec(x)"), 0.05, 1.5),
+                     susy_constants=(-3.0, 2.0), params=ParamEnv(alpha=1.0),
+                     superpotential=parse("exp(i*alpha*x)-sin(x)"))
+    vtilde = build_second_order(spec).vtilde
+    d4 = differentiate(vtilde, 4)
+    assert node_counts(d4) == (1_789_323, len(_unique_ids(d4)))
+    visits, plans = Counter(), {}
+    evaluate_node = expr._Plan.node
+
+    def counted(plan, e, *operands):
         visits[id(e)] += 1
-        walks.add(walk)
-        return evaluate_node(walk, e)
+        plans.setdefault(id(plan), (weakref.ref(plan), plan.values,
+                                    plan.cause is None))
+        return evaluate_node(plan, e, *operands)
 
-    monkeypatch.setattr(expr._Walk, "node", counted)
-    values = evaluate_many(d4, np.linspace(0.05, 1.5, 1000), spec.params)
-    assert np.all(np.isfinite(values))
-    assert node_counts(d4) == (1_789_323, len(unique))
-    assert set(visits) == unique and set(visits.values()) == {1}
-    # every array was dropped once its last parent had read it
-    assert [walk.values for walk in walks] == [{}]
+    monkeypatch.setattr(expr._Plan, "node", counted)
+    xs = np.linspace(0.05, 1.5, 1000)
+    # one root, and a tuple whose roots share most of their nodes
+    for roots in (d4, (d4, vtilde, differentiate(vtilde, 2), d4)):
+        visits.clear()
+        plans.clear()
+        gc.disable()        # what outlives the call is found without it
+        try:
+            values = evaluate_many(roots, xs, spec.params)
+            outlived = [plan() for plan, _, _ in plans.values()]
+        finally:
+            gc.enable()
+        assert np.all(np.isfinite(values))
+        if isinstance(roots, tuple):
+            assert len(values) == 4 and values[0].tobytes() == values[3].tobytes()
+        assert set(visits) == _unique_ids(*(roots if isinstance(roots, tuple)
+                                            else (roots,)))
+        assert set(visits.values()) == {1}
+        # one unchecked run, whose plan is gone with the call, and which
+        # dropped every array once its last reader had read it
+        (_, arrays, unchecked), = plans.values()
+        assert unchecked and outlived == [None]
+        assert all(value is None for value in arrays)
+
+
+def test_derivative_is_kept_on_its_node(monkeypatch):
+    e = parse("exp(i*alpha*x)*sec(x)^2 - 1/(1+beta_kept*x^2)")
+    d2 = differentiate(e, 2)
+    # a repeated call rebuilds nothing: every node already knows its
+    # derivative
+    monkeypatch.setattr(expr, "_d", None)
+    assert differentiate(e) is differentiate(e) and differentiate(e, 2) is d2
+    assert differentiate(differentiate(e)) is d2
+
+
+def test_no_node_outlives_its_users():
+    # the derivative kept on a node may make cycles (d exp(u) holds
+    # exp(u)), which the collector frees
+    def cycle(name):
+        e = parse(f"exp({name}*x)/(1+x^2) + x^x")
+        differentiate(e, 2)
+        evaluate(e, 0.5, {name: 1.0})
+        evaluate_many((e, differentiate(e)), [0.5, 0.7], {name: 1.0})
+        return weakref.ref(e)
+
+    ref = cycle("gamma")
+    gc.collect()
+    assert ref() is None
+    for k in range(2_000):
+        cycle(f"gamma_{k}")
+    assert len(expr._NODES) < 5_000
+
+
+def test_overflow_inside_a_finite_value_is_reported():
+    # exp(1000*x) overflows and 1/inf is 0: only the overflow of the inner
+    # node shows that the value is wrong
+    with pytest.raises(PoleError, match=r"overflow in 'exp\(1000\*x\)' at x=1.0"):
+        evaluate(parse("1/exp(1000*x)"), 1.0)
 
 
 def test_interning_holds_across_threads():

@@ -1,7 +1,9 @@
 """Property tests for the symbolic core on random grammar-built trees:
 exact derivatives against a central finite difference, the PT image
-against conjugate parity bit for bit, render -> parse round trips, and the
-DAG walk against a tree walk on trees that share subexpressions.
+against conjugate parity bit for bit, render -> parse round trips, and, on
+trees that share subexpressions, the DAG walk against a tree walk, the
+unchecked run against the checked one, and a tuple call against one call
+per expression.
 
 Examples are derandomized so the suite is reproducible; widen
 ``max_examples`` locally to search harder.
@@ -125,22 +127,21 @@ POINTS = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.pi / 2])
                             st.floats(-3.0, 3.0)), min_size=1, max_size=6)
 
 
-def _tree_walk(walk, e):
+def _tree_walk(plan, e):
     """The value of e from a recursive walk of the tree, which evaluates a
     shared node again, and records its failures again, at every visit."""
-    operands = ([e.right, e.left] if isinstance(e, expr.Div)
-                else [v for v in e._args if isinstance(v, expr.Expr)])
-    for k, v in enumerate(operands):
-        walk.values[id(v)] = _tree_walk(walk, v)
-        walk.reads[id(v)] = walk.reads.get(id(v), 0) + 1
-        if k == 0 and isinstance(e, expr.Div):
-            walk.check_pole(e)          # before the numerator is evaluated
-    return walk.node(e)
+    if isinstance(e, expr.Div):
+        den = _tree_walk(plan, e.right)
+        plan.check_pole(e, den)         # before the numerator is evaluated
+        return plan.node(e, _tree_walk(plan, e.left), den)
+    return plan.node(e, *[_tree_walk(plan, v) for v in e._args
+                          if isinstance(v, expr.Expr)])
 
 
-def _tree_call(walk, root):
-    walk.reads = {}
-    return _tree_walk(walk, root)
+def _tree_run(plan):
+    values = [_tree_walk(plan, root) for root in plan.roots]
+    plan.settle()
+    return values
 
 
 def _outcome(evaluate_at, x):
@@ -154,7 +155,7 @@ def _outcome(evaluate_at, x):
 @PROPERTY
 @given(SHARED, POINTS)
 def test_dag_walk_matches_tree_walk(tree, points):
-    with mock.patch.object(expr._Walk, "__call__", _tree_call):
+    with mock.patch.object(expr._Plan, "run", _tree_run):
         tree_walk = [_outcome(lambda x: evaluate(tree, x, ENV), x)
                      for x in points]
     dag_walk = [_outcome(lambda x: evaluate(tree, x, ENV), x) for x in points]
@@ -167,3 +168,46 @@ def test_dag_walk_matches_tree_walk(tree, points):
     else:
         assert [values[i].tobytes() for i in range(len(points))] == [
             value for value, _ in tree_walk]
+
+
+def _plan_run(tree, points, checked):
+    xs = np.array(points, dtype=float)
+    with np.errstate(all="ignore"):
+        value, = expr._Plan((tree,), xs, ENV, checked).run()
+    return np.broadcast_to(value, xs.shape).tobytes()
+
+
+@PROPERTY
+@given(SHARED, POINTS)
+def test_unchecked_run_matches_checked_run(tree, points):
+    # the unchecked run never misses a failure of the checked one, and
+    # where it finishes, its values are the checked run's bit for bit
+    try:
+        checked = _plan_run(tree, points, checked=True)
+    except EvaluationError:
+        with pytest.raises(expr._Trip):
+            _plan_run(tree, points, checked=False)
+        return
+    try:
+        unchecked = _plan_run(tree, points, checked=False)
+    except expr._Trip:
+        return      # its sentinel, a sum of finite values, overflowed
+    assert unchecked == checked
+
+
+@PROPERTY
+@given(st.lists(SHARED, min_size=1, max_size=3), POINTS,
+       st.sampled_from([ENV, ParamEnv()]))
+def test_tuple_call_matches_one_call_per_expression(trees, points, env):
+    roots = (*trees, add(trees[0], trees[-1]))
+    separate = []
+    try:
+        for root in roots:
+            separate.append(evaluate_many(root, points, env).tobytes())
+    except EvaluationError as exc:
+        with pytest.raises(EvaluationError) as joint:
+            evaluate_many(roots, points, env)
+        assert ((type(joint.value), str(joint.value), getattr(joint.value, "x", None))
+                == (type(exc), str(exc), getattr(exc, "x", None)))
+        return
+    assert [v.tobytes() for v in evaluate_many(roots, points, env)] == separate
