@@ -18,7 +18,10 @@ probe vectors and taking interior-restricted Frobenius norms, normalized by
 the dominant term.  Raw entrywise matrix norms would not converge (the
 compact flux Laplacian and composed central stencils differ by a null
 stencil with O(1) entries); the probe measurement sees the operator action
-and decreases at the stencil order O(h^2).
+and decreases at the stencil order O(h^2).  constraint_residuals keeps at
+most four dense n x n arrays alive at once: it drops each after its last
+product and forms the differences in place, while every product keeps the
+operands of the plain formulas, so its values are unchanged to the bit.
 
 The spectrum of H is computed from its three diagonals, and only its low
 end, where the paper's claims live (the high levels of a 3-point stencil
@@ -278,12 +281,16 @@ def probe_matrix(g: Grid) -> np.ndarray:
                     axis=1).astype(complex)
 
 
+def _check_parity(g: Grid) -> None:
+    if not g.symmetric:
+        raise GridError("parity needs a grid symmetric about 0, got "
+                        f"({g.x_min}, {g.x_max})")
+
+
 def _zeta(C: Tridiagonal) -> np.ndarray:
     """zeta = C P: the columns of the dense C reversed (P is the node
     reversal)."""
-    if not C.grid.symmetric:
-        raise GridError("parity needs a grid symmetric about 0, got "
-                        f"({C.grid.x_min}, {C.grid.x_max})")
+    _check_parity(C.grid)
     return C.dense()[:, ::-1]
 
 
@@ -299,10 +306,19 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
     Each residual matrix is applied to smooth probe vectors, restricted to
     interior rows (boundary rows plus a 2N-node stencil margin trimmed) and
     measured in the Frobenius norm relative to the dominant term.
+
+    Every input is checked before any n x n array is allocated.  At most
+    four dense n x n arrays are alive at once, at every order: each array
+    is dropped after the last product that reads it, each denominator is
+    taken before its difference is formed in place, and the power sum is
+    built before zeta.  Every product takes the same operands (values,
+    shape and memory order) as the plain formulas, among them the
+    contiguous zeta that a product of the reversed view would copy, so the
+    values are those of the plain formulas to the bit.
     """
     if H.grid != C.grid:
         raise GridError("H and C must share one grid")
-    zeta = _zeta(C)
+    _check_parity(H.grid)
     coeffs = tuple(complex(c) for c in l)
     n_order = len(coeffs)
     if n_order < 1:
@@ -311,20 +327,28 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
     margin = 1 + 2 * n_order
     if 2 * margin >= n:
         raise GridError(f"margin {margin} leaves no interior rows for n={n}")
+    Hd = H.dense()                         # checks the dense budget first
+    log.info("constraint residuals: n=%d, order %d, %d dense products, "
+             "working set %d bytes", n, n_order, n_order + 2, 4 * Hd.nbytes)
     V = probe_matrix(H.grid)
-
     rows = slice(margin, n - margin)
-    Hd, Cd = H.dense(), zeta[:, ::-1]      # zeta's columns restored: C
+    tiny = np.finfo(float).tiny
 
     def act(mat: np.ndarray) -> float:
         return float(np.linalg.norm((mat @ V)[rows]))
 
-    out = {}
-    out["pseudo"] = act(zeta - zeta.conj().T) / max(act(zeta), np.finfo(float).tiny)
+    def relative(lhs: np.ndarray, rhs: np.ndarray) -> float:
+        """act(lhs - rhs) / max(act(lhs), act(rhs)); lhs becomes lhs - rhs."""
+        scale = max(act(lhs), act(rhs), tiny)
+        lhs -= rhs
+        return act(lhs) / scale
 
+    Cd = C.dense()
     lhs = Cd @ Hd[::-1, ::-1].conj()       # C (P conj(H) P)
     rhs = Hd @ Cd
-    out["cpt"] = act(lhs - rhs) / max(act(lhs), act(rhs), np.finfo(float).tiny)
+    del Cd
+    cpt = relative(lhs, rhs)
+    del lhs, rhs
 
     poly = np.diag(np.full(n, coeffs[-1]))  # l_N H^0
     power = Hd
@@ -332,9 +356,17 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
         poly += coeffs[k - 1] * power
         power = power @ Hd
     poly += power                          # H^N
+    del Hd, power
+
+    zeta = np.ascontiguousarray(_zeta(C))   # C again: keeping Cd through
+                                            # the power sum would make five
+    scale = max(act(zeta), tiny)
+    diff = np.conjugate(zeta.T, order="C")  # zeta^dagger, then zeta - it
+    pseudo = act(np.subtract(zeta, diff, out=diff)) / scale
+    del diff
     lhs2 = zeta @ zeta.conj()
-    out["susy"] = act(lhs2 - poly) / max(act(lhs2), act(poly), np.finfo(float).tiny)
-    return out
+    del zeta
+    return {"pseudo": pseudo, "cpt": cpt, "susy": relative(lhs2, poly)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Discretization, eigensolver and constraint-residual tests."""
 
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +17,7 @@ from pdmsusy import (Grid, GridError, MassFn, ModelSpec, Tridiagonal,
                      l2_normalizable, parse, susy_algebra_spectrum,
                      wavefunction_from_log_derivative)
 from pdmsusy import discrete
-from pdmsusy.discrete import (AssemblyError, EigensolverError,
+from pdmsusy.discrete import (AssemblyError, DiscreteError, EigensolverError,
                               UnsupportedOrderError, lowest_levels,
                               probe_matrix)
 from pdmsusy.expr import Const, ParamEnv, evaluate, evaluate_many
@@ -35,6 +38,15 @@ def synthetic_operators(grid, spec=None):
     H = assemble_hamiltonian(spec.mass, system.vtilde, grid, spec.params)
     C = assemble_charge(system.charge, grid, spec.params)
     return H, C, spec
+
+
+def pt_operators(order, n):
+    """H, C and spec of the seed-0 random_pt_model on n nodes over +-1.5."""
+    spec = random_pt_model(np.random.default_rng(0), order)
+    system = (build_first_order if order == 1 else build_second_order)(spec)
+    g = Grid(-1.5, 1.5, n)
+    return (assemble_hamiltonian(spec.mass, system.vtilde, g, spec.params),
+            assemble_charge(system.charge, g, spec.params), spec)
 
 
 def dense_parity_reference(H, C, l):
@@ -378,13 +390,8 @@ def test_constraint_residuals_converge_at_second_order():
 
     # the node reversal agrees with the dense permutation formulas to
     # matmul rounding, 100 n u relative to the dominant term
-    spec2 = random_pt_model(np.random.default_rng(0), 2)
-    system2 = build_second_order(spec2)
-    g2 = Grid(-1.5, 1.5, 201)
-    H2 = assemble_hamiltonian(spec2.mass, system2.vtilde, g2, spec2.params)
-    C2 = assemble_charge(system2.charge, g2, spec2.params)
     first = synthetic_operators(Grid(-6.0, 6.0, 201))
-    for H, C, spec in (first, (H2, C2, spec2)):
+    for H, C, spec in (first, pt_operators(2, 201)):
         bound = 100 * H.n * np.finfo(float).eps / 2     # 100 n u
         ref, ref_closure, scale = dense_parity_reference(
             H, C, spec.susy_constants)
@@ -393,6 +400,59 @@ def test_constraint_residuals_converge_at_second_order():
             assert abs(got[name] - ref[name]) <= bound, (name, got, ref)
         closure = susy_algebra_spectrum(C).conjugate_pairing_distance
         assert abs(closure - ref_closure) <= bound * scale
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_constraint_residuals_hold_four_dense_arrays(order):
+    # four n x n arrays, plus the n x 8 probe products, fit under 4.5
+    H, C, spec = pt_operators(order, 401)
+    tracemalloc.start()
+    try:
+        got = constraint_residuals(H, C, spec.susy_constants)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * H.n ** 2 * 16, peak / (H.n ** 2 * 16)
+    ref = dense_parity_reference(H, C, spec.susy_constants)[0]
+    bound = 100 * H.n * np.finfo(float).eps / 2     # 100 n u
+    for name in ("pseudo", "cpt", "susy"):
+        assert abs(got[name] - ref[name]) <= bound, (name, got, ref)
+
+
+def test_constraint_residuals_check_inputs_before_allocating():
+    n = 401
+    H, C, spec = synthetic_operators(Grid(-6.0, 6.0, n))
+    H_off, C_off, _ = synthetic_operators(Grid(-5.0, 6.0, n))
+    H_big, C_big, _ = synthetic_operators(Grid(-1.0, 1.0, 4097))
+    l = spec.susy_constants
+    cases = [
+        ((H, C_off, l), GridError, "share one grid"),
+        ((H_off, C_off, l), GridError, "symmetric about 0"),
+        ((H, C, ()), DiscreteError, "at least one SUSY constant"),
+        ((H, C, (1.0,) * 200), GridError, "margin 401 leaves no interior rows"),
+        ((H_big, C_big, l), AssemblyError, "dense budget is n <= 4096, got 4097"),
+    ]
+    for args, error, message in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=message):
+                constraint_residuals(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < args[0].n ** 2 * 16, (message, peak)
+
+
+def test_constraint_residuals_log_their_working_set(caplog):
+    caplog.set_level(logging.INFO, logger="pdmsusy.discrete")
+    for order, products in ((1, 3), (2, 4)):
+        H, C, spec = pt_operators(order, 101)
+        constraint_residuals(H, C, spec.susy_constants)
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "pdmsusy.discrete"] == [
+        f"constraint residuals: n=101, order {order}, {products} dense "
+        f"products, working set {4 * 101 ** 2 * 16} bytes"
+        for order, products in ((1, 3), (2, 4))]
 
 
 def test_constant_mass_model_residuals():
