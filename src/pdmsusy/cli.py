@@ -468,7 +468,8 @@ def _check_conjugate_closure(ctx: _CheckContext) -> CheckOutcome:
 
 def _check_convergence(ctx: _CheckContext) -> CheckOutcome:
     lo, hi = ctx.config.tolerances["slope_min"], ctx.config.tolerances["slope_max"]
-    # the residuals are dense: refuse a finest grid past the budget up front
+    # the residuals refuse n past the dense limit: refuse a finest grid
+    # past it before any grid is built
     finest = (ctx.config.grid.points - 1) * 2 ** (ctx.refinements - 1) + 1
     if finest > discrete.MAX_DENSE_DIMENSION:
         raise discrete.AssemblyError(

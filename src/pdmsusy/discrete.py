@@ -5,10 +5,10 @@ H = -d(m^{-1} d) + Vtilde (midpoint-sampled mass flux, Dirichlet walls as
 identity rows decoupled from the interior block) and the charge operator C
 (central stencils with node-sampled coefficients, zeroed boundary rows)
 tridiagonal, and both are stored as their three diagonals (Tridiagonal).
-Only the residuals and the spectrum of zeta conj(zeta) multiply them, and
-those build the dense n x n matrix (Tridiagonal.dense, at most
-MAX_DENSE_DIMENSION rows).  Parity P: x -> -x is no matrix: on a grid
-symmetric about 0 it is the node reversal, so zeta = C P reverses the
+Only the spectrum of zeta conj(zeta) builds the dense n x n matrix
+(Tridiagonal.dense); the constraint residuals multiply banded storage.
+Both refuse n > MAX_DENSE_DIMENSION.  Parity P: x -> -x is no matrix: on a
+grid symmetric about 0 it is the node reversal, so zeta = C P reverses the
 columns of C and P conj(H) P reverses both axes of conj(H).
 
 Operator identities such as zeta = zeta^dagger or zeta zeta* = sum_k l_k
@@ -18,10 +18,14 @@ probe vectors and taking interior-restricted Frobenius norms, normalized by
 the dominant term.  Raw entrywise matrix norms would not converge (the
 compact flux Laplacian and composed central stencils differ by a null
 stencil with O(1) entries); the probe measurement sees the operator action
-and decreases at the stencil order O(h^2).  constraint_residuals keeps at
-most four dense n x n arrays alive at once: it drops each after its last
-product and forms the differences in place, while every product keeps the
-operands of the plain formulas, so its values are unchanged to the bit.
+and decreases at the stencil order O(h^2).  The products of tridiagonal
+operators are pentadiagonal, and constraint_residuals keeps them in
+diagonal-by-row storage, computed in row panels of about _PANEL_ROWS rows at
+O(n^2 _PANEL_ROWS) time and O(n _PANEL_ROWS) memory.  Each panel product
+still sums over all n columns, as the dense n x n product does: a sum over
+the band alone would group each entry's terms differently, and that moves
+the order-2 cpt and susy residuals by 2e-10 and 7e-10 at n = 1601, more
+than the matmul rounding bound 100 n u (1.8e-11) of the dense formulas.
 
 The spectrum of H is computed from its three diagonals, and only its low
 end, where the paper's claims live (the high levels of a 3-point stencil
@@ -77,6 +81,8 @@ SWEEP_BUDGET = 60        # Aberth sweeps allowed per grid
 CONTOUR_POINTS = 1000    # points of the counting contour before refinement
 CONTOUR_BUDGET = 2**16   # points it may be refined to
 PHASE_STEP = np.pi / 4   # largest phase step of det(T - z) between points
+_PANEL_ROWS = 64         # rows per panel of a banded product
+_TILE = 16               # panel and column-block seams fall on its multiples
 
 log = logging.getLogger(__name__)
 
@@ -134,6 +140,12 @@ class Grid:
         return Grid(self.x_min, self.x_max, 2 * self.points - 1)
 
 
+def _check_dense_budget(n: int) -> None:
+    if n > MAX_DENSE_DIMENSION:
+        raise AssemblyError(
+            f"dense budget is n <= {MAX_DENSE_DIMENSION}, got {n}")
+
+
 @dataclass(frozen=True, eq=False)
 class Tridiagonal:
     """Complex tridiagonal operator on a grid, stored as its three
@@ -165,12 +177,10 @@ class Tridiagonal:
         return self.grid.points
 
     def dense(self) -> np.ndarray:
-        """The n x n matrix, for the consumers that multiply or zgeev it;
-        refused above MAX_DENSE_DIMENSION grid points."""
+        """The n x n matrix, for the spectrum of zeta conj(zeta); refused
+        above MAX_DENSE_DIMENSION grid points."""
         n = self.n
-        if n > MAX_DENSE_DIMENSION:
-            raise AssemblyError(
-                f"dense budget is n <= {MAX_DENSE_DIMENSION}, got {n}")
+        _check_dense_budget(n)
         out = np.zeros((n, n), dtype=complex)
         flat = out.reshape(-1)
         flat[::n + 1] = self.diag
@@ -287,11 +297,77 @@ def _check_parity(g: Grid) -> None:
                         f"({g.x_min}, {g.x_max})")
 
 
-def _zeta(C: Tridiagonal) -> np.ndarray:
-    """zeta = C P: the columns of the dense C reversed (P is the node
-    reversal)."""
-    _check_parity(C.grid)
-    return C.dense()[:, ::-1]
+def _band(lower: np.ndarray, diag: np.ndarray,
+          upper: np.ndarray) -> np.ndarray:
+    """Diagonal-by-row storage of a tridiagonal operator M (see
+    _band_block): row i holds M[i, i-1], M[i, i] and M[i, i+1]."""
+    out = np.zeros((diag.size, 3), dtype=complex)
+    out[1:, 0] = lower
+    out[:, 1] = diag
+    out[:-1, 2] = upper
+    return out
+
+
+def _panels(n: int) -> list:
+    """The row ranges of ceil(n / _PANEL_ROWS) panels of near-equal height,
+    their seams rounded to multiples of _TILE.  No panel has a single row:
+    numpy multiplies one row by gemv, which sums in another order."""
+    count = -(-n // _PANEL_ROWS)
+    edges = [_TILE * round(n * k / (count * _TILE)) for k in range(count)]
+    return list(zip(edges, edges[1:] + [n]))
+
+
+def _reach(r0: int, r1: int, w: int, n: int) -> tuple:
+    """The columns c0:c1 that rows r0:r1 of a product of half-width w
+    reach, widened to multiples of _TILE (and clipped to n)."""
+    return (max(0, r0 - w) // _TILE * _TILE,
+            min(n, -(-(r1 + w) // _TILE) * _TILE))
+
+
+def _band_block(band: np.ndarray, r0: int, r1: int, c0: int, c1: int,
+                flip: bool = False) -> np.ndarray:
+    """M[r0:r1, c0:c1] as a dense array, zero off the band, or with flip
+    (M P)[r0:r1, c0:c1], M's columns reversed.  band is M's diagonal-by-row
+    storage: band[i, w + o] = M[i, i + o] for |o| <= w, zero where i + o
+    leaves the matrix."""
+    n, w = band.shape[0], band.shape[1] // 2
+    m0, m1 = (n - c1, n - c0) if flip else (c0, c1)     # columns of M
+    k0, k1 = max(r0, m0 - w), min(r1, m1 + w)
+    cols = np.arange(k0, k1)[:, None] + np.arange(-w, w + 1)
+    k, d = np.nonzero((cols >= m0) & (cols < m1))
+    cols = cols[k, d]
+    out = np.zeros((r1 - r0, c1 - c0), dtype=complex)
+    out[k + k0 - r0, (n - 1 - cols if flip else cols) - c0] = band[k + k0, d]
+    return out
+
+
+def _band_product(x: np.ndarray, y: np.ndarray,
+                  flip: bool = False) -> np.ndarray:
+    """The band of X Y, or with flip of (X P)(Y P), from the bands of X and
+    Y.  Each panel of rows is one dense product of X's rows over all n
+    columns and Y's columns within reach of the band, so every entry sums
+    over the full inner dimension, over the same k-blocks of the BLAS
+    kernel as the n x n product.  The blocks start on multiples of _TILE
+    rows and columns, so that the kernel tiles them as it tiles the n x n
+    product (with OpenBLAS 0.3.31 at one thread the residuals then equal
+    those of the n x n products to the bit, measured at n = 33 to 3201)."""
+    n = x.shape[0]
+    w = x.shape[1] // 2 + y.shape[1] // 2
+    out = np.zeros((n, 2 * w + 1), dtype=complex)
+    for r0, r1 in _panels(n):
+        c0, c1 = _reach(r0, r1, w, n)
+        block = (_band_block(x, r0, r1, 0, n, flip)
+                 @ _band_block(y, 0, n, c0, c1, flip))
+        cols = np.arange(r0, r1)[:, None] + np.arange(-w, w + 1)
+        i, d = np.nonzero((cols >= 0) & (cols < n))
+        out[i + r0, d] = block[i, cols[i, d] - c0]
+    return out
+
+
+def _widened(band: np.ndarray, w: int) -> np.ndarray:
+    """band stored with half-width w (zero outer diagonals)."""
+    pad = w - band.shape[1] // 2
+    return np.pad(band, ((0, 0), (pad, pad)))
 
 
 def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
@@ -307,14 +383,20 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
     interior rows (boundary rows plus a 2N-node stencil margin trimmed) and
     measured in the Frobenius norm relative to the dominant term.
 
-    Every input is checked before any n x n array is allocated.  At most
-    four dense n x n arrays are alive at once, at every order: each array
-    is dropped after the last product that reads it, each denominator is
-    taken before its difference is formed in place, and the power sum is
-    built before zeta.  Every product takes the same operands (values,
-    shape and memory order) as the plain formulas, among them the
-    contiguous zeta that a product of the reversed view would copy, so the
-    values are those of the plain formulas to the bit.
+    Every input is checked before anything of size n is allocated, the
+    limit n <= MAX_DENSE_DIMENSION among them.  No n x n array is built:
+    the operators and their products are banded (zeta anti-banded), kept
+    in diagonal-by-row storage, and every product and every probe action
+    M V is taken in row panels (_band_product, act), at O(n^2 _PANEL_ROWS)
+    time and O(n _PANEL_ROWS) memory.  Each panel sums over all n columns,
+    so an entry is the same sum of at most three terms, over the same
+    k-blocks of the BLAS kernel, as in the n x n product; the values stay
+    within the matmul rounding bound 100 n u of the dense formulas (u the
+    unit roundoff).  Narrowing the sum to the band would regroup the terms
+    and move the order-2 residuals by up to 7e-10 at n = 1601, past that
+    bound.  P conj(H) P (rows and diagonals of H's band reversed and
+    conjugated), the power sum and the differences are formed on the band
+    storage in the order of the dense formulas.
     """
     if H.grid != C.grid:
         raise GridError("H and C must share one grid")
@@ -327,15 +409,25 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
     margin = 1 + 2 * n_order
     if 2 * margin >= n:
         raise GridError(f"margin {margin} leaves no interior rows for n={n}")
-    Hd = H.dense()                         # checks the dense budget first
-    log.info("constraint residuals: n=%d, order %d, %d dense products, "
-             "working set %d bytes", n, n_order, n_order + 2, 4 * Hd.nbytes)
+    _check_dense_budget(n)
+    panels = _panels(n)
+    width = max(2, n_order)             # half-width of the widest product
+    working = 0                         # bytes of its largest panel blocks
+    for r0, r1 in panels:
+        c0, c1 = _reach(r0, r1, width, n)
+        working = max(working, 16 * n * (r1 - r0 + c1 - c0))
+    log.info("constraint residuals: n=%d, order %d, %d panels, working set "
+             "%d bytes", n, n_order, len(panels), working)
     V = probe_matrix(H.grid)
     rows = slice(margin, n - margin)
     tiny = np.finfo(float).tiny
 
-    def act(mat: np.ndarray) -> float:
-        return float(np.linalg.norm((mat @ V)[rows]))
+    def act(band: np.ndarray, flip: bool = False) -> float:
+        """||(M V)[rows]||, M (or M P with flip) stored in band."""
+        out = np.empty(V.shape, dtype=complex)
+        for r0, r1 in panels:
+            out[r0:r1] = _band_block(band, r0, r1, 0, n, flip) @ V
+        return float(np.linalg.norm(out[rows]))
 
     def relative(lhs: np.ndarray, rhs: np.ndarray) -> float:
         """act(lhs - rhs) / max(act(lhs), act(rhs)); lhs becomes lhs - rhs."""
@@ -343,30 +435,26 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
         lhs -= rhs
         return act(lhs) / scale
 
-    Cd = C.dense()
-    lhs = Cd @ Hd[::-1, ::-1].conj()       # C (P conj(H) P)
-    rhs = Hd @ Cd
-    del Cd
-    cpt = relative(lhs, rhs)
-    del lhs, rhs
+    h = _band(H.lower, H.diag, H.upper)
+    c = _band(C.lower, C.diag, C.upper)
+    cpt = relative(_band_product(c, h[::-1, ::-1].conj()),  # C (P conj(H) P)
+                   _band_product(h, c))
 
-    poly = np.diag(np.full(n, coeffs[-1]))  # l_N H^0
-    power = Hd
+    poly = np.zeros((n, 2 * n_order + 1), dtype=complex)
+    poly[:, n_order] = coeffs[-1]          # l_N H^0
+    power = h
     for k in range(n_order - 1, 0, -1):    # l_k H^{N-k}
-        poly += coeffs[k - 1] * power
-        power = power @ Hd
-    poly += power                          # H^N
-    del Hd, power
+        poly += coeffs[k - 1] * _widened(power, n_order)
+        power = _band_product(power, h)
+    poly += _widened(power, n_order)       # H^N
 
-    zeta = np.ascontiguousarray(_zeta(C))   # C again: keeping Cd through
-                                            # the power sum would make five
-    scale = max(act(zeta), tiny)
-    diff = np.conjugate(zeta.T, order="C")  # zeta^dagger, then zeta - it
-    pseudo = act(np.subtract(zeta, diff, out=diff)) / scale
-    del diff
-    lhs2 = zeta @ zeta.conj()
-    del zeta
-    return {"pseudo": pseudo, "cpt": cpt, "susy": relative(lhs2, poly)}
+    scale = max(act(c, flip=True), tiny)   # zeta = C P
+    dagger = _band(*(a[::-1].conj()        # P C^dagger P = zeta^dagger P
+                     for a in (C.lower, C.diag, C.upper)))
+    pseudo = act(c - dagger, flip=True) / scale   # zeta - zeta^dagger
+    lhs2 = _band_product(c, c.conj(), flip=True)  # zeta conj(zeta)
+    return {"pseudo": pseudo, "cpt": cpt,
+            "susy": relative(_widened(lhs2, width), _widened(poly, width))}
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +796,8 @@ def susy_algebra_spectrum(C: Tridiagonal) -> Spectrum:
     its measured pairing distance isolates eigensolver backward error.  It
     does not test H: it is small also where H has no conjugate pair.
     """
-    zeta = _zeta(C)
+    _check_parity(C.grid)
+    zeta = np.ascontiguousarray(C.dense()[:, ::-1])     # C P
     values = dense_eigenvalues(zeta @ zeta.conj())
     return Spectrum(values=values,
                     conjugate_pairing_distance=conjugate_pairing_distance(values))

@@ -403,20 +403,42 @@ def test_constraint_residuals_converge_at_second_order():
 
 
 @pytest.mark.parametrize("order", [1, 2])
-def test_constraint_residuals_hold_four_dense_arrays(order):
-    # four n x n arrays, plus the n x 8 probe products, fit under 4.5
-    H, C, spec = pt_operators(order, 401)
+def test_panel_residuals_match_the_dense_formulas(order):
+    # n = 33 is one panel; 129 = 2 * 64 + 1 would leave a one-row panel
+    # if the rows were cut every 64
+    bound_factor = 100 * np.finfo(float).eps / 2     # 100 n u
+    for n in (33, 129, 201, 401, 801):
+        H, C, spec = pt_operators(order, n)
+        got = constraint_residuals(H, C, spec.susy_constants)
+        ref = dense_parity_reference(H, C, spec.susy_constants)[0]
+        for name in ("pseudo", "cpt", "susy"):
+            assert abs(got[name] - ref[name]) <= bound_factor * n, (
+                n, name, got, ref)
+
+
+def test_panels_cover_the_rows_and_none_has_one_row():
+    for n in range(16, discrete.MAX_DENSE_DIMENSION + 1):
+        panels = discrete._panels(n)
+        assert len(panels) == -(-n // 64), n
+        assert panels[0][0] == 0 and panels[-1][1] == n, n
+        assert all(a[1] == b[0] for a, b in zip(panels, panels[1:])), n
+        assert min(r1 - r0 for r0, r1 in panels) >= 2, n
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_constraint_residuals_hold_no_dense_array(order):
+    # the largest live arrays are one panel's two blocks, 64 x n and
+    # n x (64 + 2 * 16), plus n x 8 probe products and the n x 5 bands:
+    # under 4 * 64 * n complex numbers, a third of one n x n array
+    n = 801
+    H, C, spec = pt_operators(order, n)
     tracemalloc.start()
     try:
-        got = constraint_residuals(H, C, spec.susy_constants)
+        constraint_residuals(H, C, spec.susy_constants)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * H.n ** 2 * 16, peak / (H.n ** 2 * 16)
-    ref = dense_parity_reference(H, C, spec.susy_constants)[0]
-    bound = 100 * H.n * np.finfo(float).eps / 2     # 100 n u
-    for name in ("pseudo", "cpt", "susy"):
-        assert abs(got[name] - ref[name]) <= bound, (name, got, ref)
+    assert peak <= 4 * 64 * n * 16, peak / (64 * n * 16)
 
 
 def test_constraint_residuals_check_inputs_before_allocating():
@@ -444,15 +466,17 @@ def test_constraint_residuals_check_inputs_before_allocating():
 
 
 def test_constraint_residuals_log_their_working_set(caplog):
+    # two panels, rows 0:48 and 48:101; the second one's blocks are the
+    # larger pair: rows 48:101 of X (53 x 101) and, as its band reaches
+    # columns 32:101 (from a multiple of 16), 101 x 69 of Y
     caplog.set_level(logging.INFO, logger="pdmsusy.discrete")
-    for order, products in ((1, 3), (2, 4)):
+    for order in (1, 2):
         H, C, spec = pt_operators(order, 101)
         constraint_residuals(H, C, spec.susy_constants)
     assert [r.getMessage() for r in caplog.records
             if r.name == "pdmsusy.discrete"] == [
-        f"constraint residuals: n=101, order {order}, {products} dense "
-        f"products, working set {4 * 101 ** 2 * 16} bytes"
-        for order, products in ((1, 3), (2, 4))]
+        f"constraint residuals: n=101, order {order}, 2 panels, working set "
+        f"{(53 + 69) * 101 * 16} bytes" for order in (1, 2)]
 
 
 def test_constant_mass_model_residuals():
