@@ -32,7 +32,8 @@ for name, result in study.items():
 
 # Conjugate closure of the SUSY-algebra spectrum: zeta = C P is C with its
 # columns reversed (parity is the node reversal of a grid symmetric about
-# 0), spec(zeta conj(zeta)) is exactly closed under conjugation, and the
+# 0), zeta conj(zeta) is formed from C's band as the susy residual forms
+# it, spec(zeta conj(zeta)) is exactly closed under conjugation, and the
 # measured distance sits at the eigensolver's backward-error level
 g = Grid(-8.0, 8.0, 601)
 spec8 = ModelSpec(order=1, mass=MassFn(parse("1/(1+x^2)"), -8.0, 8.0),

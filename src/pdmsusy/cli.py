@@ -438,10 +438,8 @@ def _check_eigenvalues(ctx: _CheckContext) -> CheckOutcome:
     tol = ctx.config.tolerances["quadratic_residual"]
     roots, real_spec = _closed_form_eigenvalues(ctx.spec)
     coeffs = ctx.spec.susy_constants
-    worst = 0.0
-    for r in roots:
-        residual = abs(susyn.monic_value(coeffs, r))
-        worst = max(worst, residual / max(1.0, abs(r) ** len(coeffs)))
+    worst = max(abs(susyn.monic_value(coeffs, r))
+                / susyn.residual_scale(r, len(coeffs)) for r in roots)
     values = {"polynomial_residual": worst,
               "roots": [complex(r) for r in roots]}
     if real_spec is not None:
@@ -471,9 +469,7 @@ def _check_convergence(ctx: _CheckContext) -> CheckOutcome:
     # the residuals refuse n past the dense limit: refuse a finest grid
     # past it before any grid is built
     finest = (ctx.config.grid.points - 1) * 2 ** (ctx.refinements - 1) + 1
-    if finest > discrete.MAX_DENSE_DIMENSION:
-        raise discrete.AssemblyError(
-            f"dense budget is n <= {discrete.MAX_DENSE_DIMENSION}, got {finest}")
+    discrete.check_dense_budget(finest)
     grids = [ctx.config.grid]
     for _ in range(ctx.refinements - 1):
         grids.append(grids[-1].refined())
@@ -515,7 +511,8 @@ def _check_spectrum(ctx: _CheckContext) -> CheckOutcome:
     for _, label, phi, energy in ctx.system.zero_modes:
         psi = discrete.wavefunction_from_log_derivative(phi, xs, spec.params)
         confined[label] = discrete.l2_normalizable(psi)
-        if label == "e0" and config.grid.symmetric:
+        if (label == "e0" and config.grid.symmetric
+                and np.all(np.isfinite(psi))):
             # PT defect of the ground mode under the midpoint normalization
             # (any other normalization changes this number)
             values["psi0_pt_defect"] = float(
@@ -569,6 +566,11 @@ def run(config: RunConfig, refinements: int = 3) -> VerificationReport:
     """Execute every requested check; deterministic apart from wall-clock."""
     wall = {}
     spec = config.spec
+    roots, real_spec = _closed_form_eigenvalues(spec)
+    if not all(math.isfinite(susyn.residual_scale(r, spec.order))
+               for r in roots):
+        raise ConfigError(f"field 'susy_constants': closed-form eigenvalues "
+                          f"{roots}, or |E|^{spec.order}, pass the float range")
     with _timed(wall, "system"):
         system = _build_system(spec)
 
@@ -591,7 +593,6 @@ def run(config: RunConfig, refinements: int = 3) -> VerificationReport:
         ctx.report["notes"].append(
             "susy_constants are not all real; reality analysis of the "
             "lowest eigenvalues does not apply")
-    roots, real_spec = _closed_form_eigenvalues(spec)
     return VerificationReport(
         model=dict(config.echo), checks=checks,
         closed_form_eigenvalues=[complex(r) for r in roots],

@@ -5,11 +5,11 @@ H = -d(m^{-1} d) + Vtilde (midpoint-sampled mass flux, Dirichlet walls as
 identity rows decoupled from the interior block) and the charge operator C
 (central stencils with node-sampled coefficients, zeroed boundary rows)
 tridiagonal, and both are stored as their three diagonals (Tridiagonal).
-Only the spectrum of zeta conj(zeta) builds the dense n x n matrix
-(Tridiagonal.dense); the constraint residuals multiply banded storage.
-Both refuse n > MAX_DENSE_DIMENSION.  Parity P: x -> -x is no matrix: on a
-grid symmetric about 0 it is the node reversal, so zeta = C P reverses the
-columns of C and P conj(H) P reverses both axes of conj(H).
+No n x n operator is built: the constraint residuals and zeta conj(zeta)
+multiply banded storage (_band_product), and only eigensolver inputs are
+n x n.  Both refuse n > MAX_DENSE_DIMENSION.  Parity P: x -> -x is no
+matrix: on a grid symmetric about 0 it is the node reversal, so zeta = C P
+reverses the columns of C and P conj(H) P reverses both axes of conj(H).
 
 Operator identities such as zeta = zeta^dagger or zeta zeta* = sum_k l_k
 H^{N-k} hold in the continuum; their discrete counterparts are measured by
@@ -67,7 +67,7 @@ __all__ = [
     "hamiltonian_spectrum", "lowest_levels", "susy_algebra_spectrum",
     "conjugate_pairing_distance", "riccati_residual", "convergence_study",
     "wavefunction_from_log_derivative", "l2_normalizable",
-    "MAX_DENSE_DIMENSION", "RESIDUAL_FLOOR",
+    "check_dense_budget", "MAX_DENSE_DIMENSION", "RESIDUAL_FLOOR",
 ]
 
 MAX_DENSE_DIMENSION = 4096
@@ -140,7 +140,7 @@ class Grid:
         return Grid(self.x_min, self.x_max, 2 * self.points - 1)
 
 
-def _check_dense_budget(n: int) -> None:
+def check_dense_budget(n: int) -> None:
     if n > MAX_DENSE_DIMENSION:
         raise AssemblyError(
             f"dense budget is n <= {MAX_DENSE_DIMENSION}, got {n}")
@@ -175,18 +175,6 @@ class Tridiagonal:
     @property
     def n(self) -> int:
         return self.grid.points
-
-    def dense(self) -> np.ndarray:
-        """The n x n matrix, for the spectrum of zeta conj(zeta); refused
-        above MAX_DENSE_DIMENSION grid points."""
-        n = self.n
-        _check_dense_budget(n)
-        out = np.zeros((n, n), dtype=complex)
-        flat = out.reshape(-1)
-        flat[::n + 1] = self.diag
-        flat[n::n + 1] = self.lower
-        flat[1::n + 1] = self.upper
-        return out
 
 
 @dataclass
@@ -388,15 +376,12 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
     the operators and their products are banded (zeta anti-banded), kept
     in diagonal-by-row storage, and every product and every probe action
     M V is taken in row panels (_band_product, act), at O(n^2 _PANEL_ROWS)
-    time and O(n _PANEL_ROWS) memory.  Each panel sums over all n columns,
-    so an entry is the same sum of at most three terms, over the same
-    k-blocks of the BLAS kernel, as in the n x n product; the values stay
-    within the matmul rounding bound 100 n u of the dense formulas (u the
-    unit roundoff).  Narrowing the sum to the band would regroup the terms
-    and move the order-2 residuals by up to 7e-10 at n = 1601, past that
-    bound.  P conj(H) P (rows and diagonals of H's band reversed and
-    conjugated), the power sum and the differences are formed on the band
-    storage in the order of the dense formulas.
+    time and O(n _PANEL_ROWS) memory, within the matmul rounding bound
+    100 n u of the dense formulas (u the unit roundoff; the module
+    docstring says why each panel sums over all n columns).  P conj(H) P
+    (rows and diagonals of H's band reversed and conjugated), the power
+    sum and the differences are formed on the band storage in the order
+    of the dense formulas.
     """
     if H.grid != C.grid:
         raise GridError("H and C must share one grid")
@@ -409,7 +394,7 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
     margin = 1 + 2 * n_order
     if 2 * margin >= n:
         raise GridError(f"margin {margin} leaves no interior rows for n={n}")
-    _check_dense_budget(n)
+    check_dense_budget(n)
     panels = _panels(n)
     width = max(2, n_order)             # half-width of the widest product
     working = 0                         # bytes of its largest panel blocks
@@ -794,13 +779,16 @@ def susy_algebra_spectrum(C: Tridiagonal) -> Spectrum:
     This multiset is exactly closed under conjugation for every zeta
     (spec(AB) = spec(BA) and conj(zeta conj(zeta)) = conj(zeta) zeta), so
     its measured pairing distance isolates eigensolver backward error.  It
-    does not test H: it is small also where H has no conjugate pair.
+    does not test H: it is small also where H has no conjugate pair.  The
+    product is the susy residual's (_band_product); only the eigensolver's
+    input is n x n.
     """
     _check_parity(C.grid)
-    zeta = np.ascontiguousarray(C.dense()[:, ::-1])     # C P
-    values = dense_eigenvalues(zeta @ zeta.conj())
-    return Spectrum(values=values,
-                    conjugate_pairing_distance=conjugate_pairing_distance(values))
+    check_dense_budget(C.n)
+    c = _band(C.lower, C.diag, C.upper)
+    band = _band_product(c, c.conj(), flip=True)        # zeta conj(zeta)
+    values = dense_eigenvalues(_band_block(band, 0, C.n, 0, C.n))
+    return Spectrum(values, conjugate_pairing_distance(values))
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +855,7 @@ def wavefunction_from_log_derivative(phi: Expr, xs: Sequence[float],
                                      env: Optional[ParamEnv] = None) -> np.ndarray:
     """psi on the nodes from psi'/psi = phi by fixed-step 4th-order
     (Simpson) cumulative quadrature of phi from the domain midpoint, with
-    the normalization psi(midpoint) = 1."""
+    the normalization psi(midpoint) = 1 (inf, quietly, past the float range)."""
     xs = np.asarray(list(xs), dtype=float)
     midpoint = 0.5 * (xs[0] + xs[-1])
 
@@ -886,12 +874,15 @@ def wavefunction_from_log_derivative(phi: Expr, xs: Sequence[float],
     integral[anchor:] = np.add.accumulate(segments[:right])
     integral[anchor::-1] = np.subtract.accumulate(
         np.concatenate([segments[:1], segments[right:]]))
-    return np.exp(integral)
+    with np.errstate(over="ignore"):
+        return np.exp(integral)
 
 
 def l2_normalizable(psi: np.ndarray) -> bool:
-    """Window-confinement test: boundary amplitude at most 1e-3 of the
-    peak amplitude, i.e. |psi|^2 at the walls is negligible."""
+    """Window-confinement test: psi is finite and its boundary amplitude at
+    most 1e-3 of the peak amplitude (|psi|^2 at the walls negligible)."""
+    if not np.all(np.isfinite(psi)):
+        return False
     peak = float(np.max(np.abs(psi)))
-    edge = math.sqrt(abs(psi[0]) ** 2 + abs(psi[-1]) ** 2)
+    edge = math.hypot(abs(psi[0]), abs(psi[-1]))     # no overflow of |psi|^2
     return edge <= 1e-3 * peak

@@ -9,6 +9,7 @@ formula-level identities below hold for every N.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -22,7 +23,7 @@ from . import discrete
 __all__ = [
     "NthOrderCoefficients", "EnergyPolynomial",
     "delta_v_general", "potential_general", "delta_u_coefficients",
-    "monic_value", "energy_roots",
+    "monic_value", "residual_scale", "energy_roots",
 ]
 
 
@@ -128,6 +129,15 @@ def monic_value(coeffs: tuple, e: complex) -> complex:
     return acc
 
 
+def residual_scale(root: complex, order: int) -> float:
+    """max(1, |root|^order), the residual scale at a root of a degree-order
+    polynomial; inf where root or the power is not finite."""
+    try:
+        return max(1.0, abs(root) ** order) if cmath.isfinite(root) else math.inf
+    except OverflowError:
+        return math.inf
+
+
 def _monic_derivative(coeffs: tuple, e: complex) -> complex:
     n = len(coeffs)
     acc = complex(0.0)
@@ -143,13 +153,10 @@ class EnergyPolynomial:
     coefficients: tuple   # (l1, ..., lN); l0 = 1 implicit
     roots: tuple
 
-    def value(self, e: complex) -> complex:
-        return monic_value(self.coefficients, e)
-
     def __post_init__(self):
         for r in self.roots:
-            scale = max(1.0, abs(r) ** len(self.coefficients))
-            if abs(self.value(r)) > 1e-9 * scale:
+            scale = residual_scale(r, len(self.coefficients))
+            if abs(monic_value(self.coefficients, r)) > 1e-9 * scale:
                 raise ModelError(
                     f"root {r!r} fails the polynomial residual contract")
 

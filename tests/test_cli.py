@@ -574,11 +574,53 @@ def test_check_prints_one_line_per_check(tmp_path, capsys):
 
 
 def test_spectrum_builds_no_dense_operator(tmp_path, monkeypatch):
-    def refuse(self):
-        raise AssertionError("spectrum built a dense operator")
+    # the levels of H come from its diagonals; the dense solver sees only
+    # the coarsest grid, never an n x n operator
+    solve = discrete.dense_eigenvalues
 
-    monkeypatch.setattr(discrete.Tridiagonal, "dense", refuse)
-    assert main(["spectrum", write_config(tmp_path, CONFINED), "--quiet"]) == 0
+    def refuse(a):
+        if len(a) > discrete.COARSE_ROWS:
+            raise AssertionError(f"spectrum solved {len(a)} rows dense")
+        return solve(a)
+
+    monkeypatch.setattr(discrete, "dense_eigenvalues", refuse)
+    assert main(["spectrum", write_config(tmp_path, dict(
+        CONFINED, grid=dict(CONFINED["grid"], points=401))), "--quiet"]) == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("wm", ["60*x+i", "30*x+i"])
+def test_overflowing_zero_modes_are_not_confined(tmp_path, capsys, wm):
+    # psi grows toward the walls, past the float range with 60 x and past
+    # the square root of it (|psi|^2 overflows) with 30 x: neither mode is
+    # window-confined, and neither NaN nor a warning comes out
+    path = write_config(tmp_path, dict(
+        CONFINED, superpotential={"kind": "deformed", "expr": wm},
+        grid=dict(CONFINED["grid"], points=401)))
+    report_path = tmp_path / "spectrum.json"
+    assert main(["spectrum", path, "--quiet", "--report", str(report_path)]) == 0
+    text = report_path.read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    match = json.loads(text)["checks"][0]
+    assert match["status"] == "skip"
+    values = match["values"]
+    assert values["e0_confined"] is False and values["e1_confined"] is False
+    assert ("psi0_pt_defect" in values) == (wm == "30*x+i")
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("constants, checks", [
+    ([1e200, 1.0], ["eigenvalues"]),        # roots -inf+nanj and inf+nanj
+    ([1e120, 1.0, 1.0], ["symmetry"]),      # |E|^3 = 1e360 overflows
+])
+def test_closed_form_eigenvalues_past_the_float_range(tmp_path, capsys,
+                                                      constants, checks):
+    path = write_config(tmp_path, dict(CONFINED, order=len(constants),
+                                       susy_constants=constants,
+                                       checks=checks))
+    assert main(["check", path, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: field 'susy_constants': closed-form eigenvalues")
 
 
 def test_spectrum_widens_the_window_to_the_closed_form_levels(

@@ -49,6 +49,11 @@ def pt_operators(order, n):
             assemble_charge(system.charge, g, spec.params), spec)
 
 
+def dense(M):
+    """The n x n matrix of a Tridiagonal, from its three diagonals alone."""
+    return np.diag(M.diag) + np.diag(M.lower, -1) + np.diag(M.upper, 1)
+
+
 def dense_parity_reference(H, C, l):
     """Residuals, closure distance and ||zeta conj(zeta)||_2 from the dense
     formulas: P a permutation matrix, zeta = C @ P, P conj(H) P by two
@@ -56,7 +61,7 @@ def dense_parity_reference(H, C, l):
     n = H.n
     P = np.zeros((n, n), dtype=complex)
     P[np.arange(n), n - 1 - np.arange(n)] = 1.0
-    Hd, Cd = H.dense(), C.dense()
+    Hd, Cd = dense(H), dense(C)
     V = probe_matrix(H.grid)
     rows = slice(1 + 2 * len(l), n - 1 - 2 * len(l))
 
@@ -110,8 +115,8 @@ def test_hamiltonian_boundary_rows_are_decoupled_identity():
     assert H.diag[0] == 1.0 and H.diag[-1] == 1.0
     assert H.upper[0] == 0 and H.lower[-1] == 0     # H[0, 1], H[-1, -2]
     assert H.lower[0] == 0 and H.upper[-1] == 0     # H[1, 0], H[-2, -1]
-    dense = H.dense()
-    assert np.all(dense[0, 1:] == 0) and np.all(dense[-1, :-1] == 0)
+    Hd = dense(H)
+    assert np.all(Hd[0, 1:] == 0) and np.all(Hd[-1, :-1] == 0)
 
 
 def test_charge_stencils():
@@ -126,7 +131,7 @@ def test_charge_stencils():
     assert C.diag[5] == 0
     # boundary rows zeroed
     assert C.diag[0] == C.upper[0] == C.diag[-1] == C.lower[-1] == 0
-    assert np.all(C.dense()[[0, -1]] == 0)
+    assert np.all(dense(C)[[0, -1]] == 0)
 
     spec_c = ModelSpec(order=1, mass=mass, deformed=Const(0.7),
                        susy_constants=(0.0,))
@@ -203,8 +208,8 @@ def test_trace_identity_on_random_matrix():
 def test_dense_budget_enforced():
     with pytest.raises(EigensolverError, match="4096"):
         dense_eigenvalues(np.zeros((5000, 5000), dtype=complex))
-    # assembly stores three diagonals, so it has no budget; the consumers
-    # that build the n x n matrix refuse before they allocate it
+    # assembly stores three diagonals, so it has no budget; the residuals
+    # and the spectrum of zeta conj(zeta) refuse before they allocate
     H, C, spec = synthetic_operators(Grid(-1.0, 1.0, 4097))
     budget = "dense budget is n <= 4096, got 4097"
     with pytest.raises(AssemblyError, match=budget):
@@ -465,6 +470,37 @@ def test_constraint_residuals_check_inputs_before_allocating():
         assert peak < args[0].n ** 2 * 16, (message, peak)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_susy_algebra_spectrum_builds_one_dense_array(order):
+    # zeta conj(zeta) comes from the panel product; the one n x n array is
+    # the eigensolver's input (LAPACK's own work space is not traced)
+    n = 801
+    _, C, _ = pt_operators(order, n)
+    tracemalloc.start()
+    try:
+        susy_algebra_spectrum(C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * n * 16, peak / (n * n * 16)
+
+
+def test_susy_algebra_spectrum_checks_inputs_before_allocating():
+    _, C_off, _ = synthetic_operators(Grid(-5.0, 6.0, 401))
+    _, C_big, _ = synthetic_operators(Grid(-1.0, 1.0, 4097))
+    cases = [(C_off, GridError, "symmetric about 0"),
+             (C_big, AssemblyError, "dense budget is n <= 4096, got 4097")]
+    for C, error, message in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=message):
+                susy_algebra_spectrum(C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < C.n * 16 * 8, (message, peak)
+
+
 def test_constraint_residuals_log_their_working_set(caplog):
     # two panels, rows 0:48 and 48:101; the second one's blocks are the
     # larger pair: rows 48:101 of X (53 x 101) and, as its band reaches
@@ -544,8 +580,8 @@ def test_convergence_study_needs_halving_grids():
 def test_intertwining_residuals_are_conjugate():
     g = Grid(-6.0, 6.0, 41)
     H, C, _ = synthetic_operators(g)
-    zeta = C.dense()[:, ::-1]
-    Hd = H.dense()
+    zeta = dense(C)[:, ::-1]
+    Hd = dense(H)
     r1 = Hd @ zeta - zeta @ Hd.conj()
     r2 = Hd.conj() @ zeta.conj() - zeta.conj() @ Hd
     assert np.array_equal(r1.conj(), r2)
@@ -637,4 +673,4 @@ def test_tridiagonal_validation():
     M = Tridiagonal(off, diag, off, g)
     with pytest.raises(ValueError, match="read-only"):
         M.diag[0] = 2.0
-    assert np.array_equal(M.dense(), np.eye(16))
+    assert np.array_equal(dense(M), np.eye(16))

@@ -11,7 +11,8 @@ from pdmsusy.expr import Const, differentiate, evaluate
 from pdmsusy.susy1 import build_first_order
 from pdmsusy.susy2 import build_second_order, lowest_eigenvalues
 from pdmsusy.susyn import (NthOrderCoefficients, delta_u_coefficients,
-                           delta_v_general, energy_roots, potential_general)
+                           delta_v_general, energy_roots, potential_general,
+                           residual_scale)
 
 
 def test_delta_v_reduces_to_first_order():
@@ -114,6 +115,15 @@ def test_energy_roots_cubic():
     poly = energy_roots([-6.0, 11.0, -6.0])
     for root, ref in zip(poly.roots, (1.0, 2.0, 3.0)):
         assert abs(root - ref) <= 1e-9
+
+
+def test_residual_scale_saturates_instead_of_raising():
+    assert residual_scale(0.5j, 3) == 1.0
+    assert residual_scale(-2.0, 3) == 8.0
+    assert residual_scale(-1e120, 3) == np.inf     # 1e360 overflows
+    assert residual_scale(complex(np.nan, 1.0), 2) == np.inf
+    poly = energy_roots([1e120, 1.0, 1.0])          # so the contract holds
+    assert abs(poly.roots[0] + 1e120) <= 1e-9 * 1e120
 
 
 def test_odd_order_keeps_a_real_root():
