@@ -302,22 +302,17 @@ def load_config(path: str) -> RunConfig:
 
 @contextmanager
 def _timed(wall: dict, key: str):
-    """Record the wall-clock time of the enclosed block as wall[key]."""
+    """Record the wall-clock time of the pipeline stage ``key`` as
+    wall[key]; a model or numerical failure raised in it is tagged with the
+    stage (printed as "[stage key]")."""
     t0 = time.perf_counter()
-    yield
-    wall[key] = time.perf_counter() - t0
-    log.info("stage %s: %.3f s", key, wall[key])
-
-
-@contextmanager
-def _stage(name: str):
-    """Tag a model or numerical failure raised in the block with the
-    pipeline stage it happened in (printed as "[stage name]")."""
     try:
         yield
     except (EvaluationError, ModelError, discrete.DiscreteError) as exc:
-        exc.stage = name
+        exc.stage = key
         raise
+    wall[key] = time.perf_counter() - t0
+    log.info("stage %s: %.3f s", key, wall[key])
 
 
 def _sup_diff(a: Expr, b: Expr, xs, env) -> float:
@@ -365,6 +360,8 @@ class _CheckContext:
 
     @cached_property
     def operators(self):
+        # every check that reads C is dense-limited: refuse before building
+        discrete.check_dense_budget(self.config.grid.points)
         return self.hamiltonian, discrete.assemble_charge(
             self.system.charge, self.config.grid, self.spec.params)
 
@@ -466,13 +463,12 @@ def _check_conjugate_closure(ctx: _CheckContext) -> CheckOutcome:
 
 def _check_convergence(ctx: _CheckContext) -> CheckOutcome:
     lo, hi = ctx.config.tolerances["slope_min"], ctx.config.tolerances["slope_max"]
-    # the residuals refuse n past the dense limit: refuse a finest grid
-    # past it before any grid is built
-    finest = (ctx.config.grid.points - 1) * 2 ** (ctx.refinements - 1) + 1
-    discrete.check_dense_budget(finest)
     grids = [ctx.config.grid]
     for _ in range(ctx.refinements - 1):
         grids.append(grids[-1].refined())
+    # the residuals refuse n past the dense limit: refuse a finest grid
+    # past it before any residual is computed
+    discrete.check_dense_budget(grids[-1].points)
 
     def residual_fn(grid):
         if grid == ctx.config.grid:
@@ -566,6 +562,10 @@ def run(config: RunConfig, refinements: int = 3) -> VerificationReport:
     """Execute every requested check; deterministic apart from wall-clock."""
     wall = {}
     spec = config.spec
+    lo, hi = config.tolerances["slope_min"], config.tolerances["slope_max"]
+    if lo > hi:
+        raise ConfigError(f"tolerances: slope_min = {lo:g} exceeds "
+                          f"slope_max = {hi:g}, an empty convergence window")
     roots, real_spec = _closed_form_eigenvalues(spec)
     if not all(math.isfinite(susyn.residual_scale(r, spec.order))
                for r in roots):
@@ -582,8 +582,7 @@ def run(config: RunConfig, refinements: int = 3) -> VerificationReport:
             if skip_reason and not config.grid.symmetric:
                 outcome = CheckOutcome(name, "skip", reason=skip_reason)
             else:
-                with _stage(name):
-                    outcome = check(ctx)
+                outcome = check(ctx)
         checks.append(outcome)
         if name == "symmetry":
             ctx.report["symmetry"] = (dict(outcome.values) if outcome.values
@@ -764,7 +763,7 @@ def paper_examples() -> VerificationReport:
 # Command-line interface
 # ---------------------------------------------------------------------------
 
-def _stage_tag(exc: Exception) -> str:
+def _in_stage(exc: Exception) -> str:
     stage = getattr(exc, "stage", None)
     return f" [stage {stage}]" if stage else ""
 
@@ -905,13 +904,13 @@ def _command(args):
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2, ""
     except SingularPointError as exc:
-        print(f"numerical failure{_stage_tag(exc)}: {exc}", file=sys.stderr)
+        print(f"numerical failure{_in_stage(exc)}: {exc}", file=sys.stderr)
         return 3, ""
     except (MassError, DomainError, ModelError) as exc:
-        print(f"configuration error{_stage_tag(exc)}: {exc}", file=sys.stderr)
+        print(f"configuration error{_in_stage(exc)}: {exc}", file=sys.stderr)
         return 2, ""
     except (EvaluationError, discrete.DiscreteError) as exc:
-        print(f"numerical failure{_stage_tag(exc)}: {exc}", file=sys.stderr)
+        print(f"numerical failure{_in_stage(exc)}: {exc}", file=sys.stderr)
         return 3, ""
     except OSError as exc:      # a report or curves file that cannot be written
         print(f"configuration error: output file unwritable: {exc}",

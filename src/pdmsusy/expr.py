@@ -33,7 +33,9 @@ grammar and such trees are not meant to be re-parsed.
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 import re
 import struct
 import threading
@@ -95,12 +97,11 @@ class PoleError(EvaluationError):
 # AST
 # ---------------------------------------------------------------------------
 
-# (type, scalar fields, ids of child nodes) -> weak reference to the node of
-# that structure.  A dead entry is a miss and is overwritten; dead entries are
-# swept whenever the table has doubled since the last sweep.
-_NODES = {}
+# The node table: (type, scalar fields, ids of child nodes) -> the live node
+# of that structure.  Its values are weak, so an entry goes when its node
+# dies; a node holds its children, so the ids in a live key are still theirs.
+_NODES = weakref.WeakValueDictionary()
 _LOCK = threading.Lock()
-_sweep_at = 256
 
 
 class _HashConsed(type):
@@ -112,7 +113,6 @@ class _HashConsed(type):
     once differentiated, its first derivative (``_deriv``)."""
 
     def __call__(cls, *args, **kwargs):
-        global _sweep_at
         fields = cls.__dataclass_fields__
         if kwargs or len(args) != len(fields):
             # the dataclass __init__ binds keywords and rejects a bad call
@@ -126,19 +126,13 @@ class _HashConsed(type):
         else:
             key = (cls, *map(id, args))
         with _LOCK:     # one node per structure under threads, too
-            ref = _NODES.get(key)
-            node = ref() if ref is not None else None
+            node = _NODES.get(key)
             if node is None:
                 node = super().__call__(*args)
                 object.__setattr__(node, "_args", args)
                 object.__setattr__(node, "_hash", hash((cls, *args)))
                 object.__setattr__(node, "_deriv", None)
-                _NODES[key] = weakref.ref(node)
-                if len(_NODES) > _sweep_at:
-                    for dead, ref in list(_NODES.items()):
-                        if ref() is None:
-                            del _NODES[dead]
-                    _sweep_at = max(256, 2 * len(_NODES))
+                _NODES[key] = node
         return node
 
 
@@ -267,15 +261,22 @@ def _is_const(e: Expr, value=None) -> bool:
 # Smart constructors: safe local simplification only
 # ---------------------------------------------------------------------------
 
-def _finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
+def _fold(op, a: Expr, b: Expr):
+    """Const(op(a, b)) when both operands are constants and the result is
+    finite; None when it is not, or when the operation raises."""
+    if isinstance(a, Const) and isinstance(b, Const):
+        try:
+            folded = op(a.value, b.value)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            return None
+        if cmath.isfinite(folded):
+            return Const(folded)
+    return None
 
 
 def add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        folded = a.value + b.value
-        if _finite(folded):
-            return Const(folded)
+    if (folded := _fold(operator.add, a, b)) is not None:
+        return folded
     if _is_const(a, 0):
         return b
     if _is_const(b, 0):
@@ -284,10 +285,8 @@ def add(a: Expr, b: Expr) -> Expr:
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        folded = a.value - b.value
-        if _finite(folded):
-            return Const(folded)
+    if (folded := _fold(operator.sub, a, b)) is not None:
+        return folded
     if _is_const(b, 0):
         return a
     if _is_const(a, 0):
@@ -296,10 +295,8 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        folded = a.value * b.value
-        if _finite(folded):
-            return Const(folded)
+    if (folded := _fold(operator.mul, a, b)) is not None:
+        return folded
     if _is_const(a, 0) or _is_const(b, 0):
         return _ZERO
     if _is_const(a, 1):
@@ -310,23 +307,16 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0:
-        folded = a.value / b.value
-        if _finite(folded):
-            return Const(folded)
+    if (folded := _fold(operator.truediv, a, b)) is not None:
+        return folded
     if _is_const(b, 1):
         return a
     return Div(a, b)
 
 
 def pow_(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        try:
-            folded = a.value ** b.value
-        except (ZeroDivisionError, OverflowError, ValueError):
-            folded = complex("nan")
-        if _finite(folded):
-            return Const(folded)
+    if (folded := _fold(operator.pow, a, b)) is not None:
+        return folded
     if _is_const(b, 0):
         return _ONE
     if _is_const(b, 1):
@@ -405,9 +395,6 @@ def parameter_names(e: Expr) -> list:
     def visit(node: Expr, walk) -> None:
         if isinstance(node, Param):
             names.setdefault(node.name)
-        for v in node._args:
-            if isinstance(v, Expr):
-                walk(v)
     _Memo(visit)(e)
     return list(names)
 
@@ -560,8 +547,14 @@ class _Parser:
 
 
 def parse(source: str) -> Expr:
-    """Parse ``source`` into an Expr.  Raises ParseError with a byte offset."""
-    return _Parser(source).parse()
+    """Parse ``source`` into an Expr.  Raises ParseError with a byte offset,
+    also for nesting deeper than the interpreter's recursion limit allows."""
+    parser = _Parser(source)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply",
+                         parser.toks.pos) from None
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +728,8 @@ def evaluate_many(e, xs: Iterable[float], env=None):
 
 _UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
            "sqrt": np.sqrt, "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh}
-_ARITHMETIC = {Add: np.add, Sub: np.subtract, Mul: np.multiply}
+_ARITHMETIC = {Add: np.add, Sub: np.subtract, Mul: np.multiply,
+               Div: np.divide}     # Div's denominator: see check_pole
 
 
 class _Trip(Exception):
@@ -847,9 +841,6 @@ class _Plan:
         kind = type(e)
         if kind in _ARITHMETIC:
             return self.check(_ARITHMETIC[kind](*operands), e, "non-finite value")
-        if kind is Div:
-            num, den = operands                 # den checked by check_pole
-            return self.check(num / den, e, "non-finite value")
         if kind is Const:
             return np.complex128(e.value)
         if kind is Var:

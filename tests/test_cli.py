@@ -261,6 +261,51 @@ def test_exit_codes(tmp_path, capsys):
         "x=-1.9375: m=(-1+0j)\n")
 
 
+def test_build_failure_names_the_system_stage(tmp_path, capsys):
+    singular = write_config(tmp_path, SINGULAR, "singular.json")
+    assert main(["check", singular, "--quiet"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure [stage system]: W_m vanishes (|W_m| < 1e-08) "
+        "near x = 0\n")
+
+
+def test_paper_examples_failure_names_its_stage(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise cli.ModelError("no symmetry report")
+
+    monkeypatch.setattr(cli, "symmetry_report", fail)
+    assert main(["paper-examples", "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error [stage symmetry]: no symmetry report\n")
+
+
+@pytest.mark.parametrize("source", [
+    "(" * 3000 + "x" + ")" * 3000, "-" * 5000 + "x", "^".join(["x"] * 3000)],
+    ids=["parentheses", "unary_minus", "power_tower"])
+def test_deep_nesting_is_a_configuration_error(tmp_path, capsys, source):
+    path = write_config(tmp_path, dict(
+        MINIMAL, superpotential={"kind": "deformed", "expr": source}))
+    assert main(["check", path, "--quiet"]) == 2
+    assert re.fullmatch(
+        r"configuration error: field 'superpotential\.expr': expression "
+        r"nested too deeply \(offset \d+\)\n", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("tolerances, overrides", [
+    ({"slope_min": 3, "slope_max": 2}, []),
+    ({}, ["--tol", "slope_min=3", "--tol", "slope_max=2"])])
+def test_empty_slope_window_is_a_configuration_error(tmp_path, capsys,
+                                                     tolerances, overrides):
+    path = write_config(tmp_path, dict(MINIMAL, tolerances=tolerances))
+    assert main(["check", path, "--quiet", *overrides]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: tolerances: slope_min = 3 exceeds "
+        "slope_max = 2, an empty convergence window\n")
+    # an equal pair is a window of one order
+    assert main(["check", path, "--quiet", *overrides,
+                 "--tol", "slope_max=3"]) == 0
+
+
 def test_tol_override_validation(tmp_path):
     good = write_config(tmp_path, MINIMAL)
     assert main(["check", good, "--quiet", "--tol", "bogus=1"]) == 2
@@ -822,6 +867,22 @@ def test_convergence_past_the_dense_budget_fails_first(
     assert capsys.readouterr().err == (
         "numerical failure [stage convergence]: dense budget is n <= 4096, "
         f"got {finest}\n")
+
+
+@pytest.mark.parametrize("check", ["pseudo", "conjugate_closure"])
+def test_dense_limited_checks_refuse_before_assembly(tmp_path, capsys,
+                                                     monkeypatch, check):
+    def refuse(*args):
+        raise AssertionError("operator assembled past the dense budget")
+
+    monkeypatch.setattr(discrete, "assemble_hamiltonian", refuse)
+    monkeypatch.setattr(discrete, "assemble_charge", refuse)
+    path = write_config(tmp_path, dict(
+        MINIMAL, grid=dict(MINIMAL["grid"], points=4097), checks=[check]))
+    assert main(["check", path, "--quiet"]) == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure [stage {check}]: dense budget is n <= 4096, "
+        "got 4097\n")
 
 
 def test_paper_examples_battery():

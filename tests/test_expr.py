@@ -9,6 +9,7 @@ import copy
 import dataclasses
 import gc
 import math
+import operator
 import pickle
 import sys
 import threading
@@ -160,6 +161,25 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError) as err:
         parse("²")
     assert err.value.offset == 0
+
+
+DEEP_SOURCES = {
+    "parentheses": "(" * 3000 + "x" + ")" * 3000,
+    "unary_minus": "-" * 5000 + "x",
+    "power_tower": "^".join(["x"] * 3000),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_SOURCES)
+def test_deep_nesting_is_a_parse_error(shape):
+    # the recursive-descent parser stops at the recursion limit, which is
+    # not raised for the purpose
+    limit = sys.getrecursionlimit()
+    with pytest.raises(ParseError, match=r"^expression nested too deeply "
+                                         r"\(offset \d+\)$") as err:
+        parse(DEEP_SOURCES[shape])
+    assert 0 < err.value.offset < len(DEEP_SOURCES[shape])
+    assert sys.getrecursionlimit() == limit
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +334,23 @@ def test_signed_zero_constants_stay_apart():
     assert evaluate(Func("log", below), 0.0).imag == -math.pi
     assert evaluate(Func("log", above), 0.0).imag == math.pi
     assert Add(Var(), Const(0.0)) is not Add(Var(), Const(-0.0))
+
+
+@pytest.mark.parametrize("build, a, b, kept", [
+    *((build, 1.5 - 2j, 0.25 + 1j, None)
+      for build in (expr.add, expr.sub, expr.mul, expr.div, expr.pow_)),
+    (expr.div, 1.0, 0.0, expr.Div),        # raises ZeroDivisionError
+    (expr.pow_, 0.0, -1.0, expr.Pow),      # raises ZeroDivisionError
+    (expr.mul, 1e308, 10.0, expr.Mul)])    # overflows to inf
+def test_constant_folding(build, a, b, kept):
+    e = build(Const(a), Const(b))
+    if kept is None:
+        op = {expr.add: operator.add, expr.sub: operator.sub,
+              expr.mul: operator.mul, expr.div: operator.truediv,
+              expr.pow_: operator.pow}[build]
+        assert e is Const(op(complex(a), complex(b)))
+    else:
+        assert type(e) is kept and e._args == (Const(a), Const(b))
 
 
 def test_finished_expressions_are_freed():
