@@ -464,10 +464,11 @@ def _check_conjugate_closure(ctx: _CheckContext) -> CheckOutcome:
 def _check_convergence(ctx: _CheckContext) -> CheckOutcome:
     lo, hi = ctx.config.tolerances["slope_min"], ctx.config.tolerances["slope_max"]
     grids = [ctx.config.grid]
-    for _ in range(ctx.refinements - 1):
+    # the residuals refuse n past the dense limit: the chain stops at the
+    # first grid past it, refused before any residual is computed
+    while (len(grids) < ctx.refinements
+           and grids[-1].points <= discrete.MAX_DENSE_DIMENSION):
         grids.append(grids[-1].refined())
-    # the residuals refuse n past the dense limit: refuse a finest grid
-    # past it before any residual is computed
     discrete.check_dense_budget(grids[-1].points)
 
     def residual_fn(grid):

@@ -20,12 +20,13 @@ compact flux Laplacian and composed central stencils differ by a null
 stencil with O(1) entries); the probe measurement sees the operator action
 and decreases at the stencil order O(h^2).  The products of tridiagonal
 operators are pentadiagonal, and constraint_residuals keeps them in
-diagonal-by-row storage, computed in row panels of about _PANEL_ROWS rows at
-O(n^2 _PANEL_ROWS) time and O(n _PANEL_ROWS) memory.  Each panel product
-still sums over all n columns, as the dense n x n product does: a sum over
-the band alone would group each entry's terms differently, and that moves
-the order-2 cpt and susy residuals by 2e-10 and 7e-10 at n = 1601, more
-than the matmul rounding bound 100 n u (1.8e-11) of the dense formulas.
+diagonal-by-row storage, computed in row panels of about _PANEL_ROWS rows
+over only the inner columns that their band reaches, in O(n) time and
+memory.  Cut at the k-block seams of the BLAS kernel (_seamed), each entry
+is still summed in the order of the dense n x n product: a plain sum over
+the band would regroup its terms and move the order-2 cpt and susy
+residuals by 2e-10 and 7e-10 at n = 1601, more than the matmul rounding
+bound 100 n u (1.8e-11) of the dense formulas.
 
 The spectrum of H is computed from its three diagonals, and only its low
 end, where the paper's claims live (the high levels of a 3-point stencil
@@ -83,6 +84,8 @@ CONTOUR_BUDGET = 2**16   # points it may be refined to
 PHASE_STEP = np.pi / 4   # largest phase step of det(T - z) between points
 _PANEL_ROWS = 64         # rows per panel of a banded product
 _TILE = 16               # panel and column-block seams fall on its multiples
+_KBLOCK = 128            # zgemm k-block and M unroll of OpenBLAS 0.3.31 on
+_KUNROLL = 4             # a SkylakeX core, at one thread (see _kseams)
 
 log = logging.getLogger(__name__)
 
@@ -305,11 +308,38 @@ def _panels(n: int) -> list:
     return list(zip(edges, edges[1:] + [n]))
 
 
-def _reach(r0: int, r1: int, w: int, n: int) -> tuple:
-    """The columns c0:c1 that rows r0:r1 of a product of half-width w
-    reach, widened to multiples of _TILE (and clipped to n)."""
-    return (max(0, r0 - w) // _TILE * _TILE,
-            min(n, -(-(r1 + w) // _TILE) * _TILE))
+def _reach(r0: int, r1: int, w: int, n: int, flip: bool = False) -> tuple:
+    """The columns c0:c1 that rows r0:r1 of a band of half-width w reach
+    (of M P with flip), widened to multiples of _TILE and clipped to n."""
+    a, b = (n - r1 - w, n - r0 + w) if flip else (r0 - w, r1 + w)
+    return max(0, a) // _TILE * _TILE, min(n, -(-b // _TILE) * _TILE)
+
+
+def _kseams(n: int) -> list:
+    """The seams, from 0 to n, at which OpenBLAS's level-3 driver cuts an
+    inner dimension of n into k-blocks: of _KBLOCK while 2 _KBLOCK remain,
+    then a remainder above _KBLOCK halved, rounded up to _KUNROLL."""
+    seams = [0]
+    while n - seams[-1] >= 2 * _KBLOCK:
+        seams.append(seams[-1] + _KBLOCK)
+    rest = n - seams[-1]
+    if rest > _KBLOCK:
+        seams.append(seams[-1] + -(-(rest // 2) // _KUNROLL) * _KUNROLL)
+    return seams + [n]
+
+
+def _seamed(left: np.ndarray, right: np.ndarray, a: int,
+            n: int) -> np.ndarray:
+    """left @ right over inner indices a:a + left.shape[1] of n, summed as
+    the product over all n: the kernel sums each entry of a k-block in
+    index order (the zero terms outside the band add nothing) and adds the
+    blocks in order, so the pieces between the seams are added in order."""
+    b = a + left.shape[1]
+    cuts = [0, *(s - a for s in _kseams(n) if a < s < b), b - a]
+    out = left[:, :cuts[1]] @ right[:cuts[1]]
+    for s0, s1 in zip(cuts[1:], cuts[2:]):
+        out += left[:, s0:s1] @ right[s0:s1]
+    return out
 
 
 def _band_block(band: np.ndarray, r0: int, r1: int, c0: int, c1: int,
@@ -332,20 +362,21 @@ def _band_block(band: np.ndarray, r0: int, r1: int, c0: int, c1: int,
 def _band_product(x: np.ndarray, y: np.ndarray,
                   flip: bool = False) -> np.ndarray:
     """The band of X Y, or with flip of (X P)(Y P), from the bands of X and
-    Y.  Each panel of rows is one dense product of X's rows over all n
-    columns and Y's columns within reach of the band, so every entry sums
-    over the full inner dimension, over the same k-blocks of the BLAS
-    kernel as the n x n product.  The blocks start on multiples of _TILE
-    rows and columns, so that the kernel tiles them as it tiles the n x n
+    Y, in O(n).  Each panel of rows is one product (_seamed) of X's rows
+    over the inner columns their band reaches and Y's columns within reach
+    of the product's band.  The blocks start on multiples of _TILE rows
+    and columns, so that the kernel tiles them as it tiles the n x n
     product (with OpenBLAS 0.3.31 at one thread the residuals then equal
-    those of the n x n products to the bit, measured at n = 33 to 3201)."""
+    those of the n x n products to the bit, measured at n = 16 to 4096;
+    with another BLAS their last bits may differ)."""
     n = x.shape[0]
     w = x.shape[1] // 2 + y.shape[1] // 2
     out = np.zeros((n, 2 * w + 1), dtype=complex)
     for r0, r1 in _panels(n):
         c0, c1 = _reach(r0, r1, w, n)
-        block = (_band_block(x, r0, r1, 0, n, flip)
-                 @ _band_block(y, 0, n, c0, c1, flip))
+        a, b = _reach(r0, r1, x.shape[1] // 2, n, flip)
+        block = _seamed(_band_block(x, r0, r1, a, b, flip),
+                        _band_block(y, a, b, c0, c1, flip), a, n)
         cols = np.arange(r0, r1)[:, None] + np.arange(-w, w + 1)
         i, d = np.nonzero((cols >= 0) & (cols < n))
         out[i + r0, d] = block[i, cols[i, d] - c0]
@@ -375,10 +406,11 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
     limit n <= MAX_DENSE_DIMENSION among them.  No n x n array is built:
     the operators and their products are banded (zeta anti-banded), kept
     in diagonal-by-row storage, and every product and every probe action
-    M V is taken in row panels (_band_product, act), at O(n^2 _PANEL_ROWS)
-    time and O(n _PANEL_ROWS) memory, within the matmul rounding bound
-    100 n u of the dense formulas (u the unit roundoff; the module
-    docstring says why each panel sums over all n columns).  P conj(H) P
+    M V is taken in row panels over the inner columns the band reaches
+    (_band_product, act), in O(n) time and memory, within the matmul
+    rounding bound 100 n u of the dense formulas (u the unit roundoff; the
+    module docstring says how each panel keeps the summation order of the
+    n x n product).  P conj(H) P
     (rows and diagonals of H's band reversed and conjugated), the power
     sum and the differences are formed on the band storage in the order
     of the dense formulas.
@@ -400,7 +432,9 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
     working = 0                         # bytes of its largest panel blocks
     for r0, r1 in panels:
         c0, c1 = _reach(r0, r1, width, n)
-        working = max(working, 16 * n * (r1 - r0 + c1 - c0))
+        for flip in (False, True):
+            a, b = _reach(r0, r1, width, n, flip)
+            working = max(working, 16 * (b - a) * (r1 - r0 + c1 - c0))
     log.info("constraint residuals: n=%d, order %d, %d panels, working set "
              "%d bytes", n, n_order, len(panels), working)
     V = probe_matrix(H.grid)
@@ -411,7 +445,9 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
         """||(M V)[rows]||, M (or M P with flip) stored in band."""
         out = np.empty(V.shape, dtype=complex)
         for r0, r1 in panels:
-            out[r0:r1] = _band_block(band, r0, r1, 0, n, flip) @ V
+            a, b = _reach(r0, r1, band.shape[1] // 2, n, flip)
+            out[r0:r1] = _seamed(_band_block(band, r0, r1, a, b, flip),
+                                 V[a:b], a, n)
         return float(np.linalg.norm(out[rows]))
 
     def relative(lhs: np.ndarray, rhs: np.ndarray) -> float:

@@ -853,7 +853,7 @@ def test_convergence_command(tmp_path):
     assert "reason" not in conv
 
 
-@pytest.mark.parametrize("refinements", [8, 1100])
+@pytest.mark.parametrize("refinements", [8, 1100, 20000])
 def test_convergence_past_the_dense_budget_fails_first(
         tmp_path, capsys, monkeypatch, refinements):
     def refuse(*args):
@@ -863,10 +863,11 @@ def test_convergence_past_the_dense_budget_fails_first(
     path = write_config(tmp_path, MINIMAL)     # 33 points
     assert main(["convergence", path, "--refinements", str(refinements),
                  "--quiet"]) == 3
-    finest = 32 * 2 ** (refinements - 1) + 1      # 4097 at 8 refinements
+    # the refinement chain stops at its first grid past the limit, 32 *
+    # 2^7 + 1 points (the 8th grid), however many refinements are asked
     assert capsys.readouterr().err == (
         "numerical failure [stage convergence]: dense budget is n <= 4096, "
-        f"got {finest}\n")
+        "got 4097\n")
 
 
 @pytest.mark.parametrize("check", ["pseudo", "conjugate_closure"])

@@ -432,18 +432,102 @@ def test_panels_cover_the_rows_and_none_has_one_row():
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_constraint_residuals_hold_no_dense_array(order):
-    # the largest live arrays are one panel's two blocks, 64 x n and
-    # n x (64 + 2 * 16), plus n x 8 probe products and the n x 5 bands:
-    # under 4 * 64 * n complex numbers, a third of one n x n array
-    n = 801
+    # the arrays of length n alive at once are the bands of H, C, their
+    # products, the power sum and its widened copies (n x 3 and n x 5) and
+    # the probe matrix, its products and their interior rows (n x 8):
+    # under 64 complex numbers per row.  Besides them lives one panel
+    # product: its blocks, a panel of 64 rows reaching 96 columns, are
+    # 64 x 96 and 96 x 96 (the logged working set), and the pieces and
+    # index arrays come to less than as much again
+    working = 96 * (64 + 96) * 16
+    for n in (801, 1601):
+        H, C, spec = pt_operators(order, n)
+        tracemalloc.start()
+        try:
+            constraint_residuals(H, C, spec.susy_constants)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * n * 16 + 2 * working, (n, peak / (n * 16))
+
+
+def test_constraint_residuals_multiply_band_blocks_only(monkeypatch):
+    # every block multiplied is a panel's rows by the inner columns its
+    # band reaches, or those inner rows by the columns the product's band
+    # reaches: no side spans more than a panel widened by a tile and the
+    # band on either side, wherever the panel sits in n = 1601
+    n, order = 1601, 2
+    shapes = []
+    band_block = discrete._band_block
+
+    def recorded(*args, **kwargs):
+        block = band_block(*args, **kwargs)
+        shapes.append(block.shape)
+        return block
+
+    monkeypatch.setattr(discrete, "_band_block", recorded)
     H, C, spec = pt_operators(order, n)
-    tracemalloc.start()
-    try:
-        constraint_residuals(H, C, spec.susy_constants)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 64 * n * 16, peak / (64 * n * 16)
+    constraint_residuals(H, C, spec.susy_constants)
+    width = max(2, order)
+    limit = discrete._PANEL_ROWS + 2 * discrete._TILE + 2 * width
+    assert shapes and max(max(shape) for shape in shapes) <= limit, (
+        max(shapes, key=max))
+
+
+def band_indices(r0, r1, w, n, flip):
+    """The inner indices that rows r0:r1 of a band of half-width w reach
+    (column-reversed with flip)."""
+    cols = (np.arange(r0, r1)[:, None] + np.arange(-w, w + 1)).ravel()
+    cols = cols[(cols >= 0) & (cols < n)]
+    return n - 1 - cols if flip else cols
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(16, 5000), st.integers(1, 4), st.booleans())
+def test_seams_and_windows_cover_the_inner_dimension(n, w, flip):
+    seams = discrete._kseams(n)
+    assert seams[0] == 0 and seams[-1] == n
+    steps = np.diff(seams)
+    assert np.all(steps > 0) and np.all(steps <= discrete._KBLOCK)
+    for r0, r1 in discrete._panels(n):
+        a, b = discrete._reach(r0, r1, w, n, flip)
+        reached = band_indices(r0, r1, w, n, flip)
+        assert a <= reached.min() and reached.max() < b, (r0, r1, a, b)
+        assert a % discrete._TILE == 0 and (b == n or b % discrete._TILE == 0)
+
+
+def random_band(rng, n, w):
+    """Diagonal-by-row storage of a random complex band of half-width w."""
+    band = rng.standard_normal((n, 2 * w + 1)) + 1j * rng.standard_normal(
+        (n, 2 * w + 1))
+    cols = np.arange(n)[:, None] + np.arange(-w, w + 1)
+    band[(cols < 0) | (cols >= n)] = 0
+    return band
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(16, 700), st.integers(1, 2), st.integers(1, 2),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_narrowed_products_match_the_full_products(n, wx, wy, flip, seed):
+    # the narrowed product and probe action against the products over all
+    # n inner columns, within the rounding bound of two complex sums of
+    # length n + 2, 2 sqrt(2) gamma_(n+2) |X| |Y| (Higham, Lemma 3.5)
+    rng = np.random.default_rng(seed)
+    x, y = random_band(rng, n, wx), random_band(rng, n, wy)
+    V = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
+    X = discrete._band_block(x, 0, n, 0, n, flip)
+    Y = discrete._band_block(y, 0, n, 0, n, flip)
+    u = np.finfo(float).eps / 2
+    gamma = 2 * np.sqrt(2) * (n + 2) * u / (1 - (n + 2) * u)
+    product = discrete._band_block(discrete._band_product(x, y, flip),
+                                   0, n, 0, n)
+    assert np.all(np.abs(product - X @ Y)
+                  <= gamma * (np.abs(X) @ np.abs(Y))), (n, wx, wy, flip)
+    for r0, r1 in discrete._panels(n):
+        a, b = discrete._reach(r0, r1, wx, n, flip)
+        got = discrete._seamed(X[r0:r1, a:b], V[a:b], a, n)
+        assert np.all(np.abs(got - X[r0:r1] @ V)
+                      <= gamma * (np.abs(X[r0:r1]) @ np.abs(V)))
 
 
 def test_constraint_residuals_check_inputs_before_allocating():
@@ -503,8 +587,9 @@ def test_susy_algebra_spectrum_checks_inputs_before_allocating():
 
 def test_constraint_residuals_log_their_working_set(caplog):
     # two panels, rows 0:48 and 48:101; the second one's blocks are the
-    # larger pair: rows 48:101 of X (53 x 101) and, as its band reaches
-    # columns 32:101 (from a multiple of 16), 101 x 69 of Y
+    # larger pair: its band reaches columns 32:101 (from a multiple of 16),
+    # so rows 48:101 of X over inner columns 32:101 (53 x 69) and those
+    # inner rows of Y over the product's columns 32:101 (69 x 69)
     caplog.set_level(logging.INFO, logger="pdmsusy.discrete")
     for order in (1, 2):
         H, C, spec = pt_operators(order, 101)
@@ -512,7 +597,7 @@ def test_constraint_residuals_log_their_working_set(caplog):
     assert [r.getMessage() for r in caplog.records
             if r.name == "pdmsusy.discrete"] == [
         f"constraint residuals: n=101, order {order}, 2 panels, working set "
-        f"{(53 + 69) * 101 * 16} bytes" for order in (1, 2)]
+        f"{69 * (53 + 69) * 16} bytes" for order in (1, 2)]
 
 
 def test_constant_mass_model_residuals():
