@@ -20,13 +20,14 @@ compact flux Laplacian and composed central stencils differ by a null
 stencil with O(1) entries); the probe measurement sees the operator action
 and decreases at the stencil order O(h^2).  The products of tridiagonal
 operators are pentadiagonal, and constraint_residuals keeps them in
-diagonal-by-row storage, computed in row panels of about _PANEL_ROWS rows
-over only the inner columns that their band reaches, in O(n) time and
-memory.  Cut at the k-block seams of the BLAS kernel (_seamed), each entry
-is still summed in the order of the dense n x n product: a plain sum over
-the band would regroup its terms and move the order-2 cpt and susy
-residuals by 2e-10 and 7e-10 at n = 1601, more than the matmul rounding
-bound 100 n u (1.8e-11) of the dense formulas.
+diagonal-by-row storage.  Each product and probe action is cut into row
+panels of _TILE rows over only the inner columns that their band reaches,
+and panels of one geometry are stacked, a bounded number at a time, into
+one matmul (_plan), in O(n) time and memory.  Cut at the k-block seams of the BLAS kernel
+(_seamed), each entry is still summed in the order of the dense n x n
+product: a plain sum over the band would regroup its terms and move the
+order-2 cpt and susy residuals by 2e-10 and 7e-10 at n = 1601, more than
+the matmul rounding bound 100 n u (1.8e-11) of the dense formulas.
 
 The spectrum of H is computed from its three diagonals, and only its low
 end, where the paper's claims live (the high levels of a 3-point stencil
@@ -49,10 +50,11 @@ fall back on.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -82,8 +84,9 @@ SWEEP_BUDGET = 60        # Aberth sweeps allowed per grid
 CONTOUR_POINTS = 1000    # points of the counting contour before refinement
 CONTOUR_BUDGET = 2**16   # points it may be refined to
 PHASE_STEP = np.pi / 4   # largest phase step of det(T - z) between points
-_PANEL_ROWS = 64         # rows per panel of a banded product
-_TILE = 16               # panel and column-block seams fall on its multiples
+_TILE = 16               # rows per panel; block seams fall on its multiples
+_STACK_BYTES = 160 << 10  # of the blocks stacked into one matmul (each
+                          # stacked array under glibc's 128 KiB mmap threshold)
 _KBLOCK = 128            # zgemm k-block and M unroll of OpenBLAS 0.3.31 on
 _KUNROLL = 4             # a SkylakeX core, at one thread (see _kseams)
 
@@ -291,7 +294,7 @@ def _check_parity(g: Grid) -> None:
 def _band(lower: np.ndarray, diag: np.ndarray,
           upper: np.ndarray) -> np.ndarray:
     """Diagonal-by-row storage of a tridiagonal operator M (see
-    _band_block): row i holds M[i, i-1], M[i, i] and M[i, i+1]."""
+    _stacked): row i holds M[i, i-1], M[i, i] and M[i, i+1]."""
     out = np.zeros((diag.size, 3), dtype=complex)
     out[1:, 0] = lower
     out[:, 1] = diag
@@ -300,12 +303,10 @@ def _band(lower: np.ndarray, diag: np.ndarray,
 
 
 def _panels(n: int) -> list:
-    """The row ranges of ceil(n / _PANEL_ROWS) panels of near-equal height,
-    their seams rounded to multiples of _TILE.  No panel has a single row:
-    numpy multiplies one row by gemv, which sums in another order."""
-    count = -(-n // _PANEL_ROWS)
-    edges = [_TILE * round(n * k / (count * _TILE)) for k in range(count)]
-    return list(zip(edges, edges[1:] + [n]))
+    """The first row of each panel of _TILE rows, then n.  A trailing
+    single row joins the panel before it: numpy multiplies one row by gemv,
+    which sums in another order."""
+    return [*range(0, n - 1, _TILE), n]
 
 
 def _reach(r0: int, r1: int, w: int, n: int, flip: bool = False) -> tuple:
@@ -328,65 +329,166 @@ def _kseams(n: int) -> list:
     return seams + [n]
 
 
-def _seamed(left: np.ndarray, right: np.ndarray, a: int,
-            n: int) -> np.ndarray:
-    """left @ right over inner indices a:a + left.shape[1] of n, summed as
-    the product over all n: the kernel sums each entry of a k-block in
-    index order (the zero terms outside the band add nothing) and adds the
-    blocks in order, so the pieces between the seams are added in order."""
-    b = a + left.shape[1]
-    cuts = [0, *(s - a for s in _kseams(n) if a < s < b), b - a]
-    out = left[:, :cuts[1]] @ right[:cuts[1]]
-    for s0, s1 in zip(cuts[1:], cuts[2:]):
-        out += left[:, s0:s1] @ right[s0:s1]
+def _index(w: int, height: int, width: int, shift: int,
+           flip: bool = False) -> tuple:
+    """The entries that a band of half-width w reaches in a height x width
+    block of M with corner (r, c) on M's diagonal shift = c - r, or with
+    flip in one of M P with shift = n - 1 - c - r: their flat indices in
+    the block and in the band storage from row r on (int32)."""
+    rows, diags = np.arange(height)[:, None], np.arange(2 * w + 1)
+    cols = w + shift - rows - diags if flip else rows + diags - w - shift
+    i, d = np.nonzero((cols >= 0) & (cols < width))
+    return ((i * width + cols[i, d]).astype(np.int32),
+            (i * (2 * w + 1) + d).astype(np.int32))
+
+
+_map = functools.lru_cache(maxsize=256)(_index)    # the maps of one panel
+
+
+def _stacked(band: np.ndarray, starts: np.ndarray, shape: tuple,
+             index: tuple) -> np.ndarray:
+    """The blocks of the given shape at rows starts of the operator stored
+    in band (diagonal-by-row: band[i, w + o] = M[i, i + o] for |o| <= w,
+    zero where i + o leaves the matrix), dense and stacked, from the map
+    index (_index) that they share."""
+    block, entry = index
+    out = np.zeros((starts.size, shape[0] * shape[1]), dtype=complex)
+    out[:, block] = band.reshape(-1)[(starts * band.shape[1])[:, None]
+                                     + entry]
+    return out.reshape(-1, *shape)
+
+
+def _seamed(left: np.ndarray, right: np.ndarray, cuts: tuple) -> np.ndarray:
+    """left @ right, stacked, summed as the product over all n inner
+    indices: the kernel sums each entry of a k-block in index order (the
+    zero terms outside the band add nothing) and adds the blocks in order,
+    so the pieces between the k-block seams (cuts, from the window's first
+    inner index) are added in order."""
+    edges = (0, *cuts, left.shape[-1])
+    out = left[..., :edges[1]] @ right[..., :edges[1], :]
+    for s0, s1 in zip(edges[1:], edges[2:]):
+        out += left[..., s0:s1] @ right[..., s0:s1, :]
     return out
 
 
-def _band_block(band: np.ndarray, r0: int, r1: int, c0: int, c1: int,
-                flip: bool = False) -> np.ndarray:
-    """M[r0:r1, c0:c1] as a dense array, zero off the band, or with flip
-    (M P)[r0:r1, c0:c1], M's columns reversed.  band is M's diagonal-by-row
-    storage: band[i, w + o] = M[i, i + o] for |o| <= w, zero where i + o
-    leaves the matrix."""
-    n, w = band.shape[0], band.shape[1] // 2
-    m0, m1 = (n - c1, n - c0) if flip else (c0, c1)     # columns of M
-    k0, k1 = max(r0, m0 - w), min(r1, m1 + w)
-    cols = np.arange(k0, k1)[:, None] + np.arange(-w, w + 1)
-    k, d = np.nonzero((cols >= m0) & (cols < m1))
-    cols = cols[k, d]
-    out = np.zeros((r1 - r0, c1 - c0), dtype=complex)
-    out[k + k0 - r0, (n - 1 - cols if flip else cols) - c0] = band[k + k0, d]
-    return out
+class _Group(NamedTuple):
+    """Panels of one geometry, whose blocks are the first one's translated:
+    rows r:r + height of X (X P with flip) reach the inner columns
+    a:a + width, and Y's rows a:a + width (of Y P) the product's columns
+    r + shift:r + shift + span."""
+    starts: np.ndarray      # r and a of each panel, two rows
+    height: int
+    width: int
+    span: int
+    shift: int
+    cuts: tuple             # k-block seams in a:a + width, less a
+    left: tuple             # the maps (_index) of X's block,
+    right: tuple            # of Y's block
+    out: tuple              # and of the product's band in its block
+
+    def stacks(self, columns: int):
+        """(r, a) of as many panels at a time as keep their left blocks
+        and right blocks of columns columns within _STACK_BYTES (one at
+        least)."""
+        one = 16 * self.width * (self.height + columns)
+        size = max(1, _STACK_BYTES // one)
+        for k in range(0, self.starts.shape[1], size):
+            yield self.starts[:, k:k + size]
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(n: int, wx: int, wy: int, flip: bool = False) -> tuple:
+    """The panels of X Y (of (X P)(Y P) with flip), X and Y of half-widths
+    wx and wy, in _Groups.  Each panel's inner window and product columns
+    start on multiples of _TILE, so that the kernel tiles each block as it
+    tiles the n x n product, and the window is cut at the k-block seams of
+    n (_kseams) inside it."""
+    edges, seams, w = _panels(n), _kseams(n), wx + wy
+    groups = {}
+    for r0, r1 in zip(edges, edges[1:]):
+        a, b = _reach(r0, r1, wx, n, flip)
+        c0, c1 = _reach(r0, r1, w, n)
+        key = (r1 - r0, b - a, c1 - c0, c0 - r0,
+               tuple(s - a for s in seams if a < s < b),
+               n - 1 - a - r0 if flip else a - r0,       # left and right
+               n - 1 - c0 - a if flip else c0 - a)       # _index shifts
+        groups.setdefault(key, []).append((r0, a))
+    return tuple(
+        _Group(np.array(starts).T, height, width, span, shift, cuts,
+               _map(wx, height, width, left, flip),
+               _map(wy, width, span, right, flip),
+               _map(w, height, span, shift))
+        for (height, width, span, shift, cuts, left, right), starts
+        in groups.items())
 
 
 def _band_product(x: np.ndarray, y: np.ndarray,
                   flip: bool = False) -> np.ndarray:
     """The band of X Y, or with flip of (X P)(Y P), from the bands of X and
-    Y, in O(n).  Each panel of rows is one product (_seamed) of X's rows
-    over the inner columns their band reaches and Y's columns within reach
-    of the product's band.  The blocks start on multiples of _TILE rows
-    and columns, so that the kernel tiles them as it tiles the n x n
-    product (with OpenBLAS 0.3.31 at one thread the residuals then equal
-    those of the n x n products to the bit, measured at n = 16 to 4096;
-    with another BLAS their last bits may differ)."""
+    Y, in O(n).  Each panel of _TILE rows (_plan) is one product (_seamed)
+    of X's rows over the inner columns its band reaches and Y's columns
+    within reach of the product's band; the panels of one geometry are
+    stacked (_Group.stacks) into one np.matmul per k-block piece.
+    The blocks start on multiples of _TILE rows and columns, so that the
+    kernel tiles them as it tiles the n x n product (with OpenBLAS 0.3.31
+    at one thread the products then equal the n x n products to the bit,
+    measured at n = 16 to 4096; with another BLAS their last bits may
+    differ)."""
     n = x.shape[0]
-    w = x.shape[1] // 2 + y.shape[1] // 2
-    out = np.zeros((n, 2 * w + 1), dtype=complex)
-    for r0, r1 in _panels(n):
-        c0, c1 = _reach(r0, r1, w, n)
-        a, b = _reach(r0, r1, x.shape[1] // 2, n, flip)
-        block = _seamed(_band_block(x, r0, r1, a, b, flip),
-                        _band_block(y, a, b, c0, c1, flip), a, n)
-        cols = np.arange(r0, r1)[:, None] + np.arange(-w, w + 1)
-        i, d = np.nonzero((cols >= 0) & (cols < n))
-        out[i + r0, d] = block[i, cols[i, d] - c0]
+    wx, wy = x.shape[1] // 2, y.shape[1] // 2
+    out = np.zeros((n, 2 * (wx + wy) + 1), dtype=complex)
+    for g in _plan(n, wx, wy, flip):
+        block, entry = g.out
+        for rows, inner in g.stacks(g.span):
+            product = _seamed(
+                _stacked(x, rows, (g.height, g.width), g.left),
+                _stacked(y, inner, (g.width, g.span), g.right), g.cuts)
+            out.reshape(-1)[(rows * out.shape[1])[:, None] + entry] = (
+                product.reshape(rows.size, -1)[:, block])
     return out
 
 
+def _band_apply(band: np.ndarray, v: np.ndarray,
+                flip: bool = False) -> np.ndarray:
+    """M V, or with flip M P V, M stored in band, panel by panel as in
+    _band_product, with the rows of V in each panel's inner window."""
+    n, w = band.shape[0], band.shape[1] // 2
+    out = np.empty(v.shape, dtype=complex)
+    for g in _plan(n, w, 0, flip):
+        for rows, inner in g.stacks(v.shape[1]):
+            out[rows[:, None] + np.arange(g.height)] = _seamed(
+                _stacked(band, rows, (g.height, g.width), g.left),
+                v[inner[:, None] + np.arange(g.width)], g.cuts)
+    return out
+
+
+def _dense(band: np.ndarray) -> np.ndarray:
+    """The n x n matrix stored in band."""
+    n, w = band.shape[0], band.shape[1] // 2
+    return _stacked(band, np.zeros(1, dtype=int), (n, n),
+                    _index(w, n, n, 0))[0]
+
+
 def _widened(band: np.ndarray, w: int) -> np.ndarray:
-    """band stored with half-width w (zero outer diagonals)."""
+    """band stored with half-width w (zero outer diagonals); band itself
+    if it has that width."""
     pad = w - band.shape[1] // 2
-    return np.pad(band, ((0, 0), (pad, pad)))
+    return np.pad(band, ((0, 0), (pad, pad))) if pad else band
+
+
+def _power_sum(h: np.ndarray, coeffs: tuple) -> np.ndarray:
+    """The band of sum_k l_k H^{N-k}, N = len(coeffs), from H's band h,
+    summed in the order of the dense formula: l_N H^0, each l_k H^{N-k}
+    by rising power, then H^N."""
+    n_order = len(coeffs)
+    poly = np.zeros((h.shape[0], 2 * n_order + 1), dtype=complex)
+    poly[:, n_order] = coeffs[-1]
+    power = h
+    for k in range(n_order - 1, 0, -1):
+        poly += coeffs[k - 1] * _widened(power, n_order)
+        power = _band_product(power, h)
+    poly += _widened(power, n_order)
+    return poly
 
 
 def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
@@ -406,14 +508,15 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
     limit n <= MAX_DENSE_DIMENSION among them.  No n x n array is built:
     the operators and their products are banded (zeta anti-banded), kept
     in diagonal-by-row storage, and every product and every probe action
-    M V is taken in row panels over the inner columns the band reaches
-    (_band_product, act), in O(n) time and memory, within the matmul
-    rounding bound 100 n u of the dense formulas (u the unit roundoff; the
-    module docstring says how each panel keeps the summation order of the
-    n x n product).  P conj(H) P
-    (rows and diagonals of H's band reversed and conjugated), the power
-    sum and the differences are formed on the band storage in the order
-    of the dense formulas.
+    M V is taken in stacked row panels over the inner columns the band
+    reaches (_band_product, _band_apply), in O(n) time and memory, within
+    the matmul rounding bound 100 n u of the dense formulas (u the unit
+    roundoff; the module docstring says how each panel keeps the summation
+    order of the n x n product).  P conj(H) P (rows and diagonals of H's
+    band reversed and conjugated), the power sum and the differences are
+    formed on the band storage in the order of the dense formulas.  The
+    log line gives the panel groups of the products and the bytes of
+    their largest stack of blocks.
     """
     if H.grid != C.grid:
         raise GridError("H and C must share one grid")
@@ -427,28 +530,23 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
     if 2 * margin >= n:
         raise GridError(f"margin {margin} leaves no interior rows for n={n}")
     check_dense_budget(n)
-    panels = _panels(n)
     width = max(2, n_order)             # half-width of the widest product
-    working = 0                         # bytes of its largest panel blocks
-    for r0, r1 in panels:
-        c0, c1 = _reach(r0, r1, width, n)
-        for flip in (False, True):
-            a, b = _reach(r0, r1, width, n, flip)
-            working = max(working, 16 * (b - a) * (r1 - r0 + c1 - c0))
-    log.info("constraint residuals: n=%d, order %d, %d panels, working set "
-             "%d bytes", n, n_order, len(panels), working)
+    # (wx, wy, flip) of the products below: C (P conj(H) P), H C and H^k,
+    # and zeta conj(zeta)
+    products = {(1, 1, False), (1, 1, True),
+                *((k, 1, False) for k in range(2, n_order))}
+    groups = [g for key in products for g in _plan(n, *key)]
+    log.info("constraint residuals: n=%d, order %d, %d panel groups, "
+             "largest stacked operands %d bytes", n, n_order, len(groups),
+             max(16 * r.size * g.width * (g.height + g.span)
+                 for g in groups for r, _ in g.stacks(g.span)))
     V = probe_matrix(H.grid)
     rows = slice(margin, n - margin)
     tiny = np.finfo(float).tiny
 
     def act(band: np.ndarray, flip: bool = False) -> float:
         """||(M V)[rows]||, M (or M P with flip) stored in band."""
-        out = np.empty(V.shape, dtype=complex)
-        for r0, r1 in panels:
-            a, b = _reach(r0, r1, band.shape[1] // 2, n, flip)
-            out[r0:r1] = _seamed(_band_block(band, r0, r1, a, b, flip),
-                                 V[a:b], a, n)
-        return float(np.linalg.norm(out[rows]))
+        return float(np.linalg.norm(_band_apply(band, V, flip)[rows]))
 
     def relative(lhs: np.ndarray, rhs: np.ndarray) -> float:
         """act(lhs - rhs) / max(act(lhs), act(rhs)); lhs becomes lhs - rhs."""
@@ -461,21 +559,14 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
     cpt = relative(_band_product(c, h[::-1, ::-1].conj()),  # C (P conj(H) P)
                    _band_product(h, c))
 
-    poly = np.zeros((n, 2 * n_order + 1), dtype=complex)
-    poly[:, n_order] = coeffs[-1]          # l_N H^0
-    power = h
-    for k in range(n_order - 1, 0, -1):    # l_k H^{N-k}
-        poly += coeffs[k - 1] * _widened(power, n_order)
-        power = _band_product(power, h)
-    poly += _widened(power, n_order)       # H^N
-
     scale = max(act(c, flip=True), tiny)   # zeta = C P
     dagger = _band(*(a[::-1].conj()        # P C^dagger P = zeta^dagger P
                      for a in (C.lower, C.diag, C.upper)))
     pseudo = act(c - dagger, flip=True) / scale   # zeta - zeta^dagger
     lhs2 = _band_product(c, c.conj(), flip=True)  # zeta conj(zeta)
     return {"pseudo": pseudo, "cpt": cpt,
-            "susy": relative(_widened(lhs2, width), _widened(poly, width))}
+            "susy": relative(_widened(lhs2, width),
+                             _widened(_power_sum(h, coeffs), width))}
 
 
 # ---------------------------------------------------------------------------
@@ -817,13 +908,13 @@ def susy_algebra_spectrum(C: Tridiagonal) -> Spectrum:
     its measured pairing distance isolates eigensolver backward error.  It
     does not test H: it is small also where H has no conjugate pair.  The
     product is the susy residual's (_band_product); only the eigensolver's
-    input is n x n.
+    input, written out from its band by one map (_dense), is n x n.
     """
     _check_parity(C.grid)
     check_dense_budget(C.n)
     c = _band(C.lower, C.diag, C.upper)
     band = _band_product(c, c.conj(), flip=True)        # zeta conj(zeta)
-    values = dense_eigenvalues(_band_block(band, 0, C.n, 0, C.n))
+    values = dense_eigenvalues(_dense(band))
     return Spectrum(values, conjugate_pairing_distance(values))
 
 

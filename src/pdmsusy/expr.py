@@ -62,6 +62,7 @@ FUNCTIONS = ("sin", "cos", "tan", "sec", "exp", "log", "sqrt",
 # Denominators (and cos under sec/tan) smaller than this are treated as a
 # pole hit even though the floating-point value is still finite.
 POLE_TOLERANCE = 1e-13
+_PLAN_CACHE = 64  # compiled plans kept at most (see _compiled)
 
 Number = Union[int, float, complex]
 
@@ -738,11 +739,13 @@ class _Trip(Exception):
 
 class _Plan:
     """The joint DAG of ``roots`` as a flat list of steps, one per unique
-    node, run once over all points.  The steps follow a tree walk that
-    skips repeat visits: operands left to right, except that Div evaluates
-    its denominator and checks it for a pole first, so at any one point the
-    checks run in the order of a scalar walk.  Each array is dropped after
-    its last read.  Both modes make the same numpy calls per node.
+    node, run once over all points; the steps are compiled once per tuple
+    of roots (_compiled), whatever the points and parameters.  They follow
+    a tree walk that skips repeat visits: operands left to right, except
+    that Div evaluates its denominator and checks it for a pole first, so
+    at any one point the checks run in the order of a scalar walk.  Each
+    array is dropped after its last read.  Both modes make the same numpy
+    calls per node.
 
     Unchecked, the values a checked run would test for finiteness add into
     one sentinel, and a failing explicit condition (pole, log(0), 0^complex,
@@ -760,43 +763,13 @@ class _Plan:
             self.cause, self.causes = np.full(xs.shape, -1), []
         else:
             self.cause, self.total = None, np.zeros(xs.shape, complex)
-        node, pole = _Plan.node, _Plan.check_pole    # unbound: no cycle
-        slot = {}           # id(node) -> the step that computes it
-        last = {}           # step -> the last step that reads its value
-        self.steps = []     # (function, node, steps of its operands)
-        # a node on the stack is to be visited, a tuple (function, node,
-        # operand nodes) is a step whose operands are done
-        stack = list(reversed(roots))
-        while stack:
-            e = stack.pop()
-            if type(e) is tuple:
-                fn, e, operands = e
-                k = len(self.steps)
-                ins = tuple([slot[id(v)] for v in operands])
-                for i in ins:
-                    last[i] = k
-                if fn is node:
-                    slot[id(e)] = k
-                self.steps.append((fn, e, ins))
-            elif id(e) not in slot:
-                if type(e) is Div:
-                    stack += [(node, e, e._args), e.left, (pole, e, (e.right,)),
-                              e.right]
-                else:
-                    operands = [v for v in e._args if isinstance(v, Expr)]
-                    stack.append((node, e, operands))
-                    stack += reversed(operands)
-        self.outs = [slot[id(root)] for root in roots]
-        self.dead = [[] for _ in self.steps]
-        for i, k in last.items():
-            if i not in self.outs:      # the caller reads the roots last
-                self.dead[k].append(i)
+        self.steps, self.outs, self.dead = _compiled(roots)[:3]
 
     def run(self) -> list:
         """The values of the roots, after raising what the run met."""
         values = self.values = [None] * len(self.steps)
         for k, ((fn, e, ins), dead) in enumerate(zip(self.steps, self.dead)):
-            values[k] = fn(self, e, *[values[i] for i in ins])
+            values[k] = fn(self, e(), *[values[i] for i in ins])
             for i in dead:
                 values[i] = None
         out = [values[k] for k in self.outs]
@@ -873,6 +846,64 @@ class _Plan:
                 value = _UFUNCS[e.name](u)
             return self.check(value, e, "overflow")
         raise TypeError(f"unknown node {e!r}")
+
+
+def _compile(roots) -> tuple:
+    """The steps of ``roots`` (see _Plan) as (function, weak reference to
+    the node, steps of its operands), the steps of the roots, and per step
+    the steps whose values die after it."""
+    node, pole = _Plan.node, _Plan.check_pole    # unbound: no cycle
+    slot = {}           # id(node) -> the step that computes it
+    last = {}           # step -> the last step that reads its value
+    steps = []
+    # a node on the stack is to be visited, a tuple (function, node,
+    # operand nodes) is a step whose operands are done
+    stack = list(reversed(roots))
+    while stack:
+        e = stack.pop()
+        if type(e) is tuple:
+            fn, e, operands = e
+            k = len(steps)
+            ins = tuple([slot[id(v)] for v in operands])
+            for i in ins:
+                last[i] = k
+            if fn is node:
+                slot[id(e)] = k
+            steps.append((fn, weakref.ref(e), ins))
+        elif id(e) not in slot:
+            if type(e) is Div:
+                stack += [(node, e, e._args), e.left, (pole, e, (e.right,)),
+                          e.right]
+            else:
+                operands = [v for v in e._args if isinstance(v, Expr)]
+                stack.append((node, e, operands))
+                stack += reversed(operands)
+    outs = [slot[id(root)] for root in roots]
+    dead = [[] for _ in steps]
+    for i, k in last.items():
+        if i not in outs:       # the caller reads the roots last
+            dead[k].append(i)
+    return steps, outs, dead
+
+
+def _compiled(roots) -> tuple:
+    """_compile(roots), once per tuple of roots while they live: up to
+    _PLAN_CACHE plans are kept, each until one of its roots dies.  The
+    steps refer to the nodes weakly, so a kept plan keeps no node alive,
+    and the roots hold every node of the steps."""
+    key = tuple(map(id, roots))
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _compile(roots)
+        if len(_PLANS) < _PLAN_CACHE:
+            def forget(_, key=key, plans=_PLANS):
+                plans.pop(key, None)
+            plan = _PLANS[key] = (*plan, [weakref.ref(root, forget)
+                                          for root in roots])
+    return plan
+
+
+_PLANS = {}     # ids of the roots -> (steps, outs, dead, references)
 
 
 # ---------------------------------------------------------------------------

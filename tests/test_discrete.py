@@ -409,8 +409,8 @@ def test_constraint_residuals_converge_at_second_order():
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_panel_residuals_match_the_dense_formulas(order):
-    # n = 33 is one panel; 129 = 2 * 64 + 1 would leave a one-row panel
-    # if the rows were cut every 64
+    # n = 33 and 129 end in a single row, which joins the panel before it;
+    # at 201 and 801 the products' windows hold k-block seams
     bound_factor = 100 * np.finfo(float).eps / 2     # 100 n u
     for n in (33, 129, 201, 401, 801):
         H, C, spec = pt_operators(order, n)
@@ -421,25 +421,15 @@ def test_panel_residuals_match_the_dense_formulas(order):
                 n, name, got, ref)
 
 
-def test_panels_cover_the_rows_and_none_has_one_row():
-    for n in range(16, discrete.MAX_DENSE_DIMENSION + 1):
-        panels = discrete._panels(n)
-        assert len(panels) == -(-n // 64), n
-        assert panels[0][0] == 0 and panels[-1][1] == n, n
-        assert all(a[1] == b[0] for a, b in zip(panels, panels[1:])), n
-        assert min(r1 - r0 for r0, r1 in panels) >= 2, n
-
-
 @pytest.mark.parametrize("order", [1, 2])
 def test_constraint_residuals_hold_no_dense_array(order):
-    # the arrays of length n alive at once are the bands of H, C, their
-    # products, the power sum and its widened copies (n x 3 and n x 5) and
-    # the probe matrix, its products and their interior rows (n x 8):
-    # under 64 complex numbers per row.  Besides them lives one panel
-    # product: its blocks, a panel of 64 rows reaching 96 columns, are
-    # 64 x 96 and 96 x 96 (the logged working set), and the pieces and
+    # the arrays of length n alive at once are the bands of H and C
+    # (n x 3), of the two sides of a residual (n x 5), the probe matrix
+    # and one probe action (n x 8), and the temporaries of one of them:
+    # under 40 complex numbers per row.  Besides them lives one stack of
+    # panel blocks, at most _STACK_BYTES, and its products, pieces and
     # index arrays come to less than as much again
-    working = 96 * (64 + 96) * 16
+    working = discrete._STACK_BYTES
     for n in (801, 1601):
         H, C, spec = pt_operators(order, n)
         tracemalloc.start()
@@ -448,30 +438,87 @@ def test_constraint_residuals_hold_no_dense_array(order):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * n * 16 + 2 * working, (n, peak / (n * 16))
+        assert peak <= 40 * n * 16 + 2 * working, (n, peak / (n * 16))
 
 
-def test_constraint_residuals_multiply_band_blocks_only(monkeypatch):
-    # every block multiplied is a panel's rows by the inner columns its
-    # band reaches, or those inner rows by the columns the product's band
-    # reaches: no side spans more than a panel widened by a tile and the
-    # band on either side, wherever the panel sits in n = 1601
+def test_constraint_residuals_multiply_stacked_panel_blocks_only(monkeypatch):
+    # every stacked block is a panel's rows by the inner columns its band
+    # reaches, or those inner rows by the columns the product's band
+    # reaches (or V's columns): no side spans more than a panel widened by
+    # a tile and the band on either side, wherever the panel sits in
+    # n = 1601, and no stack holds more than _STACK_BYTES of them
     n, order = 1601, 2
-    shapes = []
-    band_block = discrete._band_block
+    stacks = []
+    seamed = discrete._seamed
 
-    def recorded(*args, **kwargs):
-        block = band_block(*args, **kwargs)
-        shapes.append(block.shape)
-        return block
+    def recorded(left, right, cuts):
+        stacks.append((left.shape, right.shape, left.nbytes + right.nbytes))
+        return seamed(left, right, cuts)
 
-    monkeypatch.setattr(discrete, "_band_block", recorded)
+    monkeypatch.setattr(discrete, "_seamed", recorded)
     H, C, spec = pt_operators(order, n)
     constraint_residuals(H, C, spec.susy_constants)
     width = max(2, order)
-    limit = discrete._PANEL_ROWS + 2 * discrete._TILE + 2 * width
-    assert shapes and max(max(shape) for shape in shapes) <= limit, (
-        max(shapes, key=max))
+    limit = discrete._TILE + 2 * discrete._TILE + 2 * width
+    assert stacks
+    for left, right, size in stacks:
+        assert max(left[1:] + right[1:2]) <= limit, (left, right)
+        assert right[2] <= limit or right[2] == 8, right
+        assert size <= discrete._STACK_BYTES or left[0] == 1, (left, right)
+
+
+def band_dense(band, flip=False):
+    """The n x n matrix of a band storage (with flip, its columns
+    reversed), entry by entry."""
+    n, w = band.shape[0], band.shape[1] // 2
+    out = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for d in range(2 * w + 1):
+            if 0 <= i + d - w < n:
+                out[i, i + d - w] = band[i, d]
+    return out[:, ::-1] if flip else out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(16, 5000), st.integers(1, 4), st.integers(1, 4),
+       st.booleans())
+def test_stacked_plan_makes_every_entry_once(n, wx, wy, flip):
+    # each band entry of X Y ((X P)(Y P) with flip) and each row of X V
+    # (X P V) comes from exactly one panel of one group; every panel's
+    # inner window and product columns start on multiples of _TILE, its
+    # window holds the inner columns its band reaches and is cut at the
+    # k-block seams inside it, and no block side exceeds a panel widened
+    # by a tile and the band on either side
+    tile, w = discrete._TILE, wx + wy
+    seams = discrete._kseams(n)
+    assert seams[0] == 0 and seams[-1] == n
+    assert np.all(np.diff(seams) > 0)
+    assert np.all(np.diff(seams) <= discrete._KBLOCK)
+
+    def panels(groups):
+        for g in groups:
+            assert 2 <= g.height <= tile + 1
+            assert max(g.height, g.width, g.span) <= 3 * tile + 2 * w
+            for r0, a in g.starts.T:
+                reached = band_indices(r0, r0 + g.height, wx, n, flip)
+                assert a % tile == 0 and a <= reached.min()
+                assert reached.max() < a + g.width
+                assert a + g.width == n or (a + g.width) % tile == 0
+                assert g.cuts == tuple(s - a for s in seams
+                                       if a < s < a + g.width)
+                yield g, r0
+
+    made = np.zeros((n, 2 * w + 1), dtype=int)
+    for g, r0 in panels(discrete._plan(n, wx, wy, flip)):
+        c0 = r0 + g.shift
+        assert c0 % tile == 0 and c0 + g.span <= n
+        made.reshape(-1)[r0 * made.shape[1] + g.out[1]] += 1
+    cols = np.arange(n)[:, None] + np.arange(-w, w + 1)
+    assert np.array_equal(made, (cols >= 0) & (cols < n))
+    rows = np.zeros(n, dtype=int)
+    for g, r0 in panels(discrete._plan(n, wx, 0, flip)):
+        rows[r0:r0 + g.height] += 1
+    assert np.all(rows == 1)
 
 
 def band_indices(r0, r1, w, n, flip):
@@ -480,20 +527,6 @@ def band_indices(r0, r1, w, n, flip):
     cols = (np.arange(r0, r1)[:, None] + np.arange(-w, w + 1)).ravel()
     cols = cols[(cols >= 0) & (cols < n)]
     return n - 1 - cols if flip else cols
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.integers(16, 5000), st.integers(1, 4), st.booleans())
-def test_seams_and_windows_cover_the_inner_dimension(n, w, flip):
-    seams = discrete._kseams(n)
-    assert seams[0] == 0 and seams[-1] == n
-    steps = np.diff(seams)
-    assert np.all(steps > 0) and np.all(steps <= discrete._KBLOCK)
-    for r0, r1 in discrete._panels(n):
-        a, b = discrete._reach(r0, r1, w, n, flip)
-        reached = band_indices(r0, r1, w, n, flip)
-        assert a <= reached.min() and reached.max() < b, (r0, r1, a, b)
-        assert a % discrete._TILE == 0 and (b == n or b % discrete._TILE == 0)
 
 
 def random_band(rng, n, w):
@@ -508,26 +541,21 @@ def random_band(rng, n, w):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.integers(16, 700), st.integers(1, 2), st.integers(1, 2),
        st.booleans(), st.integers(0, 2**32 - 1))
-def test_narrowed_products_match_the_full_products(n, wx, wy, flip, seed):
-    # the narrowed product and probe action against the products over all
+def test_stacked_products_match_the_full_products(n, wx, wy, flip, seed):
+    # the stacked product and probe action against the products over all
     # n inner columns, within the rounding bound of two complex sums of
     # length n + 2, 2 sqrt(2) gamma_(n+2) |X| |Y| (Higham, Lemma 3.5)
     rng = np.random.default_rng(seed)
     x, y = random_band(rng, n, wx), random_band(rng, n, wy)
     V = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
-    X = discrete._band_block(x, 0, n, 0, n, flip)
-    Y = discrete._band_block(y, 0, n, 0, n, flip)
+    X, Y = band_dense(x, flip), band_dense(y, flip)
     u = np.finfo(float).eps / 2
     gamma = 2 * np.sqrt(2) * (n + 2) * u / (1 - (n + 2) * u)
-    product = discrete._band_block(discrete._band_product(x, y, flip),
-                                   0, n, 0, n)
+    product = band_dense(discrete._band_product(x, y, flip))
     assert np.all(np.abs(product - X @ Y)
                   <= gamma * (np.abs(X) @ np.abs(Y))), (n, wx, wy, flip)
-    for r0, r1 in discrete._panels(n):
-        a, b = discrete._reach(r0, r1, wx, n, flip)
-        got = discrete._seamed(X[r0:r1, a:b], V[a:b], a, n)
-        assert np.all(np.abs(got - X[r0:r1] @ V)
-                      <= gamma * (np.abs(X[r0:r1]) @ np.abs(V)))
+    assert np.all(np.abs(discrete._band_apply(x, V, flip) - X @ V)
+                  <= gamma * (np.abs(X) @ np.abs(V))), (n, wx, flip)
 
 
 def test_constraint_residuals_check_inputs_before_allocating():
@@ -586,18 +614,22 @@ def test_susy_algebra_spectrum_checks_inputs_before_allocating():
 
 
 def test_constraint_residuals_log_their_working_set(caplog):
-    # two panels, rows 0:48 and 48:101; the second one's blocks are the
-    # larger pair: its band reaches columns 32:101 (from a multiple of 16),
-    # so rows 48:101 of X over inner columns 32:101 (53 x 69) and those
-    # inner rows of Y over the product's columns 32:101 (69 x 69)
+    # n = 101 is six panels of 16 rows and one of 5.  In each of the two
+    # plans (C (P conj(H) P), H C and H^2 share one, zeta conj(zeta) is the
+    # flipped one) the four interior panels form one group and the three
+    # edge panels one each.  The largest stack is the unflipped interior
+    # group: 16 x 48 blocks of X (rows r:r + 16 over inner columns
+    # r - 16:r + 32) and 48 x 48 blocks of Y, three of each, the most that
+    # fit in _STACK_BYTES
     caplog.set_level(logging.INFO, logger="pdmsusy.discrete")
     for order in (1, 2):
         H, C, spec = pt_operators(order, 101)
         constraint_residuals(H, C, spec.susy_constants)
     assert [r.getMessage() for r in caplog.records
             if r.name == "pdmsusy.discrete"] == [
-        f"constraint residuals: n=101, order {order}, 2 panels, working set "
-        f"{69 * (53 + 69) * 16} bytes" for order in (1, 2)]
+        f"constraint residuals: n=101, order {order}, 8 panel groups, "
+        f"largest stacked operands {3 * 48 * (16 + 48) * 16} bytes"
+        for order in (1, 2)]
 
 
 def test_constant_mass_model_residuals():

@@ -20,10 +20,10 @@ import numpy as np
 import pytest
 
 from pdmsusy import expr
-from pdmsusy.expr import (Add, Const, Expr, Func, Mul, Param, ParamEnv,
-                          ParseError, PoleError, Sub, UnboundParameterError,
-                          Var, add, differentiate, evaluate, evaluate_many,
-                          mul, node_counts, parse)
+from pdmsusy.expr import (Add, Const, EvaluationError, Expr, Func, Mul, Param,
+                          ParamEnv, ParseError, PoleError, Sub,
+                          UnboundParameterError, Var, add, differentiate,
+                          evaluate, evaluate_many, mul, node_counts, parse)
 from pdmsusy.model import MassFn, ModelSpec
 from pdmsusy.susy2 import build_second_order
 
@@ -437,6 +437,64 @@ def test_dag_walk_evaluates_each_unique_node_once(monkeypatch):
         (_, arrays, unchecked), = plans.values()
         assert unchecked and outlived == [None]
         assert all(value is None for value in arrays)
+
+
+def test_repeated_evaluation_compiles_nothing(monkeypatch):
+    # the steps depend on the roots alone: the same roots at other points
+    # and parameters reuse them, with the same values and the same errors
+    e = parse("1/(x-a) + sin(a*x)")
+    roots = (e, differentiate(e))
+    xs = [0.0, 0.3, 1.0]
+
+    def outcome(points, env):
+        try:
+            return [v.tobytes() for v in evaluate_many(roots, points, env)]
+        except EvaluationError as exc:
+            return type(exc), str(exc), getattr(exc, "x", None)
+
+    calls = [(xs, {"a": 0.5}), (xs, {"a": 2.0}), ([0.0, 0.25], {"a": 0.25}),
+             (xs, {})]
+    first = [outcome(*call) for call in calls]
+    assert first[2] == (PoleError, "pole hit in '1/(x-a)' at x=0.25", 0.25)
+    assert first[3][:2] == (UnboundParameterError, "unbound parameter 'a'")
+    compiles = []
+    compile_ = expr._compile
+    monkeypatch.setattr(expr, "_compile",
+                        lambda roots: compiles.append(roots) or compile_(roots))
+    assert [outcome(*call) for call in reversed(calls)] == first[::-1]
+    assert compiles == []
+    # a tuple of other roots is compiled once, then kept as well
+    evaluate_many(roots[::-1], xs, {"a": 0.5})
+    evaluate_many(roots[::-1], xs[:1], {"a": 1.5})
+    assert compiles == [roots[::-1]]
+
+
+def test_compiled_plans_hold_across_threads():
+    # threads that evaluate tuples of roots that share nodes, and compile
+    # and keep their plans at once, each get their own call's values
+    e = parse("sin(x)/(1+x^2) + exp(-beta_t*x)")
+    tuples = [(e, differentiate(e, k % 3 + 1), parse(f"x^{k}"))
+              for k in range(16)]
+    xs = np.linspace(-1.0, 1.0, 5)
+    calls = [(roots, beta) for roots in tuples for beta in (0.5, 2.0)]
+    expected = [[v.tobytes() for v in evaluate_many(roots, xs, {"beta_t": b})]
+                for roots, b in calls]
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: got.append(
+            [[v.tobytes() for v in evaluate_many(roots, xs, {"beta_t": b})]
+             for roots, b in calls])) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [expected] * len(threads)
+    assert len(expr._PLANS) <= expr._PLAN_CACHE
 
 
 def test_derivative_is_kept_on_its_node(monkeypatch):
