@@ -421,6 +421,15 @@ def test_panel_residuals_match_the_dense_formulas(order):
                 n, name, got, ref)
 
 
+def test_panels_cover_the_rows_and_none_has_one_row():
+    for n in range(16, discrete.MAX_DENSE_DIMENSION + 1):
+        edges = discrete._panels(n)
+        assert len(edges) - 1 == -(-(n - 1) // discrete._TILE), n
+        assert edges[0] == 0 and edges[-1] == n, n
+        steps = np.diff(edges)
+        assert steps.min() >= 2 and steps.max() <= discrete._TILE + 1, n
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_constraint_residuals_hold_no_dense_array(order):
     # the arrays of length n alive at once are the bands of H and C
@@ -527,6 +536,21 @@ def band_indices(r0, r1, w, n, flip):
     cols = (np.arange(r0, r1)[:, None] + np.arange(-w, w + 1)).ravel()
     cols = cols[(cols >= 0) & (cols < n)]
     return n - 1 - cols if flip else cols
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(16, 5000), st.integers(1, 4), st.booleans())
+def test_seams_and_windows_cover_the_inner_dimension(n, w, flip):
+    seams = discrete._kseams(n)
+    assert seams[0] == 0 and seams[-1] == n
+    steps = np.diff(seams)
+    assert np.all(steps > 0) and np.all(steps <= discrete._KBLOCK)
+    edges = discrete._panels(n)
+    for r0, r1 in zip(edges, edges[1:]):
+        a, b = discrete._reach(r0, r1, w, n, flip)
+        reached = band_indices(r0, r1, w, n, flip)
+        assert a <= reached.min() and reached.max() < b, (r0, r1, a, b)
+        assert a % discrete._TILE == 0 and (b == n or b % discrete._TILE == 0)
 
 
 def random_band(rng, n, w):
