@@ -20,14 +20,16 @@ compact flux Laplacian and composed central stencils differ by a null
 stencil with O(1) entries); the probe measurement sees the operator action
 and decreases at the stencil order O(h^2).  The products of tridiagonal
 operators are pentadiagonal, and constraint_residuals keeps them in
-diagonal-by-row storage.  Each product and probe action is cut into row
-panels of _TILE rows over only the inner columns that their band reaches,
-and panels of one geometry are stacked, a bounded number at a time, into
-one matmul (_plan), in O(n) time and memory.  Cut at the k-block seams of the BLAS kernel
-(_seamed), each entry is still summed in the order of the dense n x n
-product: a plain sum over the band would regroup its terms and move the
-order-2 cpt and susy residuals by 2e-10 and 7e-10 at n = 1601, more than
-the matmul rounding bound 100 n u (1.8e-11) of the dense formulas.
+diagonal-by-row storage.  Each product is cut into row panels of _TILE
+rows over exactly the inner columns that their band reaches, and panels of
+one geometry are stacked, a bounded number at a time, into one matmul
+(_plan), in O(n) time and memory.  Cut at the k-block seams of the BLAS
+kernel (_seamed), with product columns on its M unroll (_UNROLL_M), each
+entry is still summed in the order of the dense n x n product: a plain sum
+over the band would regroup its terms and move the order-2 cpt and susy
+residuals by 2e-10 and 7e-10 at n = 1601, more than the matmul rounding
+bound 100 n u (1.8e-11) of the dense formulas.  The probe actions are
+plain sums (_band_action); they move the residuals by under 2e-3 of it.
 
 The spectrum of H is computed from its three diagonals, and only its low
 end, where the paper's claims live (the high levels of a 3-point stencil
@@ -84,11 +86,11 @@ SWEEP_BUDGET = 60        # Aberth sweeps allowed per grid
 CONTOUR_POINTS = 1000    # points of the counting contour before refinement
 CONTOUR_BUDGET = 2**16   # points it may be refined to
 PHASE_STEP = np.pi / 4   # largest phase step of det(T - z) between points
-_TILE = 16               # rows per panel; block seams fall on its multiples
+_TILE = 16               # rows per panel
 _STACK_BYTES = 160 << 10  # of the blocks stacked into one matmul (each
                           # stacked array under glibc's 128 KiB mmap threshold)
-_KBLOCK = 128            # zgemm k-block and M unroll of OpenBLAS 0.3.31 on
-_KUNROLL = 4             # a SkylakeX core, at one thread (see _kseams)
+_KBLOCK = 128            # zgemm k-block and M unroll of OpenBLAS 0.3.31 on a
+_UNROLL_M = 4            # SkylakeX core at one thread (_kseams, _plan)
 
 log = logging.getLogger(__name__)
 
@@ -309,23 +311,24 @@ def _panels(n: int) -> list:
     return [*range(0, n - 1, _TILE), n]
 
 
-def _reach(r0: int, r1: int, w: int, n: int, flip: bool = False) -> tuple:
+def _reach(r0: int, r1: int, w: int, n: int, flip: bool = False,
+           align: int = 1) -> tuple:
     """The columns c0:c1 that rows r0:r1 of a band of half-width w reach
-    (of M P with flip), widened to multiples of _TILE and clipped to n."""
+    (of M P with flip), widened to multiples of align and clipped to n."""
     a, b = (n - r1 - w, n - r0 + w) if flip else (r0 - w, r1 + w)
-    return max(0, a) // _TILE * _TILE, min(n, -(-b // _TILE) * _TILE)
+    return max(0, a) // align * align, min(n, -(-b // align) * align)
 
 
 def _kseams(n: int) -> list:
     """The seams, from 0 to n, at which OpenBLAS's level-3 driver cuts an
     inner dimension of n into k-blocks: of _KBLOCK while 2 _KBLOCK remain,
-    then a remainder above _KBLOCK halved, rounded up to _KUNROLL."""
+    then a remainder above _KBLOCK halved, rounded up to _UNROLL_M."""
     seams = [0]
     while n - seams[-1] >= 2 * _KBLOCK:
         seams.append(seams[-1] + _KBLOCK)
     rest = n - seams[-1]
     if rest > _KBLOCK:
-        seams.append(seams[-1] + -(-(rest // 2) // _KUNROLL) * _KUNROLL)
+        seams.append(seams[-1] + -(-(rest // 2) // _UNROLL_M) * _UNROLL_M)
     return seams + [n]
 
 
@@ -359,11 +362,10 @@ def _stacked(band: np.ndarray, starts: np.ndarray, shape: tuple,
 
 
 def _seamed(left: np.ndarray, right: np.ndarray, cuts: tuple) -> np.ndarray:
-    """left @ right, stacked, summed as the product over all n inner
-    indices: the kernel sums each entry of a k-block in index order (the
-    zero terms outside the band add nothing) and adds the blocks in order,
-    so the pieces between the k-block seams (cuts, from the window's first
-    inner index) are added in order."""
+    """left @ right, stacked, summed as the product over all n inner indices:
+    the kernel sums each entry of a k-block in index order (the zero terms
+    outside the band add nothing) and adds the blocks in order, so the pieces
+    between the k-block seams (cuts, from the window's start) are too."""
     edges = (0, *cuts, left.shape[-1])
     out = left[..., :edges[1]] @ right[..., :edges[1], :]
     for s0, s1 in zip(edges[1:], edges[2:]):
@@ -386,11 +388,9 @@ class _Group(NamedTuple):
     right: tuple            # of Y's block
     out: tuple              # and of the product's band in its block
 
-    def stacks(self, columns: int):
-        """(r, a) of as many panels at a time as keep their left blocks
-        and right blocks of columns columns within _STACK_BYTES (one at
-        least)."""
-        one = 16 * self.width * (self.height + columns)
+    def stacks(self):
+        """(r, a) of the panels, at most _STACK_BYTES of blocks at a time."""
+        one = 16 * self.width * (self.height + self.span)
         size = max(1, _STACK_BYTES // one)
         for k in range(0, self.starts.shape[1], size):
             yield self.starts[:, k:k + size]
@@ -399,15 +399,14 @@ class _Group(NamedTuple):
 @functools.lru_cache(maxsize=64)
 def _plan(n: int, wx: int, wy: int, flip: bool = False) -> tuple:
     """The panels of X Y (of (X P)(Y P) with flip), X and Y of half-widths
-    wx and wy, in _Groups.  Each panel's inner window and product columns
-    start on multiples of _TILE, so that the kernel tiles each block as it
-    tiles the n x n product, and the window is cut at the k-block seams of
-    n (_kseams) inside it."""
+    wx and wy, in _Groups.  Each panel's inner window is the inner columns
+    its band reaches, cut at the k-block seams of n (_kseams) inside it,
+    and its product columns start on multiples of _UNROLL_M."""
     edges, seams, w = _panels(n), _kseams(n), wx + wy
     groups = {}
     for r0, r1 in zip(edges, edges[1:]):
         a, b = _reach(r0, r1, wx, n, flip)
-        c0, c1 = _reach(r0, r1, w, n)
+        c0, c1 = _reach(r0, r1, w, n, align=_UNROLL_M)
         key = (r1 - r0, b - a, c1 - c0, c0 - r0,
                tuple(s - a for s in seams if a < s < b),
                n - 1 - a - r0 if flip else a - r0,       # left and right
@@ -428,18 +427,19 @@ def _band_product(x: np.ndarray, y: np.ndarray,
     Y, in O(n).  Each panel of _TILE rows (_plan) is one product (_seamed)
     of X's rows over the inner columns its band reaches and Y's columns
     within reach of the product's band; the panels of one geometry are
-    stacked (_Group.stacks) into one np.matmul per k-block piece.
-    The blocks start on multiples of _TILE rows and columns, so that the
-    kernel tiles them as it tiles the n x n product (with OpenBLAS 0.3.31
-    at one thread the products then equal the n x n products to the bit,
-    measured at n = 16 to 4096; with another BLAS their last bits may
-    differ)."""
+    stacked (_Group.stacks) into one np.matmul per k-block piece.  numpy
+    calls zgemm row-major, so OpenBLAS's M dimension counts the product's
+    columns; with them starting on multiples of its M unroll _UNROLL_M and
+    the window cut at its k-block seams, the kernel sums each entry as in
+    the n x n product (with OpenBLAS 0.3.31 at one thread the products equal
+    the n x n products to the bit, measured at n = 16 to 4096; with another
+    BLAS their last bits may differ)."""
     n = x.shape[0]
     wx, wy = x.shape[1] // 2, y.shape[1] // 2
     out = np.zeros((n, 2 * (wx + wy) + 1), dtype=complex)
     for g in _plan(n, wx, wy, flip):
         block, entry = g.out
-        for rows, inner in g.stacks(g.span):
+        for rows, inner in g.stacks():
             product = _seamed(
                 _stacked(x, rows, (g.height, g.width), g.left),
                 _stacked(y, inner, (g.width, g.span), g.right), g.cuts)
@@ -448,17 +448,18 @@ def _band_product(x: np.ndarray, y: np.ndarray,
     return out
 
 
-def _band_apply(band: np.ndarray, v: np.ndarray,
-                flip: bool = False) -> np.ndarray:
-    """M V, or with flip M P V, M stored in band, panel by panel as in
-    _band_product, with the rows of V in each panel's inner window."""
+def _band_action(band: np.ndarray, v: np.ndarray,
+                 flip: bool = False) -> np.ndarray:
+    """M V, or with flip M P V, M stored in band: a plain sum over M's
+    2w + 1 diagonals in order, no BLAS call, within sqrt(2) gamma_(2w+2)
+    |M| |V| of the exact product (Higham, Lemma 3.5)."""
     n, w = band.shape[0], band.shape[1] // 2
-    out = np.empty(v.shape, dtype=complex)
-    for g in _plan(n, w, 0, flip):
-        for rows, inner in g.stacks(v.shape[1]):
-            out[rows[:, None] + np.arange(g.height)] = _seamed(
-                _stacked(band, rows, (g.height, g.width), g.left),
-                v[inner[:, None] + np.arange(g.width)], g.cuts)
+    v = v[::-1] if flip else v
+    out, term = np.zeros((2, *v.shape), dtype=complex)
+    for d in range(2 * w + 1):      # diagonal d: M[i, i + d - w]
+        rows = slice(max(0, w - d), min(n, n + w - d))
+        cols = slice(max(0, d - w), min(n, n + d - w))
+        out[rows] += np.multiply(band[rows, d, None], v[cols], out=term[rows])
     return out
 
 
@@ -507,16 +508,16 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
     Every input is checked before anything of size n is allocated, the
     limit n <= MAX_DENSE_DIMENSION among them.  No n x n array is built:
     the operators and their products are banded (zeta anti-banded), kept
-    in diagonal-by-row storage, and every product and every probe action
-    M V is taken in stacked row panels over the inner columns the band
-    reaches (_band_product, _band_apply), in O(n) time and memory, within
-    the matmul rounding bound 100 n u of the dense formulas (u the unit
-    roundoff; the module docstring says how each panel keeps the summation
-    order of the n x n product).  P conj(H) P (rows and diagonals of H's
-    band reversed and conjugated), the power sum and the differences are
-    formed on the band storage in the order of the dense formulas.  The
-    log line gives the panel groups of the products and the bytes of
-    their largest stack of blocks.
+    in diagonal-by-row storage, and every product is taken in stacked row
+    panels over the inner columns the band reaches (_band_product), in
+    O(n) time and memory, within the matmul rounding bound 100 n u of the
+    dense formulas (u the unit roundoff; the module docstring says how
+    each panel keeps the summation order of the n x n product), and every
+    probe action M V is a plain sum over M's diagonals (_band_action).
+    P conj(H) P (rows and diagonals of H's band reversed and conjugated),
+    the power sum and the differences are formed on the band storage in
+    the order of the dense formulas.  The log line gives the panel groups
+    of the products and the bytes of their largest stack of blocks.
     """
     if H.grid != C.grid:
         raise GridError("H and C must share one grid")
@@ -531,28 +532,27 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
         raise GridError(f"margin {margin} leaves no interior rows for n={n}")
     check_dense_budget(n)
     width = max(2, n_order)             # half-width of the widest product
-    # (wx, wy, flip) of the products below: C (P conj(H) P), H C and H^k,
-    # and zeta conj(zeta)
-    products = {(1, 1, False), (1, 1, True),
-                *((k, 1, False) for k in range(2, n_order))}
-    groups = [g for key in products for g in _plan(n, *key)]
-    log.info("constraint residuals: n=%d, order %d, %d panel groups, "
-             "largest stacked operands %d bytes", n, n_order, len(groups),
-             max(16 * r.size * g.width * (g.height + g.span)
-                 for g in groups for r, _ in g.stacks(g.span)))
+    if log.isEnabledFor(logging.INFO):
+        # (wx, wy, flip) of C (P conj(H) P), H C, H^k and zeta conj(zeta)
+        products = {(1, 1, False), (1, 1, True),
+                    *((k, 1, False) for k in range(2, n_order))}
+        groups = [g for key in products for g in _plan(n, *key)]
+        log.info("constraint residuals: n=%d, order %d, %d panel groups, "
+                 "largest stacked operands %d bytes", n, n_order, len(groups),
+                 max(16 * r.size * g.width * (g.height + g.span)
+                     for g in groups for r, _ in g.stacks()))
     V = probe_matrix(H.grid)
     rows = slice(margin, n - margin)
     tiny = np.finfo(float).tiny
 
     def act(band: np.ndarray, flip: bool = False) -> float:
         """||(M V)[rows]||, M (or M P with flip) stored in band."""
-        return float(np.linalg.norm(_band_apply(band, V, flip)[rows]))
+        return float(np.linalg.norm(_band_action(band, V, flip)[rows]))
 
     def relative(lhs: np.ndarray, rhs: np.ndarray) -> float:
         """act(lhs - rhs) / max(act(lhs), act(rhs)); lhs becomes lhs - rhs."""
         scale = max(act(lhs), act(rhs), tiny)
-        lhs -= rhs
-        return act(lhs) / scale
+        return act(np.subtract(lhs, rhs, out=lhs)) / scale
 
     h = _band(H.lower, H.diag, H.upper)
     c = _band(C.lower, C.diag, C.upper)

@@ -433,11 +433,11 @@ def test_panels_cover_the_rows_and_none_has_one_row():
 @pytest.mark.parametrize("order", [1, 2])
 def test_constraint_residuals_hold_no_dense_array(order):
     # the arrays of length n alive at once are the bands of H and C
-    # (n x 3), of the two sides of a residual (n x 5), the probe matrix
-    # and one probe action (n x 8), and the temporaries of one of them:
-    # under 40 complex numbers per row.  Besides them lives one stack of
-    # panel blocks, at most _STACK_BYTES, and its products, pieces and
-    # index arrays come to less than as much again
+    # (n x 3), of the two sides of a residual (n x 5), the probe matrix,
+    # one probe action and its term (n x 8 each): 40 complex numbers per
+    # row.  Besides them lives one stack of panel blocks, at most
+    # _STACK_BYTES, and its products, pieces and index arrays come to less
+    # than as much again
     working = discrete._STACK_BYTES
     for n in (801, 1601):
         H, C, spec = pt_operators(order, n)
@@ -451,11 +451,14 @@ def test_constraint_residuals_hold_no_dense_array(order):
 
 
 def test_constraint_residuals_multiply_stacked_panel_blocks_only(monkeypatch):
-    # every stacked block is a panel's rows by the inner columns its band
-    # reaches, or those inner rows by the columns the product's band
-    # reaches (or V's columns): no side spans more than a panel widened by
-    # a tile and the band on either side, wherever the panel sits in
-    # n = 1601, and no stack holds more than _STACK_BYTES of them
+    # every stacked block is a panel's rows by exactly the inner columns
+    # its band reaches, or those inner rows by the columns the product's
+    # band reaches, widened to multiples of _UNROLL_M: at order 2 every
+    # factor is tridiagonal, so no window is wider than the panel and one
+    # column on either side, and no product block than the panel, two
+    # columns on either side and the alignment, wherever the panel sits in
+    # n = 1601; no stack holds more than _STACK_BYTES of them, and the
+    # probe actions multiply no blocks
     n, order = 1601, 2
     stacks = []
     seamed = discrete._seamed
@@ -467,12 +470,12 @@ def test_constraint_residuals_multiply_stacked_panel_blocks_only(monkeypatch):
     monkeypatch.setattr(discrete, "_seamed", recorded)
     H, C, spec = pt_operators(order, n)
     constraint_residuals(H, C, spec.susy_constants)
-    width = max(2, order)
-    limit = discrete._TILE + 2 * discrete._TILE + 2 * width
+    align = 2 * (discrete._UNROLL_M - 1)
     assert stacks
     for left, right, size in stacks:
-        assert max(left[1:] + right[1:2]) <= limit, (left, right)
-        assert right[2] <= limit or right[2] == 8, right
+        assert left[1] <= discrete._TILE + 1, left
+        assert right[1] == left[2] <= left[1] + 2, (left, right)
+        assert right[2] <= left[1] + 4 + align, (left, right)
         assert size <= discrete._STACK_BYTES or left[0] == 1, (left, right)
 
 
@@ -492,42 +495,28 @@ def band_dense(band, flip=False):
 @given(st.integers(16, 5000), st.integers(1, 4), st.integers(1, 4),
        st.booleans())
 def test_stacked_plan_makes_every_entry_once(n, wx, wy, flip):
-    # each band entry of X Y ((X P)(Y P) with flip) and each row of X V
-    # (X P V) comes from exactly one panel of one group; every panel's
-    # inner window and product columns start on multiples of _TILE, its
-    # window holds the inner columns its band reaches and is cut at the
-    # k-block seams inside it, and no block side exceeds a panel widened
-    # by a tile and the band on either side
-    tile, w = discrete._TILE, wx + wy
+    # each band entry of X Y ((X P)(Y P) with flip) comes from exactly one
+    # panel of one group; every panel's inner window is exactly the inner
+    # columns its band reaches, cut at the k-block seams inside it (so the
+    # cuts fall at the seams' own inner indices), and its product columns
+    # start on multiples of _UNROLL_M and end on one or at n
+    tile, unroll, w = discrete._TILE, discrete._UNROLL_M, wx + wy
     seams = discrete._kseams(n)
-    assert seams[0] == 0 and seams[-1] == n
-    assert np.all(np.diff(seams) > 0)
-    assert np.all(np.diff(seams) <= discrete._KBLOCK)
-
-    def panels(groups):
-        for g in groups:
-            assert 2 <= g.height <= tile + 1
-            assert max(g.height, g.width, g.span) <= 3 * tile + 2 * w
-            for r0, a in g.starts.T:
-                reached = band_indices(r0, r0 + g.height, wx, n, flip)
-                assert a % tile == 0 and a <= reached.min()
-                assert reached.max() < a + g.width
-                assert a + g.width == n or (a + g.width) % tile == 0
-                assert g.cuts == tuple(s - a for s in seams
-                                       if a < s < a + g.width)
-                yield g, r0
-
     made = np.zeros((n, 2 * w + 1), dtype=int)
-    for g, r0 in panels(discrete._plan(n, wx, wy, flip)):
-        c0 = r0 + g.shift
-        assert c0 % tile == 0 and c0 + g.span <= n
-        made.reshape(-1)[r0 * made.shape[1] + g.out[1]] += 1
+    for g in discrete._plan(n, wx, wy, flip):
+        assert 2 <= g.height <= tile + 1
+        assert g.span <= g.height + 2 * w + 2 * (unroll - 1)
+        for r0, a in g.starts.T:
+            reached = band_indices(r0, r0 + g.height, wx, n, flip)
+            assert a == reached.min() and a + g.width == reached.max() + 1
+            assert {a + cut for cut in g.cuts} == {
+                s for s in seams if a < s < a + g.width}
+            c0 = r0 + g.shift
+            assert c0 % unroll == 0 and c0 + g.span <= n
+            assert c0 + g.span == n or (c0 + g.span) % unroll == 0
+            made.reshape(-1)[r0 * made.shape[1] + g.out[1]] += 1
     cols = np.arange(n)[:, None] + np.arange(-w, w + 1)
     assert np.array_equal(made, (cols >= 0) & (cols < n))
-    rows = np.zeros(n, dtype=int)
-    for g, r0 in panels(discrete._plan(n, wx, 0, flip)):
-        rows[r0:r0 + g.height] += 1
-    assert np.all(rows == 1)
 
 
 def band_indices(r0, r1, w, n, flip):
@@ -541,16 +530,25 @@ def band_indices(r0, r1, w, n, flip):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.integers(16, 5000), st.integers(1, 4), st.booleans())
 def test_seams_and_windows_cover_the_inner_dimension(n, w, flip):
+    # the k-block seams step by at most _KBLOCK and each falls on a multiple
+    # of _UNROLL_M; a panel's inner window is exactly the columns its band
+    # reaches, and its product columns are those widened to multiples of
+    # _UNROLL_M
     seams = discrete._kseams(n)
+    unroll = discrete._UNROLL_M
     assert seams[0] == 0 and seams[-1] == n
     steps = np.diff(seams)
     assert np.all(steps > 0) and np.all(steps <= discrete._KBLOCK)
+    assert all(s % unroll == 0 for s in seams[:-1])
     edges = discrete._panels(n)
     for r0, r1 in zip(edges, edges[1:]):
         a, b = discrete._reach(r0, r1, w, n, flip)
         reached = band_indices(r0, r1, w, n, flip)
-        assert a <= reached.min() and reached.max() < b, (r0, r1, a, b)
-        assert a % discrete._TILE == 0 and (b == n or b % discrete._TILE == 0)
+        assert (a, b) == (reached.min(), reached.max() + 1), (r0, r1, a, b)
+        c0, c1 = discrete._reach(r0, r1, w, n, align=unroll)
+        reached = band_indices(r0, r1, w, n, False)
+        assert c0 == reached.min() // unroll * unroll, (r0, r1, c0)
+        assert c1 == min(n, -(-(reached.max() + 1) // unroll) * unroll)
 
 
 def random_band(rng, n, w):
@@ -566,20 +564,36 @@ def random_band(rng, n, w):
 @given(st.integers(16, 700), st.integers(1, 2), st.integers(1, 2),
        st.booleans(), st.integers(0, 2**32 - 1))
 def test_stacked_products_match_the_full_products(n, wx, wy, flip, seed):
-    # the stacked product and probe action against the products over all
-    # n inner columns, within the rounding bound of two complex sums of
-    # length n + 2, 2 sqrt(2) gamma_(n+2) |X| |Y| (Higham, Lemma 3.5)
+    # the stacked product against the product over all n inner columns,
+    # within the rounding bound of two complex sums of length n + 2,
+    # 2 sqrt(2) gamma_(n+2) |X| |Y| (Higham, Lemma 3.5)
     rng = np.random.default_rng(seed)
     x, y = random_band(rng, n, wx), random_band(rng, n, wy)
-    V = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
     X, Y = band_dense(x, flip), band_dense(y, flip)
     u = np.finfo(float).eps / 2
     gamma = 2 * np.sqrt(2) * (n + 2) * u / (1 - (n + 2) * u)
     product = band_dense(discrete._band_product(x, y, flip))
     assert np.all(np.abs(product - X @ Y)
                   <= gamma * (np.abs(X) @ np.abs(Y))), (n, wx, wy, flip)
-    assert np.all(np.abs(discrete._band_apply(x, V, flip) - X @ V)
-                  <= gamma * (np.abs(X) @ np.abs(V))), (n, wx, flip)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(16, 700), st.integers(1, 4), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_band_action_is_the_band_sum(n, w, flip, seed):
+    # the probe action sums each entry's 2w + 1 band terms, and the product
+    # over all n inner columns adds only zeros to them: two complex sums of
+    # 2w + 1 terms, which differ by at most 2 sqrt(2) gamma_(2w+2) |X| |V|
+    # (Higham, Lemma 3.5), far below the gamma_(n+2) of a length-n sum
+    rng = np.random.default_rng(seed)
+    x = random_band(rng, n, w)
+    V = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
+    X = band_dense(x, flip)
+    u = np.finfo(float).eps / 2
+    k = 2 * w + 2
+    gamma = 2 * np.sqrt(2) * k * u / (1 - k * u)
+    assert np.all(np.abs(discrete._band_action(x, V, flip) - X @ V)
+                  <= gamma * (np.abs(X) @ np.abs(V))), (n, w, flip)
 
 
 def test_constraint_residuals_check_inputs_before_allocating():
@@ -639,20 +653,24 @@ def test_susy_algebra_spectrum_checks_inputs_before_allocating():
 
 def test_constraint_residuals_log_their_working_set(caplog):
     # n = 101 is six panels of 16 rows and one of 5.  In each of the two
-    # plans (C (P conj(H) P), H C and H^2 share one, zeta conj(zeta) is the
-    # flipped one) the four interior panels form one group and the three
-    # edge panels one each.  The largest stack is the unflipped interior
-    # group: 16 x 48 blocks of X (rows r:r + 16 over inner columns
-    # r - 16:r + 32) and 48 x 48 blocks of Y, three of each, the most that
-    # fit in _STACK_BYTES
+    # plans (C (P conj(H) P) and H C share one, zeta conj(zeta) is the
+    # flipped one) the five interior panels form one group and the two
+    # edge panels one each.  The largest stack is an interior group: 16 x 18
+    # blocks of X (rows r:r + 16 over inner columns r - 1:r + 17) and
+    # 18 x 24 blocks of Y (product columns r - 4:r + 20), all five in one
+    # stack.  With logging off nothing is logged
+    for order in (1, 2):
+        H, C, spec = pt_operators(order, 101)
+        constraint_residuals(H, C, spec.susy_constants)
+    assert not [r for r in caplog.records if r.name == "pdmsusy.discrete"]
     caplog.set_level(logging.INFO, logger="pdmsusy.discrete")
     for order in (1, 2):
         H, C, spec = pt_operators(order, 101)
         constraint_residuals(H, C, spec.susy_constants)
     assert [r.getMessage() for r in caplog.records
             if r.name == "pdmsusy.discrete"] == [
-        f"constraint residuals: n=101, order {order}, 8 panel groups, "
-        f"largest stacked operands {3 * 48 * (16 + 48) * 16} bytes"
+        f"constraint residuals: n=101, order {order}, 6 panel groups, "
+        f"largest stacked operands {5 * 18 * (16 + 24) * 16} bytes"
         for order in (1, 2)]
 
 
