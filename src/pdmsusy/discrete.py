@@ -20,16 +20,16 @@ compact flux Laplacian and composed central stencils differ by a null
 stencil with O(1) entries); the probe measurement sees the operator action
 and decreases at the stencil order O(h^2).  The products of tridiagonal
 operators are pentadiagonal, and constraint_residuals keeps them in
-diagonal-by-row storage.  Each product is cut into row panels of _TILE
-rows over exactly the inner columns that their band reaches, and panels of
-one geometry are stacked, a bounded number at a time, into one matmul
-(_plan), in O(n) time and memory.  Cut at the k-block seams of the BLAS
-kernel (_seamed), with product columns on its M unroll (_UNROLL_M), each
-entry is still summed in the order of the dense n x n product: a plain sum
-over the band would regroup its terms and move the order-2 cpt and susy
-residuals by 2e-10 and 7e-10 at n = 1601, more than the matmul rounding
-bound 100 n u (1.8e-11) of the dense formulas.  The probe actions are
-plain sums (_band_action); they move the residuals by under 2e-3 of it.
+diagonal-by-row storage.  Each product is cut into zero-padded row panels
+of one shape (_layout), stacked a bounded number at a time into one matmul,
+in O(n) time and memory; split at the BLAS kernel's k-block seams and cut
+at its M tail, each entry is still summed in the order of the dense n x n
+product (_band_product).  A plain sum over the band would regroup the
+terms: on the seed-0 residuals benchmark it moved the order-2 cpt residual
+by 20.6 and 30 times the matmul rounding bound 100 n u (u the unit
+roundoff) of the dense formulas at n = 801 and 1601, and the susy residual
+by 189 times at n = 1601.  The probe actions are plain sums
+(_band_action); they move the residuals by under 2e-3 of that bound.
 
 The spectrum of H is computed from its three diagonals, and only its low
 end, where the paper's claims live (the high levels of a 3-point stencil
@@ -56,7 +56,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -90,7 +90,7 @@ _TILE = 16               # rows per panel
 _STACK_BYTES = 160 << 10  # of the blocks stacked into one matmul (each
                           # stacked array under glibc's 128 KiB mmap threshold)
 _KBLOCK = 128            # zgemm k-block and M unroll of OpenBLAS 0.3.31 on a
-_UNROLL_M = 4            # SkylakeX core at one thread (_kseams, _plan)
+_UNROLL_M = 4            # SkylakeX core at one thread (_kseams, _layout)
 
 log = logging.getLogger(__name__)
 
@@ -158,7 +158,7 @@ def check_dense_budget(n: int) -> None:
 class Tridiagonal:
     """Complex tridiagonal operator on a grid, stored as its three
     diagonals: lower[k] = M[k+1, k], diag[k] = M[k, k] and
-    upper[k] = M[k, k+1].  The diagonals are read-only once built."""
+    upper[k] = M[k, k+1].  The diagonals are read-only copies."""
 
     lower: np.ndarray
     diag: np.ndarray
@@ -169,7 +169,7 @@ class Tridiagonal:
     def __post_init__(self):
         n = self.grid.points
         for name, size in (("lower", n - 1), ("diag", n), ("upper", n - 1)):
-            a = np.asarray(getattr(self, name), dtype=complex)
+            a = np.array(getattr(self, name), dtype=complex)
             if a.shape != (size,):
                 raise AssemblyError(
                     f"{name} diagonal of operator '{self.label}' has shape "
@@ -295,28 +295,13 @@ def _check_parity(g: Grid) -> None:
 
 def _band(lower: np.ndarray, diag: np.ndarray,
           upper: np.ndarray) -> np.ndarray:
-    """Diagonal-by-row storage of a tridiagonal operator M (see
-    _stacked): row i holds M[i, i-1], M[i, i] and M[i, i+1]."""
+    """Diagonal-by-row storage of a tridiagonal operator M: row i holds
+    M[i, i-1], M[i, i] and M[i, i+1], zero where a column leaves M."""
     out = np.zeros((diag.size, 3), dtype=complex)
     out[1:, 0] = lower
     out[:, 1] = diag
     out[:-1, 2] = upper
     return out
-
-
-def _panels(n: int) -> list:
-    """The first row of each panel of _TILE rows, then n.  A trailing
-    single row joins the panel before it: numpy multiplies one row by gemv,
-    which sums in another order."""
-    return [*range(0, n - 1, _TILE), n]
-
-
-def _reach(r0: int, r1: int, w: int, n: int, flip: bool = False,
-           align: int = 1) -> tuple:
-    """The columns c0:c1 that rows r0:r1 of a band of half-width w reach
-    (of M P with flip), widened to multiples of align and clipped to n."""
-    a, b = (n - r1 - w, n - r0 + w) if flip else (r0 - w, r1 + w)
-    return max(0, a) // align * align, min(n, -(-b // align) * align)
 
 
 def _kseams(n: int) -> list:
@@ -332,120 +317,86 @@ def _kseams(n: int) -> list:
     return seams + [n]
 
 
-def _index(w: int, height: int, width: int, shift: int,
-           flip: bool = False) -> tuple:
-    """The entries that a band of half-width w reaches in a height x width
-    block of M with corner (r, c) on M's diagonal shift = c - r, or with
-    flip in one of M P with shift = n - 1 - c - r: their flat indices in
-    the block and in the band storage from row r on (int32)."""
-    rows, diags = np.arange(height)[:, None], np.arange(2 * w + 1)
-    cols = w + shift - rows - diags if flip else rows + diags - w - shift
-    i, d = np.nonzero((cols >= 0) & (cols < width))
-    return ((i * width + cols[i, d]).astype(np.int32),
-            (i * (2 * w + 1) + d).astype(np.int32))
-
-
-_map = functools.lru_cache(maxsize=256)(_index)    # the maps of one panel
-
-
-def _stacked(band: np.ndarray, starts: np.ndarray, shape: tuple,
-             index: tuple) -> np.ndarray:
-    """The blocks of the given shape at rows starts of the operator stored
-    in band (diagonal-by-row: band[i, w + o] = M[i, i + o] for |o| <= w,
-    zero where i + o leaves the matrix), dense and stacked, from the map
-    index (_index) that they share."""
-    block, entry = index
-    out = np.zeros((starts.size, shape[0] * shape[1]), dtype=complex)
-    out[:, block] = band.reshape(-1)[(starts * band.shape[1])[:, None]
-                                     + entry]
-    return out.reshape(-1, *shape)
-
-
-def _seamed(left: np.ndarray, right: np.ndarray, cuts: tuple) -> np.ndarray:
-    """left @ right, stacked, summed as the product over all n inner indices:
-    the kernel sums each entry of a k-block in index order (the zero terms
-    outside the band add nothing) and adds the blocks in order, so the pieces
-    between the k-block seams (cuts, from the window's start) are too."""
-    edges = (0, *cuts, left.shape[-1])
-    out = left[..., :edges[1]] @ right[..., :edges[1], :]
-    for s0, s1 in zip(edges[1:], edges[2:]):
-        out += left[..., s0:s1] @ right[..., s0:s1, :]
-    return out
-
-
-class _Group(NamedTuple):
-    """Panels of one geometry, whose blocks are the first one's translated:
-    rows r:r + height of X (X P with flip) reach the inner columns
-    a:a + width, and Y's rows a:a + width (of Y P) the product's columns
-    r + shift:r + shift + span."""
-    starts: np.ndarray      # r and a of each panel, two rows
-    height: int
-    width: int
-    span: int
-    shift: int
-    cuts: tuple             # k-block seams in a:a + width, less a
-    left: tuple             # the maps (_index) of X's block,
-    right: tuple            # of Y's block
-    out: tuple              # and of the product's band in its block
-
-    def stacks(self):
-        """(r, a) of the panels, at most _STACK_BYTES of blocks at a time."""
-        one = 16 * self.width * (self.height + self.span)
-        size = max(1, _STACK_BYTES // one)
-        for k in range(0, self.starts.shape[1], size):
-            yield self.starts[:, k:k + size]
-
-
 @functools.lru_cache(maxsize=64)
-def _plan(n: int, wx: int, wy: int, flip: bool = False) -> tuple:
+def _layout(n: int, wx: int, wy: int, flip: bool = False) -> tuple:
     """The panels of X Y (of (X P)(Y P) with flip), X and Y of half-widths
-    wx and wy, in _Groups.  Each panel's inner window is the inner columns
-    its band reaches, cut at the k-block seams of n (_kseams) inside it,
-    and its product columns start on multiples of _UNROLL_M."""
-    edges, seams, w = _panels(n), _kseams(n), wx + wy
-    groups = {}
-    for r0, r1 in zip(edges, edges[1:]):
-        a, b = _reach(r0, r1, wx, n, flip)
-        c0, c1 = _reach(r0, r1, w, n, align=_UNROLL_M)
-        key = (r1 - r0, b - a, c1 - c0, c0 - r0,
-               tuple(s - a for s in seams if a < s < b),
-               n - 1 - a - r0 if flip else a - r0,       # left and right
-               n - 1 - c0 - a if flip else c0 - a)       # _index shifts
-        groups.setdefault(key, []).append((r0, a))
-    return tuple(
-        _Group(np.array(starts).T, height, width, span, shift, cuts,
-               _map(wx, height, width, left, flip),
-               _map(wy, width, span, right, flip),
-               _map(w, height, span, shift))
-        for (height, width, span, shift, cuts, left, right), starts
-        in groups.items())
+    wx and wy, w = wx + wy.  Panel p is rows _TILE p + t of X (t < _TILE;
+    past n row n - 1, whose products are dropped), the inner window
+    k0[p] + j (j < _TILE + 2 wx; zero outside 0:n) and the product columns
+    from _TILE p - pad on, pad = w rounded up to _UNROLL_M.  Returns k0,
+    pad, the flat maps of x[_TILE p + t, d], y[k0[p] + j, d'] and
+    band[_TILE p + t, e] into a panel's blocks of X, Y and the product (the
+    same for every panel), and the passes (panels, rows of X, rows of Y,
+    cuts, cols) of at most _STACK_BYTES of blocks: the plain panels, those
+    that a k-block seam crosses (cuts, its index in their window), and one
+    by one those whose columns reach the M tail (cols, their count to n)."""
+    t, w = _TILE, wx + wy
+    pad = -(-w // _UNROLL_M) * _UNROLL_M
+    wide, span = t + 2 * wx, t + 2 * pad
+    i, j = np.arange(t)[:, None], np.arange(wide)[:, None]
+    dx, dy = np.arange(2 * wx + 1), np.arange(2 * wy + 1)
+    left = i * wide + (wide - 1 - i - dx if flip else i + dx)
+    right = j * span + (t - 1 + w + pad - j - dy if flip else j + dy - w + pad)
+    out = i * span + i + np.arange(2 * w + 1) - w + pad
+    panels = np.arange(-(-n // t))
+    k0 = n - t * panels - t - wx if flip else t * panels - wx
+    seams = np.array(_kseams(n)[1:-1], dtype=int)
+    seamed, which = np.nonzero((k0[:, None] < seams)
+                               & (seams < k0[:, None] + wide))
+    cuts = seams[which] - k0[seamed]
+    tails = panels[t * panels + t + pad > n // _UNROLL_M * _UNROLL_M]
+    plain = np.delete(panels, np.r_[seamed, tails])
+    stack = max(1, _STACK_BYTES // (16 * wide * (t + span)))
+    passes = [(p[k:k + stack], c if c is None else c[k:k + stack], None)
+              for p, c in ((plain, None), (seamed, cuts))
+              for k in range(0, p.size, stack)]
+    passes += [(tails[k:k + 1], None, n - t * p + pad)
+               for k, p in enumerate(tails)]
+    return k0, pad, (left.ravel(), right.ravel(), out.ravel()), [
+        (p, np.minimum(t * p[:, None] + i.T, n - 1).astype(np.int32),
+         (k0[p, None] + j.T).astype(np.int32), cuts, cols)
+        for p, cuts, cols in passes]
 
 
 def _band_product(x: np.ndarray, y: np.ndarray,
                   flip: bool = False) -> np.ndarray:
     """The band of X Y, or with flip of (X P)(Y P), from the bands of X and
-    Y, in O(n).  Each panel of _TILE rows (_plan) is one product (_seamed)
-    of X's rows over the inner columns its band reaches and Y's columns
-    within reach of the product's band; the panels of one geometry are
-    stacked (_Group.stacks) into one np.matmul per k-block piece.  numpy
-    calls zgemm row-major, so OpenBLAS's M dimension counts the product's
-    columns; with them starting on multiples of its M unroll _UNROLL_M and
-    the window cut at its k-block seams, the kernel sums each entry as in
-    the n x n product (with OpenBLAS 0.3.31 at one thread the products equal
-    the n x n products to the bit, measured at n = 16 to 4096; with another
-    BLAS their last bits may differ)."""
-    n = x.shape[0]
-    wx, wy = x.shape[1] // 2, y.shape[1] // 2
-    out = np.zeros((n, 2 * (wx + wy) + 1), dtype=complex)
-    for g in _plan(n, wx, wy, flip):
-        block, entry = g.out
-        for rows, inner in g.stacks():
-            product = _seamed(
-                _stacked(x, rows, (g.height, g.width), g.left),
-                _stacked(y, inner, (g.width, g.span), g.right), g.cuts)
-            out.reshape(-1)[(rows * out.shape[1])[:, None] + entry] = (
-                product.reshape(rows.size, -1)[:, block])
-    return out
+    Y, in O(n): the panels' blocks (_layout) stacked into one np.matmul per
+    pass.  numpy calls zgemm row-major, so OpenBLAS's M dimension counts
+    the product's columns, and each entry is summed as in the n x n product
+    by three facts of OpenBLAS 0.3.31 at one thread: (1) zero terms
+    anywhere in a k-block add nothing, so padding needs no geometry of its
+    own; (2) the k-blocks (_kseams) are summed one after the other, so a
+    panel that a seam crosses is summed in two pieces, before and after it,
+    in that order; (3) the last n % _UNROLL_M columns go through a
+    remainder kernel, so the panels that reach them are cut at n.  Bit for
+    bit at n = 16 to 4096 (tools/blas_order_sweep.py); with another BLAS
+    the last bits may differ."""
+    n, wx, wy = x.shape[0], x.shape[1] // 2, y.shape[1] // 2
+    k0, pad, (left, right, out), passes = _layout(n, wx, wy, flip)
+    wide, span = _TILE + 2 * wx, _TILE + 2 * pad
+    band = np.empty((k0.size, out.size), dtype=complex)
+    stack = max(p.size for p, *_ in passes)
+    a_all = np.zeros((stack, _TILE, wide), dtype=complex)
+    b_all = np.zeros((stack, wide, span), dtype=complex)
+    for panels, rows, inner, cuts, cols in passes:
+        size = panels.size
+        a, b = a_all[:size], b_all[:size]  # the maps fill the same entries
+        a.reshape(size, -1)[:, left] = x.take(rows, 0).reshape(size, -1)
+        part = y.take(inner, 0, mode="clip")
+        part[(inner < 0) | (inner >= n)] = 0
+        b.reshape(size, -1)[:, right] = part.reshape(size, -1)
+        if cuts is not None:                    # fact 2
+            before = np.arange(wide) < cuts[:, None, None]
+            product = np.where(before, a, 0) @ b
+            product += np.where(before, 0, a) @ b
+        elif cols:                              # fact 3
+            product = np.zeros((size, _TILE, span), dtype=complex)
+            product[..., :cols] = a @ b[..., :cols]
+        else:
+            product = a @ b
+        band[panels] = np.take(product.reshape(size, -1), out, axis=1)
+    return band.reshape(-1, 2 * (wx + wy) + 1)[:n]
 
 
 def _band_action(band: np.ndarray, v: np.ndarray,
@@ -466,8 +417,11 @@ def _band_action(band: np.ndarray, v: np.ndarray,
 def _dense(band: np.ndarray) -> np.ndarray:
     """The n x n matrix stored in band."""
     n, w = band.shape[0], band.shape[1] // 2
-    return _stacked(band, np.zeros(1, dtype=int), (n, n),
-                    _index(w, n, n, 0))[0]
+    out = np.zeros((n, n), dtype=complex)
+    for d in range(2 * w + 1):      # diagonal d: M[i, i + d - w]
+        i = np.arange(max(0, w - d), min(n, n + w - d))
+        out[i, i + d - w] = band[i, d]
+    return out
 
 
 def _widened(band: np.ndarray, w: int) -> np.ndarray:
@@ -509,15 +463,15 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
     limit n <= MAX_DENSE_DIMENSION among them.  No n x n array is built:
     the operators and their products are banded (zeta anti-banded), kept
     in diagonal-by-row storage, and every product is taken in stacked row
-    panels over the inner columns the band reaches (_band_product), in
-    O(n) time and memory, within the matmul rounding bound 100 n u of the
-    dense formulas (u the unit roundoff; the module docstring says how
-    each panel keeps the summation order of the n x n product), and every
-    probe action M V is a plain sum over M's diagonals (_band_action).
+    panels of one shape (_band_product), in O(n) time and memory, summed
+    in the order of the n x n product, and every probe action M V is a
+    plain sum over M's diagonals (_band_action), within the matmul
+    rounding bound 100 n u of the dense formulas (u the unit roundoff).
     P conj(H) P (rows and diagonals of H's band reversed and conjugated),
     the power sum and the differences are formed on the band storage in
-    the order of the dense formulas.  The log line gives the panel groups
-    of the products and the bytes of their largest stack of blocks.
+    the order of the dense formulas.  The log line gives the panels of a
+    product, the panels cut at a k-block seam over the layouts used, and
+    the bytes of the largest stack of blocks.
     """
     if H.grid != C.grid:
         raise GridError("H and C must share one grid")
@@ -534,13 +488,17 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
     width = max(2, n_order)             # half-width of the widest product
     if log.isEnabledFor(logging.INFO):
         # (wx, wy, flip) of C (P conj(H) P), H C, H^k and zeta conj(zeta)
-        products = {(1, 1, False), (1, 1, True),
-                    *((k, 1, False) for k in range(2, n_order))}
-        groups = [g for key in products for g in _plan(n, *key)]
-        log.info("constraint residuals: n=%d, order %d, %d panel groups, "
-                 "largest stacked operands %d bytes", n, n_order, len(groups),
-                 max(16 * r.size * g.width * (g.height + g.span)
-                     for g in groups for r, _ in g.stacks()))
+        keys = {(1, 1, False), (1, 1, True),
+                *((k, 1, False) for k in range(2, n_order))}
+        stacks = [(p.size, cuts is not None, wx, pad) for wx, wy, flip in keys
+                  for _, pad, _, passes in [_layout(n, wx, wy, flip)]
+                  for p, _, _, cuts, _ in passes]
+        log.info("constraint residuals: n=%d, order %d, %d panels per "
+                 "product, %d seam panels in %d layouts, largest stacked "
+                 "operands %d bytes", n, n_order, -(-n // _TILE),
+                 sum(size for size, seam, *_ in stacks if seam), len(keys),
+                 max(16 * size * (_TILE + 2 * wx) * (2 * _TILE + 2 * pad)
+                     for size, _, wx, pad in stacks))
     V = probe_matrix(H.grid)
     rows = slice(margin, n - margin)
     tiny = np.finfo(float).tiny
@@ -908,7 +866,8 @@ def susy_algebra_spectrum(C: Tridiagonal) -> Spectrum:
     its measured pairing distance isolates eigensolver backward error.  It
     does not test H: it is small also where H has no conjugate pair.  The
     product is the susy residual's (_band_product); only the eigensolver's
-    input, written out from its band by one map (_dense), is n x n.
+    input, written out from its band diagonal by diagonal (_dense), is
+    n x n.
     """
     _check_parity(C.grid)
     check_dense_budget(C.n)

@@ -409,7 +409,7 @@ def test_constraint_residuals_converge_at_second_order():
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_panel_residuals_match_the_dense_formulas(order):
-    # n = 33 and 129 end in a single row, which joins the panel before it;
+    # n = 33 and 129 leave one row and 15 of padding in their last panel;
     # at 201 and 801 the products' windows hold k-block seams
     bound_factor = 100 * np.finfo(float).eps / 2     # 100 n u
     for n in (33, 129, 201, 401, 801):
@@ -421,23 +421,15 @@ def test_panel_residuals_match_the_dense_formulas(order):
                 n, name, got, ref)
 
 
-def test_panels_cover_the_rows_and_none_has_one_row():
-    for n in range(16, discrete.MAX_DENSE_DIMENSION + 1):
-        edges = discrete._panels(n)
-        assert len(edges) - 1 == -(-(n - 1) // discrete._TILE), n
-        assert edges[0] == 0 and edges[-1] == n, n
-        steps = np.diff(edges)
-        assert steps.min() >= 2 and steps.max() <= discrete._TILE + 1, n
-
-
 @pytest.mark.parametrize("order", [1, 2])
 def test_constraint_residuals_hold_no_dense_array(order):
     # the arrays of length n alive at once are the bands of H and C
     # (n x 3), of the two sides of a residual (n x 5), the probe matrix,
     # one probe action and its term (n x 8 each): 40 complex numbers per
-    # row.  Besides them lives one stack of panel blocks, at most
-    # _STACK_BYTES, and its products, pieces and index arrays come to less
-    # than as much again
+    # row.  Besides them live one product's band, the row indices of its
+    # cached layouts and one stack of panel blocks, at most _STACK_BYTES,
+    # whose gathered rows, seam pieces and products come to less than as
+    # much again
     working = discrete._STACK_BYTES
     for n in (801, 1601):
         H, C, spec = pt_operators(order, n)
@@ -448,35 +440,6 @@ def test_constraint_residuals_hold_no_dense_array(order):
         finally:
             tracemalloc.stop()
         assert peak <= 40 * n * 16 + 2 * working, (n, peak / (n * 16))
-
-
-def test_constraint_residuals_multiply_stacked_panel_blocks_only(monkeypatch):
-    # every stacked block is a panel's rows by exactly the inner columns
-    # its band reaches, or those inner rows by the columns the product's
-    # band reaches, widened to multiples of _UNROLL_M: at order 2 every
-    # factor is tridiagonal, so no window is wider than the panel and one
-    # column on either side, and no product block than the panel, two
-    # columns on either side and the alignment, wherever the panel sits in
-    # n = 1601; no stack holds more than _STACK_BYTES of them, and the
-    # probe actions multiply no blocks
-    n, order = 1601, 2
-    stacks = []
-    seamed = discrete._seamed
-
-    def recorded(left, right, cuts):
-        stacks.append((left.shape, right.shape, left.nbytes + right.nbytes))
-        return seamed(left, right, cuts)
-
-    monkeypatch.setattr(discrete, "_seamed", recorded)
-    H, C, spec = pt_operators(order, n)
-    constraint_residuals(H, C, spec.susy_constants)
-    align = 2 * (discrete._UNROLL_M - 1)
-    assert stacks
-    for left, right, size in stacks:
-        assert left[1] <= discrete._TILE + 1, left
-        assert right[1] == left[2] <= left[1] + 2, (left, right)
-        assert right[2] <= left[1] + 4 + align, (left, right)
-        assert size <= discrete._STACK_BYTES or left[0] == 1, (left, right)
 
 
 def band_dense(band, flip=False):
@@ -491,34 +454,6 @@ def band_dense(band, flip=False):
     return out[:, ::-1] if flip else out
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.integers(16, 5000), st.integers(1, 4), st.integers(1, 4),
-       st.booleans())
-def test_stacked_plan_makes_every_entry_once(n, wx, wy, flip):
-    # each band entry of X Y ((X P)(Y P) with flip) comes from exactly one
-    # panel of one group; every panel's inner window is exactly the inner
-    # columns its band reaches, cut at the k-block seams inside it (so the
-    # cuts fall at the seams' own inner indices), and its product columns
-    # start on multiples of _UNROLL_M and end on one or at n
-    tile, unroll, w = discrete._TILE, discrete._UNROLL_M, wx + wy
-    seams = discrete._kseams(n)
-    made = np.zeros((n, 2 * w + 1), dtype=int)
-    for g in discrete._plan(n, wx, wy, flip):
-        assert 2 <= g.height <= tile + 1
-        assert g.span <= g.height + 2 * w + 2 * (unroll - 1)
-        for r0, a in g.starts.T:
-            reached = band_indices(r0, r0 + g.height, wx, n, flip)
-            assert a == reached.min() and a + g.width == reached.max() + 1
-            assert {a + cut for cut in g.cuts} == {
-                s for s in seams if a < s < a + g.width}
-            c0 = r0 + g.shift
-            assert c0 % unroll == 0 and c0 + g.span <= n
-            assert c0 + g.span == n or (c0 + g.span) % unroll == 0
-            made.reshape(-1)[r0 * made.shape[1] + g.out[1]] += 1
-    cols = np.arange(n)[:, None] + np.arange(-w, w + 1)
-    assert np.array_equal(made, (cols >= 0) & (cols < n))
-
-
 def band_indices(r0, r1, w, n, flip):
     """The inner indices that rows r0:r1 of a band of half-width w reach
     (column-reversed with flip)."""
@@ -527,28 +462,112 @@ def band_indices(r0, r1, w, n, flip):
     return n - 1 - cols if flip else cols
 
 
+def test_panels_cover_the_rows_and_none_has_one_row():
+    # every panel gathers _TILE rows of X (past n, row n - 1 again, whose
+    # products are dropped), so no block has a single row; the panels
+    # gather every row of 0:n, in order, and none lies wholly past n
+    tile = discrete._TILE
+    for n in range(16, discrete.MAX_DENSE_DIMENSION + 1):
+        for flip in (False, True):
+            _, _, _, passes = discrete._layout(n, 1, 1, flip)
+            panels = np.concatenate([p for p, *_ in passes])
+            rows = np.concatenate([r for _, r, *_ in passes])
+            assert rows.shape == (-(-n // tile), tile), (n, flip)
+            rows = rows[np.argsort(panels)].ravel()
+            assert np.array_equal(rows, np.minimum(
+                np.arange(rows.size), n - 1)), (n, flip)
+
+
+LAYOUTS = dict(n=st.integers(16, 5000), wx=st.integers(1, 4),
+               wy=st.integers(1, 4), flip=st.booleans())
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.integers(16, 5000), st.integers(1, 4), st.booleans())
-def test_seams_and_windows_cover_the_inner_dimension(n, w, flip):
-    # the k-block seams step by at most _KBLOCK and each falls on a multiple
-    # of _UNROLL_M; a panel's inner window is exactly the columns its band
-    # reaches, and its product columns are those widened to multiples of
-    # _UNROLL_M
+@given(**LAYOUTS)
+def test_stacked_plan_makes_every_entry_once(n, wx, wy, flip):
+    # the passes take every panel once, and the panels' 16 rows cover 0:n;
+    # panel p's product block holds its rows and the columns from 16p - pad
+    # on, the first on a multiple of _UNROLL_M, and the out map reads
+    # band[16p + t, e] from the product's entry (16p + t, 16p + t + e - w)
+    # in it: so each band entry comes from exactly one panel, at its own row
+    # and column
+    tile, w = discrete._TILE, wx + wy
+    k0, pad, (_, _, out), passes = discrete._layout(n, wx, wy, flip)
+    panels = np.concatenate([p for p, *_ in passes])
+    assert np.array_equal(np.sort(panels), np.arange(k0.size))
+    assert tile * (k0.size - 1) < n <= tile * k0.size
+    c0 = tile * panels - pad
+    assert np.all(c0 % discrete._UNROLL_M == 0), pad
+    t, e = np.divmod(np.arange(tile * (2 * w + 1)), 2 * w + 1)
+    row, col = np.divmod(out, tile + 2 * pad)
+    assert np.array_equal(row, t)
+    assert np.array_equal(c0[:, None] + col,
+                          (tile * panels)[:, None] + t + e - w)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(**LAYOUTS)
+def test_layout_windows_cover_the_inner_indices(n, wx, wy, flip):
+    # the k-block seams step by at most _KBLOCK, each on a multiple of
+    # _UNROLL_M.  Panel p's window k0:k0 + 16 + 2wx is exactly the inner
+    # indices that its 16 rows reach (the reach of rows past n and indices
+    # outside 0:n are padding); X's entries sit at their own inner index in
+    # it, Y's at their own inner index and product column, and the rows
+    # gathered are the panel's (past n: row n - 1) and the window's
     seams = discrete._kseams(n)
-    unroll = discrete._UNROLL_M
     assert seams[0] == 0 and seams[-1] == n
     steps = np.diff(seams)
     assert np.all(steps > 0) and np.all(steps <= discrete._KBLOCK)
-    assert all(s % unroll == 0 for s in seams[:-1])
-    edges = discrete._panels(n)
-    for r0, r1 in zip(edges, edges[1:]):
-        a, b = discrete._reach(r0, r1, w, n, flip)
-        reached = band_indices(r0, r1, w, n, flip)
-        assert (a, b) == (reached.min(), reached.max() + 1), (r0, r1, a, b)
-        c0, c1 = discrete._reach(r0, r1, w, n, align=unroll)
-        reached = band_indices(r0, r1, w, n, False)
-        assert c0 == reached.min() // unroll * unroll, (r0, r1, c0)
-        assert c1 == min(n, -(-(reached.max() + 1) // unroll) * unroll)
+    assert all(s % discrete._UNROLL_M == 0 for s in seams[:-1])
+    tile = discrete._TILE
+    k0, pad, (left, right, _), passes = discrete._layout(n, wx, wy, flip)
+    wide, span = tile + 2 * wx, tile + 2 * pad
+    t, d = np.divmod(np.arange(tile * (2 * wx + 1)), 2 * wx + 1)
+    j, dy = np.divmod(np.arange(wide * (2 * wy + 1)), 2 * wy + 1)
+    assert np.array_equal(left // wide, t) and np.array_equal(right // span, j)
+    for panels, rows, inner, _, _ in passes:
+        for p, got_rows, got_inner in zip(panels, rows, inner):
+            reach = tile * p + t + d - wx               # X[16p + t, reach]
+            reach = n - 1 - reach if flip else reach
+            assert k0[p] == reach.min() and k0[p] + wide == reach.max() + 1
+            assert np.array_equal(k0[p] + left % wide, reach)
+            window = np.arange(k0[p], k0[p] + wide)
+            assert set(band_indices(tile * p, min(n, tile * p + tile), wx, n,
+                                    flip)) <= set(window)
+            cols = k0[p] + j + dy - wy                  # Y[k0 + j, cols]
+            cols = n - 1 - cols if flip else cols
+            assert np.array_equal(tile * p - pad + right % span, cols)
+            assert np.array_equal(got_rows, np.minimum(
+                tile * p + np.arange(tile), n - 1))
+            assert np.array_equal(got_inner, window)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(**LAYOUTS)
+def test_layout_cuts_the_seam_and_tail_panels(n, wx, wy, flip):
+    # the seam passes hold exactly the panels whose window a k-block seam
+    # crosses, each cut at that seam's own inner index; the tail passes
+    # exactly the panels whose columns reach the M tail from 4 [n / 4] on,
+    # one panel each, its columns ending at n; no panel is both, and no
+    # pass stacks more than _STACK_BYTES of blocks
+    tile, unroll = discrete._TILE, discrete._UNROLL_M
+    k0, pad, _, passes = discrete._layout(n, wx, wy, flip)
+    wide, span = tile + 2 * wx, tile + 2 * pad
+    crossed = sorted((p, s) for p in range(k0.size)
+                     for s in discrete._kseams(n)[1:-1]
+                     if k0[p] < s < k0[p] + wide)
+    cut = sorted((p, k0[p] + c) for panels, _, _, cuts, _ in passes
+                 if cuts is not None for p, c in zip(panels, cuts))
+    assert cut == crossed
+    reach = [p for p in range(k0.size)
+             if tile * p + tile + pad > n // unroll * unroll]
+    tails = [(panels, cols) for panels, _, _, _, cols in passes if cols]
+    assert [p for panels, _ in tails for p in panels] == reach
+    for panels, cols in tails:
+        assert panels.size == 1 and tile * panels[0] - pad + cols == n
+    assert not set(reach) & {p for p, _ in cut}
+    for panels, *_ in passes:
+        assert panels.size * 16 * wide * (tile + span) <= discrete._STACK_BYTES
 
 
 def random_band(rng, n, w):
@@ -652,25 +671,26 @@ def test_susy_algebra_spectrum_checks_inputs_before_allocating():
 
 
 def test_constraint_residuals_log_their_working_set(caplog):
-    # n = 101 is six panels of 16 rows and one of 5.  In each of the two
-    # plans (C (P conj(H) P) and H C share one, zeta conj(zeta) is the
-    # flipped one) the five interior panels form one group and the two
-    # edge panels one each.  The largest stack is an interior group: 16 x 18
-    # blocks of X (rows r:r + 16 over inner columns r - 1:r + 17) and
-    # 18 x 24 blocks of Y (product columns r - 4:r + 20), all five in one
-    # stack.  With logging off nothing is logged
+    # n = 201 is 13 panels of 16 rows (the last one 9 rows and padding).
+    # Both layouts (C (P conj(H) P) and H C share the plain one, zeta
+    # conj(zeta) is the flipped one) have the k-block seam at 100 cross
+    # panel 6's window, and panel 12 reach the M tail at 200.  The largest
+    # stack is the other 11 panels: 16 x 18 blocks of X (rows r:r + 16 over
+    # the window r - 1:r + 17) and 18 x 24 blocks of Y (product columns
+    # r - 4:r + 20).  With logging off nothing is logged
     for order in (1, 2):
-        H, C, spec = pt_operators(order, 101)
+        H, C, spec = pt_operators(order, 201)
         constraint_residuals(H, C, spec.susy_constants)
     assert not [r for r in caplog.records if r.name == "pdmsusy.discrete"]
     caplog.set_level(logging.INFO, logger="pdmsusy.discrete")
     for order in (1, 2):
-        H, C, spec = pt_operators(order, 101)
+        H, C, spec = pt_operators(order, 201)
         constraint_residuals(H, C, spec.susy_constants)
     assert [r.getMessage() for r in caplog.records
             if r.name == "pdmsusy.discrete"] == [
-        f"constraint residuals: n=101, order {order}, 6 panel groups, "
-        f"largest stacked operands {5 * 18 * (16 + 24) * 16} bytes"
+        f"constraint residuals: n=201, order {order}, 13 panels per product, "
+        f"2 seam panels in 2 layouts, largest stacked operands "
+        f"{11 * 18 * (16 + 24) * 16} bytes"
         for order in (1, 2)]
 
 
@@ -832,4 +852,17 @@ def test_tridiagonal_validation():
     M = Tridiagonal(off, diag, off, g)
     with pytest.raises(ValueError, match="read-only"):
         M.diag[0] = 2.0
+    assert np.array_equal(dense(M), np.eye(16))
+
+
+def test_tridiagonal_keeps_the_callers_arrays_writeable():
+    # complex arrays, which np.asarray would not copy, are copied too: the
+    # caller's stay writeable, and writing to them leaves the operator as
+    # it was
+    g = Grid(-1.0, 1.0, 16)
+    off, diag = np.zeros(15, dtype=complex), np.ones(16, dtype=complex)
+    M = Tridiagonal(off, diag, off, g)
+    assert off.flags.writeable and diag.flags.writeable
+    assert not any(a.flags.writeable for a in (M.lower, M.diag, M.upper))
+    diag[0] = off[0] = 2.0
     assert np.array_equal(dense(M), np.eye(16))
