@@ -4,12 +4,13 @@ Three-point stencils on a uniform 1-D grid make the Hamiltonian
 H = -d(m^{-1} d) + Vtilde (midpoint-sampled mass flux, Dirichlet walls as
 identity rows decoupled from the interior block) and the charge operator C
 (central stencils with node-sampled coefficients, zeroed boundary rows)
-tridiagonal, and both are stored as their three diagonals (Tridiagonal).
-No n x n operator is built: the constraint residuals and zeta conj(zeta)
-multiply banded storage (_band_product), and only eigensolver inputs are
-n x n.  Both refuse n > MAX_DENSE_DIMENSION.  Parity P: x -> -x is no
-matrix: on a grid symmetric about 0 it is the node reversal, so zeta = C P
-reverses the columns of C and P conj(H) P reverses both axes of conj(H).
+tridiagonal, and both are stored as their band (Tridiagonal): row i holds
+M[i, i-1], M[i, i] and M[i, i+1], from assembly to eigensolver.  No n x n
+operator is built: the constraint residuals and zeta conj(zeta) multiply
+bands (_band_product), and only eigensolver inputs are n x n.  Both refuse
+n > MAX_DENSE_DIMENSION.  Parity P: x -> -x is no matrix: on a grid
+symmetric about 0 it is the node reversal, so zeta = C P reverses the
+columns of C and P conj(H) P reverses both axes of conj(H).
 
 Operator identities such as zeta = zeta^dagger or zeta zeta* = sum_k l_k
 H^{N-k} hold in the continuum; their discrete counterparts are measured by
@@ -31,7 +32,7 @@ roundoff) of the dense formulas at n = 801 and 1601, and the susy residual
 by 189 times at n = 1601.  The probe actions are plain sums
 (_band_action); they move the residuals by under 2e-3 of that bound.
 
-The spectrum of H is computed from its three diagonals, and only its low
+The spectrum of H is computed from its band, and only its low
 end, where the paper's claims live (the high levels of a 3-point stencil
 are discretization artifacts): hamiltonian_spectrum returns the LOW_LEVELS
 lowest levels by real part of H's interior block T.  T is halved down to at
@@ -156,29 +157,30 @@ def check_dense_budget(n: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Tridiagonal:
-    """Complex tridiagonal operator on a grid, stored as its three
-    diagonals: lower[k] = M[k+1, k], diag[k] = M[k, k] and
-    upper[k] = M[k, k+1].  The diagonals are read-only copies."""
+    """Complex tridiagonal operator M on a grid, stored as its band: row i
+    of the (n, 3) array band is (M[i, i-1], M[i, i], M[i, i+1]), and the
+    two slots outside M, band[0, 0] and band[n-1, 2], are zero.  The band
+    is a read-only copy."""
 
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
+    band: np.ndarray
     grid: Grid
     label: str = ""
 
     def __post_init__(self):
         n = self.grid.points
-        for name, size in (("lower", n - 1), ("diag", n), ("upper", n - 1)):
-            a = np.array(getattr(self, name), dtype=complex)
-            if a.shape != (size,):
-                raise AssemblyError(
-                    f"{name} diagonal of operator '{self.label}' has shape "
-                    f"{a.shape}, a grid with {n} points needs ({size},)")
-            if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-                raise AssemblyError(
-                    f"non-finite entries in operator '{self.label}'")
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        band = np.array(self.band, dtype=complex)
+        if band.shape != (n, 3):
+            raise AssemblyError(
+                f"band of operator '{self.label}' has shape {band.shape}, "
+                f"a grid with {n} points needs ({n}, 3)")
+        if not np.all(np.isfinite(band)):
+            raise AssemblyError(
+                f"non-finite entries in operator '{self.label}'")
+        if band[0, 0] or band[-1, 2]:
+            raise AssemblyError(
+                f"operator '{self.label}' has entries outside the matrix")
+        band.setflags(write=False)
+        object.__setattr__(self, "band", band)
 
     @property
     def n(self) -> int:
@@ -224,11 +226,12 @@ def assemble_hamiltonian(m: MassFn, vtilde: Expr, g: Grid,
     inv_m = 1.0 / m.validate(env, g.midpoints())
     v_nodes = evaluate_many(vtilde, g.nodes()[1:-1], env)
 
-    diag = np.ones(n, dtype=complex)
-    diag[1:-1] = (inv_m[:-1] + inv_m[1:]) / h**2 + v_nodes
-    off = np.zeros(n - 1, dtype=complex)    # H is symmetric: lower = upper
-    off[1:-1] = -inv_m[1:-1] / h**2
-    return Tridiagonal(off, diag, off, g, label="H")
+    band = np.zeros((n, 3), dtype=complex)
+    band[[0, -1], 1] = 1.0
+    band[1:-1, 1] = (inv_m[:-1] + inv_m[1:]) / h**2 + v_nodes
+    # H is symmetric; rows 1 and n-2 do not couple to the walls
+    band[2:-1, 0] = band[1:-2, 2] = -inv_m[1:-1] / h**2
+    return Tridiagonal(band, g, label="H")
 
 
 def assemble_charge(coeffs, g: Grid, env: Optional[ParamEnv] = None) -> Tridiagonal:
@@ -253,18 +256,14 @@ def assemble_charge(coeffs, g: Grid, env: Optional[ParamEnv] = None) -> Tridiago
     lead, sub, *u0 = evaluate_many((coeffs.lead, coeffs.sub, *coeffs.u),
                                    x_int, env)
 
-    lower = np.zeros(n - 1, dtype=complex)     # row i holds lower[i - 1],
-    diag = np.zeros(n, dtype=complex)          # diag[i] and upper[i]
-    upper = np.zeros(n - 1, dtype=complex)
-    if n_order == 1:
-        lower[:-1] = -lead / (2 * h)
-        upper[1:] = lead / (2 * h)
-        diag[1:-1] = sub
+    if n_order == 1:        # interior row: C[i, i-1], C[i, i], C[i, i+1]
+        stencil = (-lead / (2 * h), sub, lead / (2 * h))
     else:
-        lower[:-1] = lead / h**2 - sub / (2 * h)
-        upper[1:] = lead / h**2 + sub / (2 * h)
-        diag[1:-1] = -2 * lead / h**2 + u0[0]
-    return Tridiagonal(lower, diag, upper, g, label=f"C{n_order}")
+        stencil = (lead / h**2 - sub / (2 * h), -2 * lead / h**2 + u0[0],
+                   lead / h**2 + sub / (2 * h))
+    band = np.zeros((n, 3), dtype=complex)
+    band[1:-1] = np.column_stack(stencil)
+    return Tridiagonal(band, g, label=f"C{n_order}")
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +290,6 @@ def _check_parity(g: Grid) -> None:
     if not g.symmetric:
         raise GridError("parity needs a grid symmetric about 0, got "
                         f"({g.x_min}, {g.x_max})")
-
-
-def _band(lower: np.ndarray, diag: np.ndarray,
-          upper: np.ndarray) -> np.ndarray:
-    """Diagonal-by-row storage of a tridiagonal operator M: row i holds
-    M[i, i-1], M[i, i] and M[i, i+1], zero where a column leaves M."""
-    out = np.zeros((diag.size, 3), dtype=complex)
-    out[1:, 0] = lower
-    out[:, 1] = diag
-    out[:-1, 2] = upper
-    return out
 
 
 def _kseams(n: int) -> list:
@@ -512,19 +500,19 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
         scale = max(act(lhs), act(rhs), tiny)
         return act(np.subtract(lhs, rhs, out=lhs)) / scale
 
-    h = _band(H.lower, H.diag, H.upper)
-    c = _band(C.lower, C.diag, C.upper)
+    h, c = H.band, C.band
     cpt = relative(_band_product(c, h[::-1, ::-1].conj()),  # C (P conj(H) P)
                    _band_product(h, c))
+    susy = relative(                       # zeta conj(zeta) - power sum
+        _widened(_band_product(c, c.conj(), flip=True), width),
+        _widened(_power_sum(h, coeffs), width))
 
     scale = max(act(c, flip=True), tiny)   # zeta = C P
-    dagger = _band(*(a[::-1].conj()        # P C^dagger P = zeta^dagger P
-                     for a in (C.lower, C.diag, C.upper)))
-    pseudo = act(c - dagger, flip=True) / scale   # zeta - zeta^dagger
-    lhs2 = _band_product(c, c.conj(), flip=True)  # zeta conj(zeta)
-    return {"pseudo": pseudo, "cpt": cpt,
-            "susy": relative(_widened(lhs2, width),
-                             _widened(_power_sum(h, coeffs), width))}
+    t = np.zeros_like(c)                   # the band of C^T
+    t[1:, 0], t[:, 1], t[:-1, 2] = c[:-1, 2], c[:, 1], c[1:, 0]
+    pseudo = act(c - t[::-1, ::-1].conj(),  # P C^dagger P = zeta^dagger P
+                 flip=True) / scale        # zeta - zeta^dagger
+    return {"pseudo": pseudo, "cpt": cpt, "susy": susy}
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +791,7 @@ def _certify(a: np.ndarray, beta: np.ndarray, values: np.ndarray,
 def lowest_levels(M: Tridiagonal, count: int) -> Spectrum:
     """The count lowest levels by real part of the interior block T of a
     Dirichlet Hamiltonian (the two identity boundary rows would add two
-    unit eigenvalues), certified, from its three diagonals: more where
+    unit eigenvalues), certified, from its band: more where
     level count shares its real part with the next within their error
     bounds, all where T has no more rows.
 
@@ -812,9 +800,12 @@ def lowest_levels(M: Tridiagonal, count: int) -> Spectrum:
     there (symmetrized: off-diagonals sqrt(beta), a diagonal similarity)
     is refined by _aberth on each finer grid, with T's stop
     n*u*||T||_inf*kappa_i, and certified by _certify.  Raises
-    EigensolverError when that fails.
+    EigensolverError when that fails, and DiscreteError when count < 1.
     """
-    a, beta = M.diag[1:-1], M.upper[1:-1] * M.lower[1:-1]
+    if count < 1:
+        raise DiscreteError(f"need at least one level, got count {count}")
+    band = M.band[1:-1]                 # the rows of T
+    a, beta = band[:, 1], band[:-1, 2] * band[1:, 0]
     rows, o = a.size, np.abs(np.sqrt(beta))
     norm = max(float(np.max(np.abs(a) + np.r_[0.0, o] + np.r_[o, 0.0])),
                np.finfo(float).tiny)
@@ -871,8 +862,7 @@ def susy_algebra_spectrum(C: Tridiagonal) -> Spectrum:
     """
     _check_parity(C.grid)
     check_dense_budget(C.n)
-    c = _band(C.lower, C.diag, C.upper)
-    band = _band_product(c, c.conj(), flip=True)        # zeta conj(zeta)
+    band = _band_product(C.band, C.band.conj(), flip=True)  # zeta conj(zeta)
     values = dense_eigenvalues(_dense(band))
     return Spectrum(values, conjugate_pairing_distance(values))
 

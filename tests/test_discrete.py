@@ -50,8 +50,8 @@ def pt_operators(order, n):
 
 
 def dense(M):
-    """The n x n matrix of a Tridiagonal, from its three diagonals alone."""
-    return np.diag(M.diag) + np.diag(M.lower, -1) + np.diag(M.upper, 1)
+    """The n x n matrix of a Tridiagonal, from its band alone."""
+    return band_dense(M.band)
 
 
 def dense_parity_reference(H, C, l):
@@ -112,9 +112,10 @@ def test_hamiltonian_boundary_rows_are_decoupled_identity():
     g = Grid(-2.0, 2.0, 32)
     mass = MassFn(parse("1"), -2.0, 2.0)
     H = assemble_hamiltonian(mass, parse("x^2"), g)
-    assert H.diag[0] == 1.0 and H.diag[-1] == 1.0
-    assert H.upper[0] == 0 and H.lower[-1] == 0     # H[0, 1], H[-1, -2]
-    assert H.lower[0] == 0 and H.upper[-1] == 0     # H[1, 0], H[-2, -1]
+    assert H.band[0, 1] == 1.0 and H.band[-1, 1] == 1.0
+    assert H.band[0, 2] == 0 and H.band[-1, 0] == 0     # H[0, 1], H[-1, -2]
+    assert H.band[1, 0] == 0 and H.band[-2, 2] == 0     # H[1, 0], H[-2, -1]
+    assert H.band[0, 0] == 0 and H.band[-1, 2] == 0     # outside H
     Hd = dense(H)
     assert np.all(Hd[0, 1:] == 0) and np.all(Hd[-1, :-1] == 0)
 
@@ -127,19 +128,18 @@ def test_charge_stencils():
     C = assemble_charge(build_first_order(spec).charge, g)
     h = g.h
     # row 5: C[5, 4], C[5, 5], C[5, 6]
-    assert C.lower[4] == -1 / (2 * h) and C.upper[5] == 1 / (2 * h)
-    assert C.diag[5] == 0
-    # boundary rows zeroed
-    assert C.diag[0] == C.upper[0] == C.diag[-1] == C.lower[-1] == 0
+    assert C.band[5, 0] == -1 / (2 * h) and C.band[5, 2] == 1 / (2 * h)
+    assert C.band[5, 1] == 0
+    # boundary rows zeroed, and the slots outside C
+    assert np.all(C.band[[0, -1]] == 0)
     assert np.all(dense(C)[[0, -1]] == 0)
 
     spec_c = ModelSpec(order=1, mass=mass, deformed=Const(0.7),
                        susy_constants=(0.0,))
     C2 = assemble_charge(build_first_order(spec_c).charge, g)
-    assert np.allclose(C2.diag[1:-1], C.diag[1:-1] + 0.7)
-    assert np.allclose(C2.diag[[0, -1]], 0)
-    assert np.array_equal(C2.lower, C.lower)
-    assert np.array_equal(C2.upper, C.upper)
+    assert np.allclose(C2.band[1:-1, 1], C.band[1:-1, 1] + 0.7)
+    assert np.allclose(C2.band[[0, -1], 1], 0)
+    assert np.array_equal(C2.band[:, [0, 2]], C.band[:, [0, 2]])
 
 
 def test_second_order_charge_on_worked_model_is_finite():
@@ -149,9 +149,8 @@ def test_second_order_charge_on_worked_model_is_finite():
     system = build_second_order(spec)
     g = Grid(0.05, 1.5, 401)
     C = assemble_charge(system.charge, g, spec.params)
-    for diagonal in (C.lower, C.diag, C.upper):
-        assert np.all(np.isfinite(diagonal.real))
-        assert np.all(np.isfinite(diagonal.imag))
+    assert np.all(np.isfinite(C.band.real))
+    assert np.all(np.isfinite(C.band.imag))
 
 
 def test_unsupported_charge_orders():
@@ -208,7 +207,7 @@ def test_trace_identity_on_random_matrix():
 def test_dense_budget_enforced():
     with pytest.raises(EigensolverError, match="4096"):
         dense_eigenvalues(np.zeros((5000, 5000), dtype=complex))
-    # assembly stores three diagonals, so it has no budget; the residuals
+    # assembly stores the band, so it has no budget; the residuals
     # and the spectrum of zeta conj(zeta) refuse before they allocate
     H, C, spec = synthetic_operators(Grid(-1.0, 1.0, 4097))
     budget = "dense budget is n <= 4096, got 4097"
@@ -290,9 +289,12 @@ def smooth_hamiltonians(draw):
 
 def dirichlet_operator(T):
     """An operator whose interior block is T, with identity boundary rows."""
-    return Tridiagonal(np.r_[0, np.diagonal(T, -1), 0], np.r_[1, np.diag(T), 1],
-                       np.r_[0, np.diagonal(T, 1), 0],
-                       Grid(-1.0, 1.0, T.shape[0] + 2))
+    band = np.zeros((T.shape[0] + 2, 3), dtype=complex)
+    band[[0, -1], 1] = 1.0
+    band[1:-1, 1] = np.diagonal(T)
+    band[2:-1, 0] = np.diagonal(T, -1)
+    band[1:-2, 2] = np.diagonal(T, 1)
+    return Tridiagonal(band, Grid(-1.0, 1.0, T.shape[0] + 2))
 
 
 def assert_lowest_levels(M):
@@ -304,8 +306,8 @@ def assert_lowest_levels(M):
     = ||v||^2 / |v^T v| from the dense eigenvector v of the symmetrized T.
     The returned edge separates them from the other levels."""
     s = hamiltonian_spectrum(M)
-    a = M.diag[1:-1]
-    o = np.sqrt(M.upper[1:-1] * M.lower[1:-1])
+    a = M.band[1:-1, 1]
+    o = np.sqrt(M.band[1:-2, 2] * M.band[2:-1, 0])
     T = np.diag(a) + np.diag(o, 1) + np.diag(o, -1)
     reference, vectors = np.linalg.eig(T)
     kappa = (np.sum(np.abs(vectors) ** 2, axis=0)
@@ -336,17 +338,34 @@ def test_coarse_to_fine_solver_matches_dense(H):
     assert_lowest_levels(H)
 
 
-def test_ill_conditioned_levels_are_certified():
-    # order 2, mass 1+0.3x^2, W_m -x+i on [-8, 8]: eigenvalue condition
-    # numbers up to ~1e4 among the lowest levels, where an absolute
-    # n*u*||T|| stop lies below the rounding noise
+def ill_conditioned_hamiltonian():
+    """H of order 2, mass 1+0.3x^2, W_m -x+i on [-8, 8] (601 points):
+    eigenvalue condition numbers up to ~1e4 among the lowest levels."""
     spec = ModelSpec(order=2, mass=MassFn(parse("1+0.3*x^2"), -8.0, 8.0),
                      deformed=parse("-x+i"), susy_constants=(-3.0, 2.0))
-    H = assemble_hamiltonian(spec.mass, build_second_order(spec).vtilde,
-                             Grid(-8.0, 8.0, 601), spec.params)
-    s = assert_lowest_levels(H)
+    return assemble_hamiltonian(spec.mass, build_second_order(spec).vtilde,
+                                Grid(-8.0, 8.0, 601), spec.params)
+
+
+def harmonic_hamiltonian(points=401):
+    """H = -d^2 + x^2 on [-1, 1]: 399 interior rows, one coarser grid."""
+    return assemble_hamiltonian(MassFn(parse("1"), -1.0, 1.0), parse("x^2"),
+                                Grid(-1.0, 1.0, points))
+
+
+def test_ill_conditioned_levels_are_certified():
+    # an absolute n*u*||T|| stop would lie below the rounding noise
+    s = assert_lowest_levels(ill_conditioned_hamiltonian())
     assert len(s) == discrete.LOW_LEVELS
     assert abs(s.values[0] - 1.0) == pytest.approx(5.0e-6, rel=0.05)
+
+
+def test_lowest_levels_refuse_counts_below_one():
+    H = harmonic_hamiltonian(64)
+    for count in (0, -2):
+        with pytest.raises(DiscreteError, match=f"got count {count}$"):
+            lowest_levels(H, count)
+    assert len(lowest_levels(H, 1)) == 1
 
 
 def test_lowest_levels_reach_every_level():
@@ -358,8 +377,7 @@ def test_lowest_levels_reach_every_level():
 
 
 def test_tridiagonal_solver_failures_are_reported(monkeypatch):
-    g = Grid(-1.0, 1.0, 401)
-    H = assemble_hamiltonian(MassFn(parse("1"), -1.0, 1.0), parse("x^2"), g)
+    H = harmonic_hamiltonian()
     # sweeps that do not converge raise: there is no other solver
     monkeypatch.setattr(discrete, "SWEEP_BUDGET", 1)
     with pytest.raises(EigensolverError, match="unconverged after 1 Aberth"):
@@ -376,6 +394,79 @@ def test_tridiagonal_solver_failures_are_reported(monkeypatch):
 
     monkeypatch.setattr(discrete, "_aberth", duplicate)
     with pytest.raises(EigensolverError, match="within their error bounds"):
+        hamiltonian_spectrum(H)
+
+
+def test_aberth_refuses_a_non_finite_correction(monkeypatch):
+    ratio = discrete._newton_ratio
+
+    def poisoned(*args):
+        newton, kappa = ratio(*args)
+        newton[0] = np.nan
+        return newton, kappa
+
+    monkeypatch.setattr(discrete, "_newton_ratio", poisoned)
+    with pytest.raises(EigensolverError, match=r"^non-finite Aberth "
+                       r"correction at 1 of 24 tracked values \(399 rows\)$"):
+        hamiltonian_spectrum(harmonic_hamiltonian())
+
+
+def test_counting_contour_refuses_past_its_budget(monkeypatch):
+    # this H's window contour needs more than its first CONTOUR_POINTS
+    # points (it resolves at the default budget, see
+    # test_ill_conditioned_levels_are_certified)
+    monkeypatch.setattr(discrete, "CONTOUR_BUDGET", discrete.CONTOUR_POINTS)
+    with pytest.raises(EigensolverError, match=r"^the phase of det\(T - z\) "
+                       r"along the window Re in .* does not resolve within "
+                       r"1000 contour points$"):
+        hamiltonian_spectrum(ill_conditioned_hamiltonian())
+
+
+def leave_window(z, bound, order):
+    z[order[0]] += 1e6j
+
+
+def cross_a_disc(z, bound, order):
+    # the lowest two discs (radius r) overlap, and the circle of radius 4r
+    # around the lowest value passes through the third value
+    r = 1e-3
+    bound[order[:3]] = r
+    z[order[1]] = z[order[0]] + r
+    z[order[2]] = z[order[0]] + 4 * r
+
+
+def lose_a_level(z, bound, order):
+    z[order[0]] = 1e9         # past T's spectrum: the 17th level is taken in
+
+
+def hide_every_gap(z, bound, order):
+    bound[:] = 1e9
+
+
+@pytest.mark.parametrize("edit, message", [
+    (leave_window, r"^levels leave the window Re in .* within their error "
+                   r"bounds$"),
+    (cross_a_disc, r"^levels within their error bounds of each other, and a "
+                   r"circle of radius 0.004 around .* crosses the bounds of "
+                   r"others$"),
+    (lose_a_level, r"^the window Re in .* holds 17 eigenvalues, 16 levels "
+                   r"were found there$"),
+    (hide_every_gap, r"^no gap in real part after level 16 exceeds the error "
+                     r"bounds$"),
+])
+def test_certification_refuses_wrong_levels(monkeypatch, edit, message):
+    # edit(z, bound, order) changes the refined values and their error
+    # bounds, order their indices by real part
+    aberth = discrete._aberth
+
+    def edited(*args, **kwargs):
+        z, bound, sweeps = aberth(*args, **kwargs)
+        edit(z, bound, np.argsort(z.real, kind="stable"))
+        return z, bound, sweeps
+
+    H = harmonic_hamiltonian()
+    monkeypatch.setattr(discrete, "_aberth", edited)
+    with pytest.raises(EigensolverError, match=message):
         hamiltonian_spectrum(H)
 
 
@@ -423,23 +514,29 @@ def test_panel_residuals_match_the_dense_formulas(order):
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_constraint_residuals_hold_no_dense_array(order):
-    # the arrays of length n alive at once are the bands of H and C
-    # (n x 3), of the two sides of a residual (n x 5), the probe matrix,
-    # one probe action and its term (n x 8 each): 40 complex numbers per
-    # row.  Besides them live one product's band, the row indices of its
-    # cached layouts and one stack of panel blocks, at most _STACK_BYTES,
-    # whose gathered rows, seam pieces and products come to less than as
-    # much again
+    # a warm-up call fills what is built once per process (_layout's
+    # cache, expression plans, numpy's lazy imports), so the peak does not
+    # depend on the tests run before; H's and C's bands exist before the
+    # call.  While a probe action runs, the arrays of length n alive are
+    # the two sides of a residual (n x 5), the probe matrix, the action and
+    # its term (n x 8 each): 34 complex numbers per row, besides numpy's
+    # ufunc buffers for the action's strided operands (8192 entries each,
+    # 256 KiB with flip).  While a product is formed, 23 per row are alive
+    # (the probe matrix and the bands of a finished side, a power sum and
+    # the product) and one stack of panel blocks, at most _STACK_BYTES,
+    # with its gathered rows, seam pieces and products: 377 KB at n = 801,
+    # order 2, under the 2 _STACK_BYTES and 11 rows left by the bound
     working = discrete._STACK_BYTES
     for n in (801, 1601):
         H, C, spec = pt_operators(order, n)
+        constraint_residuals(H, C, spec.susy_constants)
         tracemalloc.start()
         try:
             constraint_residuals(H, C, spec.susy_constants)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * n * 16 + 2 * working, (n, peak / (n * 16))
+        assert peak <= 34 * n * 16 + 2 * working, (n, peak / (n * 16))
 
 
 def band_dense(band, flip=False):
@@ -838,20 +935,31 @@ def test_wavefunction_sums_outward_from_the_anchor():
         assert np.array_equal(psi, np.exp(integral))
 
 
+def identity_band(n):
+    band = np.zeros((n, 3))
+    band[:, 1] = 1.0
+    return band
+
+
 def test_tridiagonal_validation():
     g = Grid(-1.0, 1.0, 16)
-    off, diag = np.zeros(15), np.ones(16)
-    for lower, diagonal, upper in ((off, off, off), (diag, diag, off),
-                                   (off, diag, np.zeros((15, 1)))):
+    for band in (np.zeros((15, 3)), np.zeros((16, 2)), np.zeros(48),
+                 np.zeros((16, 3, 1)), identity_band(16).T):
         with pytest.raises(AssemblyError, match="grid with 16 points"):
-            Tridiagonal(lower, diagonal, upper, g)
-    bad = off.astype(complex)
-    bad[3] = complex(0.0, np.inf)
-    with pytest.raises(AssemblyError, match="non-finite"):
-        Tridiagonal(off, diag, bad, g)
-    M = Tridiagonal(off, diag, off, g)
+            Tridiagonal(band, g)
+    for entry in ((3, 2), (3, 0), (0, 1), (15, 1)):
+        bad = identity_band(16).astype(complex)
+        bad[entry] = complex(0.0, np.inf)
+        with pytest.raises(AssemblyError, match="non-finite"):
+            Tridiagonal(bad, g)
+    for entry in ((0, 0), (15, 2)):     # M[0, -1] and M[n-1, n]
+        bad = identity_band(16)
+        bad[entry] = 1e-300
+        with pytest.raises(AssemblyError, match="outside the matrix"):
+            Tridiagonal(bad, g)
+    M = Tridiagonal(identity_band(16), g)
     with pytest.raises(ValueError, match="read-only"):
-        M.diag[0] = 2.0
+        M.band[0, 1] = 2.0
     assert np.array_equal(dense(M), np.eye(16))
 
 
@@ -860,9 +968,9 @@ def test_tridiagonal_keeps_the_callers_arrays_writeable():
     # caller's stay writeable, and writing to them leaves the operator as
     # it was
     g = Grid(-1.0, 1.0, 16)
-    off, diag = np.zeros(15, dtype=complex), np.ones(16, dtype=complex)
-    M = Tridiagonal(off, diag, off, g)
-    assert off.flags.writeable and diag.flags.writeable
-    assert not any(a.flags.writeable for a in (M.lower, M.diag, M.upper))
-    diag[0] = off[0] = 2.0
+    band = identity_band(16).astype(complex)
+    M = Tridiagonal(band, g)
+    assert band.flags.writeable
+    assert not M.band.flags.writeable
+    band[0, 1] = band[1, 0] = 2.0
     assert np.array_equal(dense(M), np.eye(16))

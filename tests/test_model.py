@@ -92,6 +92,21 @@ def test_pt_image_is_exact_conjugate_parity():
         assert evaluate(img, x, env) == evaluate(f, -x, env).conjugate()
 
 
+def test_pt_image_renders_its_conjugation_node():
+    # the image is conj(f(0-x)); a pole inside it is reported at the
+    # failing subexpression, rendered inside the conjugation
+    img = pt_image(parse("1/(x-a)+i*x"))
+    assert str(img) == "conj(1/(0-x-a)+i*(0-x))"
+    env = ParamEnv(a=-1.0)
+    with pytest.raises(PoleError, match=r"^pole hit in '1/\(0-x-a\)' at "
+                       r"x=1.0$") as err:
+        evaluate(img, 1.0, env)
+    assert str(err.value.subexpr) == "1/(0-x-a)" and err.value.x == 1.0
+    with pytest.raises(PoleError) as err:
+        evaluate_many(img, [0.5, 1.0], env)
+    assert str(err.value.subexpr) == "1/(0-x-a)" and err.value.x == 1.0
+
+
 def test_pt_image_is_an_involution():
     f = parse("x^3 - i*cos(x) + 2/(1+x^2)")
     twice = pt_image(pt_image(f))
