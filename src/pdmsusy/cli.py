@@ -303,12 +303,14 @@ def load_config(path: str) -> RunConfig:
 @contextmanager
 def _timed(wall: dict, key: str):
     """Record the wall-clock time of the pipeline stage ``key`` as
-    wall[key]; a model or numerical failure raised in it is tagged with the
-    stage (printed as "[stage key]")."""
+    wall[key]; a model or numerical failure raised in it, an allocation
+    that fails among them, is tagged with the stage (printed as
+    "[stage key]")."""
     t0 = time.perf_counter()
     try:
         yield
-    except (EvaluationError, ModelError, discrete.DiscreteError) as exc:
+    except (EvaluationError, ModelError, discrete.DiscreteError,
+            MemoryError) as exc:
         exc.stage = key
         raise
     wall[key] = time.perf_counter() - t0
@@ -912,6 +914,10 @@ def _command(args):
         return 2, ""
     except (EvaluationError, discrete.DiscreteError) as exc:
         print(f"numerical failure{_in_stage(exc)}: {exc}", file=sys.stderr)
+        return 3, ""
+    except MemoryError as exc:  # an array larger than the memory left
+        print(f"numerical failure{_in_stage(exc)}: "
+              f"{str(exc) or 'out of memory'}", file=sys.stderr)
         return 3, ""
     except OSError as exc:      # a report or curves file that cannot be written
         print(f"configuration error: output file unwritable: {exc}",

@@ -21,16 +21,11 @@ compact flux Laplacian and composed central stencils differ by a null
 stencil with O(1) entries); the probe measurement sees the operator action
 and decreases at the stencil order O(h^2).  The products of tridiagonal
 operators are pentadiagonal, and constraint_residuals keeps them in
-diagonal-by-row storage.  Each product is cut into zero-padded row panels
-of one shape (_layout), stacked a bounded number at a time into one matmul,
-in O(n) time and memory; split at the BLAS kernel's k-block seams and cut
-at its M tail, each entry is still summed in the order of the dense n x n
-product (_band_product).  A plain sum over the band would regroup the
-terms: on the seed-0 residuals benchmark it moved the order-2 cpt residual
-by 20.6 and 30 times the matmul rounding bound 100 n u (u the unit
-roundoff) of the dense formulas at n = 801 and 1601, and the susy residual
-by 189 times at n = 1601.  The probe actions are plain sums
-(_band_action); they move the residuals by under 2e-3 of that bound.
+diagonal-by-row storage.  Each product is taken in O(n) time and memory
+and summed in the order of the dense n x n product (_band_product says
+how, and why).  The probe actions are plain sums (_band_action); they move
+the residuals by under 2e-3 of the matmul rounding bound 100 n u (u the
+unit roundoff) of the dense formulas.
 
 The spectrum of H is computed from its band, and only its low
 end, where the paper's claims live (the high levels of a 3-point stencil
@@ -68,10 +63,10 @@ __all__ = [
     "DiscreteError", "GridError", "AssemblyError", "EigensolverError",
     "UnsupportedOrderError",
     "Grid", "Tridiagonal", "Spectrum", "ConvergenceResult",
-    "assemble_hamiltonian", "assemble_charge", "probe_matrix",
-    "constraint_residuals", "dense_eigenvalues",
-    "hamiltonian_spectrum", "lowest_levels", "susy_algebra_spectrum",
-    "conjugate_pairing_distance", "riccati_residual", "convergence_study",
+    "assemble_hamiltonian", "assemble_charge", "constraint_residuals",
+    "dense_eigenvalues", "hamiltonian_spectrum", "lowest_levels",
+    "susy_algebra_spectrum", "conjugate_pairing_distance",
+    "riccati_residual", "convergence_study",
     "wavefunction_from_log_derivative", "l2_normalizable",
     "check_dense_budget", "MAX_DENSE_DIMENSION", "RESIDUAL_FLOOR",
 ]
@@ -270,7 +265,7 @@ def assemble_charge(coeffs, g: Grid, env: Optional[ParamEnv] = None) -> Tridiago
 # Constraint residuals
 # ---------------------------------------------------------------------------
 
-def probe_matrix(g: Grid) -> np.ndarray:
+def _probe_matrix(g: Grid) -> np.ndarray:
     """Fixed basis of eight smooth probe vectors (Gaussian-windowed
     polynomials and low harmonics), normalized columns; deterministic."""
     x = g.nodes()
@@ -359,7 +354,10 @@ def _band_product(x: np.ndarray, y: np.ndarray,
     in that order; (3) the last n % _UNROLL_M columns go through a
     remainder kernel, so the panels that reach them are cut at n.  Bit for
     bit at n = 16 to 4096 (tools/blas_order_sweep.py); with another BLAS
-    the last bits may differ."""
+    the last bits may differ.  The order matters to the residuals: a plain
+    sum over the band moved the seed-0 order-2 cpt residual by 20.6 and 30
+    times 100 n u at n = 801 and 1601, and the susy residual by 189 times
+    at n = 1601."""
     n, wx, wy = x.shape[0], x.shape[1] // 2, y.shape[1] // 2
     k0, pad, (left, right, out), passes = _layout(n, wx, wy, flip)
     wide, span = _TILE + 2 * wx, _TILE + 2 * pad
@@ -450,16 +448,14 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
     Every input is checked before anything of size n is allocated, the
     limit n <= MAX_DENSE_DIMENSION among them.  No n x n array is built:
     the operators and their products are banded (zeta anti-banded), kept
-    in diagonal-by-row storage, and every product is taken in stacked row
-    panels of one shape (_band_product), in O(n) time and memory, summed
-    in the order of the n x n product, and every probe action M V is a
+    in diagonal-by-row storage, every product is summed in the order of
+    the n x n product (_band_product), and every probe action M V is a
     plain sum over M's diagonals (_band_action), within the matmul
     rounding bound 100 n u of the dense formulas (u the unit roundoff).
     P conj(H) P (rows and diagonals of H's band reversed and conjugated),
     the power sum and the differences are formed on the band storage in
-    the order of the dense formulas.  The log line gives the panels of a
-    product, the panels cut at a k-block seam over the layouts used, and
-    the bytes of the largest stack of blocks.
+    the order of the dense formulas.  The log line gives n, the order and
+    the half-width of the widest product.
     """
     if H.grid != C.grid:
         raise GridError("H and C must share one grid")
@@ -474,20 +470,9 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
         raise GridError(f"margin {margin} leaves no interior rows for n={n}")
     check_dense_budget(n)
     width = max(2, n_order)             # half-width of the widest product
-    if log.isEnabledFor(logging.INFO):
-        # (wx, wy, flip) of C (P conj(H) P), H C, H^k and zeta conj(zeta)
-        keys = {(1, 1, False), (1, 1, True),
-                *((k, 1, False) for k in range(2, n_order))}
-        stacks = [(p.size, cuts is not None, wx, pad) for wx, wy, flip in keys
-                  for _, pad, _, passes in [_layout(n, wx, wy, flip)]
-                  for p, _, _, cuts, _ in passes]
-        log.info("constraint residuals: n=%d, order %d, %d panels per "
-                 "product, %d seam panels in %d layouts, largest stacked "
-                 "operands %d bytes", n, n_order, -(-n // _TILE),
-                 sum(size for size, seam, *_ in stacks if seam), len(keys),
-                 max(16 * size * (_TILE + 2 * wx) * (2 * _TILE + 2 * pad)
-                     for size, _, wx, pad in stacks))
-    V = probe_matrix(H.grid)
+    log.info("constraint residuals: n=%d, order %d, product half-width %d",
+             n, n_order, width)
+    V = _probe_matrix(H.grid)
     rows = slice(margin, n - margin)
     tiny = np.finfo(float).tiny
 
@@ -747,7 +732,7 @@ def _certify(a: np.ndarray, beta: np.ndarray, values: np.ndarray,
     of det(T - z) along it must equal their number.  Overlapping discs (a
     near-degenerate pair) must hold as many eigenvalues as values, by the
     winding number along a circle around them that crosses no disc.
-    Returns the window's count and largest phase step."""
+    Returns the largest phase step along the window."""
     o = np.sqrt(beta)
     reach = np.abs(np.r_[0.0, o]) + np.abs(np.r_[o, 0.0])
     spread = 0.0 if np.all(o.imag == 0) else reach
@@ -785,7 +770,7 @@ def _certify(a: np.ndarray, beta: np.ndarray, values: np.ndarray,
     if count != values.size:
         raise EigensolverError(f"{window} holds {count} eigenvalues, "
                                f"{values.size} levels were found there")
-    return count, step
+    return step
 
 
 def lowest_levels(M: Tridiagonal, count: int) -> Spectrum:
@@ -833,11 +818,10 @@ def lowest_levels(M: Tridiagonal, count: int) -> Spectrum:
     values, bound = z[order[:s]], bound[order[:s]]
     edge = math.inf if s == rows else 0.5 * float(z[order[s - 1]].real
                                                    + z[order[s]].real)
-    inside, step = _certify(a, beta, values, bound, edge, pivmin)
+    step = _certify(a, beta, values, bound, edge, pivmin)
     log.info("tridiagonal eigenvalues: n=%d, %d lowest, sweeps per grid "
-             "(coarse to fine) %s, winding count %d, largest phase step "
-             "%.3g rad, largest kappa %.3g", rows, s, sweeps, inside, step,
-             np.max(bound) / tol)
+             "(coarse to fine) %s, largest phase step %.3g rad, largest "
+             "kappa %.3g", rows, s, sweeps, step, np.max(bound) / tol)
     values = _sorted_eigenvalues(values)
     return Spectrum(values, conjugate_pairing_distance(values), edge)
 

@@ -759,8 +759,9 @@ def test_verbose_logs_stages_and_solver(tmp_path, capsys, caplog):
     solver = [m for m in messages if m.startswith("tridiagonal eigenvalues")]
     assert len(solver) == 1
     for part in ("n=99,", "16 lowest", "sweeps per grid (coarse to fine) []",
-                 "winding count 16", "largest phase step", "largest kappa"):
+                 "largest phase step", "largest kappa"):
         assert part in solver[0]
+    assert "winding count" not in solver[0]     # it is the level count
     assert "pdmsusy.cli: stage spectrum: " in capsys.readouterr().err
 
     # the logging leaves the report alone, and is off again afterwards
@@ -772,6 +773,61 @@ def test_verbose_logs_stages_and_solver(tmp_path, capsys, caplog):
     assert main(["spectrum", path, "--quiet"]) == 0
     assert capsys.readouterr() == ("", "")
     assert not caplog.records
+
+
+@pytest.mark.parametrize("payload", [MINIMAL, CONFINED],
+                         ids=["order1", "order2"])
+def test_verbose_leaves_the_residual_reports_alone(tmp_path, capsys, caplog,
+                                                   payload):
+    # the residual checks and the convergence study share the base grid's
+    # residuals, so -v logs one residual line per grid of the study
+    path = write_config(tmp_path, dict(
+        payload, checks=["pseudo", "cpt", "susy", "convergence"]))
+    runs = []
+    for flags in ([], ["-v"]):
+        report = tmp_path / f"report{len(runs)}.json"
+        code = main(["check", path, "--quiet", "--report", str(report),
+                     *flags])
+        runs.append((code, json.loads(report.read_text())))
+        runs[-1][1].pop("wall_clock_seconds")
+    assert runs[0] == runs[1]
+    n, order = payload["grid"]["points"], payload["order"]
+    lines = [f"constraint residuals: n={m}, order {order}, product "
+             "half-width 2" for m in (n, 2 * n - 1, 4 * n - 3)]
+    assert [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("constraint residuals")] == lines
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines()
+            if line.startswith("pdmsusy.discrete: constraint residuals")] == [
+        f"pdmsusy.discrete: {line}" for line in lines]
+
+
+def test_failed_allocation_is_a_numerical_failure(tmp_path, capsys,
+                                                  monkeypatch):
+    # an array larger than the memory left (the nodes of a grid of 10^12
+    # points, say) exits 3 and names the stage it failed in.  The
+    # allocation is faked: a real one of that size may be granted under
+    # memory overcommit, and the process killed when it is touched
+    message = ("Unable to allocate 7.28 TiB for an array with shape "
+               "(1000000000000,) and data type float64")
+    args = [message]
+
+    def refuse(self):
+        raise MemoryError(*args)
+
+    monkeypatch.setattr(discrete.Grid, "nodes", refuse)
+    path = write_config(tmp_path, dict(
+        CONFINED, output={"curves": str(tmp_path / "curves.csv")}))
+    assert main(["spectrum", path, "--quiet"]) == 3
+    assert capsys.readouterr() == (
+        "", f"numerical failure [stage spectrum]: {message}\n")
+    assert main(["curves", path, "--quiet"]) == 3
+    assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
+    args.clear()            # one without a message
+    assert main(["spectrum", path, "--quiet"]) == 3
+    assert capsys.readouterr() == (
+        "", "numerical failure [stage spectrum]: out of memory\n")
+    assert not (tmp_path / "curves.csv").exists()
 
 
 class _ClosedStdout:

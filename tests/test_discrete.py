@@ -18,8 +18,7 @@ from pdmsusy import (Grid, GridError, MassFn, ModelSpec, Tridiagonal,
                      wavefunction_from_log_derivative)
 from pdmsusy import discrete
 from pdmsusy.discrete import (AssemblyError, DiscreteError, EigensolverError,
-                              UnsupportedOrderError, lowest_levels,
-                              probe_matrix)
+                              UnsupportedOrderError, lowest_levels)
 from pdmsusy.expr import Const, ParamEnv, evaluate, evaluate_many
 from pdmsusy.susy1 import build_first_order
 from pdmsusy.susy2 import build_second_order
@@ -62,7 +61,7 @@ def dense_parity_reference(H, C, l):
     P = np.zeros((n, n), dtype=complex)
     P[np.arange(n), n - 1 - np.arange(n)] = 1.0
     Hd, Cd = dense(H), dense(C)
-    V = probe_matrix(H.grid)
+    V = discrete._probe_matrix(H.grid)
     rows = slice(1 + 2 * len(l), n - 1 - 2 * len(l))
 
     def act(mat):
@@ -768,13 +767,9 @@ def test_susy_algebra_spectrum_checks_inputs_before_allocating():
 
 
 def test_constraint_residuals_log_their_working_set(caplog):
-    # n = 201 is 13 panels of 16 rows (the last one 9 rows and padding).
-    # Both layouts (C (P conj(H) P) and H C share the plain one, zeta
-    # conj(zeta) is the flipped one) have the k-block seam at 100 cross
-    # panel 6's window, and panel 12 reach the M tail at 200.  The largest
-    # stack is the other 11 panels: 16 x 18 blocks of X (rows r:r + 16 over
-    # the window r - 1:r + 17) and 18 x 24 blocks of Y (product columns
-    # r - 4:r + 20).  With logging off nothing is logged
+    # one line per call: n, the order and the half-width of the widest
+    # product (C (P conj(H) P) and H C at order 1, zeta conj(zeta) and H^2
+    # at order 2).  With logging off nothing is logged
     for order in (1, 2):
         H, C, spec = pt_operators(order, 201)
         constraint_residuals(H, C, spec.susy_constants)
@@ -785,9 +780,7 @@ def test_constraint_residuals_log_their_working_set(caplog):
         constraint_residuals(H, C, spec.susy_constants)
     assert [r.getMessage() for r in caplog.records
             if r.name == "pdmsusy.discrete"] == [
-        f"constraint residuals: n=201, order {order}, 13 panels per product, "
-        f"2 seam panels in 2 layouts, largest stacked operands "
-        f"{11 * 18 * (16 + 24) * 16} bytes"
+        f"constraint residuals: n=201, order {order}, product half-width 2"
         for order in (1, 2)]
 
 

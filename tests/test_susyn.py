@@ -94,6 +94,38 @@ def test_delta_u_third_order_examples():
         delta_u_coefficients(parse("i*x"), mass, 1)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_delta_u_third_order_matches_finite_differences(n):
+    # Delta u_(N-3) = (N-2)[-((N-1)/2){(N/6) f''' + W_m''} + u_(N-2)'] with
+    # f = m^(-N/2), each derivative a 5-point central difference at step h.
+    # With m = exp(x/2), f = exp(-N x/4) and |f^(k)| <= (N/4)^k F on
+    # |x| <= r, F = exp(N r/4); |W_m^(6)| <= 1 and |u^(5)| <= 1.  The
+    # stencils err by (h^2/4)|f^(5)|, (h^4/90)|W_m^(6)| and (h^4/30)|u^(5)|,
+    # and by rounding: at most 4u per sample, times the sum of the weights
+    # over the denominator (6/(2h^3), 64/(12h^2), 18/(12h))
+    mass = MassFn(parse("exp(x/2)"), -2.0, 2.0)
+    wm, u = parse("sin(x)+i*x^3"), parse("cos(x)+i*x^2")
+    _, second = delta_u_coefficients(wm, mass, n, u)
+    h, eps = 2e-3, 4 * np.finfo(float).eps / 2
+    offsets = h * np.arange(-2, 3)
+    for x in (-0.8, 0.3, 1.1):
+        f = np.array([evaluate(mass.expr, x + d) ** (-n / 2) for d in offsets])
+        w = np.array([evaluate(wm, x + d) for d in offsets])
+        v = np.array([evaluate(u, x + d) for d in offsets])
+        d3f = f @ [-1, 2, 0, -2, 1] / (2 * h**3)
+        d2w = w @ [-1, 16, -30, 16, -1] / (12 * h**2)
+        d1u = v @ [1, -8, 0, 8, -1] / (12 * h)
+        expected = (n - 2) * (-(n - 1) / 2 * (n / 6 * d3f + d2w) + d1u)
+        r = abs(x) + 2 * h
+        big_f = np.exp(n * r / 4)
+        err3 = h**2 / 4 * (n / 4)**5 * big_f + 6 / (2 * h**3) * eps * big_f
+        err2 = h**4 / 90 + 64 / (12 * h**2) * eps * (1 + r**3)
+        err1 = h**4 / 30 + 18 / (12 * h) * eps * (1 + r**2)
+        bound = (n - 2) * ((n - 1) / 2 * (n / 6 * err3 + err2) + err1)
+        assert abs(evaluate(second, x) - expected) <= bound, (n, x, bound)
+        assert abs(expected) > 100 * bound      # the terms do not vanish
+
+
 def test_coefficient_container_validation():
     mass = MassFn(parse("1"), -1.0, 1.0)
     with pytest.raises(ModelError, match="u must have"):
