@@ -895,7 +895,11 @@ def _command(args):
             if not existed:
                 os.remove(path)
         if args.command == "curves":
-            emit_curves(_build_system(config.spec), config.grid, path)
+            wall = {}
+            with _timed(wall, "system"):
+                system = _build_system(config.spec)
+            with _timed(wall, "curves"):
+                emit_curves(system, config.grid, path)
             return 0, f"curves written to {path}"
         report = paper_examples() if config is None else run(config, refinements)
         if path:

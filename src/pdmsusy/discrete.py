@@ -124,6 +124,9 @@ class Grid:
             raise GridError(f"need at least 16 points, got {self.points}")
         if not self.x_min < self.x_max:
             raise GridError(f"empty grid ({self.x_min}, {self.x_max})")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise GridError(f"grid ({self.x_min}, {self.x_max}) is wider "
+                            "than the float range")
 
     @property
     def h(self) -> float:

@@ -712,17 +712,23 @@ def evaluate_many(e, xs: Iterable[float], env=None):
     intermediate stops being finite.  The error is the one a point-by-point
     walk would raise: at the first point of ``xs`` that fails, for the first
     failing node in evaluation order there.  Of a tuple, the first
-    expression that fails raises, as one call per expression would.
+    expression that fails raises, as one call per expression would.  One run
+    keeps a sentinel per point (see _Plan); where one is not finite, each
+    expression runs again alone and replays such points singly until one
+    raises; if none does, a sentinel overflowed on finite values.
     """
     roots = e if isinstance(e, tuple) else (e,)
     xs = np.asarray(xs if hasattr(xs, "__len__") else list(xs), dtype=float)
     env = env if isinstance(env, ParamEnv) else ParamEnv(env)
     with np.errstate(all="ignore"):
-        try:
-            values = _Plan(roots, xs, env, checked=False).run()
-        except _Trip:
-            values = [_Plan((root,), xs, env, checked=True).run()[0]
-                      for root in roots]
+        plan = _Plan(roots, xs, env)
+        values = plan.run()
+        if not np.isfinite(plan.total).all():
+            for root in roots:
+                if len(roots) > 1:
+                    (plan := _Plan((root,), xs, env)).run()
+                for i in np.flatnonzero(~np.isfinite(plan.total)):
+                    _Plan((root,), xs[i:i + 1], env, raising=True).run()
     values = tuple(np.broadcast_to(v, xs.shape).astype(complex) for v in values)
     return values if isinstance(e, tuple) else values[0]
 
@@ -733,10 +739,6 @@ _ARITHMETIC = {Add: np.add, Sub: np.subtract, Mul: np.multiply,
                Div: np.divide}     # Div's denominator: see check_pole
 
 
-class _Trip(Exception):
-    """An unchecked run met something that may be a failure."""
-
-
 class _Plan:
     """The joint DAG of ``roots`` as a flat list of steps, one per unique
     node, run once over all points; the steps are compiled once per tuple
@@ -744,29 +746,24 @@ class _Plan:
     a tree walk that skips repeat visits: operands left to right, except
     that Div evaluates its denominator and checks it for a pole first, so
     at any one point the checks run in the order of a scalar walk.  Each
-    array is dropped after its last read.  Both modes make the same numpy
-    calls per node.
+    array is dropped after its last read.
 
-    Unchecked, the values a checked run would test for finiteness add into
-    one sentinel, and a failing explicit condition (pole, log(0), 0^complex,
-    unbound parameter) raises _Trip at once, as a non-finite sentinel does
-    at the end.  Checked, each point keeps the first failure it meets
-    (``cause`` indexes ``causes``, factories x -> exception; -1 while none)
-    and goes on with a non-finite value; the run raises the first failure
-    of the first failing point.  Skipping repeats keeps it: a shared node's
-    first visit comes, at every point, before any repeat."""
+    Every value a point could fail on adds into that point's sentinel,
+    ``total`` (a sum of numbers stays finite only if all of them are), and
+    a failing explicit condition (pole, log(0), 0^complex, unbound
+    parameter) sets it to NaN, so a point that fails leaves its sentinel
+    not finite.  A ``raising`` run, of one point, raises at its first
+    failing check instead: the error a scalar walk meets first, since a
+    shared node's first visit comes before any repeat."""
 
-    def __init__(self, roots, xs: np.ndarray, env: ParamEnv, checked: bool):
-        self.roots, self.xs, self.env = roots, xs, env
+    def __init__(self, roots, xs: np.ndarray, env: ParamEnv, raising=False):
+        self.roots, self.xs, self.env, self.raising = roots, xs, env, raising
         self.x = (xs + 0.0).astype(complex)    # x = -0.0 is the point 0.0
-        if checked:
-            self.cause, self.causes = np.full(xs.shape, -1), []
-        else:
-            self.cause, self.total = None, np.zeros(xs.shape, complex)
+        self.total = np.zeros(xs.shape, complex)
         self.steps, self.outs, self.dead = _compiled(roots)[:3]
 
     def run(self) -> list:
-        """The values of the roots, after raising what the run met."""
+        """The values of the roots."""
         values = self.values = [None] * len(self.steps)
         for k, ((fn, e, ins), dead) in enumerate(zip(self.steps, self.dead)):
             values[k] = fn(self, e(), *[values[i] for i in ins])
@@ -775,35 +772,21 @@ class _Plan:
         out = [values[k] for k in self.outs]
         for k in self.outs:
             values[k] = None
-        self.settle()
         return out
 
-    def settle(self) -> None:
-        if self.cause is None:          # _Trip unless the sentinel is finite
-            return self.fail(~np.isfinite(self.total), None)
-        failed = np.flatnonzero(self.cause >= 0)
-        if failed.size:
-            raise self.causes[self.cause[failed[0]]](float(self.xs[failed[0]]))
-
-    def fail(self, mask, make_error) -> None:
-        if self.cause is None:
-            if mask.any():
-                raise _Trip
-            return
-        new = mask & (self.cause < 0)
-        if new.any():
-            self.cause[new] = len(self.causes)
-            self.causes.append(make_error)
-
     def check(self, value, e: Expr, detail: str, mask=None):
-        """Record ``mask`` (default: the non-finite entries of ``value``)
-        as ``detail`` failures of node ``e``; returns ``value``."""
+        """Add ``value`` into the sentinel, or set it to NaN where ``mask``
+        holds; a raising run raises a ``detail`` PoleError of node ``e`` at
+        a failure instead.  Returns ``value``."""
         if mask is None:
-            if self.cause is None:
-                self.total += value
+            self.total += value
+            if not self.raising:
                 return value
             mask = ~np.isfinite(value)
-        self.fail(mask, lambda x: PoleError(e, x, detail))
+        if mask.any():
+            if self.raising:
+                raise PoleError(e, float(self.xs[0]), detail)
+            self.total[mask] = np.nan
         return value
 
     def check_pole(self, e: Div, den) -> None:
@@ -821,8 +804,10 @@ class _Plan:
         if kind is Param:
             try:
                 return np.complex128(self.env.lookup(e.name))
-            except UnboundParameterError as exc:
-                self.fail(np.True_, lambda x, error=exc: error)
+            except UnboundParameterError:
+                if self.raising:
+                    raise
+                self.total += np.nan
                 return np.complex128(np.nan)
         if kind is Neg:
             return 0 - operands[0]              # as in neg()

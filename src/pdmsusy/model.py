@@ -72,6 +72,9 @@ class MassFn:
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise DomainError(f"empty mass domain ({self.x_min}, {self.x_max})")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise DomainError(f"mass domain ({self.x_min}, {self.x_max}) is "
+                              "wider than the float range")
 
     @property
     def symmetric_domain(self) -> bool:

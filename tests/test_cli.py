@@ -148,7 +148,12 @@ def test_boundary_restricted_to_dirichlet(tmp_path, capsys):
     (json.dumps(dict(MINIMAL, grid=dict(MINIMAL["grid"], points=15))),
      "field 'grid.points' must be >= 16"),
     (json.dumps(dict(MINIMAL, grid=dict(MINIMAL["grid"], xmin=2.0))),
-     "field 'grid': empty grid (2.0, 2.0)")])
+     "field 'grid': empty grid (2.0, 2.0)"),
+    # finite bounds whose difference overflows, so h would not be finite
+    (json.dumps(dict(MINIMAL, grid=dict(MINIMAL["grid"], xmin=-1.7e308,
+                                        xmax=1.7e308))),
+     "field 'grid': grid (-1.7e+308, 1.7e+308) is wider than the float "
+     "range")])
 def test_config_rejections(tmp_path, capsys, text, message):
     path = tmp_path / "config.json"
     path.write_text(text)
@@ -262,11 +267,13 @@ def test_exit_codes(tmp_path, capsys):
 
 
 def test_build_failure_names_the_system_stage(tmp_path, capsys):
-    singular = write_config(tmp_path, SINGULAR, "singular.json")
-    assert main(["check", singular, "--quiet"]) == 3
-    assert capsys.readouterr().err == (
-        "numerical failure [stage system]: W_m vanishes (|W_m| < 1e-08) "
-        "near x = 0\n")
+    singular = write_config(tmp_path, dict(
+        SINGULAR, output={"curves": str(tmp_path / "curves.csv")}))
+    for command in ("check", "curves"):
+        assert main([command, singular, "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure [stage system]: W_m vanishes (|W_m| < 1e-08) "
+            "near x = 0\n")
 
 
 def test_paper_examples_failure_names_its_stage(capsys, monkeypatch):
@@ -822,7 +829,8 @@ def test_failed_allocation_is_a_numerical_failure(tmp_path, capsys,
     assert capsys.readouterr() == (
         "", f"numerical failure [stage spectrum]: {message}\n")
     assert main(["curves", path, "--quiet"]) == 3
-    assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
+    assert capsys.readouterr() == (
+        "", f"numerical failure [stage curves]: {message}\n")
     args.clear()            # one without a message
     assert main(["spectrum", path, "--quiet"]) == 3
     assert capsys.readouterr() == (

@@ -178,6 +178,8 @@ def test_grid_contract():
     assert g.symmetric and not Grid(0.0, 1.0, 21).symmetric
     with pytest.raises(GridError):
         Grid(0.0, 1.0, 8)
+    with pytest.raises(GridError, match="wider than the float range"):
+        Grid(-1.7e308, 1.7e308, 21)
     assert g.refined().points == 401
 
 

@@ -304,11 +304,33 @@ def test_evaluate_pole_reports_subexpression():
 def test_unbound_parameter_is_an_error_not_zero():
     with pytest.raises(UnboundParameterError, match="alpha"):
         evaluate(parse("alpha*x"), 1.0)
+    # also where no other node reads it
+    with pytest.raises(UnboundParameterError, match="alpha"):
+        evaluate_many((parse("x"), parse("-alpha")), [1.0, 2.0])
     # a pole met before the parameter at the first point is reported instead
     with pytest.raises(PoleError, match="at x=0.0"):
         evaluate_many(parse("1/x + alpha"), [0.0, 1.0])
     with pytest.raises(UnboundParameterError):
         evaluate_many(parse("1/x + alpha"), [1.0, 0.0])
+
+
+def test_sentinel_overflow_on_finite_values_returns_the_values(monkeypatch):
+    # at x = 1 every value is finite, but the sum the run keeps per point,
+    # 1e308 + 1 + 1e308 + 0, is not: the point is replayed alone, no check
+    # fails, and the run's values are returned, at x = 0.5 too
+    runs = []
+    run = expr._Plan.run
+    monkeypatch.setattr(expr._Plan, "run", lambda plan: runs.append(
+        (plan.raising, plan.xs.tolist())) or run(plan))
+    e = parse("1e308*x - 1e308*x^3")
+    assert evaluate_many(e, [0.5, 1.0]).tolist() == [3.75e307, 0.0]
+    assert runs == [(False, [0.5, 1.0]), (True, [1.0])]
+    runs.clear()
+    # of a tuple, each expression runs again alone before its own replays
+    values = evaluate_many((e, parse("2*x")), [0.5, 1.0])
+    assert [v.tolist() for v in values] == [[3.75e307, 0.0], [1.0, 2.0]]
+    assert runs == [(False, [0.5, 1.0]), (False, [0.5, 1.0]), (True, [1.0]),
+                    (False, [0.5, 1.0])]
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +433,7 @@ def test_dag_walk_evaluates_each_unique_node_once(monkeypatch):
     def counted(plan, e, *operands):
         visits[id(e)] += 1
         plans.setdefault(id(plan), (weakref.ref(plan), plan.values,
-                                    plan.cause is None))
+                                    plan.raising))
         return evaluate_node(plan, e, *operands)
 
     monkeypatch.setattr(expr._Plan, "node", counted)
@@ -432,10 +454,10 @@ def test_dag_walk_evaluates_each_unique_node_once(monkeypatch):
         assert set(visits) == _unique_ids(*(roots if isinstance(roots, tuple)
                                             else (roots,)))
         assert set(visits.values()) == {1}
-        # one unchecked run, whose plan is gone with the call, and which
-        # dropped every array once its last reader had read it
-        (_, arrays, unchecked), = plans.values()
-        assert unchecked and outlived == [None]
+        # one run, which raised nothing, whose plan is gone with the call,
+        # and which dropped every array once its last reader had read it
+        (_, arrays, raising), = plans.values()
+        assert not raising and outlived == [None]
         assert all(value is None for value in arrays)
 
 

@@ -168,6 +168,13 @@ def test_symmetry_report_rejects_asymmetric_domain():
         symmetry_report(spec)
 
 
+def test_mass_domain_wider_than_the_float_range_is_refused():
+    # its width overflows, so interior_points would hold only inf and nan
+    with pytest.raises(DomainError, match="wider than the float range"):
+        MassFn(parse("1"), -1.7e308, 1.7e308)
+    assert MassFn(parse("1"), -8e307, 8e307).interior_points()[0] > -8e307
+
+
 def test_mass_validation():
     with pytest.raises(MassError, match="positive"):
         MassFn(parse("x"), -1.0, 1.0).validate()
