@@ -7,8 +7,8 @@ import numpy as np
 
 from pdmsusy import (Grid, MassFn, ModelSpec, assemble_charge,
                      assemble_hamiltonian, constraint_residuals,
-                     convergence_study, hamiltonian_spectrum, parse,
-                     susy_algebra_spectrum)
+                     conjugate_pairing_distance, convergence_study,
+                     lowest_levels, parse, susy_algebra_spectrum)
 from pdmsusy.susy1 import build_first_order
 
 # Synthetic CPT-conserving model: even mass, PT-symmetric W_m
@@ -34,17 +34,19 @@ for name, result in study.items():
 # columns reversed (parity is the node reversal of a grid symmetric about
 # 0), zeta conj(zeta) is formed from C's band as the susy residual forms
 # it, spec(zeta conj(zeta)) is exactly closed under conjugation, and the
-# measured distance sits at the eigensolver's backward-error level
+# conjugate_pairing_distance of its eigenvalues sits at the eigensolver's
+# backward-error level
 g = Grid(-8.0, 8.0, 601)
 spec8 = ModelSpec(order=1, mass=MassFn(parse("1/(1+x^2)"), -8.0, 8.0),
                   deformed=parse("x^2+i*x"), susy_constants=(1.0,))
 C = assemble_charge(build_first_order(spec8).charge, g, spec8.params)
-closure = susy_algebra_spectrum(C).conjugate_pairing_distance
+closure = conjugate_pairing_distance(susy_algebra_spectrum(C))
 print(f"\nconjugate closure of spec(zeta zeta*) at n=601: {closure:.3e}")
 
-# Eigensolver sanity: harmonic oscillator levels 2k+1
+# Eigensolver sanity: harmonic oscillator levels 2k+1; lowest_levels gives
+# H's LOW_LEVELS (16) lowest levels, certified, and the edge above them
 g = Grid(-10.0, 10.0, 1001)
 mass = MassFn(parse("1"), -10.0, 10.0)
-s = hamiltonian_spectrum(assemble_hamiltonian(mass, parse("x^2"), g))
+s = lowest_levels(assemble_hamiltonian(mass, parse("x^2"), g))
 print("\nharmonic oscillator lowest five (targets 1, 3, 5, 7, 9):")
 print(" ", np.round(s.values[:5].real, 6))

@@ -30,7 +30,7 @@ from .discrete import (
     EigensolverError, UnsupportedOrderError,
     assemble_hamiltonian, assemble_charge, constraint_residuals,
     dense_eigenvalues,
-    hamiltonian_spectrum, susy_algebra_spectrum, conjugate_pairing_distance,
+    lowest_levels, susy_algebra_spectrum, conjugate_pairing_distance,
     riccati_residual, convergence_study, wavefunction_from_log_derivative,
     l2_normalizable,
 )

@@ -345,8 +345,8 @@ def _build_system(spec: ModelSpec):
 @dataclass
 class _CheckContext:
     """Everything a check reads, and what it adds to the report.  The
-    operators on the config's grid and their constraint residuals are
-    computed on first use, once per context."""
+    operators on the config's grid, their constraint residuals and H's
+    lowest levels are computed on first use, once per context."""
 
     config: RunConfig
     spec: ModelSpec
@@ -366,6 +366,11 @@ class _CheckContext:
         discrete.check_dense_budget(self.config.grid.points)
         return self.hamiltonian, discrete.assemble_charge(
             self.system.charge, self.config.grid, self.spec.params)
+
+    @cached_property
+    def levels(self):
+        # LOW_LEVELS is read at call time, as the builders are
+        return discrete.lowest_levels(self.hamiltonian, discrete.LOW_LEVELS)
 
     @cached_property
     def residuals(self) -> dict:
@@ -454,11 +459,10 @@ def _check_constraint(name: str, ctx: _CheckContext) -> CheckOutcome:
 
 def _check_conjugate_closure(ctx: _CheckContext) -> CheckOutcome:
     tol = ctx.config.tolerances["closure"]
-    H, C = ctx.operators
-    distance = discrete.susy_algebra_spectrum(C).conjugate_pairing_distance
-    h_spec = discrete.hamiltonian_spectrum(H)
+    pairing = discrete.conjugate_pairing_distance
+    distance = pairing(discrete.susy_algebra_spectrum(ctx.operators[1]))
     values = {"susy_algebra_distance": distance,
-              "h_spectrum_distance": h_spec.conjugate_pairing_distance}
+              "h_spectrum_distance": pairing(ctx.levels.values)}
     return CheckOutcome("conjugate_closure",
                         "pass" if distance <= tol else "fail", tol, values)
 
@@ -499,8 +503,7 @@ def _check_spectrum(ctx: _CheckContext) -> CheckOutcome:
     the zero modes are window-confined."""
     config, spec = ctx.config, ctx.spec
     # H alone: assembling C evaluates u0, which divides by W_m
-    H = ctx.hamiltonian
-    s = discrete.hamiltonian_spectrum(H)
+    s = ctx.levels
 
     xs = config.grid.nodes()
     tol = config.tolerances["eigen_match"]
@@ -524,7 +527,7 @@ def _check_spectrum(ctx: _CheckContext) -> CheckOutcome:
     # of them can be nearer to a closed-form level than the listed ones
     while any(np.min(np.abs(s.values - e)) > s.edge - e.real
               for e in targets.values()):
-        s = discrete.lowest_levels(H, 2 * len(s))
+        s = discrete.lowest_levels(ctx.hamiltonian, 2 * len(s))
     ctx.report["spectrum"] = [complex(v) for v in s.values]
     ok = True
     for label, energy in targets.items():

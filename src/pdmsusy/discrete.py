@@ -29,7 +29,7 @@ unit roundoff) of the dense formulas.
 
 The spectrum of H is computed from its band, and only its low
 end, where the paper's claims live (the high levels of a 3-point stencil
-are discretization artifacts): hamiltonian_spectrum returns the LOW_LEVELS
+are discretization artifacts): lowest_levels returns the LOW_LEVELS
 lowest levels by real part of H's interior block T.  T is halved down to at
 most COARSE_ROWS rows, solved dense there, and the lowest values plus
 SPARES spares are refined on each finer grid by Ehrlich-Aberth sweeps
@@ -64,8 +64,8 @@ __all__ = [
     "UnsupportedOrderError",
     "Grid", "Tridiagonal", "Spectrum", "ConvergenceResult",
     "assemble_hamiltonian", "assemble_charge", "constraint_residuals",
-    "dense_eigenvalues", "hamiltonian_spectrum", "lowest_levels",
-    "susy_algebra_spectrum", "conjugate_pairing_distance",
+    "dense_eigenvalues", "lowest_levels", "susy_algebra_spectrum",
+    "conjugate_pairing_distance",
     "riccati_residual", "convergence_study",
     "wavefunction_from_log_derivative", "l2_normalizable",
     "check_dense_budget", "MAX_DENSE_DIMENSION", "RESIDUAL_FLOOR",
@@ -75,7 +75,7 @@ MAX_DENSE_DIMENSION = 4096
 RESIDUAL_FLOOR = 1e-14
 
 UNIT_ROUNDOFF = 2.0 ** -53
-LOW_LEVELS = 16          # levels of H that hamiltonian_spectrum returns
+LOW_LEVELS = 16          # levels of H that lowest_levels returns
 SPARES = 8               # values tracked above the requested levels
 COARSE_ROWS = 200        # a grid this small is solved dense
 SWEEP_BUDGET = 60        # Aberth sweeps allowed per grid
@@ -187,13 +187,12 @@ class Tridiagonal:
 
 @dataclass
 class Spectrum:
-    """Eigenvalues sorted by (Re, Im) plus their conjugate-pairing
-    distance.  For H these are the k lowest levels: every eigenvalue whose
-    real part is below edge, and no other (edge is inf when all are)."""
+    """The k lowest levels of H, sorted by (Re, Im): every eigenvalue
+    whose real part is below edge, and no other (edge is inf when all
+    are)."""
 
     values: np.ndarray
-    conjugate_pairing_distance: float
-    edge: float = math.inf
+    edge: float
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -776,12 +775,13 @@ def _certify(a: np.ndarray, beta: np.ndarray, values: np.ndarray,
     return step
 
 
-def lowest_levels(M: Tridiagonal, count: int) -> Spectrum:
+def lowest_levels(M: Tridiagonal, count: int = LOW_LEVELS) -> Spectrum:
     """The count lowest levels by real part of the interior block T of a
     Dirichlet Hamiltonian (the two identity boundary rows would add two
-    unit eigenvalues), certified, from its band: more where
-    level count shares its real part with the next within their error
-    bounds, all where T has no more rows.
+    unit eigenvalues), certified, from its band, with the edge that
+    parts them from the rest (Spectrum): more where level count shares
+    its real part with the next within their error bounds, all where T
+    has no more rows.
 
     T is halved (_coarsened) down to COARSE_ROWS rows, but to no fewer
     than twice the values tracked, count + SPARES; their dense solution
@@ -825,23 +825,16 @@ def lowest_levels(M: Tridiagonal, count: int) -> Spectrum:
     log.info("tridiagonal eigenvalues: n=%d, %d lowest, sweeps per grid "
              "(coarse to fine) %s, largest phase step %.3g rad, largest "
              "kappa %.3g", rows, s, sweeps, step, np.max(bound) / tol)
-    values = _sorted_eigenvalues(values)
-    return Spectrum(values, conjugate_pairing_distance(values), edge)
+    return Spectrum(_sorted_eigenvalues(values), edge)
 
 
-def hamiltonian_spectrum(M: Tridiagonal) -> Spectrum:
-    """The LOW_LEVELS lowest levels of a Dirichlet Hamiltonian (see
-    lowest_levels)."""
-    return lowest_levels(M, LOW_LEVELS)
-
-
-def susy_algebra_spectrum(C: Tridiagonal) -> Spectrum:
-    """Spectrum of zeta conj(zeta) with zeta = C P, the discrete image of
-    the SUSY polynomial sum_k l_k H^{N-k}.
+def susy_algebra_spectrum(C: Tridiagonal) -> np.ndarray:
+    """Eigenvalues of zeta conj(zeta) with zeta = C P, the discrete image
+    of the SUSY polynomial sum_k l_k H^{N-k}, sorted by (Re, Im).
 
     This multiset is exactly closed under conjugation for every zeta
     (spec(AB) = spec(BA) and conj(zeta conj(zeta)) = conj(zeta) zeta), so
-    its measured pairing distance isolates eigensolver backward error.  It
+    its conjugate_pairing_distance isolates eigensolver backward error.  It
     does not test H: it is small also where H has no conjugate pair.  The
     product is the susy residual's (_band_product); only the eigensolver's
     input, written out from its band diagonal by diagonal (_dense), is
@@ -850,8 +843,7 @@ def susy_algebra_spectrum(C: Tridiagonal) -> Spectrum:
     _check_parity(C.grid)
     check_dense_budget(C.n)
     band = _band_product(C.band, C.band.conj(), flip=True)  # zeta conj(zeta)
-    values = dense_eigenvalues(_dense(band))
-    return Spectrum(values, conjugate_pairing_distance(values))
+    return dense_eigenvalues(_dense(band))
 
 
 # ---------------------------------------------------------------------------

@@ -989,6 +989,25 @@ def test_convergence_reuses_base_grid_residuals(monkeypatch):
     assert calls == [33, 65, 129]
 
 
+def test_spectral_checks_share_one_solve_of_h(monkeypatch):
+    # conjugate_closure and spectrum read the same certified levels of H;
+    # only a widened spectrum window would solve again
+    calls = []
+    solve = discrete.lowest_levels
+
+    def counted(M, count=discrete.LOW_LEVELS):
+        calls.append(count)
+        return solve(M, count)
+
+    monkeypatch.setattr(discrete, "lowest_levels", counted)
+    names = ["conjugate_closure", "spectrum"]
+    both = run(parse_config_dict(dict(CONFINED, checks=names)))
+    assert calls == [discrete.LOW_LEVELS]
+    for name, outcome in zip(names, both.checks):
+        alone = run(parse_config_dict(dict(CONFINED, checks=[name])))
+        assert alone.checks[0].values == outcome.values
+
+
 def test_default_tolerances_are_complete():
     for name in ("identity", "closure", "slope_min", "slope_max",
                  "discrete_residual", "eigen_match"):
