@@ -28,7 +28,7 @@ from . import discrete, susy1, susy2, susyn
 from .expr import (Const, EvaluationError, Expr, ParamEnv, ParseError,
                    evaluate_many, node_counts, parameter_names, parse)
 from .model import (DomainError, MassError, MassFn, ModelError, ModelSpec,
-                    pt_image, symmetry_report)
+                    symmetry_report)
 from .susy2 import SingularPointError
 
 __all__ = ["ConfigError", "RunConfig", "CheckOutcome", "VerificationReport",
@@ -305,21 +305,25 @@ def _timed(wall: dict, key: str):
     """Record the wall-clock time of the pipeline stage ``key`` as
     wall[key]; a model or numerical failure raised in it, an allocation
     that fails among them, is tagged with the stage (printed as
-    "[stage key]")."""
+    "[stage key]"), unless a stage run inside it tagged it first."""
     t0 = time.perf_counter()
     try:
         yield
     except (EvaluationError, ModelError, discrete.DiscreteError,
             MemoryError) as exc:
-        exc.stage = key
+        if not hasattr(exc, "stage"):
+            exc.stage = key
         raise
     wall[key] = time.perf_counter() - t0
     log.info("stage %s: %.3f s", key, wall[key])
 
 
-def _sup_diff(a: Expr, b: Expr, xs, env) -> float:
-    va, vb = evaluate_many((a, b), xs, env)
+def _sup(va, vb) -> float:
     return float(np.max(np.abs(va - vb)))
+
+
+def _sup_diff(a: Expr, b: Expr, xs, env) -> float:
+    return _sup(*evaluate_many((a, b), xs, env))
 
 
 def _bounded(name: str, values: dict, tol: float) -> CheckOutcome:
@@ -342,17 +346,67 @@ def _build_system(spec: ModelSpec):
     return system
 
 
+def _delta_v_quantities(system, spec) -> tuple:
+    return (system.vtilde, system.delta_v,
+            susyn.delta_v_general(system.wm, spec.mass, spec.order))
+
+
+def _u0_quantities(system, spec) -> tuple:
+    theta = system.l2 - system.l1 * system.l1 / 4.0
+    return system.u0, susy2.u0_integrated(system.f, system.wm, spec.mass,
+                                          theta)
+
+
+def _riccati_quantities(system, spec) -> tuple:
+    return discrete.riccati_roots(system.m, system.vtilde,
+                                  [phi for _, _, phi, _ in system.zero_modes])
+
+
+# identity check -> the expressions it compares at the identity samples
+_QUANTITIES = {"delta_v": _delta_v_quantities, "u0_routes": _u0_quantities,
+               "riccati": _riccati_quantities}
+
+
 @dataclass
 class _CheckContext:
     """Everything a check reads, and what it adds to the report.  The
-    operators on the config's grid, their constraint residuals and H's
-    lowest levels are computed on first use, once per context."""
+    values at the identity samples, the operators on the config's grid,
+    their constraint residuals and H's lowest levels are computed on first
+    use, once per context."""
 
     config: RunConfig
     spec: ModelSpec
     system: object
     refinements: int
+    wall: dict = field(default_factory=dict)
     report: dict = field(default_factory=lambda: {"notes": []})
+
+    @cached_property
+    def identity_points(self) -> np.ndarray:
+        return self.spec.mass.interior_points(IDENTITY_SAMPLES)
+
+    @cached_property
+    def samples(self) -> dict:
+        """Per requested identity check, the values at the identity samples
+        of the expressions it compares, all built and evaluated in stage
+        "samples" by one evaluate_many call over their joint DAG.  Its
+        roots are in config order, so the first one that fails is the one
+        the checks, run one by one, would meet first."""
+        with _timed(self.wall, "samples"):
+            quantities = {name: _QUANTITIES[name](self.system, self.spec)
+                          for name in self.config.checks
+                          if name in _QUANTITIES}
+            unique = {id(e): e for exprs in quantities.values()
+                      for e in exprs}
+            roots = tuple(unique.values())
+            values = dict(zip(unique, evaluate_many(
+                roots, self.identity_points, self.spec.params)))
+        if log.isEnabledFor(logging.INFO):
+            log.info("identity samples: %d points, %d expressions, "
+                     "%d unique nodes", len(self.identity_points), len(roots),
+                     node_counts(roots)[1])
+        return {name: tuple(values[id(e)] for e in exprs)
+                for name, exprs in quantities.items()}
 
     @cached_property
     def hamiltonian(self):
@@ -393,39 +447,35 @@ def _check_symmetry(ctx: _CheckContext) -> CheckOutcome:
 
 
 def _check_delta_v(ctx: _CheckContext) -> CheckOutcome:
-    spec, system = ctx.spec, ctx.system
-    xs = spec.mass.interior_points(IDENTITY_SAMPLES)
-    defect, delta_v, general = evaluate_many(
-        (system.vtilde - pt_image(system.vtilde), system.delta_v,
-         susyn.delta_v_general(system.wm, spec.mass, spec.order)),
-        xs, spec.params)
+    vtilde, delta_v, general = ctx.samples["delta_v"]
+    # the PT image of Vtilde, conj(Vtilde(-x)): pt_image(Vtilde) at x,
+    # bit for bit
+    image = np.conj(evaluate_many(ctx.system.vtilde, -ctx.identity_points,
+                                  ctx.spec.params))
     return _bounded("delta_v", {
-        "identity": float(np.max(np.abs(defect - delta_v))),
-        "general_reduction": float(np.max(np.abs(general - delta_v))),
+        "identity": _sup(vtilde - image, delta_v),
+        "general_reduction": _sup(general, delta_v),
     }, ctx.config.tolerances["identity"])
 
 
 def _check_u0_routes(ctx: _CheckContext) -> CheckOutcome:
-    spec, system = ctx.spec, ctx.system
-    xs = spec.mass.interior_points(IDENTITY_SAMPLES)
-    theta = system.l2 - system.l1 * system.l1 / 4.0
-    integrated = susy2.u0_integrated(system.f, system.wm, spec.mass, theta)
     return _bounded("u0_routes", {
-        "closed_vs_integrated": _sup_diff(system.u0, integrated, xs,
-                                          spec.params),
+        "closed_vs_integrated": _sup(*ctx.samples["u0_routes"]),
     }, ctx.config.tolerances["identity"])
 
 
-def _riccati_values(system, xs) -> dict:
-    return {key: discrete.riccati_residual(system.m, system.vtilde, phi,
-                                           energy, xs, system.params)
-            for key, _, phi, energy in system.zero_modes}
+def _riccati_values(system, xs, values=None) -> dict:
+    """Riccati residual per zero mode of ``system``: see
+    discrete.riccati_residual, which reads ``values`` if given."""
+    keys, _, phis, energies = zip(*system.zero_modes)
+    return dict(zip(keys, discrete.riccati_residual(
+        system.m, system.vtilde, phis, energies, xs, system.params, values)))
 
 
 def _check_riccati(ctx: _CheckContext) -> CheckOutcome:
-    xs = ctx.spec.mass.interior_points(IDENTITY_SAMPLES)
-    return _bounded("riccati", _riccati_values(ctx.system, xs),
-                    ctx.config.tolerances["identity"])
+    return _bounded("riccati", _riccati_values(
+        ctx.system, ctx.identity_points, ctx.samples["riccati"]),
+        ctx.config.tolerances["identity"])
 
 
 def _closed_form_eigenvalues(spec):
@@ -580,7 +630,7 @@ def run(config: RunConfig, refinements: int = 3) -> VerificationReport:
     with _timed(wall, "system"):
         system = _build_system(spec)
 
-    ctx = _CheckContext(config, spec, system, refinements)
+    ctx = _CheckContext(config, spec, system, refinements, wall)
     checks = []
     for name in config.checks:
         check, skip_reason = _CHECKS[name]
@@ -691,7 +741,8 @@ def paper_examples() -> VerificationReport:
                                        {"residual": residual}, 1e-12))
 
     # 2. u0 route agreement at order 2: closed form, integrated form, and
-    # the worked sec-mass expression, each evaluated once per (alpha, delta)
+    # the worked sec-mass expression, built once per delta and evaluated
+    # together once per (alpha, delta)
     with _timed(wall, "u0_routes"):
         u0_example = parse(
             "1/4*sec(x)*exp(2*i*alpha*x) - delta^2/4*cos(x)*exp(-2*i*alpha*x)"
@@ -700,15 +751,15 @@ def paper_examples() -> VerificationReport:
         mass = systems[2].m
         f = susy2.f_aux(wm_exact, mass)
         worst = 0.0
-        for alpha in (0.5, 1.0, 2.0):
-            for delta in (0.5, 1.0):
-                l2 = -delta * delta / 4.0      # l1 = 0, so Theta = l2
-                routes = evaluate_many(
-                    (susy2.u0_closed(wm_exact, mass, 0.0, l2),
-                     susy2.u0_integrated(f, wm_exact, mass, l2), u0_example),
-                    route_pts, ParamEnv(alpha=alpha, delta=delta))
-                worst = max(worst, *(float(np.max(np.abs(a - b)))
-                                     for a, b in combinations(routes, 2)))
+        for delta in (0.5, 1.0):
+            l2 = -delta * delta / 4.0          # l1 = 0, so Theta = l2
+            routes = (susy2.u0_closed(wm_exact, mass, 0.0, l2),
+                      susy2.u0_integrated(f, wm_exact, mass, l2), u0_example)
+            for alpha in (0.5, 1.0, 2.0):
+                values = evaluate_many(routes, route_pts,
+                                       ParamEnv(alpha=alpha, delta=delta))
+                worst = max(worst, *(_sup(a, b)
+                                     for a, b in combinations(values, 2)))
         checks.append(_bounded("u0_triple_agreement", {"residual": worst},
                                1e-10))
 

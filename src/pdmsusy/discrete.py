@@ -850,18 +850,39 @@ def susy_algebra_spectrum(C: Tridiagonal) -> np.ndarray:
 # Riccati residual (shared verification kernel)
 # ---------------------------------------------------------------------------
 
-def riccati_residual(m: MassFn, vtilde: Expr, phi: Expr, e: complex,
-                     samples: Sequence[float],
-                     env: Optional[ParamEnv] = None) -> float:
-    """Sup over samples of |-(phi' + phi^2)/m + (m'/m^2) phi + Vtilde - e|,
-    the log-derivative form of H psi = e psi."""
-    dphi = differentiate(phi)
+def riccati_roots(m: MassFn, vtilde: Expr, phis: Sequence[Expr]) -> tuple:
+    """The expressions the Riccati residuals of the zero modes ``phis``
+    read, each object once, in the order of one walk per mode: m, phi,
+    phi', m', Vtilde."""
     mx = m.expr
     dm = differentiate(mx)
-    xs = np.asarray(list(samples), dtype=float)
-    mv, pv, dpv, dmv, vv = evaluate_many((mx, phi, dphi, dm, vtilde), xs, env)
-    r = -(dpv + pv * pv) / mv + (dmv / (mv * mv)) * pv + vv - complex(e)
-    return float(np.max(np.abs(r), initial=0.0))
+    return tuple({id(r): r for phi in phis
+                  for r in (mx, phi, differentiate(phi), dm, vtilde)}.values())
+
+
+def riccati_residual(m: MassFn, vtilde: Expr, phi, e,
+                     samples: Sequence[float],
+                     env: Optional[ParamEnv] = None, values=None):
+    """Sup over samples of |-(phi' + phi^2)/m + (m'/m^2) phi + Vtilde - e|,
+    the log-derivative form of H psi = e psi.  ``phi`` and ``e`` may also
+    be tuples, one entry per zero mode: the result is then the tuple of
+    their residuals, from one evaluation of riccati_roots.  A caller that
+    already holds the arrays of riccati_roots at the samples, in its order,
+    passes them as ``values``, and nothing is evaluated."""
+    phis, energies = (phi, e) if isinstance(phi, tuple) else ((phi,), (e,))
+    roots = riccati_roots(m, vtilde, phis)
+    if values is None:
+        xs = np.asarray(list(samples), dtype=float)
+        values = evaluate_many(roots, xs, env)
+    value = dict(zip(map(id, roots), values))
+    mx = m.expr
+    mv, dmv, vv = (value[id(r)] for r in (mx, differentiate(mx), vtilde))
+    out = []
+    for p, energy in zip(phis, energies):
+        pv, dpv = value[id(p)], value[id(differentiate(p))]
+        r = -(dpv + pv * pv) / mv + (dmv / (mv * mv)) * pv + vv - complex(energy)
+        out.append(float(np.max(np.abs(r), initial=0.0)))
+    return tuple(out) if isinstance(phi, tuple) else out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -400,11 +400,13 @@ def parameter_names(e: Expr) -> list:
     return list(names)
 
 
-def node_counts(e: Expr) -> tuple:
-    """(tree nodes, unique nodes) of e, in time linear in the unique ones."""
+def node_counts(e) -> tuple:
+    """(tree nodes, unique nodes) of e, in time linear in the unique ones.
+    Of a tuple of expressions: the sum of their tree nodes and the unique
+    nodes of their joint DAG."""
     size = _Memo(lambda node, size: 1 + sum(
         size(v) for v in node._args if isinstance(v, Expr)))
-    return size(e), len(size)
+    return sum(map(size, e if isinstance(e, tuple) else (e,))), len(size)
 
 
 # ---------------------------------------------------------------------------

@@ -1008,6 +1008,73 @@ def test_spectral_checks_share_one_solve_of_h(monkeypatch):
         assert alone.checks[0].values == outcome.values
 
 
+SEEDED_ORDER2 = {
+    "order": 2, "mass": "1.2+0.3*cos(0.8*x)",
+    "superpotential": {"kind": "deformed",
+                       "expr": "1.5+0.2*x^2+i*(0.6*x+0.3*sin(x))"},
+    "susy_constants": [-2.5, 1.2],
+    "grid": {"xmin": -1.5, "xmax": 1.5, "points": 101},
+    "checks": ["delta_v", "u0_routes", "riccati"],
+}
+
+
+def test_identity_checks_share_one_evaluation(monkeypatch):
+    # delta_v, u0_routes and riccati read one evaluation at the identity
+    # samples; delta_v adds one of Vtilde at the mirrored samples
+    config = parse_config_dict(SEEDED_ORDER2)
+    xs = config.spec.mass.interior_points(cli.IDENTITY_SAMPLES)
+    calls = []
+    evaluate = cli.evaluate_many
+
+    def counted(e, points, env=None):
+        calls.append((e, np.array(points)))
+        return evaluate(e, points, env)
+
+    for module in (cli, discrete):
+        monkeypatch.setattr(module, "evaluate_many", counted)
+    joint = run(config)
+    system = build_second_order(config.spec)
+    assert [len(e) if isinstance(e, tuple) else e for e, _ in calls] == [
+        len(calls[0][0]), system.vtilde]
+    assert calls[0][1].tobytes() == xs.tobytes()
+    assert calls[1][1].tobytes() == (-xs).tobytes()
+    assert "samples" in joint.wall_clock_seconds
+    for name, outcome in zip(SEEDED_ORDER2["checks"], joint.checks):
+        alone = run(parse_config_dict(dict(SEEDED_ORDER2, checks=[name])))
+        assert repr(alone.checks[0].values) == repr(outcome.values)
+        assert outcome.status == "pass"
+
+
+def test_verbose_logs_the_identity_samples_once(tmp_path, capsys):
+    path = write_config(tmp_path, SEEDED_ORDER2)
+    assert main(["check", path, "--quiet", "-v"]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if "identity samples" in line]
+    assert len(lines) == 1
+    assert re.fullmatch(r"pdmsusy\.cli: identity samples: 100 points, "
+                        r"\d+ expressions, \d+ unique nodes", lines[0])
+
+
+def test_identity_sample_pole_names_the_samples_stage(tmp_path, capsys):
+    # |W_m| = 1e-7 at x = 0, one of the identity samples: (2 W_m)^2 in
+    # phi' falls below the pole tolerance, while every quantity of delta_v,
+    # Vtilde's 4 m W_m^2 = 4e-12 among them, stays clear of it
+    payload = {
+        "order": 2, "mass": "100",
+        "superpotential": {"kind": "deformed", "expr": "1e-7+i*x"},
+        "susy_constants": [-3.0, 2.0],
+        "grid": {"xmin": -1.546875, "xmax": 1.578125, "points": 101},
+        "checks": ["delta_v", "riccati"],
+    }
+    config = parse_config_dict(payload)
+    assert 0.0 in config.spec.mass.interior_points(cli.IDENTITY_SAMPLES)
+    run(parse_config_dict(dict(payload, checks=["delta_v"])))
+    assert main(["check", write_config(tmp_path, payload), "--quiet"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure [stage samples]: pole hit in "
+        "'2/(2*(1e-07+i*x)*(2*(1e-07+i*x)))' at x=0.0\n")
+
+
 def test_default_tolerances_are_complete():
     for name in ("identity", "closure", "slope_min", "slope_max",
                  "discrete_residual", "eigen_match"):

@@ -175,6 +175,19 @@ def test_zero_mode_riccati_worked_example():
     assert max(r0, r1) <= 1e-9
 
 
+def test_riccati_residual_of_both_modes_in_one_call():
+    # one evaluation of both modes gives each mode's residual bit for bit
+    system = build_second_order(worked_spec())
+    xs = np.linspace(0.05, 1.5, 100)
+    single = [riccati_residual(system.m, system.vtilde, phi, e, xs,
+                               system.params)
+              for phi, e in ((system.phi2, system.e0), (system.phi1, system.e1))]
+    both = riccati_residual(system.m, system.vtilde, (system.phi2, system.phi1),
+                            (system.e0, system.e1), xs, system.params)
+    assert isinstance(both, tuple)
+    assert [r.hex() for r in both] == [r.hex() for r in single]
+
+
 def test_zero_mode_riccati_shift_detection():
     system = build_second_order(worked_spec())
     xs = np.linspace(0.05, 1.5, 100)
