@@ -62,7 +62,6 @@ FUNCTIONS = ("sin", "cos", "tan", "sec", "exp", "log", "sqrt",
 # Denominators (and cos under sec/tan) smaller than this are treated as a
 # pole hit even though the floating-point value is still finite.
 POLE_TOLERANCE = 1e-13
-_PLAN_CACHE = 64  # compiled plans kept at most (see _compiled)
 
 Number = Union[int, float, complex]
 
@@ -707,7 +706,8 @@ def evaluate_many(e, xs: Iterable[float], env=None):
     """Evaluate at every point of ``xs`` in one walk over the DAG, each
     unique subexpression once; returns a complex ndarray of the same length.
     ``e`` may also be a tuple of expressions: the result is then the tuple
-    of their arrays, from one walk over their joint DAG.  Deterministic.
+    of their arrays, from one walk over their joint DAG, compiled for this
+    call alone (_compile).  Deterministic.
 
     Raises UnboundParameterError for missing parameters and PoleError when
     a denominator (or cos under sec/tan) falls below POLE_TOLERANCE or an
@@ -716,38 +716,27 @@ def evaluate_many(e, xs: Iterable[float], env=None):
     failing node in evaluation order there.  Of a tuple, the first
     expression that fails raises, as one call per expression would.  One run
     keeps a sentinel per point (see _Plan); where one is not finite, each
-    expression runs again alone and replays such points singly until one
-    raises; if none does, a sentinel overflowed on finite values.
+    expression is compiled and runs again alone, and its steps replay such
+    points singly until one raises; if none does, a sentinel overflowed.
     """
     roots = e if isinstance(e, tuple) else (e,)
     xs = np.asarray(xs if hasattr(xs, "__len__") else list(xs), dtype=float)
     env = env if isinstance(env, ParamEnv) else ParamEnv(env)
     with np.errstate(all="ignore"):
-        plan = _Plan(roots, xs, env)
+        plan = _Plan(_compile(roots), xs, env)
         values = plan.run()
         if not np.isfinite(plan.total).all():
             for root in roots:
                 if len(roots) > 1:
-                    (plan := _Plan((root,), xs, env)).run()
+                    (plan := _Plan(_compile((root,)), xs, env)).run()
                 for i in np.flatnonzero(~np.isfinite(plan.total)):
-                    _Plan((root,), xs[i:i + 1], env, raising=True).run()
+                    _Plan(plan.code, xs[i:i + 1], env, raising=True).run()
     values = tuple(np.broadcast_to(v, xs.shape).astype(complex) for v in values)
     return values if isinstance(e, tuple) else values[0]
 
 
-_UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
-           "sqrt": np.sqrt, "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh}
-_ARITHMETIC = {Add: np.add, Sub: np.subtract, Mul: np.multiply,
-               Div: np.divide}     # Div's denominator: see check_pole
-
-
 class _Plan:
-    """The joint DAG of ``roots`` as a flat list of steps, one per unique
-    node, run once over all points; the steps are compiled once per tuple
-    of roots (_compiled), whatever the points and parameters.  They follow
-    a tree walk that skips repeat visits: operands left to right, except
-    that Div evaluates its denominator and checks it for a pole first, so
-    at any one point the checks run in the order of a scalar walk.  Each
+    """One run of compiled steps (see _compile) over all points.  Each
     array is dropped after its last read.
 
     Every value a point could fail on adds into that point's sentinel,
@@ -758,21 +747,26 @@ class _Plan:
     failing check instead: the error a scalar walk meets first, since a
     shared node's first visit comes before any repeat."""
 
-    def __init__(self, roots, xs: np.ndarray, env: ParamEnv, raising=False):
-        self.roots, self.xs, self.env, self.raising = roots, xs, env, raising
+    def __init__(self, code, xs: np.ndarray, env: ParamEnv, raising=False):
+        self.code, self.xs, self.env, self.raising = code, xs, env, raising
         self.x = (xs + 0.0).astype(complex)    # x = -0.0 is the point 0.0
         self.total = np.zeros(xs.shape, complex)
-        self.steps, self.outs, self.dead = _compiled(roots)[:3]
 
     def run(self) -> list:
         """The values of the roots."""
-        values = self.values = [None] * len(self.steps)
-        for k, ((fn, e, ins), dead) in enumerate(zip(self.steps, self.dead)):
-            values[k] = fn(self, e(), *[values[i] for i in ins])
+        steps, outs = self.code
+        values = self.values = [None] * len(steps)
+        for k, (step, e, a, b, dead) in enumerate(steps):
+            if b is not None:
+                values[k] = step(self, e, values[a], values[b])
+            elif a is not None:
+                values[k] = step(self, e, values[a])
+            else:
+                values[k] = step(self, e)
             for i in dead:
                 values[i] = None
-        out = [values[k] for k in self.outs]
-        for k in self.outs:
+        out = [values[k] for k in outs]
+        for k in outs:
             values[k] = None
         return out
 
@@ -791,55 +785,63 @@ class _Plan:
             self.total[mask] = np.nan
         return value
 
-    def check_pole(self, e: Div, den) -> None:
-        self.check(den, e, "pole hit", np.abs(den) < POLE_TOLERANCE)
 
-    def node(self, e: Expr, *operands):
-        """The value of the node ``e`` from its operands' values."""
-        kind = type(e)
-        if kind in _ARITHMETIC:
-            return self.check(_ARITHMETIC[kind](*operands), e, "non-finite value")
-        if kind is Const:
-            return np.complex128(e.value)
-        if kind is Var:
-            return self.x
-        if kind is Param:
-            try:
-                return np.complex128(self.env.lookup(e.name))
-            except UnboundParameterError:
-                if self.raising:
-                    raise
-                self.total += np.nan
-                return np.complex128(np.nan)
-        if kind is Neg:
-            return 0 - operands[0]              # as in neg()
-        if kind is Conj:
-            return np.conj(operands[0])
-        if kind is Pow:
-            base, expo = operands
-            value = self.check(base ** expo, e, "pole hit")
-            # Python's complex power raises at 0 to a complex exponent
-            return self.check(value, e, "pole hit",
-                              (base == 0) & (np.imag(expo) != 0))
-        if kind is Func:
-            u, = operands
-            if e.name in ("tan", "sec"):
-                c = self.check(np.cos(u), e, "overflow")
-                self.check(c, e, "pole hit", np.abs(c) < POLE_TOLERANCE)
-                value = np.sin(u) / c if e.name == "tan" else 1.0 / c
-            elif e.name == "log":
-                value = np.log(self.check(u, e, "pole hit", u == 0))
-            else:
-                value = _UFUNCS[e.name](u)
-            return self.check(value, e, "overflow")
-        raise TypeError(f"unknown node {e!r}")
+# The steps: the value of a node from its operands' values, one function
+# per node type, and the check of a Div's denominator, which runs first.
+
+def _param(plan: _Plan, e: Param):
+    try:
+        return np.complex128(plan.env.lookup(e.name))
+    except UnboundParameterError:
+        if plan.raising:
+            raise
+        plan.total += np.nan
+        return np.complex128(np.nan)
+
+
+def _arithmetic(ufunc):
+    return lambda plan, e, a, b: plan.check(ufunc(a, b), e, "non-finite value")
+
+
+def _pow(plan: _Plan, e: Pow, base, expo):
+    value = plan.check(base ** expo, e, "pole hit")
+    # Python's complex power raises at 0 to a complex exponent
+    return plan.check(value, e, "pole hit", (base == 0) & (np.imag(expo) != 0))
+
+
+def _func(plan: _Plan, e: Func, u):
+    if e.name in ("tan", "sec"):
+        c = plan.check(np.cos(u), e, "overflow")
+        plan.check(c, e, "pole hit", np.abs(c) < POLE_TOLERANCE)
+        value = np.sin(u) / c if e.name == "tan" else 1.0 / c
+    elif e.name == "log":
+        value = np.log(plan.check(u, e, "pole hit", u == 0))
+    else:
+        value = getattr(np, e.name)(u)      # np.sin for sin, and so on
+    return plan.check(value, e, "overflow")
+
+
+def _pole(plan: _Plan, e: Div, den) -> None:
+    plan.check(den, e, "pole hit", np.abs(den) < POLE_TOLERANCE)
+
+
+# node type -> (its step, the first of its fields that is an operand)
+_STEPS = {
+    Const: (lambda plan, e: np.complex128(e.value), 1), Param: (_param, 1),
+    Var: (lambda plan, e: plan.x, 0), Conj: (lambda plan, e, u: np.conj(u), 0),
+    Neg: (lambda plan, e, u: 0 - u, 0),        # as in neg()
+    Add: (_arithmetic(np.add), 0), Sub: (_arithmetic(np.subtract), 0),
+    Mul: (_arithmetic(np.multiply), 0), Div: (_arithmetic(np.divide), 0),
+    Pow: (_pow, 0), Func: (_func, 1)}
 
 
 def _compile(roots) -> tuple:
-    """The steps of ``roots`` (see _Plan) as (function, weak reference to
-    the node, steps of its operands), the steps of the roots, and per step
-    the steps whose values die after it."""
-    node, pole = _Plan.node, _Plan.check_pole    # unbound: no cycle
+    """The joint DAG of ``roots`` as a flat list of steps, one per unique
+    node, each (step function, node, its operands' steps or None, the steps
+    whose values die after it), and the steps of the roots.  The steps
+    follow a tree walk that skips repeat visits: operands left to right,
+    except that Div evaluates its denominator and checks it for a pole
+    (_pole) first, so at any one point the checks run as in a scalar walk."""
     slot = {}           # id(node) -> the step that computes it
     last = {}           # step -> the last step that reads its value
     steps = []
@@ -849,48 +851,31 @@ def _compile(roots) -> tuple:
     while stack:
         e = stack.pop()
         if type(e) is tuple:
-            fn, e, operands = e
-            k = len(steps)
-            ins = tuple([slot[id(v)] for v in operands])
-            for i in ins:
-                last[i] = k
-            if fn is node:
-                slot[id(e)] = k
-            steps.append((fn, weakref.ref(e), ins))
-        elif id(e) not in slot:
-            if type(e) is Div:
-                stack += [(node, e, e._args), e.left, (pole, e, (e.right,)),
-                          e.right]
-            else:
-                operands = [v for v in e._args if isinstance(v, Expr)]
-                stack.append((node, e, operands))
-                stack += reversed(operands)
+            step, e, operands = e
+        elif id(e) in slot:
+            continue
+        else:
+            step, first = _STEPS[type(e)]
+            operands = e._args[first:]
+            if operands:
+                stack.append((step, e, operands))
+                stack += ([e.left, (_pole, e, operands[1:]), e.right]
+                          if type(e) is Div else operands[::-1])
+                continue
+        k = len(steps)
+        a = b = None
+        if operands:
+            last[a := slot[id(operands[0])]] = k
+            if len(operands) == 2:
+                last[b := slot[id(operands[1])]] = k
+        if step is not _pole:
+            slot[id(e)] = k
+        steps.append((step, e, a, b, []))
     outs = [slot[id(root)] for root in roots]
-    dead = [[] for _ in steps]
     for i, k in last.items():
         if i not in outs:       # the caller reads the roots last
-            dead[k].append(i)
-    return steps, outs, dead
-
-
-def _compiled(roots) -> tuple:
-    """_compile(roots), once per tuple of roots while they live: up to
-    _PLAN_CACHE plans are kept, each until one of its roots dies.  The
-    steps refer to the nodes weakly, so a kept plan keeps no node alive,
-    and the roots hold every node of the steps."""
-    key = tuple(map(id, roots))
-    plan = _PLANS.get(key)
-    if plan is None:
-        plan = _compile(roots)
-        if len(_PLANS) < _PLAN_CACHE:
-            def forget(_, key=key, plans=_PLANS):
-                plans.pop(key, None)
-            plan = _PLANS[key] = (*plan, [weakref.ref(root, forget)
-                                          for root in roots])
-    return plan
-
-
-_PLANS = {}     # ids of the roots -> (steps, outs, dead, references)
+            steps[k][4].append(i)
+    return steps, outs
 
 
 # ---------------------------------------------------------------------------

@@ -316,21 +316,31 @@ def test_unbound_parameter_is_an_error_not_zero():
 
 def test_sentinel_overflow_on_finite_values_returns_the_values(monkeypatch):
     # at x = 1 every value is finite, but the sum the run keeps per point,
-    # 1e308 + 1 + 1e308 + 0, is not: the point is replayed alone, no check
-    # fails, and the run's values are returned, at x = 0.5 too
-    runs = []
-    run = expr._Plan.run
+    # 1e308 + 1 + 1e308 + 0, is not (nor at x = -1): each such point is
+    # replayed alone, no check fails, and the run's values are returned, at
+    # x = 0.5 too
+    runs, compiles = [], []
+    run, compile_ = expr._Plan.run, expr._compile
     monkeypatch.setattr(expr._Plan, "run", lambda plan: runs.append(
         (plan.raising, plan.xs.tolist())) or run(plan))
-    e = parse("1e308*x - 1e308*x^3")
-    assert evaluate_many(e, [0.5, 1.0]).tolist() == [3.75e307, 0.0]
-    assert runs == [(False, [0.5, 1.0]), (True, [1.0])]
+    monkeypatch.setattr(expr, "_compile",
+                        lambda roots: compiles.append(roots) or compile_(roots))
+    e, two_x = parse("1e308*x - 1e308*x^3"), parse("2*x")
+    xs = [0.5, 1.0, -1.0]
+    assert evaluate_many(e, xs).tolist() == [3.75e307, 0.0, 0.0]
+    assert runs == [(False, xs), (True, [1.0]), (True, [-1.0])]
+    # the replays run the call's steps: one compile, not one per point
+    assert compiles == [(e,)]
     runs.clear()
-    # of a tuple, each expression runs again alone before its own replays
-    values = evaluate_many((e, parse("2*x")), [0.5, 1.0])
-    assert [v.tolist() for v in values] == [[3.75e307, 0.0], [1.0, 2.0]]
-    assert runs == [(False, [0.5, 1.0]), (False, [0.5, 1.0]), (True, [1.0]),
-                    (False, [0.5, 1.0])]
+    compiles.clear()
+    # of a tuple, each expression is compiled and runs again alone before
+    # its own replays
+    values = evaluate_many((e, two_x), xs)
+    assert [v.tolist() for v in values] == [[3.75e307, 0.0, 0.0],
+                                            [1.0, 2.0, -2.0]]
+    assert runs == [(False, xs), (False, xs), (True, [1.0]), (True, [-1.0]),
+                    (False, xs)]
+    assert compiles == [(e, two_x), (e,), (two_x,)]
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +438,17 @@ def test_dag_walk_evaluates_each_unique_node_once(monkeypatch):
     d4 = differentiate(vtilde, 4)
     assert node_counts(d4) == (1_789_323, len(_unique_ids(d4)))
     visits, plans = Counter(), {}
-    evaluate_node = expr._Plan.node
 
-    def counted(plan, e, *operands):
-        visits[id(e)] += 1
-        plans.setdefault(id(plan), (weakref.ref(plan), plan.values,
-                                    plan.raising))
-        return evaluate_node(plan, e, *operands)
+    def counted(step):
+        def count(plan, e, *operands):
+            visits[id(e)] += 1
+            plans.setdefault(id(plan), (weakref.ref(plan), plan.values,
+                                        plan.raising))
+            return step(plan, e, *operands)
+        return count
 
-    monkeypatch.setattr(expr._Plan, "node", counted)
+    for kind, (step, first) in list(expr._STEPS.items()):
+        monkeypatch.setitem(expr._STEPS, kind, (counted(step), first))
     xs = np.linspace(0.05, 1.5, 1000)
     # one root, and a tuple whose roots share most of their nodes
     for roots in (d4, (d4, vtilde, differentiate(vtilde, 2), d4)):
@@ -461,39 +473,44 @@ def test_dag_walk_evaluates_each_unique_node_once(monkeypatch):
         assert all(value is None for value in arrays)
 
 
-def test_repeated_evaluation_compiles_nothing(monkeypatch):
-    # the steps depend on the roots alone: the same roots at other points
-    # and parameters reuse them, with the same values and the same errors
+def test_each_call_compiles_its_roots_once(monkeypatch):
+    # a plan lives for one call: each call compiles its roots once, whatever
+    # ran before it, and gives the same values and the same errors in
+    # either order; a failing call also compiles the root it replays
     e = parse("1/(x-a) + sin(a*x)")
     roots = (e, differentiate(e))
     xs = [0.0, 0.3, 1.0]
-
-    def outcome(points, env):
-        try:
-            return [v.tobytes() for v in evaluate_many(roots, points, env)]
-        except EvaluationError as exc:
-            return type(exc), str(exc), getattr(exc, "x", None)
-
-    calls = [(xs, {"a": 0.5}), (xs, {"a": 2.0}), ([0.0, 0.25], {"a": 0.25}),
-             (xs, {})]
-    first = [outcome(*call) for call in calls]
-    assert first[2] == (PoleError, "pole hit in '1/(x-a)' at x=0.25", 0.25)
-    assert first[3][:2] == (UnboundParameterError, "unbound parameter 'a'")
     compiles = []
     compile_ = expr._compile
     monkeypatch.setattr(expr, "_compile",
                         lambda roots: compiles.append(roots) or compile_(roots))
+
+    def outcome(points, env):
+        compiles.clear()
+        try:
+            result = [v.tobytes() for v in evaluate_many(roots, points, env)]
+        except EvaluationError as exc:
+            result = type(exc), str(exc), getattr(exc, "x", None)
+        return result, list(compiles)
+
+    calls = [(xs, {"a": 0.5}), (xs, {"a": 2.0}), ([0.0, 0.25], {"a": 0.25}),
+             (xs, {})]
+    first = [outcome(*call) for call in calls]
+    assert first[2][0] == (PoleError, "pole hit in '1/(x-a)' at x=0.25", 0.25)
+    assert first[3][0][:2] == (UnboundParameterError, "unbound parameter 'a'")
+    assert [compiled for _, compiled in first] == [
+        [roots], [roots], [roots, roots[:1]], [roots, roots[:1]]]
     assert [outcome(*call) for call in reversed(calls)] == first[::-1]
-    assert compiles == []
-    # a tuple of other roots is compiled once, then kept as well
+    # a tuple of other roots is compiled once per call as well
+    compiles.clear()
     evaluate_many(roots[::-1], xs, {"a": 0.5})
     evaluate_many(roots[::-1], xs[:1], {"a": 1.5})
-    assert compiles == [roots[::-1]]
+    assert compiles == [roots[::-1]] * 2
 
 
 def test_compiled_plans_hold_across_threads():
     # threads that evaluate tuples of roots that share nodes, and compile
-    # and keep their plans at once, each get their own call's values
+    # their plans at once, each get their own call's values
     e = parse("sin(x)/(1+x^2) + exp(-beta_t*x)")
     tuples = [(e, differentiate(e, k % 3 + 1), parse(f"x^{k}"))
               for k in range(16)]
@@ -516,7 +533,6 @@ def test_compiled_plans_hold_across_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == [expected] * len(threads)
-    assert len(expr._PLANS) <= expr._PLAN_CACHE
 
 
 def test_derivative_is_kept_on_its_node(monkeypatch):

@@ -129,18 +129,20 @@ POINTS = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.pi / 2])
 def _tree_walk(plan, e):
     """The value of e from a recursive walk of the tree, which evaluates a
     shared node again, and records its failures again, at every visit."""
+    step = expr._STEPS[type(e)][0]
     if isinstance(e, expr.Div):
         den = _tree_walk(plan, e.right)
-        plan.check_pole(e, den)         # before the numerator is evaluated
-        return plan.node(e, _tree_walk(plan, e.left), den)
-    return plan.node(e, *[_tree_walk(plan, v) for v in e._args
-                          if isinstance(v, expr.Expr)])
+        expr._pole(plan, e, den)        # before the numerator is evaluated
+        return step(plan, e, _tree_walk(plan, e.left), den)
+    return step(plan, e, *[_tree_walk(plan, v) for v in e._args
+                           if isinstance(v, expr.Expr)])
 
 
 def _tree_run(plan):
     """A point-by-point walk, which raises at the first failing check."""
     plan.raising = True
-    return [_tree_walk(plan, root) for root in plan.roots]
+    steps, outs = plan.code
+    return [_tree_walk(plan, steps[k][1]) for k in outs]    # the roots
 
 
 def _outcome(evaluate_at, x):
