@@ -4,6 +4,13 @@ A run is described by a JSON config (see RunConfig / load_config), executes
 a deterministic sequence of checks and emits a machine-readable JSON report
 plus optional plot-ready CSV curves.  Exit codes: 0 all requested checks
 pass, 1 a check failed, 2 configuration error, 3 numerical failure.
+
+A run evaluates what its checks share once: the identity quantities at
+the identity samples, and the operator coefficients of every grid it
+assembles on (the config's grid, and with convergence the refinement
+chain) in one sampling, from which H and C are built grid by grid.  If
+that sampling fails, each grid evaluates its own, so a failure is
+reported where and as it would be grid by grid.
 """
 
 from __future__ import annotations
@@ -370,9 +377,9 @@ _QUANTITIES = {"delta_v": _delta_v_quantities, "u0_routes": _u0_quantities,
 @dataclass
 class _CheckContext:
     """Everything a check reads, and what it adds to the report.  The
-    values at the identity samples, the operators on the config's grid,
-    their constraint residuals and H's lowest levels are computed on first
-    use, once per context."""
+    values at the identity samples, the operator coefficients, the
+    operators on the config's grid, their constraint residuals and H's
+    lowest levels are computed on first use, once per context."""
 
     config: RunConfig
     spec: ModelSpec
@@ -409,17 +416,67 @@ class _CheckContext:
                 for name, exprs in quantities.items()}
 
     @cached_property
+    def chain(self) -> list:
+        """The grids of the convergence study: the config's grid refined
+        until there are ``refinements``, or up to the first grid past the
+        dense limit, which the study refuses before any residual."""
+        grids = [self.config.grid]
+        while (len(grids) < self.refinements
+               and grids[-1].points <= discrete.MAX_DENSE_DIMENSION):
+            grids.append(grids[-1].refined())
+        return grids
+
+    @cached_property
+    def coefficients(self) -> dict:
+        """Grid -> the samples of H's and of C's coefficients there (C's
+        None if no check reads C), for every grid whose operators the run
+        assembles, all from one discrete.coefficient_samples call.  Empty
+        where that call raises: each grid then evaluates its own, and so
+        fails where and as it would alone."""
+        grid, checks = self.config.grid, self.config.checks
+        # the checks that read C need parity (zeta = C P), so they are the
+        # ones skipped on a grid not symmetric about 0, and they refuse a
+        # grid past the dense limit
+        charge = (grid.symmetric
+                  and grid.points <= discrete.MAX_DENSE_DIMENSION
+                  and any(_CHECKS[name][1] is _ASYMMETRIC_GRID
+                          for name in checks))
+        grids = [grid]
+        if (charge and "convergence" in checks
+                and self.chain[-1].points <= discrete.MAX_DENSE_DIMENSION):
+            grids = self.chain
+        c = self.system.charge
+        roots = (self.system.vtilde, *((c.lead, c.sub, *c.u) if charge else ()))
+        try:
+            samples = discrete.coefficient_samples(self.spec.mass, roots,
+                                                   grids, self.spec.params)
+        except (EvaluationError, ModelError, MemoryError):
+            return {}
+        return {g: ((mass, values[0]), values[1:] or None)
+                for g, (mass, values) in zip(grids, samples)}
+
+    def _hamiltonian(self, grid):
+        """H on grid, from its coefficient samples if it has them."""
+        samples, _ = self.coefficients.get(grid, (None, None))
+        return discrete.assemble_hamiltonian(
+            self.spec.mass, self.system.vtilde, grid, self.spec.params,
+            samples=samples)
+
+    def _charge(self, grid):
+        """C on grid, from its coefficient samples if it has them."""
+        _, samples = self.coefficients.get(grid, (None, None))
+        return discrete.assemble_charge(self.system.charge, grid,
+                                        self.spec.params, samples=samples)
+
+    @cached_property
     def hamiltonian(self):
-        spec = self.spec
-        return discrete.assemble_hamiltonian(spec.mass, self.system.vtilde,
-                                             self.config.grid, spec.params)
+        return self._hamiltonian(self.config.grid)
 
     @cached_property
     def operators(self):
         # every check that reads C is dense-limited: refuse before building
         discrete.check_dense_budget(self.config.grid.points)
-        return self.hamiltonian, discrete.assemble_charge(
-            self.system.charge, self.config.grid, self.spec.params)
+        return self.hamiltonian, self._charge(self.config.grid)
 
     @cached_property
     def levels(self):
@@ -430,6 +487,14 @@ class _CheckContext:
     def residuals(self) -> dict:
         return discrete.constraint_residuals(*self.operators,
                                              self.spec.susy_constants)
+
+    def residuals_on(self, grid) -> dict:
+        """The constraint residuals on grid, a grid of the chain."""
+        if grid == self.config.grid:
+            return self.residuals
+        return discrete.constraint_residuals(
+            self._hamiltonian(grid), self._charge(grid),
+            self.spec.susy_constants)
 
 
 def _check_symmetry(ctx: _CheckContext) -> CheckOutcome:
@@ -519,21 +584,8 @@ def _check_conjugate_closure(ctx: _CheckContext) -> CheckOutcome:
 
 def _check_convergence(ctx: _CheckContext) -> CheckOutcome:
     lo, hi = ctx.config.tolerances["slope_min"], ctx.config.tolerances["slope_max"]
-    grids = [ctx.config.grid]
-    # the residuals refuse n past the dense limit: the chain stops at the
-    # first grid past it, refused before any residual is computed
-    while (len(grids) < ctx.refinements
-           and grids[-1].points <= discrete.MAX_DENSE_DIMENSION):
-        grids.append(grids[-1].refined())
-    discrete.check_dense_budget(grids[-1].points)
-
-    def residual_fn(grid):
-        if grid == ctx.config.grid:
-            return ctx.residuals
-        finer = dataclasses.replace(ctx.config, grid=grid)
-        return dataclasses.replace(ctx, config=finer).residuals
-
-    study = discrete.convergence_study(residual_fn, grids)
+    discrete.check_dense_budget(ctx.chain[-1].points)
+    study = discrete.convergence_study(ctx.residuals_on, ctx.chain)
     values = {}
     ok = True
     reasons = []

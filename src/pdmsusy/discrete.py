@@ -10,7 +10,10 @@ operator is built: the constraint residuals and zeta conj(zeta) multiply
 bands (_band_product), and only eigensolver inputs are n x n.  Both refuse
 n > MAX_DENSE_DIMENSION.  Parity P: x -> -x is no matrix: on a grid
 symmetric about 0 it is the node reversal, so zeta = C P reverses the
-columns of C and P conj(H) P reverses both axes of conj(H).
+columns of C and P conj(H) P reverses both axes of conj(H).  The
+coefficients of H and C on several grids (a refinement chain) come from
+one sampling at the union of their points (coefficient_samples), and each
+grid's slice goes into its assembly as ``samples``.
 
 Operator identities such as zeta = zeta^dagger or zeta zeta* = sum_k l_k
 H^{N-k} hold in the continuum; their discrete counterparts are measured by
@@ -56,14 +59,15 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .expr import Expr, ParamEnv, differentiate, evaluate_many
+from .expr import Expr, ParamEnv, differentiate, evaluate_many, node_counts
 from .model import MassFn, symmetric_interval
 
 __all__ = [
     "DiscreteError", "GridError", "AssemblyError", "EigensolverError",
     "UnsupportedOrderError",
     "Grid", "Tridiagonal", "Spectrum", "ConvergenceResult",
-    "assemble_hamiltonian", "assemble_charge", "constraint_residuals",
+    "coefficient_samples", "assemble_hamiltonian", "assemble_charge",
+    "constraint_residuals",
     "dense_eigenvalues", "lowest_levels", "susy_algebra_spectrum",
     "conjugate_pairing_distance",
     "riccati_residual", "convergence_study",
@@ -207,8 +211,39 @@ def _sorted_eigenvalues(values: np.ndarray) -> np.ndarray:
 # Assembly
 # ---------------------------------------------------------------------------
 
+def coefficient_samples(m: MassFn, roots: tuple, grids: Sequence[Grid],
+                        env: Optional[ParamEnv] = None) -> list:
+    """Per grid, its real masses at the midpoints and the arrays of roots
+    at the interior nodes, from one MassFn.validate at the union of all
+    grids' midpoints and one evaluate_many of roots at the union of their
+    interior nodes.  Evaluation is elementwise, so each grid's values are
+    bit for bit those of its own evaluation.  The nodes of a
+    Grid.refined() chain nest bit for bit (h/2 is exact while it is a
+    normal float), so a chain's union of nodes is its finest grid's.
+    Raises as validate and evaluate_many do; the failing x may then lie
+    on another grid than the one an evaluation grid by grid meets first."""
+    mids, mid_at = _union([g.midpoints() for g in grids])
+    nodes, node_at = _union([g.nodes()[1:-1] for g in grids])
+    mass = m.validate(env, mids)
+    values = evaluate_many(roots, nodes, env)
+    if log.isEnabledFor(logging.INFO):
+        log.info("operator coefficients: %d grids, %d points, %d midpoints, "
+                 "%d expressions, %d unique nodes", len(grids), nodes.size,
+                 mids.size, len(roots), node_counts(roots)[1])
+    return [(mass[i], tuple(v[j] for v in values))
+            for i, j in zip(mid_at, node_at)]
+
+
+def _union(parts: list) -> tuple:
+    """The sorted distinct values of the arrays parts, and per part the
+    index of each of its values in them."""
+    union, at = np.unique(np.concatenate(parts), return_inverse=True)
+    return union, np.split(at, np.cumsum([p.size for p in parts])[:-1])
+
+
 def assemble_hamiltonian(m: MassFn, vtilde: Expr, g: Grid,
-                         env: Optional[ParamEnv] = None) -> Tridiagonal:
+                         env: Optional[ParamEnv] = None,
+                         samples=None) -> Tridiagonal:
     """H = -d(m^{-1} d) + Vtilde with midpoint mass sampling:
 
         (H psi)_i = -(1/h^2)[ (psi_{i+1}-psi_i)/m_{i+1/2}
@@ -216,12 +251,18 @@ def assemble_hamiltonian(m: MassFn, vtilde: Expr, g: Grid,
 
     on interior rows; Dirichlet boundary rows are identity rows decoupled
     from the interior block.  Second-order accurate.  MassFn.validate
-    raises MassError where a midpoint mass is not real and positive.
+    raises MassError where a midpoint mass is not real and positive.  A
+    caller that already holds the masses at g's midpoints and Vtilde at
+    its interior nodes (see coefficient_samples) passes them as
+    ``samples``, and nothing is evaluated.
     """
     n = g.points
     h = g.h
-    inv_m = 1.0 / m.validate(env, g.midpoints())
-    v_nodes = evaluate_many(vtilde, g.nodes()[1:-1], env)
+    if samples is None:
+        samples = (m.validate(env, g.midpoints()),
+                   evaluate_many(vtilde, g.nodes()[1:-1], env))
+    mass, v_nodes = samples
+    inv_m = 1.0 / mass
 
     band = np.zeros((n, 3), dtype=complex)
     band[[0, -1], 1] = 1.0
@@ -231,13 +272,16 @@ def assemble_hamiltonian(m: MassFn, vtilde: Expr, g: Grid,
     return Tridiagonal(band, g, label="H")
 
 
-def assemble_charge(coeffs, g: Grid, env: Optional[ParamEnv] = None) -> Tridiagonal:
+def assemble_charge(coeffs, g: Grid, env: Optional[ParamEnv] = None,
+                    samples=None) -> Tridiagonal:
     """Discrete N-th order charge operator with central stencils and
     node-sampled coefficients; boundary rows zeroed.
 
     Supported orders are N = 1 (lead * D1 + sub) and N = 2
     (lead * D2 + sub * D1 + u0); for N >= 3 the interior coefficients have
-    no closed form and assembly raises UnsupportedOrderError.
+    no closed form and assembly raises UnsupportedOrderError.  A caller
+    that already holds lead, sub and u at g's interior nodes passes their
+    arrays as ``samples``, and nothing is evaluated.
     """
     n_order = coeffs.n
     if n_order > 2:
@@ -249,9 +293,10 @@ def assemble_charge(coeffs, g: Grid, env: Optional[ParamEnv] = None) -> Tridiago
 
     n = g.points
     h = g.h
-    x_int = g.nodes()[1:-1]
-    lead, sub, *u0 = evaluate_many((coeffs.lead, coeffs.sub, *coeffs.u),
-                                   x_int, env)
+    if samples is None:
+        samples = evaluate_many((coeffs.lead, coeffs.sub, *coeffs.u),
+                                g.nodes()[1:-1], env)
+    lead, sub, *u0 = samples
 
     if n_order == 1:        # interior row: C[i, i-1], C[i, i], C[i, i+1]
         stencil = (-lead / (2 * h), sub, lead / (2 * h))

@@ -1075,6 +1075,100 @@ def test_identity_sample_pole_names_the_samples_stage(tmp_path, capsys):
         "'2/(2*(1e-07+i*x)*(2*(1e-07+i*x)))' at x=0.0\n")
 
 
+def test_convergence_samples_its_coefficients_once(tmp_path, monkeypatch):
+    # the four grids' coefficients come from one evaluation at the finest
+    # grid's interior nodes and one mass validation at all their
+    # midpoints, and give the residuals that each grid's own gives
+    path = write_config(tmp_path, SEEDED_ORDER2)
+    argv = ["convergence", path, "--refinements", "4", "--quiet",
+            "--report", str(tmp_path / "report.json")]
+    calls, masses = [], []
+    evaluate, validate = discrete.evaluate_many, MassFn.validate
+
+    def counted(e, xs, env=None):
+        calls.append((len(e) if isinstance(e, tuple) else 1, len(xs)))
+        return evaluate(e, xs, env)
+
+    def validated(self, env=None, samples=None):
+        if samples is not None:         # not the check at config load
+            masses.append(len(samples))
+        return validate(self, env, samples)
+
+    monkeypatch.setattr(discrete, "evaluate_many", counted)
+    monkeypatch.setattr(MassFn, "validate", validated)
+    assert main(argv) == 0
+    shared = json.loads((tmp_path / "report.json").read_text())
+    # Vtilde, lead, sub and u0 at the 799 interior nodes of 801
+    assert calls == [(4, 799)]
+    assert masses == [100 + 200 + 400 + 800]
+
+    def refuse(*args):
+        raise cli.EvaluationError("no shared sampling")
+
+    calls.clear()
+    monkeypatch.setattr(discrete, "coefficient_samples", refuse)
+    assert main(argv) == 0
+    alone = json.loads((tmp_path / "report.json").read_text())
+    assert calls == [(1, 99), (3, 99), (1, 199), (3, 199), (1, 399),
+                     (3, 399), (1, 799), (3, 799)]
+    assert alone["checks"] == shared["checks"]
+
+
+def test_verbose_logs_the_operator_coefficients_once(tmp_path, capsys):
+    path = write_config(tmp_path, SEEDED_ORDER2)
+    assert main(["convergence", path, "--quiet", "-v"]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if "operator coefficients" in line]
+    assert len(lines) == 1
+    assert re.fullmatch(r"pdmsusy\.discrete: operator coefficients: 3 grids, "
+                        r"399 points, 700 midpoints, 4 expressions, "
+                        r"\d+ unique nodes", lines[0])
+
+
+# A node of the second grid of the chain on [-1.5, 1.5] from 33 points
+# that the first grid lacks, and a midpoint of the second grid at least
+# 2.2e-3 from each of the 257 samples the mass is checked at on loading
+SECOND_GRID_NODE, SECOND_GRID_MIDPOINT = 0.046875, 0.5859375
+
+
+@pytest.mark.parametrize("payload, code, message", [
+    # W_m vanishes at the node, so u0 (and Vtilde) have a pole there
+    ({"order": 2, "mass": "1",
+      "superpotential": {"kind": "deformed",
+                         "expr": f"x-{SECOND_GRID_NODE!r}"},
+      "susy_constants": [-3.0, 2.0]}, 3,
+     "numerical failure [stage convergence]: pole hit in "
+     "'0/(2*(x-0.046875))' at x=0.046875\n"),
+    # a dip of the mass to -1 at the midpoint, 1e-3 wide
+    ({"order": 1,
+      "mass": f"1-2*exp(-((x-{SECOND_GRID_MIDPOINT!r})/0.001)^2)",
+      "superpotential": {"kind": "deformed", "expr": "1.5+0.2*x^2+i*x"},
+      "susy_constants": [1.0]}, 2,
+     "configuration error [stage convergence]: mass not positive at "
+     "x=0.5859375: m=(-1+0j)\n"),
+], ids=["u0_pole", "mass_dip"])
+def test_failed_shared_sampling_fails_grid_by_grid(tmp_path, capsys,
+                                                    monkeypatch, payload,
+                                                    code, message):
+    # the shared sampling of the chain fails, and each grid then evaluates
+    # its own: the first grid's residuals are computed, and the second
+    # grid fails with the message an evaluation grid by grid gives
+    calls = []
+    residuals = discrete.constraint_residuals
+
+    def counted(*args):
+        calls.append(args[0].n)
+        return residuals(*args)
+
+    monkeypatch.setattr(discrete, "constraint_residuals", counted)
+    path = write_config(tmp_path, dict(
+        payload, grid={"xmin": -1.5, "xmax": 1.5, "points": 33},
+        checks=["pseudo"]))
+    assert main(["convergence", path, "--quiet"]) == code
+    assert capsys.readouterr().err == message
+    assert calls == [33]
+
+
 def test_default_tolerances_are_complete():
     for name in ("identity", "closure", "slope_min", "slope_max",
                  "discrete_residual", "eigen_match"):

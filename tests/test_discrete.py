@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_pt_model
 
@@ -181,6 +181,52 @@ def test_grid_contract():
     with pytest.raises(GridError, match="wider than the float range"):
         Grid(-1.7e308, 1.7e308, 21)
     assert g.refined().points == 401
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1e300, 1e300), st.floats(0.0, 1e300, exclude_min=True),
+       st.integers(16, 4096))
+def test_refined_nodes_nest_bit_for_bit(x_min, width, points):
+    # h/2 is exact while it is a normal float, and (2i) (h/2) rounds as
+    # i h does, so a refined chain's union of nodes is its finest grid's
+    x_max = x_min + width
+    assume(x_min < x_max)
+    g = Grid(x_min, x_max, points)
+    assume(g.refined().h >= np.finfo(float).tiny)
+    assert g.refined().nodes()[::2].tobytes() == g.nodes().tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_shared_coefficient_samples_build_the_same_operators(order,
+                                                             monkeypatch):
+    spec = random_pt_model(np.random.default_rng(order), order)
+    system = (build_first_order if order == 1 else build_second_order)(spec)
+    grids = [Grid(-1.5, 1.5, 33)]
+    while len(grids) < 4:
+        grids.append(grids[-1].refined())
+    c = system.charge
+    roots = (system.vtilde, c.lead, c.sub, *c.u)
+    points = []
+    evaluate = discrete.evaluate_many
+
+    def counted(e, xs, env=None):
+        points.append(len(xs))
+        return evaluate(e, xs, env)
+
+    monkeypatch.setattr(discrete, "evaluate_many", counted)
+    samples = discrete.coefficient_samples(spec.mass, roots, grids,
+                                           spec.params)
+    # one evaluation, at the finest grid's interior nodes
+    assert points == [grids[-1].points - 2]
+    for g, (mass, values) in zip(grids, samples):
+        shared = (assemble_hamiltonian(spec.mass, system.vtilde, g,
+                                       spec.params, samples=(mass, values[0])),
+                  assemble_charge(c, g, spec.params, samples=values[1:]))
+        alone = (assemble_hamiltonian(spec.mass, system.vtilde, g,
+                                      spec.params),
+                 assemble_charge(c, g, spec.params))
+        for a, b in zip(shared, alone):
+            assert np.array_equal(a.band, b.band)
 
 
 # ---------------------------------------------------------------------------
