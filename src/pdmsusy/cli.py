@@ -20,6 +20,7 @@ import dataclasses
 import json
 import logging
 import math
+import operator
 import os
 import sys
 import time
@@ -428,11 +429,12 @@ class _CheckContext:
 
     @cached_property
     def coefficients(self) -> dict:
-        """Grid -> the samples of H's and of C's coefficients there (C's
-        None if no check reads C), for every grid whose operators the run
-        assembles, all from one discrete.coefficient_samples call.  Empty
-        where that call raises: each grid then evaluates its own, and so
-        fails where and as it would alone."""
+        """Grid -> [the samples of H's coefficients there, C's (None if no
+        check reads C)], for every grid whose operators the run assembles,
+        all from one discrete.coefficient_samples call.  Each is read once
+        and then released (_samples).  Empty where that call raises: each
+        grid then evaluates its own, and so fails where and as it would
+        alone."""
         grid, checks = self.config.grid, self.config.checks
         # the checks that read C need parity (zeta = C P), so they are the
         # ones skipped on a grid not symmetric about 0, and they refuse a
@@ -452,21 +454,29 @@ class _CheckContext:
                                                    grids, self.spec.params)
         except (EvaluationError, ModelError, MemoryError):
             return {}
-        return {g: ((mass, values[0]), values[1:] or None)
+        return {g: [(mass, values[0]), values[1:] or None]
                 for g, (mass, values) in zip(grids, samples)}
+
+    def _samples(self, grid, part: int):
+        """H's (part 0) or C's (part 1) coefficient samples on grid, or
+        None; taken out, so the run keeps no slice it has assembled."""
+        parts = self.coefficients.get(grid)
+        if parts is None:
+            return None
+        samples, parts[part] = parts[part], None
+        return samples
 
     def _hamiltonian(self, grid):
         """H on grid, from its coefficient samples if it has them."""
-        samples, _ = self.coefficients.get(grid, (None, None))
         return discrete.assemble_hamiltonian(
             self.spec.mass, self.system.vtilde, grid, self.spec.params,
-            samples=samples)
+            samples=self._samples(grid, 0))
 
     def _charge(self, grid):
         """C on grid, from its coefficient samples if it has them."""
-        _, samples = self.coefficients.get(grid, (None, None))
         return discrete.assemble_charge(self.system.charge, grid,
-                                        self.spec.params, samples=samples)
+                                        self.spec.params,
+                                        samples=self._samples(grid, 1))
 
     @cached_property
     def hamiltonian(self):
@@ -736,14 +746,18 @@ def emit_curves(system, grid: discrete.Grid, path: str) -> None:
         # u0, then the modes in the order of their log-derivatives phi1, phi2
         curves += [*u0, *psis[::-1]]
         header = SECOND_ORDER_HEADER
-    columns = [xs, m_vals.real] + [part for c in curves
-                                   for part in (c.real, c.imag)]
-    table = np.column_stack(columns)
+    # each distinct curve is formatted once (at order 2, psi2 is psi0)
+    distinct = {id(c): c for c in curves}
+    slot = {key: 2 + 2 * k for k, key in enumerate(distinct)}
+    table = np.column_stack([xs, m_vals.real] + [
+        part for c in distinct.values() for part in (c.real, c.imag)])
+    columns = operator.itemgetter(0, 1, *(slot[id(c)] + j for c in curves
+                                          for j in (0, 1)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         # blocks of rows as Python floats, whose repr is the shortest form
         for start in range(0, len(table), 128):
-            fh.writelines(",".join(map(repr, row)) + "\n"
+            fh.writelines(",".join(columns([*map(repr, row)])) + "\n"
                           for row in table[start:start + 128].tolist())
 
 

@@ -235,10 +235,19 @@ def coefficient_samples(m: MassFn, roots: tuple, grids: Sequence[Grid],
 
 
 def _union(parts: list) -> tuple:
-    """The sorted distinct values of the arrays parts, and per part the
-    index of each of its values in them."""
-    union, at = np.unique(np.concatenate(parts), return_inverse=True)
-    return union, np.split(at, np.cumsum([p.size for p in parts])[:-1])
+    """The values of the largest of the sorted arrays parts, then those of
+    the others that it lacks, and per part the index of each of its values
+    in them.  No sort: each part is searched in the largest."""
+    fine = max(parts, key=len)
+    union, at, size = [fine], [], fine.size
+    for part in parts:
+        i = np.searchsorted(fine, part).clip(max=max(fine.size - 1, 0))
+        miss = fine[i] != part
+        i[miss] = size + np.arange(np.count_nonzero(miss))
+        union.append(part[miss])
+        at.append(i)
+        size += union[-1].size
+    return np.concatenate(union), at
 
 
 def assemble_hamiltonian(m: MassFn, vtilde: Expr, g: Grid,
@@ -917,8 +926,7 @@ def riccati_residual(m: MassFn, vtilde: Expr, phi, e,
     phis, energies = (phi, e) if isinstance(phi, tuple) else ((phi,), (e,))
     roots = riccati_roots(m, vtilde, phis)
     if values is None:
-        xs = np.asarray(list(samples), dtype=float)
-        values = evaluate_many(roots, xs, env)
+        values = evaluate_many(roots, samples, env)
     value = dict(zip(map(id, roots), values))
     mx = m.expr
     mv, dmv, vv = (value[id(r)] for r in (mx, differentiate(mx), vtilde))
@@ -977,20 +985,35 @@ def wavefunction_from_log_derivative(phi: Expr, xs: Sequence[float],
     """psi on the nodes from psi'/psi = phi by fixed-step 4th-order
     (Simpson) cumulative quadrature of phi from the domain midpoint, with
     the normalization psi(midpoint) = 1 (inf, quietly, past the float range)."""
-    xs = np.asarray(list(xs), dtype=float)
+    xs = np.asarray(xs if hasattr(xs, "__len__") else list(xs), dtype=float)
+    n = xs.size
     midpoint = 0.5 * (xs[0] + xs[-1])
 
     anchor = int(np.argmin(np.abs(xs - midpoint)))
     # Simpson segments (a, b) in summation order: midpoint to the anchor
-    # node, then outward to the right, then outward to the left
-    a = np.concatenate([[midpoint], xs[anchor:-1], xs[:anchor][::-1]])
-    b = np.concatenate([[xs[anchor]], xs[anchor + 1:], xs[1:anchor + 1][::-1]])
+    # node, then outward to the right, then outward to the left; as indices
+    # into the points [nodes, midpoint, segment middles]
+    ia = np.concatenate([[n], np.arange(anchor, n - 1), np.arange(anchor)[::-1]])
+    ib = np.concatenate([[anchor], np.arange(anchor + 1, n),
+                         np.arange(1, anchor + 1)[::-1]])
+    points = np.append(xs, midpoint)
+    a, b = points[ia], points[ib]
+    points = np.concatenate([points, 0.5 * (a + b)])
     live = a != b
-    f = evaluate_many(phi, np.column_stack([a, 0.5 * (a + b), b])[live].ravel(),
-                      env).reshape(-1, 3)
+    # phi once per point that a live segment reads (a node two segments
+    # share, once), at its first read, so the first point that fails is the
+    # same; no sort, each read's first position comes from one minimum.at
+    reads = np.column_stack([ia, np.arange(n + 1, points.size), ib])[live]
+    reads, order = reads.ravel(), np.arange(reads.size)
+    first = np.full(points.size, reads.size)
+    np.minimum.at(first, reads, order)
+    once = reads[first[reads] == order]
+    phi_at = np.empty(points.size, dtype=complex)
+    phi_at[once] = evaluate_many(phi, points[once], env)
+    f = phi_at[reads].reshape(-1, 3)
     segments = np.zeros(a.size, dtype=complex)
     segments[live] = ((b - a)[live] / 6.0) * (f[:, 0] + 4.0 * f[:, 1] + f[:, 2])
-    right = xs.size - anchor
+    right = n - anchor
     integral = np.empty(xs.size, dtype=complex)
     integral[anchor:] = np.add.accumulate(segments[:right])
     integral[anchor::-1] = np.subtract.accumulate(

@@ -40,6 +40,7 @@ import re
 import struct
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -97,11 +98,26 @@ class PoleError(EvaluationError):
 # AST
 # ---------------------------------------------------------------------------
 
-# The node table: (type, scalar fields, ids of child nodes) -> the live node
-# of that structure.  Its values are weak, so an entry goes when its node
-# dies; a node holds its children, so the ids in a live key are still theirs.
-_NODES = weakref.WeakValueDictionary()
+# The node table: (type, scalar fields, ids of child nodes) -> a weak
+# reference to the live node of that structure, which carries its key.  A
+# node holds its children, so the ids in a live key are still theirs.  A hit
+# reads the table without the lock: one dict read and one call of the
+# reference, each atomic.  A miss takes the lock, reads again and inserts.
+# When a node dies, the callback of its reference removes the entry
+# atomically and only while the entry still holds a dead reference (as
+# WeakValueDictionary does), so it never removes a newer node of the same
+# structure, and it never takes the lock, which a collection run by this
+# very thread may hold.
+_NODES = {}
 _LOCK = threading.Lock()
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref, remove=_remove_dead_weakref, nodes=_NODES):
+    remove(nodes, ref.key)
 
 
 class _HashConsed(type):
@@ -125,14 +141,19 @@ class _HashConsed(type):
             key = (cls, args[0], *map(id, args[1:]))
         else:
             key = (cls, *map(id, args))
+        ref = _NODES.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
         with _LOCK:     # one node per structure under threads, too
-            node = _NODES.get(key)
-            if node is None:
+            ref = _NODES.get(key)
+            if ref is None or (node := ref()) is None:
                 node = super().__call__(*args)
                 object.__setattr__(node, "_args", args)
                 object.__setattr__(node, "_hash", hash((cls, *args)))
                 object.__setattr__(node, "_deriv", None)
-                _NODES[key] = node
+                ref = _Ref(node, _forget)
+                ref.key = key
+                _NODES[key] = ref
         return node
 
 
@@ -707,7 +728,8 @@ def evaluate_many(e, xs: Iterable[float], env=None):
     unique subexpression once; returns a complex ndarray of the same length.
     ``e`` may also be a tuple of expressions: the result is then the tuple
     of their arrays, from one walk over their joint DAG, compiled for this
-    call alone (_compile).  Deterministic.
+    call alone (_compile).  Deterministic.  Each returned array is the
+    caller's own.
 
     Raises UnboundParameterError for missing parameters and PoleError when
     a denominator (or cos under sec/tan) falls below POLE_TOLERANCE or an
@@ -731,21 +753,37 @@ def evaluate_many(e, xs: Iterable[float], env=None):
                     (plan := _Plan(_compile((root,)), xs, env)).run()
                 for i in np.flatnonzero(~np.isfinite(plan.total)):
                     _Plan(plan.code, xs[i:i + 1], env, raising=True).run()
-    values = tuple(np.broadcast_to(v, xs.shape).astype(complex) for v in values)
-    return values if isinstance(e, tuple) else values[0]
+    # a root's array is returned as computed; a constant root, or a second
+    # reference to an array already returned, is copied
+    returned = set()
+    for k, value in enumerate(values):
+        if type(value) is not np.ndarray or id(value) in returned:
+            values[k] = value = np.broadcast_to(value, xs.shape).astype(complex)
+        returned.add(id(value))
+    return tuple(values) if isinstance(e, tuple) else values[0]
+
+
+# Nodes with no check that could fail: their values are never watched.
+_LEAVES = frozenset((Const, Var, Param))
 
 
 class _Plan:
     """One run of compiled steps (see _compile) over all points.  Each
     array is dropped after its last read.
 
-    Every value a point could fail on adds into that point's sentinel,
-    ``total`` (a sum of numbers stays finite only if all of them are), and
-    a failing explicit condition (pole, log(0), 0^complex, unbound
-    parameter) sets it to NaN, so a point that fails leaves its sentinel
-    not finite.  A ``raising`` run, of one point, raises at its first
-    failing check instead: the error a scalar walk meets first, since a
-    shared node's first visit comes before any repeat."""
+    Each point keeps a sentinel, ``total``: a sum of numbers stays finite
+    only if all of them are, and a failing explicit condition (pole,
+    log(0), 0^complex, unbound parameter) sets it to NaN.  A value adds
+    into it (``watch``) only where a later step could turn its failure
+    finite: a root, a Div's denominator, a Pow's operands, a Func's
+    argument, and the cosine under sec/tan.  Any other value is read by a
+    complex +, -, *, negation, conjugation or a Div's numerator, and those
+    keep a value that is not finite not finite, so it reaches a watched
+    value; a leaf is never watched, since no check of its own can fail.
+    So a point that fails leaves its sentinel not finite.  A ``raising``
+    run, of one point, checks every value and raises at its first failing
+    check instead: the error a scalar walk meets first, since a shared
+    node's first visit comes before any repeat."""
 
     def __init__(self, code, xs: np.ndarray, env: ParamEnv, raising=False):
         self.code, self.xs, self.env, self.raising = code, xs, env, raising
@@ -766,16 +804,23 @@ class _Plan:
             for i in dead:
                 values[i] = None
         out = [values[k] for k in outs]
-        for k in outs:
+        for k in dict.fromkeys(outs):
+            self.watch(values[k], steps[k][1])
             values[k] = None
         return out
 
-    def check(self, value, e: Expr, detail: str, mask=None):
-        """Add ``value`` into the sentinel, or set it to NaN where ``mask``
-        holds; a raising run raises a ``detail`` PoleError of node ``e`` at
-        a failure instead.  Returns ``value``."""
-        if mask is None:
+    def watch(self, value, e=None):
+        """Add ``value``, of node ``e`` (None: of no node), into the
+        sentinel, unless e is a leaf.  Returns ``value``."""
+        if type(e) not in _LEAVES:
             self.total += value
+        return value
+
+    def check(self, value, e: Expr, detail: str, mask=None):
+        """Set the sentinel to NaN where ``mask`` holds; a raising run raises
+        a ``detail`` PoleError of node ``e`` there instead, and also where
+        ``value`` is not finite if no mask is given.  Returns ``value``."""
+        if mask is None:
             if not self.raising:
                 return value
             mask = ~np.isfinite(value)
@@ -804,14 +849,17 @@ def _arithmetic(ufunc):
 
 
 def _pow(plan: _Plan, e: Pow, base, expo):
+    plan.watch(base, e.base)
+    plan.watch(expo, e.exponent)
     value = plan.check(base ** expo, e, "pole hit")
     # Python's complex power raises at 0 to a complex exponent
     return plan.check(value, e, "pole hit", (base == 0) & (np.imag(expo) != 0))
 
 
 def _func(plan: _Plan, e: Func, u):
+    plan.watch(u, e.arg)
     if e.name in ("tan", "sec"):
-        c = plan.check(np.cos(u), e, "overflow")
+        c = plan.watch(plan.check(np.cos(u), e, "overflow"))
         plan.check(c, e, "pole hit", np.abs(c) < POLE_TOLERANCE)
         value = np.sin(u) / c if e.name == "tan" else 1.0 / c
     elif e.name == "log":
@@ -822,6 +870,7 @@ def _func(plan: _Plan, e: Func, u):
 
 
 def _pole(plan: _Plan, e: Div, den) -> None:
+    plan.watch(den, e.right)
     plan.check(den, e, "pole hit", np.abs(den) < POLE_TOLERANCE)
 
 

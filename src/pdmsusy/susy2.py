@@ -76,7 +76,8 @@ class SecondOrderSystem:
 def scan_superpotential_zeros(wm: Expr, samples: Sequence[float],
                               env: Optional[ParamEnv] = None) -> None:
     """Raise SingularPointError listing sample points where |W_m| < 1e-8."""
-    xs = np.asarray(list(samples), dtype=float)
+    xs = np.asarray(samples if hasattr(samples, "__len__") else list(samples),
+                    dtype=float)
     bad = xs[np.abs(evaluate_many(wm, xs, env)) < WM_ZERO_TOLERANCE]
     if bad.size:
         raise SingularPointError(bad.tolist())

@@ -415,6 +415,10 @@ def test_curves_second_order_header(tmp_path):
     assert lines[0] == ("x,re_m,re_wm,im_wm,re_v,im_v,re_psi0,im_psi0,"
                         "re_u0,im_u0,re_psi1,im_psi1,re_psi2,im_psi2")
     assert len(lines) == 1 + 33
+    # psi2 is the ground mode psi0: the same text, formatted once
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[12:14] for row in rows] == [row[6:8] for row in rows]
+    assert [row[10:12] for row in rows] != [row[6:8] for row in rows]
 
 
 def test_spectrum_command_on_confined_model(tmp_path):

@@ -976,6 +976,34 @@ def test_wavefunction_sums_outward_from_the_anchor():
         assert np.array_equal(psi, np.exp(integral))
 
 
+def test_wavefunction_evaluates_each_point_once(monkeypatch):
+    # one evaluation at the points the live segments read, each once and in
+    # the order of its first read (a node two segments share, once)
+    calls = []
+    evaluate = discrete.evaluate_many
+    monkeypatch.setattr(discrete, "evaluate_many", lambda phi, xs, env=None:
+                        calls.append(list(xs)) or evaluate(phi, xs, env))
+    for xs in (np.linspace(-1.5, 1.5, 33), np.linspace(-1.0, 2.0, 20)):
+        midpoint = 0.5 * (xs[0] + xs[-1])
+        anchor = int(np.argmin(np.abs(xs - midpoint)))
+        # segments as node indices, None for the midpoint; a point is named
+        # by its index, or by its segment for a segment's middle
+        segments = [(None, anchor)]
+        segments += [(j - 1, j) for j in range(anchor + 1, xs.size)]
+        segments += [(j, j + 1) for j in range(anchor - 1, -1, -1)]
+        at = {None: midpoint, **dict(enumerate(xs))}
+        reads = {}
+        for s, (i, k) in enumerate(segments):
+            if at[i] != at[k]:
+                for name, x in ((i, at[i]), (-1 - s, 0.5 * (at[i] + at[k])),
+                                (k, at[k])):
+                    reads.setdefault(name, x)
+        calls.clear()
+        wavefunction_from_log_derivative(parse("cos(x)"), xs)
+        assert calls == [list(reads.values())]
+        assert len(calls[0]) == 2 * xs.size - 1 + 2 * (midpoint != xs[anchor])
+
+
 def identity_band(n):
     band = np.zeros((n, 3))
     band[:, 1] = 1.0

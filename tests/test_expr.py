@@ -8,6 +8,7 @@ import cmath
 import copy
 import dataclasses
 import gc
+import itertools
 import math
 import operator
 import pickle
@@ -301,6 +302,29 @@ def test_evaluate_pole_reports_subexpression():
         evaluate_many(parse("a*b"), [0.0], ParamEnv(a=1e200, b=1e200))
 
 
+def test_each_returned_array_is_the_callers_own(monkeypatch):
+    # a root's array is returned as its step computed it; a constant root
+    # and a second reference to a returned array are copied, so the caller
+    # may write to any of them
+    computed = []
+    step, first = expr._STEPS[Mul]
+    monkeypatch.setitem(expr._STEPS, Mul, (
+        lambda *args: computed.append(step(*args)) or computed[-1], first))
+    e = parse("sin(x)*x")
+    xs = np.linspace(0.0, 1.0, 5)
+    values = evaluate_many((e, e, expr.X, Const(2)), xs)
+    assert values[0] is computed[0]
+    for value in values:
+        assert value.dtype == complex and value.shape == xs.shape
+        assert value.flags.writeable
+    for a, b in itertools.combinations(values, 2):
+        assert not np.shares_memory(a, b)
+    assert values[1].tobytes() == values[0].tobytes()
+    assert values[2].tolist() == xs.tolist() and values[3].tolist() == [2] * 5
+    single = evaluate_many(Const(2), xs)
+    assert single.flags.writeable and single.tolist() == [2] * 5
+
+
 def test_unbound_parameter_is_an_error_not_zero():
     with pytest.raises(UnboundParameterError, match="alpha"):
         evaluate(parse("alpha*x"), 1.0)
@@ -315,19 +339,20 @@ def test_unbound_parameter_is_an_error_not_zero():
 
 
 def test_sentinel_overflow_on_finite_values_returns_the_values(monkeypatch):
-    # at x = 1 every value is finite, but the sum the run keeps per point,
-    # 1e308 + 1 + 1e308 + 0, is not (nor at x = -1): each such point is
-    # replayed alone, no check fails, and the run's values are returned, at
-    # x = 0.5 too
+    # at x = 1 every value is finite, but the sum the run keeps per point
+    # of the values it watches, the denominators 1e308 and 1e308 and the
+    # root 0, is not (nor at x = -1): each such point is replayed alone, no
+    # check fails, and the run's values are returned, at x = 0.5 too
     runs, compiles = [], []
     run, compile_ = expr._Plan.run, expr._compile
     monkeypatch.setattr(expr._Plan, "run", lambda plan: runs.append(
         (plan.raising, plan.xs.tolist())) or run(plan))
     monkeypatch.setattr(expr, "_compile",
                         lambda roots: compiles.append(roots) or compile_(roots))
-    e, two_x = parse("1e308*x - 1e308*x^3"), parse("2*x")
+    e = parse("1e308*x/(1e308*x^2) - 1e308*x/(1e308*x^4)")
+    two_x = parse("2*x")
     xs = [0.5, 1.0, -1.0]
-    assert evaluate_many(e, xs).tolist() == [3.75e307, 0.0, 0.0]
+    assert evaluate_many(e, xs).tolist() == [-6.0, 0.0, 0.0]
     assert runs == [(False, xs), (True, [1.0]), (True, [-1.0])]
     # the replays run the call's steps: one compile, not one per point
     assert compiles == [(e,)]
@@ -336,7 +361,7 @@ def test_sentinel_overflow_on_finite_values_returns_the_values(monkeypatch):
     # of a tuple, each expression is compiled and runs again alone before
     # its own replays
     values = evaluate_many((e, two_x), xs)
-    assert [v.tolist() for v in values] == [[3.75e307, 0.0, 0.0],
+    assert [v.tolist() for v in values] == [[-6.0, 0.0, 0.0],
                                             [1.0, 2.0, -2.0]]
     assert runs == [(False, xs), (False, xs), (True, [1.0]), (True, [-1.0]),
                     (False, xs)]
@@ -394,6 +419,57 @@ def test_finished_expressions_are_freed():
     for k in range(20_000):
         Add(Param(f"p{k}"), Var())
     assert len(expr._NODES) < 5_000
+
+
+def test_a_late_removal_keeps_a_live_node_of_its_structure():
+    # a collection clears the references of dead nodes before it runs their
+    # callbacks, so a dead node's entry may be replaced by a new node of its
+    # structure first; the dead node's callback then leaves the entry
+    name = Param("late_removal")        # its id stays in the key
+    node = Mul(name, Var())
+    key, = [k for k, ref in expr._NODES.items() if ref() is node]
+    dead = expr._NODES[key]
+    del node
+    assert dead() is None and key not in expr._NODES
+    live = Mul(name, Var())
+    expr._forget(dead)          # the callback, run late
+    assert expr._NODES[key]() is live
+    assert Mul(Param("late_removal"), Var()) is live
+
+
+def test_interning_holds_under_threads_that_build_and_drop():
+    # threads build the same new structures at once, dropping each batch
+    # before the next, so table hits, misses and the removals of dead
+    # entries interleave; the batches they hold at the end are one object
+    # per structure, and the table keeps no entry of a dropped node
+    before = len(expr._NODES)
+    barrier = threading.Barrier(6)
+    held = []
+
+    def build():
+        barrier.wait()
+        for _ in range(30):
+            batch = [Add(Param(f"churn_{k}"), Mul(Const(k + 0.5), Var()))
+                     for k in range(40)]
+        held.append(batch)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(held) == len(threads)
+    for same in zip(*held):
+        assert all(e is same[0] for e in same)
+    del same, held
+    gc.collect()
+    assert len(expr._NODES) <= before
 
 
 def test_deep_expressions_need_no_recursion():

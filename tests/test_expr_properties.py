@@ -2,7 +2,9 @@
 exact derivatives against a central finite difference, the PT image
 against conjugate parity bit for bit, render -> parse round trips, and, on
 trees that share subexpressions, the DAG walk against a tree walk and a
-tuple call against one call per expression.
+tuple call against one call per expression; on trees that hide a failure
+under a value that can be finite, a call over all points against a walk of
+each point alone.
 
 Examples are derandomized so the suite is reproducible; widen
 ``max_examples`` locally to search harder.
@@ -13,12 +15,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pdmsusy import expr
-from pdmsusy.expr import (FUNCTIONS, X, Const, EvaluationError, Param,
-                          ParamEnv, add, differentiate, div, evaluate,
-                          evaluate_many, func, mul, neg, parse, pow_, sub)
+from pdmsusy.expr import (FUNCTIONS, X, Const, Div, EvaluationError, Func,
+                          Mul, Neg, Param, ParamEnv, Pow, add, differentiate,
+                          div, evaluate, evaluate_many, func, mul, neg, parse,
+                          pow_, sub)
 from pdmsusy.model import pt_image
 
 ENV = ParamEnv(alpha=0.7)
@@ -187,3 +190,55 @@ def test_tuple_call_matches_one_call_per_expression(trees, points, env):
                 == (type(exc), str(exc), getattr(exc, "x", None)))
         return
     assert [v.tobytes() for v in evaluate_many(roots, points, env)] == separate
+
+
+# values that fail at some points: an overflow for x > 0.71, a pole and
+# log(0) at 0, and a product that is not finite for |x| > 1e-8
+OVERFLOW = func("exp", mul(Const(1000.0), X))
+FAILING = st.sampled_from([OVERFLOW, div(Const(1.0), X), func("log", X),
+                           mul(Const(1e300), mul(X, Const(1e16)))])
+
+
+def _hiding(children):
+    """Each kind of consumer that can turn a failing operand's value finite
+    (exp(-inf) = 0, inf^0 = 1, x/inf = 0, 0.5^inf = 0, tanh(inf) = 1), and
+    0*inf, which is not finite; built by the node classes, since the smart
+    constructors fold 0*f and f^0.  Sums and products combine them."""
+    return st.one_of(
+        children.map(lambda t: Func("exp", Neg(t))),
+        children.map(lambda t: Pow(t, Const(0.0))),
+        children.map(lambda t: Pow(Const(0.5), t)),
+        children.map(lambda t: Div(X, t)),
+        children.map(lambda t: Mul(Const(0.0), t)),
+        children.map(lambda t: Func("tanh", t)),
+        st.tuples(st.sampled_from([add, sub, mul]), children, children)
+        .map(lambda t: t[0](t[1], t[2])))
+
+
+HIDDEN = st.recursive(st.one_of(FAILING, SMALL), _hiding, max_leaves=4)
+FAILING_POINTS = st.lists(st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]),
+                                    st.floats(-3.0, 3.0)),
+                          min_size=1, max_size=6)
+
+
+@PROPERTY
+@given(HIDDEN, FAILING_POINTS)
+@example(Func("exp", Neg(OVERFLOW)), [0.5, 1.0])
+@example(Pow(OVERFLOW, Const(0.0)), [0.5, 1.0])
+@example(Div(X, OVERFLOW), [0.5, 1.0])
+@example(Mul(Const(0.0), OVERFLOW), [0.5, 1.0])
+@example(Func("tanh", OVERFLOW), [0.5, 1.0])
+@example(func("sec", mul(Const(1000j), X)), [0.5, 1.0])    # 1/cosh(1000)
+def test_a_failure_under_a_finite_value_is_reported(tree, points):
+    # the run over all points adds only some values into its sentinels;
+    # the walk of each point alone checks every value
+    with mock.patch.object(expr._Plan, "run", _tree_run):
+        alone = [_outcome(lambda x: evaluate(tree, x, ENV), x) for x in points]
+    try:
+        values = evaluate_many(tree, points, ENV)
+    except EvaluationError as exc:
+        first = next(error for _, error in alone if error is not None)
+        assert (type(exc), str(exc), exc.x) == first
+    else:
+        assert [values[i].tobytes() for i in range(len(points))] == [
+            value for value, _ in alone]
