@@ -139,12 +139,21 @@ def _json_default(obj):
 # Config loading
 # ---------------------------------------------------------------------------
 
+def _finite(value) -> bool:
+    """Whether a number is a finite float or an int that one holds (JSON
+    Infinity and NaN load as floats, an integer past 2^1024 as an int)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _is_a(value, types) -> bool:
-    """isinstance, except that no boolean and no infinite or NaN float
-    passes: JSON true and false load as bool, which Python counts as an
-    int, JSON Infinity and NaN load as floats, and no field takes either."""
+    """isinstance, except that no boolean and no number without a finite
+    float passes: JSON true and false load as bool, which Python counts as
+    an int, and no field takes either."""
     return (isinstance(value, types) and not isinstance(value, bool)
-            and not (isinstance(value, float) and not math.isfinite(value)))
+            and not (isinstance(value, (int, float)) and not _finite(value)))
 
 
 def _want(mapping: dict, key: str, types, path: str, optional: bool = False,
@@ -154,7 +163,7 @@ def _want(mapping: dict, key: str, types, path: str, optional: bool = False,
             return default
         raise ConfigError(f"missing field '{path}{key}'")
     value = mapping[key]
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, (int, float)) and not _finite(value):
         raise ConfigError(f"field '{path}{key}' is not finite ({value})")
     if not _is_a(value, types):
         raise ConfigError(f"field '{path}{key}' has wrong type "
@@ -297,10 +306,10 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file unreadable: {exc}") from exc
+    except ValueError as exc:   # JSONDecodeError, or past int's digit limit
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config_dict(raw)
 
 
@@ -386,6 +395,7 @@ class _CheckContext:
     spec: ModelSpec
     system: object
     refinements: int
+    closed_form: tuple          # _closed_form_eigenvalues(spec), from run
     wall: dict = field(default_factory=dict)
     report: dict = field(default_factory=lambda: {"notes": []})
 
@@ -565,7 +575,7 @@ def _closed_form_eigenvalues(spec):
 
 def _check_eigenvalues(ctx: _CheckContext) -> CheckOutcome:
     tol = ctx.config.tolerances["quadratic_residual"]
-    roots, real_spec = _closed_form_eigenvalues(ctx.spec)
+    roots, real_spec = ctx.closed_form
     coeffs = ctx.spec.susy_constants
     worst = max(abs(susyn.monic_value(coeffs, r))
                 / susyn.residual_scale(r, len(coeffs)) for r in roots)
@@ -692,7 +702,8 @@ def run(config: RunConfig, refinements: int = 3) -> VerificationReport:
     with _timed(wall, "system"):
         system = _build_system(spec)
 
-    ctx = _CheckContext(config, spec, system, refinements, wall)
+    ctx = _CheckContext(config, spec, system, refinements,
+                        (roots, real_spec), wall)
     checks = []
     for name in config.checks:
         check, skip_reason = _CHECKS[name]

@@ -8,9 +8,9 @@ tridiagonal, and both are stored as their band (Tridiagonal): row i holds
 M[i, i-1], M[i, i] and M[i, i+1], from assembly to eigensolver.  No n x n
 operator is built: the constraint residuals and zeta conj(zeta) multiply
 bands (_band_product), and only eigensolver inputs are n x n.  Both refuse
-n > MAX_DENSE_DIMENSION.  Parity P: x -> -x is no matrix: on a grid
-symmetric about 0 it is the node reversal, so zeta = C P reverses the
-columns of C and P conj(H) P reverses both axes of conj(H).  The
+n > MAX_DENSE_DIMENSION.  Parity P: x -> -x is band data: on a grid
+symmetric about 0 it reverses the nodes, so P M P is M's band reversed,
+zeta V = C (P V), and zeta conj(zeta) = P ((P C P) conj(C)) P.  The
 coefficients of H and C on several grids (a refinement chain) come from
 one sampling at the union of their points (coefficient_samples), and each
 grid's slice goes into its assembly as ``samples``.
@@ -124,13 +124,16 @@ class Grid:
     points: int
 
     def __post_init__(self):
-        if self.points < 16:
-            raise GridError(f"need at least 16 points, got {self.points}")
+        if not 16 <= self.points <= 2**53:  # node indices are exact floats
+            raise GridError(f"need 16 to 2^53 points, got {self.points}")
         if not self.x_min < self.x_max:
             raise GridError(f"empty grid ({self.x_min}, {self.x_max})")
         if not math.isfinite(self.x_max - self.x_min):
             raise GridError(f"grid ({self.x_min}, {self.x_max}) is wider "
                             "than the float range")
+        h2 = self.h * self.h            # the stencils divide by h^2
+        if not (h2 and math.isfinite(h2) and math.isfinite(1.0 / h2)):
+            raise GridError(f"spacing {self.h:g} squares past the float range")
 
     @property
     def h(self) -> float:
@@ -357,28 +360,28 @@ def _kseams(n: int) -> list:
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(n: int, wx: int, wy: int, flip: bool = False) -> tuple:
-    """The panels of X Y (of (X P)(Y P) with flip), X and Y of half-widths
-    wx and wy, w = wx + wy.  Panel p is rows _TILE p + t of X (t < _TILE;
-    past n row n - 1, whose products are dropped), the inner window
-    k0[p] + j (j < _TILE + 2 wx; zero outside 0:n) and the product columns
-    from _TILE p - pad on, pad = w rounded up to _UNROLL_M.  Returns k0,
-    pad, the flat maps of x[_TILE p + t, d], y[k0[p] + j, d'] and
-    band[_TILE p + t, e] into a panel's blocks of X, Y and the product (the
-    same for every panel), and the passes (panels, rows of X, rows of Y,
-    cuts, cols) of at most _STACK_BYTES of blocks: the plain panels, those
-    that a k-block seam crosses (cuts, its index in their window), and one
-    by one those whose columns reach the M tail (cols, their count to n)."""
+def _layout(n: int, wx: int, wy: int) -> tuple:
+    """The panels of X Y, X and Y of half-widths wx and wy, w = wx + wy.
+    Panel p is rows _TILE p + t of X (t < _TILE; past n row n - 1, whose
+    products are dropped), the inner window k0[p] + j (j < _TILE + 2 wx;
+    zero outside 0:n) and the product columns from _TILE p - pad on, pad =
+    w rounded up to _UNROLL_M.  Returns k0, pad, the flat maps of
+    x[_TILE p + t, d], y[k0[p] + j, d'] and band[_TILE p + t, e] into a
+    panel's blocks of X, Y and the product (the same for every panel), and
+    the passes (panels, rows of X, rows of Y, cuts, cols) of at most
+    _STACK_BYTES of blocks: the plain panels, those that a k-block seam
+    crosses (cuts, its index in their window), and one by one those whose
+    columns reach the M tail (cols, their count to n)."""
     t, w = _TILE, wx + wy
     pad = -(-w // _UNROLL_M) * _UNROLL_M
     wide, span = t + 2 * wx, t + 2 * pad
     i, j = np.arange(t)[:, None], np.arange(wide)[:, None]
     dx, dy = np.arange(2 * wx + 1), np.arange(2 * wy + 1)
-    left = i * wide + (wide - 1 - i - dx if flip else i + dx)
-    right = j * span + (t - 1 + w + pad - j - dy if flip else j + dy - w + pad)
+    left = i * wide + i + dx
+    right = j * span + j + dy - w + pad
     out = i * span + i + np.arange(2 * w + 1) - w + pad
     panels = np.arange(-(-n // t))
-    k0 = n - t * panels - t - wx if flip else t * panels - wx
+    k0 = t * panels - wx
     seams = np.array(_kseams(n)[1:-1], dtype=int)
     seamed, which = np.nonzero((k0[:, None] < seams)
                                & (seams < k0[:, None] + wide))
@@ -397,25 +400,24 @@ def _layout(n: int, wx: int, wy: int, flip: bool = False) -> tuple:
         for p, cuts, cols in passes]
 
 
-def _band_product(x: np.ndarray, y: np.ndarray,
-                  flip: bool = False) -> np.ndarray:
-    """The band of X Y, or with flip of (X P)(Y P), from the bands of X and
-    Y, in O(n): the panels' blocks (_layout) stacked into one np.matmul per
-    pass.  numpy calls zgemm row-major, so OpenBLAS's M dimension counts
-    the product's columns, and each entry is summed as in the n x n product
-    by three facts of OpenBLAS 0.3.31 at one thread: (1) zero terms
-    anywhere in a k-block add nothing, so padding needs no geometry of its
-    own; (2) the k-blocks (_kseams) are summed one after the other, so a
-    panel that a seam crosses is summed in two pieces, before and after it,
-    in that order; (3) the last n % _UNROLL_M columns go through a
-    remainder kernel, so the panels that reach them are cut at n.  Bit for
-    bit at n = 16 to 4096 (tools/blas_order_sweep.py); with another BLAS
-    the last bits may differ.  The order matters to the residuals: a plain
-    sum over the band moved the seed-0 order-2 cpt residual by 20.6 and 30
-    times 100 n u at n = 801 and 1601, and the susy residual by 189 times
-    at n = 1601."""
+def _band_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The band of X Y from the bands of X and Y, in O(n): the panels'
+    blocks (_layout) stacked into one np.matmul per pass.  numpy calls
+    zgemm row-major, so OpenBLAS's M dimension counts the product's
+    columns, and each entry is summed as in the n x n product by three
+    facts of OpenBLAS 0.3.31 at one thread: (1) zero terms anywhere in a
+    k-block add nothing, so padding needs no geometry of its own; (2) the
+    k-blocks (_kseams) are summed one after the other, so a panel that a
+    seam crosses is summed in two pieces, before and after it, in that
+    order; (3) the last n % _UNROLL_M columns go through a remainder
+    kernel, so the panels that reach them are cut at n.  Bit for bit at
+    n = 16 to 4096 (tools/blas_order_sweep.py); with another BLAS the last
+    bits may differ.  The order matters to the residuals: a plain sum over
+    the band moved the seed-0 order-2 cpt residual by 20.6 and 30 times
+    100 n u at n = 801 and 1601, and the susy residual by 189 times at
+    n = 1601."""
     n, wx, wy = x.shape[0], x.shape[1] // 2, y.shape[1] // 2
-    k0, pad, (left, right, out), passes = _layout(n, wx, wy, flip)
+    k0, pad, (left, right, out), passes = _layout(n, wx, wy)
     wide, span = _TILE + 2 * wx, _TILE + 2 * pad
     band = np.empty((k0.size, out.size), dtype=complex)
     stack = max(p.size for p, *_ in passes)
@@ -441,13 +443,11 @@ def _band_product(x: np.ndarray, y: np.ndarray,
     return band.reshape(-1, 2 * (wx + wy) + 1)[:n]
 
 
-def _band_action(band: np.ndarray, v: np.ndarray,
-                 flip: bool = False) -> np.ndarray:
-    """M V, or with flip M P V, M stored in band: a plain sum over M's
-    2w + 1 diagonals in order, no BLAS call, within sqrt(2) gamma_(2w+2)
-    |M| |V| of the exact product (Higham, Lemma 3.5)."""
+def _band_action(band: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M V, M stored in band: a plain sum over M's 2w + 1 diagonals in
+    order, no BLAS call, within sqrt(2) gamma_(2w+2) |M| |V| of the exact
+    product (Higham, Lemma 3.5).  M P V is _band_action(band, V[::-1])."""
     n, w = band.shape[0], band.shape[1] // 2
-    v = v[::-1] if flip else v
     out, term = np.zeros((2, *v.shape), dtype=complex)
     for d in range(2 * w + 1):      # diagonal d: M[i, i + d - w]
         rows = slice(max(0, w - d), min(n, n + w - d))
@@ -503,15 +503,14 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
 
     Every input is checked before anything of size n is allocated, the
     limit n <= MAX_DENSE_DIMENSION among them.  No n x n array is built:
-    the operators and their products are banded (zeta anti-banded), kept
-    in diagonal-by-row storage, every product is summed in the order of
-    the n x n product (_band_product), and every probe action M V is a
-    plain sum over M's diagonals (_band_action), within the matmul
-    rounding bound 100 n u of the dense formulas (u the unit roundoff).
-    P conj(H) P (rows and diagonals of H's band reversed and conjugated),
-    the power sum and the differences are formed on the band storage in
-    the order of the dense formulas.  The log line gives n, the order and
-    the half-width of the widest product.
+    the operators and their products are banded, kept in diagonal-by-row
+    storage, every product is summed in the order of the n x n product
+    (_band_product), and every probe action M V is a plain sum over M's
+    diagonals (_band_action), within the matmul rounding bound 100 n u of
+    the dense formulas (u the unit roundoff).  Parity is band data (module
+    docstring).  P conj(H) P, the power sum and the differences are formed
+    on the band storage in the order of the dense formulas.  The log line
+    gives n, the order and the half-width of the widest product.
     """
     if H.grid != C.grid:
         raise GridError("H and C must share one grid")
@@ -532,9 +531,9 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
     rows = slice(margin, n - margin)
     tiny = np.finfo(float).tiny
 
-    def act(band: np.ndarray, flip: bool = False) -> float:
-        """||(M V)[rows]||, M (or M P with flip) stored in band."""
-        return float(np.linalg.norm(_band_action(band, V, flip)[rows]))
+    def act(band: np.ndarray, probes: np.ndarray = V) -> float:
+        """||(M probes)[rows]||, M stored in band."""
+        return float(np.linalg.norm(_band_action(band, probes)[rows]))
 
     def relative(lhs: np.ndarray, rhs: np.ndarray) -> float:
         """act(lhs - rhs) / max(act(lhs), act(rhs)); lhs becomes lhs - rhs."""
@@ -544,15 +543,15 @@ def constraint_residuals(H: Tridiagonal, C: Tridiagonal,
     h, c = H.band, C.band
     cpt = relative(_band_product(c, h[::-1, ::-1].conj()),  # C (P conj(H) P)
                    _band_product(h, c))
-    susy = relative(                       # zeta conj(zeta) - power sum
-        _widened(_band_product(c, c.conj(), flip=True), width),
+    susy = relative(            # zeta conj(zeta) = P ((P C P) conj(C)) P
+        _widened(_band_product(c[::-1, ::-1], c.conj())[::-1, ::-1], width),
         _widened(_power_sum(h, coeffs), width))
 
-    scale = max(act(c, flip=True), tiny)   # zeta = C P
+    scale = max(act(c, V[::-1]), tiny)     # zeta V = C P V
     t = np.zeros_like(c)                   # the band of C^T
     t[1:, 0], t[:, 1], t[:-1, 2] = c[:-1, 2], c[:, 1], c[1:, 0]
     pseudo = act(c - t[::-1, ::-1].conj(),  # P C^dagger P = zeta^dagger P
-                 flip=True) / scale        # zeta - zeta^dagger
+                 V[::-1]) / scale          # zeta - zeta^dagger
     return {"pseudo": pseudo, "cpt": cpt, "susy": susy}
 
 
@@ -890,14 +889,14 @@ def susy_algebra_spectrum(C: Tridiagonal) -> np.ndarray:
     (spec(AB) = spec(BA) and conj(zeta conj(zeta)) = conj(zeta) zeta), so
     its conjugate_pairing_distance isolates eigensolver backward error.  It
     does not test H: it is small also where H has no conjugate pair.  The
-    product is the susy residual's (_band_product); only the eigensolver's
-    input, written out from its band diagonal by diagonal (_dense), is
-    n x n.
-    """
+    product is the susy residual's, P ((P C P) conj(C)) P; where n % 4 > 0
+    its rows within n % 4 + 2 of the ends may differ in the last bits from
+    the n x n (C P)(conj(C) P)'s (_band_product's fact 3 falls at the other
+    end).  The eigensolver's input is written out from its band (_dense)."""
     _check_parity(C.grid)
     check_dense_budget(C.n)
-    band = _band_product(C.band, C.band.conj(), flip=True)  # zeta conj(zeta)
-    return dense_eigenvalues(_dense(band))
+    band = _band_product(C.band[::-1, ::-1], C.band.conj())
+    return dense_eigenvalues(_dense(band[::-1, ::-1]))  # zeta conj(zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -954,7 +953,7 @@ def convergence_study(residual_fn: Callable[[Grid], Mapping[str, float]],
     """Least-squares slope of log(residual) against log(h) per residual name.
 
     Needs at least three grids with successively halved spacing.  Residuals
-    below the 1e-14 floor are flagged as converged-to-floor (the slope is
+    below RESIDUAL_FLOOR are flagged as converged-to-floor (the slope is
     then fit anyway but carries no information).
     """
     if len(grids) < 3:

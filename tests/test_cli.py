@@ -13,7 +13,7 @@ import pytest
 from pdmsusy.cli import (ConfigError, DEFAULT_TOLERANCES, KNOWN_CHECKS,
                          emit_curves, load_config, main, paper_examples,
                          parse_config_dict, run)
-from pdmsusy import Grid, MassFn, ModelSpec, cli, discrete, parse
+from pdmsusy import Grid, MassFn, ModelSpec, cli, discrete, parse, susyn
 from pdmsusy.expr import ParamEnv, node_counts
 from pdmsusy.susy1 import build_first_order
 from pdmsusy.susy2 import build_second_order
@@ -153,7 +153,17 @@ def test_boundary_restricted_to_dirichlet(tmp_path, capsys):
     (json.dumps(dict(MINIMAL, grid=dict(MINIMAL["grid"], xmin=-1.7e308,
                                         xmax=1.7e308))),
      "field 'grid': grid (-1.7e+308, 1.7e+308) is wider than the float "
-     "range")])
+     "range"),
+    # h^2 overflows, so the stencils' 1/h^2 would be 0 ...
+    (json.dumps(dict(MINIMAL, grid=dict(xmin=-1e160, xmax=1e160, points=20))),
+     "field 'grid': spacing 1.05263e+159 squares past the float range"),
+    # ... or h^2 underflows to 0 and 1/h^2 divides by zero
+    (json.dumps(dict(MINIMAL, grid=dict(xmin=-1e-300, xmax=1e-300,
+                                        points=20))),
+     "field 'grid': spacing 1.05263e-301 squares past the float range"),
+    # past 2^53 points, node indices are not exact floats
+    (json.dumps(dict(MINIMAL, grid=dict(MINIMAL["grid"], points=10**22))),
+     "field 'grid': need 16 to 2^53 points, got 10000000000000000000000")])
 def test_config_rejections(tmp_path, capsys, text, message):
     path = tmp_path / "config.json"
     path.write_text(text)
@@ -203,6 +213,20 @@ def test_high_order_restricted_to_formula_checks(tmp_path, capsys):
     for command in ("spectrum", "curves", "convergence"):
         assert main([command, path, "--quiet"]) == 2
         assert "order 3" in capsys.readouterr().err
+
+
+def test_closed_form_eigenvalues_are_computed_once(monkeypatch):
+    # run computes them, range-checks them and hands them to the check: one
+    # companion solve at order 3
+    calls, solve = [], susyn.energy_roots
+    monkeypatch.setattr(susyn, "energy_roots",
+                        lambda *a: calls.append(a) or solve(*a))
+    report = run(parse_config_dict(dict(
+        MINIMAL, order=3, susy_constants=[1.0, 2.0, 3.0],
+        checks=["eigenvalues"])))
+    assert report.passed and len(calls) == 1
+    assert (report.checks[0].values["roots"]
+            == [complex(r) for r in report.closed_form_eigenvalues])
 
 
 def test_complex_constants_accepted_and_flagged():
@@ -311,6 +335,43 @@ def test_empty_slope_window_is_a_configuration_error(tmp_path, capsys,
     # an equal pair is a window of one order
     assert main(["check", path, "--quiet", *overrides,
                  "--tol", "slope_max=3"]) == 0
+
+
+BIG = 10**400      # an integer that no float holds
+
+
+@pytest.mark.parametrize("payload, message", [
+    (dict(MINIMAL, susy_constants=[BIG]),
+     "field 'susy_constants[0]' must be a number or [re, im] pair"),
+    (dict(MINIMAL, susy_constants=[[0.0, -BIG]]),
+     "field 'susy_constants[0]' must be a number or [re, im] pair"),
+    (dict(MINIMAL, superpotential={"kind": "deformed", "expr": "a*i*x"},
+          params={"a": BIG}),
+     "field 'params.a' must be a number or [re, im] pair"),
+    (dict(MINIMAL, grid=dict(MINIMAL["grid"], xmin=-BIG)),
+     f"field 'grid.xmin' is not finite ({-BIG})"),
+    (dict(MINIMAL, grid=dict(MINIMAL["grid"], xmax=BIG)),
+     f"field 'grid.xmax' is not finite ({BIG})"),
+    (dict(MINIMAL, tolerances={"identity": BIG}),
+     f"field 'tolerances.identity': '{BIG}' is not a number")],
+    ids=["susy_constants", "pair", "params", "xmin", "xmax", "tolerances"])
+def test_integers_past_the_float_range_are_configuration_errors(
+        tmp_path, capsys, payload, message):
+    # each field refuses them as it refuses JSON Infinity
+    assert main(["check", write_config(tmp_path, payload), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_integers_past_the_digit_limit_are_configuration_errors(tmp_path,
+                                                               capsys):
+    # json refuses to read them, with a ValueError that is no JSONDecodeError
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(MINIMAL).replace('"points": 33',
+                                                '"points": ' + "1" * 5000))
+    assert main(["check", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: config is not valid JSON: Exceeds the limit "
+        "(4300 digits) for integer string conversion")
 
 
 def test_tol_override_validation(tmp_path):
