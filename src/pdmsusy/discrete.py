@@ -979,11 +979,15 @@ def convergence_study(residual_fn: Callable[[Grid], Mapping[str, float]],
 # Wavefunction reconstruction from a log-derivative
 # ---------------------------------------------------------------------------
 
-def wavefunction_from_log_derivative(phi: Expr, xs: Sequence[float],
-                                     env: Optional[ParamEnv] = None) -> np.ndarray:
+def wavefunction_from_log_derivative(phi, xs: Sequence[float],
+                                     env: Optional[ParamEnv] = None):
     """psi on the nodes from psi'/psi = phi by fixed-step 4th-order
     (Simpson) cumulative quadrature of phi from the domain midpoint, with
-    the normalization psi(midpoint) = 1 (inf, quietly, past the float range)."""
+    the normalization psi(midpoint) = 1 (inf, quietly, past the float range).
+    ``phi`` may also be a tuple of log-derivatives, as in riccati_residual:
+    the result is then the tuple of their wavefunctions, from one
+    evaluation of all of them at the shared quadrature points."""
+    phis = phi if isinstance(phi, tuple) else (phi,)
     xs = np.asarray(xs if hasattr(xs, "__len__") else list(xs), dtype=float)
     n = xs.size
     midpoint = 0.5 * (xs[0] + xs[-1])
@@ -1007,18 +1011,22 @@ def wavefunction_from_log_derivative(phi: Expr, xs: Sequence[float],
     first = np.full(points.size, reads.size)
     np.minimum.at(first, reads, order)
     once = reads[first[reads] == order]
-    phi_at = np.empty(points.size, dtype=complex)
-    phi_at[once] = evaluate_many(phi, points[once], env)
-    f = phi_at[reads].reshape(-1, 3)
-    segments = np.zeros(a.size, dtype=complex)
-    segments[live] = ((b - a)[live] / 6.0) * (f[:, 0] + 4.0 * f[:, 1] + f[:, 2])
     right = n - anchor
-    integral = np.empty(xs.size, dtype=complex)
-    integral[anchor:] = np.add.accumulate(segments[:right])
-    integral[anchor::-1] = np.subtract.accumulate(
-        np.concatenate([segments[:1], segments[right:]]))
-    with np.errstate(over="ignore"):
-        return np.exp(integral)
+    psis = []
+    for values in evaluate_many(phis, points[once], env):
+        phi_at = np.empty(points.size, dtype=complex)
+        phi_at[once] = values
+        f = phi_at[reads].reshape(-1, 3)
+        segments = np.zeros(a.size, dtype=complex)
+        segments[live] = ((b - a)[live] / 6.0) * (f[:, 0] + 4.0 * f[:, 1]
+                                                   + f[:, 2])
+        integral = np.empty(xs.size, dtype=complex)
+        integral[anchor:] = np.add.accumulate(segments[:right])
+        integral[anchor::-1] = np.subtract.accumulate(
+            np.concatenate([segments[:1], segments[right:]]))
+        with np.errstate(over="ignore"):
+            psis.append(np.exp(integral))
+    return tuple(psis) if isinstance(phi, tuple) else psis[0]
 
 
 def l2_normalizable(psi: np.ndarray) -> bool:

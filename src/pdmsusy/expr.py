@@ -434,22 +434,46 @@ def node_counts(e) -> tuple:
 # ---------------------------------------------------------------------------
 
 class ParamEnv:
-    """Immutable map name -> complex value; unbound lookups always raise."""
+    """Immutable map name -> complex value; unbound lookups always raise.
+
+    A value may also be a 1-D array, one complex value per point of an
+    evaluation (a per-point parameter), so that one :func:`evaluate_many`
+    call covers a sweep of that parameter; the env keeps a read-only copy.
+    Raises ValueError for an array that is not 1-D."""
 
     def __init__(self, values: Mapping[str, Number] | None = None, **kwargs: Number):
         merged = dict(values or {})
         merged.update(kwargs)
-        self._values = {name: complex(v) for name, v in merged.items()}
+        self._values = {name: _param_value(name, v) for name, v in merged.items()}
 
-    def lookup(self, name: str) -> complex:
+    def lookup(self, name: str):
+        """The complex value of ``name``, or its read-only array."""
         try:
             return self._values[name]
         except KeyError:
             raise UnboundParameterError(name) from None
 
+    def _check_points(self, n: int) -> None:
+        """Raise ValueError unless every array holds ``n`` values."""
+        for name, v in self._values.items():
+            if type(v) is np.ndarray and v.size != n:
+                raise ValueError(f"parameter '{name}' has {v.size} values "
+                                 f"for {n} points")
+
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self._values.items()))
         return f"ParamEnv({inner})"
+
+
+def _param_value(name: str, value):
+    if np.ndim(value) == 0:
+        return complex(value)
+    array = np.array(value, dtype=complex)
+    if array.ndim != 1:
+        raise ValueError(f"parameter '{name}' must be a number or a 1-D "
+                         f"array, got shape {array.shape}")
+    array.flags.writeable = False
+    return array
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +755,12 @@ def evaluate_many(e, xs: Iterable[float], env=None):
     call alone (_compile).  Deterministic.  Each returned array is the
     caller's own.
 
+    A parameter bound to an array (see ParamEnv) takes its k-th value at
+    the k-th point, so one call over the points of several parameter values
+    gives, bit for bit, the concatenated results of one call per value.  An
+    array whose length is not that of ``xs`` raises ValueError before
+    anything is evaluated.
+
     Raises UnboundParameterError for missing parameters and PoleError when
     a denominator (or cos under sec/tan) falls below POLE_TOLERANCE or an
     intermediate stops being finite.  The error is the one a point-by-point
@@ -739,11 +769,13 @@ def evaluate_many(e, xs: Iterable[float], env=None):
     expression that fails raises, as one call per expression would.  One run
     keeps a sentinel per point (see _Plan); where one is not finite, each
     expression is compiled and runs again alone, and its steps replay such
-    points singly until one raises; if none does, a sentinel overflowed.
+    points singly, each parameter array read at that point, until one
+    raises; if none does, a sentinel overflowed.
     """
     roots = e if isinstance(e, tuple) else (e,)
     xs = np.asarray(xs if hasattr(xs, "__len__") else list(xs), dtype=float)
     env = env if isinstance(env, ParamEnv) else ParamEnv(env)
+    env._check_points(xs.size)
     with np.errstate(all="ignore"):
         plan = _Plan(_compile(roots), xs, env)
         values = plan.run()
@@ -752,12 +784,14 @@ def evaluate_many(e, xs: Iterable[float], env=None):
                 if len(roots) > 1:
                     (plan := _Plan(_compile((root,)), xs, env)).run()
                 for i in np.flatnonzero(~np.isfinite(plan.total)):
-                    _Plan(plan.code, xs[i:i + 1], env, raising=True).run()
-    # a root's array is returned as computed; a constant root, or a second
-    # reference to an array already returned, is copied
+                    _Plan(plan.code, xs[i:i + 1], env, slice(i, i + 1)).run()
+    # a root's array is returned as computed; a constant root, a parameter
+    # array (read-only, the env's), or a second reference to an array
+    # already returned, is copied
     returned = set()
     for k, value in enumerate(values):
-        if type(value) is not np.ndarray or id(value) in returned:
+        if (type(value) is not np.ndarray or not value.flags.writeable
+                or id(value) in returned):
             values[k] = value = np.broadcast_to(value, xs.shape).astype(complex)
         returned.add(id(value))
     return tuple(values) if isinstance(e, tuple) else values[0]
@@ -780,13 +814,15 @@ class _Plan:
     complex +, -, *, negation, conjugation or a Div's numerator, and those
     keep a value that is not finite not finite, so it reaches a watched
     value; a leaf is never watched, since no check of its own can fail.
-    So a point that fails leaves its sentinel not finite.  A ``raising``
-    run, of one point, checks every value and raises at its first failing
-    check instead: the error a scalar walk meets first, since a shared
-    node's first visit comes before any repeat."""
+    So a point that fails leaves its sentinel not finite.  A raising run,
+    the replay of one point at ``point`` (its slice of the points that the
+    parameter arrays belong to), checks every value and raises at its first
+    failing check instead: the error a scalar walk meets first, since a
+    shared node's first visit comes before any repeat."""
 
-    def __init__(self, code, xs: np.ndarray, env: ParamEnv, raising=False):
-        self.code, self.xs, self.env, self.raising = code, xs, env, raising
+    def __init__(self, code, xs: np.ndarray, env: ParamEnv, point=None):
+        self.code, self.xs, self.env, self.point = code, xs, env, point
+        self.raising = point is not None
         self.x = (xs + 0.0).astype(complex)    # x = -0.0 is the point 0.0
         self.total = np.zeros(xs.shape, complex)
 
@@ -836,12 +872,15 @@ class _Plan:
 
 def _param(plan: _Plan, e: Param):
     try:
-        return np.complex128(plan.env.lookup(e.name))
+        value = plan.env.lookup(e.name)
     except UnboundParameterError:
         if plan.raising:
             raise
         plan.total += np.nan
         return np.complex128(np.nan)
+    if type(value) is np.ndarray:
+        return value if plan.point is None else value[plan.point]
+    return np.complex128(value)
 
 
 def _arithmetic(ufunc):

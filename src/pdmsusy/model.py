@@ -81,8 +81,15 @@ class MassFn:
         return symmetric_interval(self.x_min, self.x_max)
 
     def interior_points(self, n: int = 257) -> np.ndarray:
+        """The midpoints of n equal cells of the domain.  On a domain
+        symmetric about 0 the second half is the exact negation of the
+        first, reversed (an odd n's middle point is 0), so xs[::-1] == -xs
+        and values at -x are the values at x reversed."""
         h = (self.x_max - self.x_min) / n
-        return self.x_min + h * (np.arange(n) + 0.5)
+        if not self.symmetric_domain:
+            return self.x_min + h * (np.arange(n) + 0.5)
+        half = self.x_min + h * (np.arange(n // 2) + 0.5)
+        return np.concatenate([half, np.zeros(n % 2), -half[::-1]])
 
     def validate(self, env: ParamEnv | None = None, samples: Optional[Sequence[float]] = None) -> np.ndarray:
         """Check reality and positivity on sample points; raises MassError.

@@ -13,8 +13,9 @@ import pytest
 from pdmsusy.cli import (ConfigError, DEFAULT_TOLERANCES, KNOWN_CHECKS,
                          emit_curves, load_config, main, paper_examples,
                          parse_config_dict, run)
-from pdmsusy import Grid, MassFn, ModelSpec, cli, discrete, parse, susyn
-from pdmsusy.expr import ParamEnv, node_counts
+from pdmsusy import (Grid, MassFn, ModelSpec, cli, discrete, model, parse,
+                     susy2, susyn)
+from pdmsusy.expr import ParamEnv, evaluate_many, node_counts
 from pdmsusy.susy1 import build_first_order
 from pdmsusy.susy2 import build_second_order
 
@@ -135,6 +136,9 @@ def test_boundary_restricted_to_dirichlet(tmp_path, capsys):
         "configuration error: unknown field 'boundary'\n")
 
 
+BIG = 10**400      # an integer that no float holds
+
+
 @pytest.mark.parametrize("text, message", [
     (json.dumps({k: v for k, v in MINIMAL.items() if k != "grid"}),
      "missing field 'grid'"),
@@ -163,7 +167,18 @@ def test_boundary_restricted_to_dirichlet(tmp_path, capsys):
      "field 'grid': spacing 1.05263e-301 squares past the float range"),
     # past 2^53 points, node indices are not exact floats
     (json.dumps(dict(MINIMAL, grid=dict(MINIMAL["grid"], points=10**22))),
-     "field 'grid': need 16 to 2^53 points, got 10000000000000000000000")])
+     "field 'grid': need 16 to 2^53 points, got 10000000000000000000000"),
+    # an integer that no float holds: its first 20 digits and digit count
+    (json.dumps(dict(MINIMAL, order=BIG)),
+     "field 'order' is past the float range (10000000000000000000..., "
+     "401 digits)"),
+    (json.dumps(dict(MINIMAL, grid=dict(MINIMAL["grid"], points=3 * BIG))),
+     "field 'grid.points' is past the float range "
+     "(30000000000000000000..., 401 digits)"),
+    (json.dumps(dict(MINIMAL, grid=dict(MINIMAL["grid"],
+                                        xmin=-(BIG - 1) // 9))),
+     "field 'grid.xmin' is past the float range "
+     "(-11111111111111111111..., 400 digits)")])
 def test_config_rejections(tmp_path, capsys, text, message):
     path = tmp_path / "config.json"
     path.write_text(text)
@@ -337,9 +352,6 @@ def test_empty_slope_window_is_a_configuration_error(tmp_path, capsys,
                  "--tol", "slope_max=3"]) == 0
 
 
-BIG = 10**400      # an integer that no float holds
-
-
 @pytest.mark.parametrize("payload, message", [
     (dict(MINIMAL, susy_constants=[BIG]),
      "field 'susy_constants[0]' must be a number or [re, im] pair"),
@@ -349,9 +361,11 @@ BIG = 10**400      # an integer that no float holds
           params={"a": BIG}),
      "field 'params.a' must be a number or [re, im] pair"),
     (dict(MINIMAL, grid=dict(MINIMAL["grid"], xmin=-BIG)),
-     f"field 'grid.xmin' is not finite ({-BIG})"),
+     "field 'grid.xmin' is past the float range (-10000000000000000000..., "
+     "401 digits)"),
     (dict(MINIMAL, grid=dict(MINIMAL["grid"], xmax=BIG)),
-     f"field 'grid.xmax' is not finite ({BIG})"),
+     "field 'grid.xmax' is past the float range (10000000000000000000..., "
+     "401 digits)"),
     (dict(MINIMAL, tolerances={"identity": BIG}),
      f"field 'tolerances.identity': '{BIG}' is not a number")],
     ids=["susy_constants", "pair", "params", "xmin", "xmax", "tolerances"])
@@ -640,8 +654,9 @@ def test_curves_rows_print_each_value_as_repr_of_its_float(tmp_path, monkeypatch
     v = 1e8 * special + 0.1j
     psi = np.resize([complex(-0.0, 5e-324), 1e300j, -1e-300, 0.3 - 0.0j], 16)
     monkeypatch.setattr(cli, "evaluate_many", lambda *args: (m, wm, v))
+    # one zero mode at order 1: a 1-tuple of log-derivatives, of wavefunctions
     monkeypatch.setattr(discrete, "wavefunction_from_log_derivative",
-                        lambda *args: psi)
+                        lambda phis, *args: (psi,) * len(phis))
     path = tmp_path / "curves.csv"
     emit_curves(system, grid, str(path))
     columns = [grid.nodes(), m.real, wm.real, wm.imag, v.real, v.imag,
@@ -1034,6 +1049,43 @@ def test_paper_examples_battery():
     assert max(residuals) <= 1e-9
 
 
+def _counted_evaluations(monkeypatch, *modules) -> list:
+    """(expressions, points) of each evaluate_many call of ``modules``."""
+    calls = []
+    evaluate = cli.evaluate_many
+
+    def counted(e, points, env=None):
+        calls.append((e, np.array(points)))
+        return evaluate(e, points, env)
+
+    for module in modules:
+        monkeypatch.setattr(module, "evaluate_many", counted)
+    return calls
+
+
+def test_paper_examples_evaluate_each_sweep_once(monkeypatch):
+    # alpha varies per point: W_m recovery at both orders and all four
+    # alphas is one evaluation, the u0 routes one per delta, the four
+    # general-order reductions one; the rest are the Riccati residuals
+    # (one per order), mass validation, the W_m zero scan and the
+    # symmetry reports
+    calls = _counted_evaluations(monkeypatch, cli, discrete, model, susy2)
+    report = paper_examples()
+    assert len(calls) == 13
+    # each sweep's residual is the one an evaluation at its alpha alone
+    # gives, bit for bit
+    system = cli._build_system(ModelSpec(
+        order=2, mass=MassFn(parse("sec(x)"), 0.05, 1.5),
+        superpotential=parse(cli.WORKED_W), susy_constants=(-3.0, 2.0),
+        params=ParamEnv(alpha=1.0)))
+    wm, exact = evaluate_many((system.wm, parse(cli.WORKED_WM)),
+                              np.linspace(0.02, 1.55, 1000),
+                              ParamEnv(alpha=2.0))
+    recovered = {c.name: c.values["residual"] for c in report.checks}
+    assert recovered["wm_recovery_n2_alpha2"] == float(
+        np.max(np.abs(wm - exact)))
+
+
 def test_config_spec_uses_grid_as_domain(tmp_path):
     spec = load_config(write_config(tmp_path, MINIMAL)).spec
     assert (spec.mass.x_min, spec.mass.x_max) == (-2.0, 2.0)
@@ -1085,29 +1137,43 @@ SEEDED_ORDER2 = {
 
 def test_identity_checks_share_one_evaluation(monkeypatch):
     # delta_v, u0_routes and riccati read one evaluation at the identity
-    # samples; delta_v adds one of Vtilde at the mirrored samples
+    # samples; on a domain symmetric about 0 the samples are their own
+    # mirror image, and delta_v reads Vtilde(-x) from that evaluation too
     config = parse_config_dict(SEEDED_ORDER2)
     xs = config.spec.mass.interior_points(cli.IDENTITY_SAMPLES)
-    calls = []
-    evaluate = cli.evaluate_many
-
-    def counted(e, points, env=None):
-        calls.append((e, np.array(points)))
-        return evaluate(e, points, env)
-
-    for module in (cli, discrete):
-        monkeypatch.setattr(module, "evaluate_many", counted)
+    assert xs[::-1].tobytes() == (-xs).tobytes()
+    calls = _counted_evaluations(monkeypatch, cli, discrete)
     joint = run(config)
+    assert len(calls) == 1 and isinstance(calls[0][0], tuple)
+    assert calls[0][1].tobytes() == xs.tobytes()
+    assert "samples" in joint.wall_clock_seconds
+    # the same identity value, bit for bit, as Vtilde evaluated at -x
+    system = build_second_order(config.spec)
+    vtilde, delta_v = evaluate_many((system.vtilde, system.delta_v), xs,
+                                    config.spec.params)
+    image = np.conj(evaluate_many(system.vtilde, -xs, config.spec.params))
+    assert joint.checks[0].values["identity"] == float(
+        np.max(np.abs(vtilde - image - delta_v)))
+    for name, outcome in zip(SEEDED_ORDER2["checks"], joint.checks):
+        alone = run(parse_config_dict(dict(SEEDED_ORDER2, checks=[name])))
+        assert repr(alone.checks[0].values) == repr(outcome.values)
+        assert outcome.status == "pass"
+
+
+def test_delta_v_evaluates_vtilde_at_minus_x_on_an_asymmetric_domain(
+        monkeypatch):
+    payload = dict(SEEDED_ORDER2, grid={"xmin": -1.5, "xmax": 1.4,
+                                        "points": 101})
+    config = parse_config_dict(payload)
+    xs = config.spec.mass.interior_points(cli.IDENTITY_SAMPLES)
+    calls = _counted_evaluations(monkeypatch, cli, discrete)
+    report = run(config)
     system = build_second_order(config.spec)
     assert [len(e) if isinstance(e, tuple) else e for e, _ in calls] == [
         len(calls[0][0]), system.vtilde]
     assert calls[0][1].tobytes() == xs.tobytes()
     assert calls[1][1].tobytes() == (-xs).tobytes()
-    assert "samples" in joint.wall_clock_seconds
-    for name, outcome in zip(SEEDED_ORDER2["checks"], joint.checks):
-        alone = run(parse_config_dict(dict(SEEDED_ORDER2, checks=[name])))
-        assert repr(alone.checks[0].values) == repr(outcome.values)
-        assert outcome.status == "pass"
+    assert all(outcome.status == "pass" for outcome in report.checks)
 
 
 def test_verbose_logs_the_identity_samples_once(tmp_path, capsys):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_pt_model
 
@@ -190,19 +190,27 @@ def test_grid_contract():
     assert g.refined().points == 401
 
 
+@st.composite
+def valid_grids(draw):
+    """(x_min, x_max, points) of a grid that, refined too, Grid accepts:
+    a spacing h whose square and inverse square stay finite at h and h/2
+    (h within 1e-140 to 1e150, a margin for the rounding of x_max - x_min)
+    and at least 4 ulps of x_min, so that x_max is not x_min.  |x_min| is
+    at most 1e160: past about 1e173 an ulp of x_min is wider than any
+    such grid."""
+    x_min = draw(st.floats(-1e160, 1e160))
+    points = draw(st.integers(16, 4096))
+    h = draw(st.floats(max(1e-140, 4 * float(np.spacing(abs(x_min)))), 1e150))
+    return x_min, x_min + h * (points - 1), points
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.floats(-1e300, 1e300), st.floats(0.0, 1e300, exclude_min=True),
-       st.integers(16, 4096))
-def test_refined_nodes_nest_bit_for_bit(x_min, width, points):
+@given(valid_grids())
+def test_refined_nodes_nest_bit_for_bit(bounds):
     # h/2 is exact while it is a normal float, and (2i) (h/2) rounds as
     # i h does, so a refined chain's union of nodes is its finest grid's
-    x_max = x_min + width
-    assume(x_min < x_max)
-    try:            # refused where h^2 or 1/h^2 passes the float range
-        g = Grid(x_min, x_max, points)
-        fine = g.refined()
-    except GridError:
-        assume(False)
+    g = Grid(*bounds)
+    fine = g.refined()
     assert fine.nodes()[::2].tobytes() == g.nodes().tobytes()
 
 

@@ -325,6 +325,59 @@ def test_each_returned_array_is_the_callers_own(monkeypatch):
     assert single.flags.writeable and single.tolist() == [2] * 5
 
 
+def test_per_point_parameter_pole_names_its_point():
+    # alpha varies per point: the pole of 1/(x-alpha) is hit only where x
+    # equals that point's alpha, and log(0) only where alpha is 0; the
+    # error is the one a call at the first failing point's alpha alone
+    # meets first, naming that x
+    e = parse("1/(x-alpha) + log(x*alpha)")
+    xs = np.array([0.5, 0.25, 1.5, 0.75, 2.0])
+    alphas = np.array([0.25, 1.0, 1.5, 0.5, 0.0])
+    with pytest.raises(PoleError) as err:
+        evaluate_many(e, xs, ParamEnv(alpha=alphas))
+    with pytest.raises(PoleError) as alone:
+        evaluate_many(e, [1.5], ParamEnv(alpha=1.5))
+    assert err.value.x == 1.5 and str(err.value) == str(alone.value)
+    assert str(err.value) == "pole hit in '1/(x-alpha)' at x=1.5"
+    # the same point set with the pole's alpha moved is finite everywhere
+    moved = evaluate_many(e, xs, ParamEnv(alpha=alphas + 0.125))
+    assert moved.tolist() == [
+        evaluate(e, x, ParamEnv(alpha=a)) for x, a in zip(xs, alphas + 0.125)]
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.ones((2, 2)), r"parameter 'alpha' must be a number or a 1-D array, "
+                      r"got shape \(2, 2\)"),
+    ([1.0, 2.0], r"parameter 'alpha' has 2 values for 3 points"),
+    (np.ones(4), r"parameter 'alpha' has 4 values for 3 points")])
+def test_per_point_parameter_of_the_wrong_shape_raises_first(monkeypatch,
+                                                             values, message):
+    runs = []
+    monkeypatch.setattr(expr._Plan, "run", lambda plan: runs.append(plan))
+    with pytest.raises(ValueError, match=message):
+        evaluate_many(parse("x*alpha"), [0.0, 1.0, 2.0],
+                      ParamEnv(alpha=values, beta=2.0))
+    assert runs == []
+
+
+def test_per_point_parameter_arrays_are_read_only_copies():
+    alphas = np.array([1.0, 2.0, 3.0])
+    env = ParamEnv(alpha=alphas)
+    held = env.lookup("alpha")
+    alphas[0] = 7.0                     # the caller's array stays the caller's
+    assert held.tolist() == [1.0, 2.0, 3.0] and not held.flags.writeable
+    assert env.lookup("alpha") is held
+    with pytest.raises(ValueError):
+        held[0] = 5.0
+    # a root that is the bare parameter comes back as a fresh, writable array
+    values = evaluate_many((Param("alpha"), parse("2*alpha")), np.zeros(3), env)
+    assert values[0].tolist() == [1.0, 2.0, 3.0] and values[0].flags.writeable
+    assert not np.shares_memory(values[0], held)
+    values[0][0] = 9.0
+    assert held.tolist() == [1.0, 2.0, 3.0]
+    assert values[1].tolist() == [2.0, 4.0, 6.0]
+
+
 def test_unbound_parameter_is_an_error_not_zero():
     with pytest.raises(UnboundParameterError, match="alpha"):
         evaluate(parse("alpha*x"), 1.0)

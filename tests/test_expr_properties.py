@@ -242,3 +242,31 @@ def test_a_failure_under_a_finite_value_is_reported(tree, points):
     else:
         assert [values[i].tobytes() for i in range(len(points))] == [
             value for value, _ in alone]
+
+
+ALPHAS = st.lists(st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5j]), st.floats(-3.0, 3.0),
+    st.complex_numbers(max_magnitude=3.0, allow_nan=False,
+                       allow_infinity=False)), min_size=1, max_size=4)
+
+
+@PROPERTY
+@given(SHARED, POINTS, ALPHAS)
+def test_per_point_parameter_matches_one_call_per_value(tree, points, alphas):
+    # alpha bound to an array, one value per point: one call over the
+    # points of every alpha is the calls at each alpha alone, concatenated,
+    # bit for bit, and fails as the first of them that fails
+    xs = np.tile(points, len(alphas))
+    env = ParamEnv(alpha=np.repeat(alphas, len(points)))
+    separate = []
+    try:
+        for alpha in alphas:
+            separate.append(evaluate_many(tree, points, ParamEnv(alpha=alpha)))
+    except EvaluationError as exc:
+        with pytest.raises(EvaluationError) as joint:
+            evaluate_many(tree, xs, env)
+        assert ((type(joint.value), str(joint.value), joint.value.x)
+                == (type(exc), str(exc), exc.x))
+        return
+    assert evaluate_many(tree, xs, env).tobytes() == np.concatenate(
+        separate).tobytes()

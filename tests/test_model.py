@@ -175,6 +175,33 @@ def test_mass_domain_wider_than_the_float_range_is_refused():
     assert MassFn(parse("1"), -8e307, 8e307).interior_points()[0] > -8e307
 
 
+def _cell_midpoints(x_min, x_max, n):
+    return x_min + (x_max - x_min) / n * (np.arange(n) + 0.5)
+
+
+@pytest.mark.parametrize("domain", [(-1.5, 1.5), (-8.0, 8.0),
+                                    (-8e307, 8e307)])
+@pytest.mark.parametrize("n", [2, 100, 256, 257])
+def test_interior_points_are_antisymmetric_on_symmetric_domains(domain, n):
+    # the first half is the cell midpoints from x_min, the second half
+    # their exact negation, so values at -x are values at x reversed
+    xs = MassFn(parse("1"), *domain).interior_points(n)
+    half = n // 2
+    assert xs[:half].tobytes() == _cell_midpoints(*domain, n)[:half].tobytes()
+    assert xs[::-1][:half].tobytes() == (-xs[:half]).tobytes()
+    if n % 2:
+        assert xs[half] == 0.0 and math.copysign(1.0, xs[half]) == 1.0
+    assert np.all(np.diff(xs) > 0)
+
+
+@pytest.mark.parametrize("domain", [(0.02, 1.55), (-1.5, 1.4), (-3.0, -1.0)])
+@pytest.mark.parametrize("n", [100, 257])
+def test_interior_points_on_asymmetric_domains_are_the_cell_midpoints(
+        domain, n):
+    xs = MassFn(parse("1"), *domain).interior_points(n)
+    assert xs.tobytes() == _cell_midpoints(*domain, n).tobytes()
+
+
 def test_mass_validation():
     with pytest.raises(MassError, match="positive"):
         MassFn(parse("x"), -1.0, 1.0).validate()
