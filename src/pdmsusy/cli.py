@@ -139,21 +139,32 @@ def _json_default(obj):
 # Config loading
 # ---------------------------------------------------------------------------
 
-def _finite(value) -> bool:
-    """Whether a number is a finite float or an int that one holds (JSON
-    Infinity and NaN load as floats, an integer past 2^1024 as an int)."""
+def _number(value, where: str):
+    """``value``, a number of the config field or --tol option ``where``,
+    if a finite float holds it; a str is read as a float.  JSON true and
+    false load as bool, which Python counts as an int, JSON Infinity and
+    NaN as floats and an integer past 2^1024 as an int, and none of them
+    passes.  A refusal echoes at most 20 digits or characters."""
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            raise ConfigError(f"{where} is not a number "
+                              f"({_clip(value, 'characters')})") from None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} is not a number ({type(value).__name__})")
     try:
-        return math.isfinite(value)
+        if math.isfinite(value):
+            return value
     except OverflowError:
-        return False
+        digits = _clip(str(abs(value)), "digits")
+        raise ConfigError(f"{where} is past the float range "
+                          f"({'-' * (value < 0)}{digits})") from None
+    raise ConfigError(f"{where} is not finite ({value})")
 
 
-def _is_a(value, types) -> bool:
-    """isinstance, except that no boolean and no number without a finite
-    float passes: JSON true and false load as bool, which Python counts as
-    an int, and no field takes either."""
-    return (isinstance(value, types) and not isinstance(value, bool)
-            and not (isinstance(value, (int, float)) and not _finite(value)))
+def _clip(text: str, unit: str) -> str:
+    return text if len(text) <= 20 else f"{text[:20]}..., {len(text)} {unit}"
 
 
 def _want(mapping: dict, key: str, types, path: str, optional: bool = False,
@@ -163,17 +174,11 @@ def _want(mapping: dict, key: str, types, path: str, optional: bool = False,
             return default
         raise ConfigError(f"missing field '{path}{key}'")
     value = mapping[key]
-    if isinstance(value, int) and not _finite(value):
-        # no float holds it, so it has 309 to 4,300 digits: echo 20
-        digits = str(abs(value))
-        raise ConfigError(
-            f"field '{path}{key}' is past the float range "
-            f"({'-' * (value < 0)}{digits[:20]}..., {len(digits)} digits)")
-    if isinstance(value, float) and not _finite(value):
-        raise ConfigError(f"field '{path}{key}' is not finite ({value})")
-    if not _is_a(value, types):
+    if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"field '{path}{key}' has wrong type "
                           f"({type(value).__name__})")
+    if isinstance(value, (int, float)):
+        return _number(value, f"field '{path}{key}'")
     return value
 
 
@@ -192,9 +197,9 @@ def _parse_expression(source: str, path: str) -> Expr:
 
 def _as_complex(value, path: str) -> complex:
     parts = value if isinstance(value, list) and len(value) == 2 else [value]
-    if not all(_is_a(v, (int, float)) for v in parts):
+    if not all(isinstance(v, (int, float)) for v in parts):
         raise ConfigError(f"field '{path}' must be a number or [re, im] pair")
-    return complex(*parts)
+    return complex(*(_number(v, f"field '{path}'") for v in parts))
 
 
 def parse_config_dict(raw: dict) -> RunConfig:
@@ -295,14 +300,9 @@ def _set_tolerance(tolerances: dict, name: str, value, source: str) -> None:
         raise ConfigError(
             f"unknown tolerance '{name}'; valid names: "
             f"{', '.join(sorted(DEFAULT_TOLERANCES))}")
-    try:
-        number = float(value) if _is_a(value, (int, float, str)) else None
-    except ValueError:
-        number = None
-    if number is None:
-        raise ConfigError(f"{source}: '{value}' is not a number")
-    if not 0.0 <= number < math.inf:
-        raise ConfigError(f"{source}: '{value}' must be a finite number >= 0")
+    number = float(_number(value, source))
+    if number < 0:
+        raise ConfigError(f"{source} must be a finite number >= 0 ({number})")
     tolerances[name] = number
 
 
@@ -425,16 +425,15 @@ class _CheckContext:
             quantities = {name: _QUANTITIES[name](self.system, self.spec)
                           for name in self.config.checks
                           if name in _QUANTITIES}
-            unique = {id(e): e for exprs in quantities.values()
-                      for e in exprs}
-            roots = tuple(unique.values())
-            values = dict(zip(unique, evaluate_many(
+            roots = tuple(dict.fromkeys(e for exprs in quantities.values()
+                                        for e in exprs))
+            values = dict(zip(roots, evaluate_many(
                 roots, self.identity_points, self.spec.params)))
         if log.isEnabledFor(logging.INFO):
             log.info("identity samples: %d points, %d expressions, "
                      "%d unique nodes", len(self.identity_points), len(roots),
                      node_counts(roots)[1])
-        return {name: tuple(values[id(e)] for e in exprs)
+        return {name: tuple(values[e] for e in exprs)
                 for name, exprs in quantities.items()}
 
     @cached_property

@@ -909,8 +909,8 @@ def riccati_roots(m: MassFn, vtilde: Expr, phis: Sequence[Expr]) -> tuple:
     phi', m', Vtilde."""
     mx = m.expr
     dm = differentiate(mx)
-    return tuple({id(r): r for phi in phis
-                  for r in (mx, phi, differentiate(phi), dm, vtilde)}.values())
+    return tuple(dict.fromkeys(
+        r for phi in phis for r in (mx, phi, differentiate(phi), dm, vtilde)))
 
 
 def riccati_residual(m: MassFn, vtilde: Expr, phi, e,
@@ -926,12 +926,12 @@ def riccati_residual(m: MassFn, vtilde: Expr, phi, e,
     roots = riccati_roots(m, vtilde, phis)
     if values is None:
         values = evaluate_many(roots, samples, env)
-    value = dict(zip(map(id, roots), values))
+    value = dict(zip(roots, values))
     mx = m.expr
-    mv, dmv, vv = (value[id(r)] for r in (mx, differentiate(mx), vtilde))
+    mv, dmv, vv = (value[r] for r in (mx, differentiate(mx), vtilde))
     out = []
     for p, energy in zip(phis, energies):
-        pv, dpv = value[id(p)], value[id(differentiate(p))]
+        pv, dpv = value[p], value[differentiate(p)]
         r = -(dpv + pv * pv) / mv + (dmv / (mv * mv)) * pv + vv - complex(energy)
         out.append(float(np.max(np.abs(r), initial=0.0)))
     return tuple(out) if isinstance(phi, tuple) else out[0]

@@ -4,9 +4,10 @@ Everything downstream (superpotentials, masses, potentials, log-derivatives)
 is built on this small AST: parse text, differentiate exactly, evaluate at
 double precision.  Nodes are immutable and hash-consed: a structurally
 identical node is the same object (constants count as identical by bit
-pattern, so 0.0 and -0.0 stay apart), an expression is a DAG, and every walk
-below visits each unique node once.  Nodes can be shared freely between
-threads and cached without copying.
+pattern, so 0.0 and -0.0 stay apart).  Nodes thus compare and hash as
+objects, an expression is a DAG, and every walk below visits each unique
+node once.  Nodes can be shared freely between threads and cached without
+copying.
 
 Grammar accepted by :func:`parse` (whitespace is ignored)::
 
@@ -100,8 +101,10 @@ class PoleError(EvaluationError):
 
 # The node table: (type, scalar fields, ids of child nodes) -> a weak
 # reference to the live node of that structure, which carries its key.  A
-# node holds its children, so the ids in a live key are still theirs.  A hit
-# reads the table without the lock: one dict read and one call of the
+# node holds its children, so the ids in a live key are still theirs.  A key
+# that held them would keep a derivative cycle alive forever: exp(u) holds
+# exp(u)' = exp(u)*u' as its _deriv, and the product's key would hold exp(u).
+# A hit reads the table without the lock: one dict read and one call of the
 # reference, each atomic.  A miss takes the lock, reads again and inserts.
 # When a node dies, the callback of its reference removes the entry
 # atomically and only while the entry still holds a dead reference (as
@@ -125,8 +128,8 @@ class _HashConsed(type):
     node returns that node.  The lookup is O(1): a name is keyed by value, a
     constant by its bit pattern, and a child, interned already, by identity
     (the node holds its children, so their ids stay theirs while it lives).
-    A node keeps its field values as ``_args``, its structural hash and,
-    once differentiated, its first derivative (``_deriv``)."""
+    A node keeps its field values as ``_args`` and, once differentiated,
+    its first derivative (``_deriv``)."""
 
     def __call__(cls, *args, **kwargs):
         fields = cls.__dataclass_fields__
@@ -149,7 +152,6 @@ class _HashConsed(type):
             if ref is None or (node := ref()) is None:
                 node = super().__call__(*args)
                 object.__setattr__(node, "_args", args)
-                object.__setattr__(node, "_hash", hash((cls, *args)))
                 object.__setattr__(node, "_deriv", None)
                 ref = _Ref(node, _forget)
                 ref.key = key
@@ -162,20 +164,11 @@ _node = dataclass(frozen=True, eq=False, slots=True)
 
 @dataclass(frozen=True, eq=False)
 class Expr(metaclass=_HashConsed):
-    """Base node; all concrete nodes are frozen dataclasses.  ``==`` is
-    structural (so Const(0.0) == Const(-0.0)) and the hash is cached."""
+    """Base node; all concrete nodes are frozen dataclasses.  Nodes compare
+    and hash as objects: interning makes that structural identity, with
+    constants told apart by bit pattern, so Const(0.0) != Const(-0.0)."""
 
-    __slots__ = ("_args", "_hash", "_deriv", "__weakref__")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._hash == other._hash and self._args == other._args
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("_args", "_deriv", "__weakref__")
 
     def __reduce__(self):      # copies and unpickled nodes are interned too
         return type(self), self._args
@@ -396,17 +389,17 @@ class _Memo(dict):
         stack = [root]
         while stack:
             node = stack[-1]
-            if id(node) in self:
+            if node in self:
                 stack.pop()
                 continue
             todo = [v for v in reversed(node._args)
-                    if isinstance(v, Expr) and id(v) not in self]
+                    if isinstance(v, Expr) and v not in self]
             if todo:
                 stack += todo
             else:
                 stack.pop()
-                self[id(node)] = self.rule(node, self)
-        return self[id(root)]
+                self[node] = self.rule(node, self)
+        return self[root]
 
 
 def parameter_names(e: Expr) -> list:
@@ -605,7 +598,8 @@ def parse(source: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Printer (round-trips through parse for grammar-built trees)
+# Printer (round-trips through parse for grammar-built trees, up to the
+# sign of a zero, which the text does not keep)
 # ---------------------------------------------------------------------------
 
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
@@ -930,7 +924,7 @@ def _compile(roots) -> tuple:
     follow a tree walk that skips repeat visits: operands left to right,
     except that Div evaluates its denominator and checks it for a pole
     (_pole) first, so at any one point the checks run as in a scalar walk."""
-    slot = {}           # id(node) -> the step that computes it
+    slot = {}           # node -> the step that computes it
     last = {}           # step -> the last step that reads its value
     steps = []
     # a node on the stack is to be visited, a tuple (function, node,
@@ -940,7 +934,7 @@ def _compile(roots) -> tuple:
         e = stack.pop()
         if type(e) is tuple:
             step, e, operands = e
-        elif id(e) in slot:
+        elif e in slot:
             continue
         else:
             step, first = _STEPS[type(e)]
@@ -953,13 +947,13 @@ def _compile(roots) -> tuple:
         k = len(steps)
         a = b = None
         if operands:
-            last[a := slot[id(operands[0])]] = k
+            last[a := slot[operands[0]]] = k
             if len(operands) == 2:
-                last[b := slot[id(operands[1])]] = k
+                last[b := slot[operands[1]]] = k
         if step is not _pole:
-            slot[id(e)] = k
+            slot[e] = k
         steps.append((step, e, a, b, []))
-    outs = [slot[id(root)] for root in roots]
+    outs = [slot[root] for root in roots]
     for i, k in last.items():
         if i not in outs:       # the caller reads the roots last
             steps[k][4].append(i)

@@ -146,18 +146,14 @@ def zero_mode_logderivs(wm: Expr, m: MassFn, delta: complex) -> tuple[Expr, Expr
         phi_j = m'/(2m) + W_m'/(2 W_m) + F_j,
         F_j   = (m W_m^2 + (-1)^j delta)/(2 W_m),  j = 1, 2.
 
-    delta -> -delta swaps phi1 and phi2 exactly.
+    The shifts are built as neg() negates, 0 - delta and 0 - (0 - delta),
+    so delta -> -delta swaps phi1 and phi2 as the same nodes.
     """
     mx = m.expr
-    dm = differentiate(mx)
-    dwm = differentiate(wm)
-    common = dm / (2 * mx) + dwm / (2 * wm)
-    phis = []
-    for j in (1, 2):
-        sign = -1.0 if j == 1 else 1.0
-        f_j = (mx * wm * wm + Const(sign * complex(delta))) / (2 * wm)
-        phis.append(common + f_j)
-    return phis[0], phis[1]
+    common = differentiate(mx) / (2 * mx) + differentiate(wm) / (2 * wm)
+    shift = 0 - complex(delta)
+    return tuple(common + (mx * wm * wm + Const(s)) / (2 * wm)
+                 for s in (shift, 0 - shift))
 
 
 def _delta(l1: complex, l2: complex) -> complex:

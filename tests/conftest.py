@@ -1,9 +1,20 @@
-"""Shared helpers: randomized PT-symmetric models and sampling utilities."""
+"""Shared helpers: randomized PT-symmetric models, sampling utilities, the
+render -> parse round trip, and the hypothesis profile of every property
+test: derandomized, so each run draws the same examples, with no deadline
+and no example database; a test's own ``settings`` gives only its
+``max_examples``."""
+
+import math
 
 import numpy as np
+from hypothesis import settings
 
 from pdmsusy import MassFn, ModelSpec, parse
-from pdmsusy.expr import evaluate_many
+from pdmsusy.expr import Const, Expr, evaluate_many
+
+settings.register_profile("pdmsusy", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("pdmsusy")
 
 DOMAIN = (-1.5, 1.5)
 
@@ -51,3 +62,23 @@ def sup_abs(e, xs, env=None):
 
 def interior(spec, n=100):
     return spec.mass.interior_points(n)
+
+
+def has_negative_zero(tree: Expr) -> bool:
+    """Whether a part of a constant of ``tree`` is -0.0."""
+    if isinstance(tree, Const):
+        return any(v == 0 and math.copysign(1.0, v) < 0
+                   for v in (tree.value.real, tree.value.imag))
+    return any(has_negative_zero(v) for v in tree._args if isinstance(v, Expr))
+
+
+def assert_round_trip(tree: Expr) -> None:
+    """Rendering and parsing ``tree`` gives back the same node.  The text
+    does not keep the sign of a zero: -0.0 renders as 0, and "-1*i" reads
+    as (-1)*i, whose real part is -0.0.  Where either tree has a negative
+    zero, the tree read back renders to the same text."""
+    back = parse(str(tree))
+    if has_negative_zero(tree) or has_negative_zero(back):
+        assert str(back) == str(tree)
+    else:
+        assert back is tree, str(tree)

@@ -102,16 +102,15 @@ def test_unknown_tolerance_rejected():
     bad = dict(MINIMAL, tolerances={"identty": 1e-9})
     with pytest.raises(ConfigError, match="identty"):
         parse_config_dict(bad)
-    for value in ("abc", [1], True, False, float("nan"), np.inf):
-        bad = dict(MINIMAL, tolerances={"identity": value})
-        with pytest.raises(ConfigError,
-                           match="'tolerances.identity'.*not a number"):
-            parse_config_dict(bad)
-    for value in ("nan", "inf", "-inf", -1, -1e-30):
-        bad = dict(MINIMAL, tolerances={"identity": value})
-        with pytest.raises(ConfigError,
-                           match="'tolerances.identity'.*finite number >= 0"):
-            parse_config_dict(bad)
+    for values, message in (
+            (("abc", [1], True, False), "is not a number"),
+            ((float("nan"), np.inf, "nan", "inf", "-inf"), "is not finite"),
+            ((-1, -1e-30), "must be a finite number >= 0")):
+        for value in values:
+            bad = dict(MINIMAL, tolerances={"identity": value})
+            with pytest.raises(ConfigError,
+                               match=f"'tolerances.identity' {message}"):
+                parse_config_dict(bad)
     assert parse_config_dict(dict(MINIMAL, tolerances={"identity": 0})) \
         .tolerances["identity"] == 0.0
     # no run reads a superpotential-recovery tolerance
@@ -352,28 +351,37 @@ def test_empty_slope_window_is_a_configuration_error(tmp_path, capsys,
                  "--tol", "slope_max=3"]) == 0
 
 
-@pytest.mark.parametrize("payload, message", [
-    (dict(MINIMAL, susy_constants=[BIG]),
-     "field 'susy_constants[0]' must be a number or [re, im] pair"),
-    (dict(MINIMAL, susy_constants=[[0.0, -BIG]]),
-     "field 'susy_constants[0]' must be a number or [re, im] pair"),
+@pytest.mark.parametrize("payload, field, sign", [
+    (dict(MINIMAL, susy_constants=[BIG]), "susy_constants[0]", ""),
+    (dict(MINIMAL, susy_constants=[[0.0, -BIG]]), "susy_constants[0]", "-"),
     (dict(MINIMAL, superpotential={"kind": "deformed", "expr": "a*i*x"},
-          params={"a": BIG}),
-     "field 'params.a' must be a number or [re, im] pair"),
-    (dict(MINIMAL, grid=dict(MINIMAL["grid"], xmin=-BIG)),
-     "field 'grid.xmin' is past the float range (-10000000000000000000..., "
-     "401 digits)"),
-    (dict(MINIMAL, grid=dict(MINIMAL["grid"], xmax=BIG)),
-     "field 'grid.xmax' is past the float range (10000000000000000000..., "
-     "401 digits)"),
-    (dict(MINIMAL, tolerances={"identity": BIG}),
-     f"field 'tolerances.identity': '{BIG}' is not a number")],
+          params={"a": BIG}), "params.a", ""),
+    (dict(MINIMAL, grid=dict(MINIMAL["grid"], xmin=-BIG)), "grid.xmin", "-"),
+    (dict(MINIMAL, grid=dict(MINIMAL["grid"], xmax=BIG)), "grid.xmax", ""),
+    (dict(MINIMAL, tolerances={"identity": BIG}), "tolerances.identity", "")],
     ids=["susy_constants", "pair", "params", "xmin", "xmax", "tolerances"])
 def test_integers_past_the_float_range_are_configuration_errors(
-        tmp_path, capsys, payload, message):
-    # each field refuses them as it refuses JSON Infinity
+        tmp_path, capsys, payload, field, sign):
+    # every field refuses them in one message, echoing 20 of their digits
     assert main(["check", write_config(tmp_path, payload), "--quiet"]) == 2
-    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert capsys.readouterr().err == (
+        f"configuration error: field '{field}' is past the float range "
+        f"({sign}10000000000000000000..., 401 digits)\n")
+
+
+@pytest.mark.parametrize("value, message", [
+    ("x" * 500, "is not a number (xxxxxxxxxxxxxxxxxxxx..., 500 characters)"),
+    ("x" * 20, "is not a number (xxxxxxxxxxxxxxxxxxxx)"),
+    ("1" * 500, "is not finite (inf)"),
+    ("-" + "1" * 300,
+     "must be a finite number >= 0 (-1.1111111111111112e+299)")],
+    ids=["long", "twenty", "past_the_float_range", "negative"])
+def test_tol_values_are_echoed_in_at_most_20_characters(tmp_path, capsys,
+                                                        value, message):
+    path = write_config(tmp_path, MINIMAL)
+    assert main(["check", path, "--quiet", "--tol", f"identity={value}"]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: --tol identity {message}\n")
 
 
 def test_integers_past_the_digit_limit_are_configuration_errors(tmp_path,
@@ -1028,6 +1036,38 @@ def test_dense_limited_checks_refuse_before_assembly(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"numerical failure [stage {check}]: dense budget is n <= 4096, "
         "got 4097\n")
+
+
+@pytest.mark.parametrize("flag", [
+    lambda l1, l2: True,
+    lambda l1, l2: l1 * l1 > 4 * l2,
+    lambda l1, l2: l1 > 0 and l1 * l1 >= 4 * l2],
+    ids=["never_flips", "flips_past_the_boundary", "worked_model_not_real"])
+def test_paper_examples_fail_unless_the_reality_flag_flips(monkeypatch, flag):
+    # the flag must hold on the worked model (l1 = -3, l2 = 2) and flip
+    # between l2 = 1 and 1 + 1e-9 at l1 = 2
+    lowest = susy2.lowest_eigenvalues
+    monkeypatch.setattr(susy2, "lowest_eigenvalues", lambda l1, l2: (
+        *lowest(l1, l2)[:2], flag(complex(l1).real, complex(l2).real)))
+    report = paper_examples()
+    outcome = next(c for c in report.checks
+                   if c.name == "quadratic_eigenvalues")
+    assert (outcome.status, outcome.reason) == (
+        "fail", "reality flag did not flip at l1^2 = 4 l2")
+    assert not report.passed
+
+
+def test_eigensolver_failure_is_a_numerical_failure(tmp_path, capsys,
+                                                    monkeypatch):
+    def unconverged(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", unconverged)
+    path = write_config(tmp_path, dict(MINIMAL, checks=["conjugate_closure"]))
+    assert main(["check", path, "--quiet"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure [stage conjugate_closure]: QR iteration did not "
+        "converge: Eigenvalues did not converge\n")
 
 
 def test_paper_examples_battery():

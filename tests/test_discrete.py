@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_pt_model
 
-from pdmsusy import (Grid, GridError, MassFn, ModelSpec, Tridiagonal,
-                     assemble_charge, assemble_hamiltonian,
+from pdmsusy import (Grid, GridError, MassFn, ModelError, ModelSpec,
+                     Tridiagonal, assemble_charge, assemble_hamiltonian,
                      conjugate_pairing_distance,
                      constraint_residuals, convergence_study,
                      dense_eigenvalues, l2_normalizable, lowest_levels,
@@ -22,7 +22,7 @@ from pdmsusy.discrete import (AssemblyError, DiscreteError, EigensolverError,
 from pdmsusy.expr import Const, ParamEnv, evaluate, evaluate_many
 from pdmsusy.susy1 import build_first_order
 from pdmsusy.susy2 import build_second_order
-from pdmsusy.susyn import NthOrderCoefficients
+from pdmsusy.susyn import NthOrderCoefficients, energy_roots
 
 
 def synthetic_spec(half_width=6.0):
@@ -204,7 +204,7 @@ def valid_grids(draw):
     return x_min, x_min + h * (points - 1), points
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(valid_grids())
 def test_refined_nodes_nest_bit_for_bit(bounds):
     # h/2 is exact while it is a normal float, and (2i) (h/2) rounds as
@@ -212,6 +212,20 @@ def test_refined_nodes_nest_bit_for_bit(bounds):
     g = Grid(*bounds)
     fine = g.refined()
     assert fine.nodes()[::2].tobytes() == g.nodes().tobytes()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: assemble_charge(NthOrderCoefficients(
+        2, Const(1.0), Const(0.0), (None,)), Grid(-1.0, 1.0, 33)),
+     UnsupportedOrderError, "charge coefficients contain absent entries"),
+    (lambda: convergence_study(lambda g: {"r": g.h ** 2},
+                               [Grid(-1.0, 1.0, 33), Grid(-1.0, 1.0, 65)]),
+     GridError, "need at least 3 grids"),
+    (lambda: energy_roots(()), ModelError, "need at least one coefficient")],
+    ids=["absent_charge_entries", "two_grids", "no_energy_coefficients"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -304,8 +318,7 @@ def test_spectrum_from_operator_carries_pairing_distance():
 # the eigensolver behind lowest_levels
 # ---------------------------------------------------------------------------
 
-SOLVER = settings(max_examples=60, deadline=None, derandomize=True,
-                  database=None)
+SOLVER = settings(max_examples=60)
 UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -397,7 +410,7 @@ def test_tridiagonal_solver_matches_dense(case):
     assert_lowest_levels(dirichlet_operator(T))
 
 
-@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@settings(max_examples=8)
 @given(smooth_hamiltonians())
 def test_coarse_to_fine_solver_matches_dense(H):
     assert_lowest_levels(H)
@@ -640,7 +653,7 @@ LAYOUTS = dict(n=st.integers(16, 5000), wx=st.integers(1, 4),
                wy=st.integers(1, 4))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(**LAYOUTS)
 def test_stacked_plan_makes_every_entry_once(n, wx, wy):
     # the passes take every panel once, and the panels' 16 rows cover 0:n;
@@ -663,7 +676,7 @@ def test_stacked_plan_makes_every_entry_once(n, wx, wy):
                           (tile * panels)[:, None] + t + e - w)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(**LAYOUTS)
 def test_layout_windows_cover_the_inner_indices(n, wx, wy):
     # the k-block seams step by at most _KBLOCK, each on a multiple of
@@ -698,7 +711,7 @@ def test_layout_windows_cover_the_inner_indices(n, wx, wy):
             assert np.array_equal(got_inner, window)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(**LAYOUTS)
 def test_layout_cuts_the_seam_and_tail_panels(n, wx, wy):
     # the seam passes hold exactly the panels whose window a k-block seam
@@ -735,7 +748,7 @@ def random_band(rng, n, w):
     return band
 
 
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@settings(max_examples=10)
 @given(st.integers(4, 174), st.integers(1, 2), st.integers(1, 2),
        st.integers(0, 2**32 - 1))
 def test_stacked_products_match_the_full_products(q, wx, wy, seed):
@@ -762,7 +775,7 @@ def test_stacked_products_match_the_full_products(q, wx, wy, seed):
                 n, wx, wy, reverse)
 
 
-@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@settings(max_examples=15)
 @given(st.integers(4, 174), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_band_action_is_the_band_sum(q, w, seed):
     # the probe action sums each entry's 2w + 1 band terms, and the product

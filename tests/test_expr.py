@@ -19,6 +19,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import assert_round_trip
 
 from pdmsusy import expr
 from pdmsusy.expr import (Add, Const, EvaluationError, Expr, Func, Mul, Param,
@@ -130,8 +131,7 @@ def test_print_parse_round_trip_random_trees():
         return func(FUNCTIONS[int(rng.integers(0, len(FUNCTIONS)))], a)
 
     for _ in range(300):
-        tree = random_tree(int(rng.integers(1, 5)))
-        assert parse(str(tree)) == tree, str(tree)
+        assert_round_trip(random_tree(int(rng.integers(1, 5))))
 
 
 def test_parse_errors_carry_offsets():
@@ -435,12 +435,13 @@ def test_structurally_identical_nodes_are_one_object():
 
 
 def test_signed_zero_constants_stay_apart():
-    # equal and equally hashed, but two objects: the sign of a zero picks
-    # the side of a branch cut
+    # two nodes, unequal: the sign of a zero picks the side of a branch cut
     below, above = Const(complex(-1.0, -0.0)), Const(complex(-1.0, 0.0))
-    assert below == above and hash(below) == hash(above)
-    assert below is not above
-    assert Const(0.0) == Const(-0.0) and Const(0.0) is not Const(-0.0)
+    assert below is not above and below != above
+    assert Const(0.0) is not Const(-0.0) and Const(0.0) != Const(-0.0)
+    roots = {Func("sqrt", below), Func("sqrt", above)}
+    assert len(roots) == 2
+    assert {evaluate(r, 0.0) for r in roots} == {-1j, 1j}
     assert evaluate(Func("log", below), 0.0).imag == -math.pi
     assert evaluate(Func("log", above), 0.0).imag == math.pi
     assert Add(Var(), Const(0.0)) is not Add(Var(), Const(-0.0))

@@ -6,8 +6,8 @@ tuple call against one call per expression; on trees that hide a failure
 under a value that can be finite, a call over all points against a walk of
 each point alone.
 
-Examples are derandomized so the suite is reproducible; widen
-``max_examples`` locally to search harder.
+Examples are derandomized (the profile in conftest.py) so the suite is
+reproducible; widen ``max_examples`` locally to search harder.
 """
 
 import math
@@ -15,6 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import assert_round_trip
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pdmsusy import expr
@@ -25,8 +26,7 @@ from pdmsusy.expr import (FUNCTIONS, X, Const, Div, EvaluationError, Func,
 from pdmsusy.model import pt_image
 
 ENV = ParamEnv(alpha=0.7)
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=150)
 
 
 def trees(numbers):
@@ -111,7 +111,7 @@ def test_pt_image_is_conjugate_parity_bit_for_bit(tree, points):
 @PROPERTY
 @given(ANY)
 def test_render_parse_round_trip(tree):
-    assert parse(str(tree)) == tree
+    assert_round_trip(tree)
 
 
 def _shared(children):

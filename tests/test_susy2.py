@@ -200,8 +200,8 @@ def test_delta_sign_flip_swaps_modes():
     spec = worked_spec()
     phi1, phi2 = zero_mode_logderivs(spec.wm(), spec.mass, 1.0)
     phi1_flipped, phi2_flipped = zero_mode_logderivs(spec.wm(), spec.mass, -1.0)
-    assert phi1 == phi2_flipped
-    assert phi2 == phi1_flipped
+    assert phi1 is phi2_flipped
+    assert phi2 is phi1_flipped
 
 
 def test_lowest_eigenvalues_examples():
